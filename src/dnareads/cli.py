@@ -67,7 +67,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if val is not None:
             merged[{"hm": "h_m", "rprimem": "r_prime_m"}.get(key, key)] = val
     if getattr(args, "delta", None) is not None:
+        # an explicit --delta overrides a dm taken from the config file
         merged["delta"] = args.delta
+        merged.pop("dm", None)
     return merged
 
 

@@ -45,6 +45,30 @@ class Codebook:
         self.matrix.setflags(write=False)
 
     @cached_property
+    def word_ids(self) -> np.ndarray:
+        """(k, m) molecule ids: entry [c, i] is index*v + payload of codeword
+        c's molecule at index i."""
+        p = self.params
+        ids = np.arange(p.m, dtype=np.int64) * p.v + self.matrix
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def mismatch(self) -> np.ndarray:
+        """(m*v, k) read-only contradiction table, built on first use.
+
+        mismatch[id, c] is True when codeword c contradicts the molecule with
+        id index*v + payload, i.e. stores another payload at that index.  It
+        is the one statement of the decoder's outside-count rule; it costs
+        m*v*k bytes.
+        """
+        p = self.params
+        table = self.matrix.T[:, None, :] != np.arange(p.v)[:, None]
+        table = table.reshape(p.m * p.v, len(self))
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def words(self) -> tuple[OuterCodeword, ...]:
         return tuple(OuterCodeword(tuple(int(x) for x in row)) for row in self.matrix)
 

@@ -49,13 +49,17 @@ def outside_count(seen: Iterable[Molecule], w: OuterCodeword) -> int:
 def step(state: DecoderState, cb: Codebook, observed: Molecule) -> StepResult:
     """Consume one read.  Duplicates leave the state unchanged; a new distinct
     molecule bumps the outside count of every codeword it contradicts.  Stops
-    when exactly one codeword has outside <= dm, fails when none does."""
+    when exactly one codeword has outside <= dm, fails when none does.
+    Raises ValueError for a molecule outside the codebook's m x v space."""
+    params = cb.params
+    if not (0 <= observed.index < params.m and 0 <= observed.payload < params.v):
+        raise ValueError(f"observed molecule {observed} out of range")
     state.reads += 1
     if observed in state.seen:
         return StepResult(StepKind.CONTINUE)
     state.seen.add(observed)
-    state.outside += cb.matrix[:, observed.index] != observed.payload
-    consistent = state.outside <= cb.params.dm
+    state.outside += cb.mismatch[observed.id(params.v)]
+    consistent = state.outside <= params.dm
     n = int(consistent.sum())
     if n == 1:
         return StepResult(StepKind.STOP, int(np.argmax(consistent)))
@@ -95,8 +99,7 @@ def stopping_time_no_errors(
     The output id is None for a Fail stop.  Only first occurrences of an
     index matter, so the work is O(min(horizon, m) * k).
     """
-    w = cb.matrix
-    truth = w[m]
+    truth = cb.word_ids[m]
     dm = cb.params.dm
     outside = np.zeros(len(cb), dtype=np.int64)
     seen_idx = np.zeros(cb.params.m, dtype=bool)
@@ -105,7 +108,7 @@ def stopping_time_no_errors(
         if seen_idx[i]:
             continue
         seen_idx[i] = True
-        outside += w[:, i] != truth[i]
+        outside += cb.mismatch[truth[i]]
         consistent = outside <= dm
         n = int(consistent.sum())
         if n == 1:
@@ -118,11 +121,10 @@ def stopping_time_no_errors(
 def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, int | None]]:
     """stopping_time_no_errors for every message at once, skipping NoStop ones.
 
-    Vectorized over messages: outside[a, b] counts first-occurrence indices i
-    (so far) with A_b[i] != A_a[i], which is symmetric, so one (k, k) update
-    per fresh index serves all hypothetical true messages.
+    Vectorized over messages: row a of outside holds the outside counts when
+    a is the true message, so a fresh index i adds the mismatch rows of every
+    codeword's molecule at i in one (k, k) update.
     """
-    w = cb.matrix
     k = len(cb)
     dm = cb.params.dm
     head = np.asarray(f[:horizon])
@@ -131,8 +133,7 @@ def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, in
     alive = np.ones(k, dtype=bool)
     out: dict[int, tuple[int, int | None]] = {}
     for pos in np.sort(first_pos):
-        col = w[:, int(head[pos])]
-        outside += col[:, None] != col[None, :]
+        outside += cb.mismatch[cb.word_ids[:, int(head[pos])]]
         if not alive.any():
             break
         consistent = outside[alive] <= dm

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import analysis, simulate
 from .channel import ADVERSARIES
-from .codebook import construct_greedy
+from .codebook import Codebook, construct_greedy
 from .core import SimParams, VerdictKind, derive_trial_rng, params_from_dict, validate
 
 CSV_VERSION = "dnareads 0.1.0"
@@ -128,7 +128,11 @@ def run_trials(cfg: ExperimentConfig) -> RunSummary:
     identical random streams, so the summary is engine-independent.
     """
     validate_config(cfg)
-    cb = construct_greedy(cfg.params)
+    return _run_on(cfg, construct_greedy(cfg.params))
+
+
+def _run_on(cfg: ExperimentConfig, cb: Codebook) -> RunSummary:
+    """cfg.trials trials of cfg.adversary on a codebook built for cfg.params."""
     if cfg.adversary in ("honest", "uniform", "uniform-index"):
         batch = simulate.run_batch(cb, cfg.adversary, cfg.trials)
         return _summarize(batch.message, batch.kind, batch.decoded, batch.n_reads)
@@ -152,17 +156,25 @@ def ones_threshold(params: SimParams) -> int:
 
 
 def sweep_p(cfg: ExperimentConfig, p_list) -> list[tuple]:
-    """One run per p with common random numbers; rows (p, pe_hat, bound, dp)."""
+    """One run per p with common random numbers; rows (p, pe_hat, bound, dp).
+
+    The codebook does not depend on p, so it is built once and shared.
+    """
     if not len(p_list):
         raise ValueError("p_list empty")
+    subs = [replace(cfg, params=replace(cfg.params, p=float(p))) for p in p_list]
+    for sub in subs:
+        validate_config(sub)
+    matrix = construct_greedy(subs[0].params).matrix
+    m, dm = cfg.params.m, cfg.params.dm
     thr = ones_threshold(cfg.params)
     rows = []
-    for p in p_list:
-        sub = replace(cfg, params=replace(cfg.params, p=float(p)))
-        summary = run_trials(sub)
-        bound = analysis.error_prob_upper_bound(cfg.params.m, float(p), cfg.params.dm, thr)
-        dp = analysis.race_dp(cfg.params.m, float(p), cfg.params.dm, thr)
-        rows.append((float(p), summary.pe_hat, bound, dp))
+    for sub in subs:
+        p = sub.params.p
+        summary = _run_on(sub, Codebook(sub.params, matrix))
+        bound = analysis.error_prob_upper_bound(m, p, dm, thr)
+        dp = analysis.race_dp(m, p, dm, thr)
+        rows.append((p, summary.pe_hat, bound, dp))
     return rows
 
 

@@ -50,11 +50,6 @@ class TrialOutcome:
     expected_stop: int | None = None
 
 
-def _molecule_ids(cb: Codebook) -> np.ndarray:
-    m, v = cb.params.m, cb.params.v
-    return np.arange(m, dtype=np.int64) * v + cb.matrix
-
-
 def _draw_common(cb: Codebook, trial: int):
     p = cb.params.p
     cap = cb.params.read_cap
@@ -196,6 +191,34 @@ class BatchResult:
 _BATCH_BYTES = 32_000_000
 
 
+def _id_dtype(cb: Codebook) -> np.dtype:
+    """Narrowest dtype for the observation table's molecule ids."""
+    return np.min_scalar_type(cb.params.m * cb.params.v - 1)
+
+
+def _count_dtype(cb: Codebook) -> np.dtype:
+    """Narrowest dtype for an outside count.  A codeword contradicts at most
+    the m*(v-1) molecules it does not store, and the uniform adversary can
+    show every one of them, so m alone is too small: a count that wraps reads
+    as consistent again."""
+    return np.min_scalar_type(cb.params.m * (cb.params.v - 1))
+
+
+def _row_bytes(cb: Codebook) -> int:
+    """Bytes run_batch holds per trial row: its observation table, seen set
+    and outside counts, plus one step's gathered counts, mismatch rows and
+    consistency flags."""
+    p = cb.params
+    width = _count_dtype(cb).itemsize
+    return (
+        _id_dtype(cb).itemsize * p.read_cap + p.m * p.v + len(cb) * (2 * width + 2)
+    )
+
+
+def _rows_per_batch(cb: Codebook, trials: int) -> int:
+    return max(1, min(trials, _BATCH_BYTES // _row_bytes(cb)))
+
+
 def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> BatchResult:
     """Vectorized engine for the message-blind adversaries, draw-for-draw
     identical to run_trial over trials start..start+trials-1."""
@@ -203,15 +226,16 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
     params = cb.params
     m, v, k, cap = params.m, params.v, params.k, params.read_cap
-    word_ids = _molecule_ids(cb)
+    word_ids = cb.word_ids
     message = np.empty(trials, dtype=np.int64)
     kind = np.full(trials, 2, dtype=np.int8)
     decoded = np.full(trials, -1, dtype=np.int64)
     n_reads = np.full(trials, cap, dtype=np.int64)
-    rows_per_batch = max(64, min(trials, _BATCH_BYTES // (8 * max(cap, 1))))
+    rows_per_batch = _rows_per_batch(cb, trials)
+    id_dtype = _id_dtype(cb)
     for lo in range(0, trials, rows_per_batch):
         b = min(rows_per_batch, trials - lo)
-        obs = np.empty((b, cap), dtype=np.int64)
+        obs = np.empty((b, cap), dtype=id_dtype)
         for r in range(b):
             rng, msg, f, flags = _draw_common(cb, start + lo + r)
             true_ids = word_ids[msg][f]
@@ -235,9 +259,12 @@ def _decode_batch(cb, obs, kind, decoded, n_reads):
     b, cap = obs.shape
     params = cb.params
     dm = params.dm
-    w = cb.matrix
+    # Bools are added and summed as 0/1 bytes: numpy's bool-to-integer loops
+    # are slower, and a narrow accumulator that holds k suffices for counts.
+    mismatch = cb.mismatch.view(np.uint8)
+    count_acc = np.min_scalar_type(len(cb))
     seen = np.zeros((b, params.m * params.v), dtype=bool)
-    outside = np.zeros((b, len(cb)), dtype=np.int64)
+    outside = np.zeros((b, len(cb)), dtype=_count_dtype(cb))
     alive = np.ones(b, dtype=bool)
     for t in range(cap):
         rows = np.flatnonzero(alive)
@@ -250,11 +277,11 @@ def _decode_batch(cb, obs, kind, decoded, n_reads):
             continue
         ids = ids[fresh]
         seen[rows, ids] = True
-        idx = ids // params.v
-        pay = ids % params.v
-        outside[rows] += (w[:, idx] != pay).T
-        consistent = outside[rows] <= dm
-        counts = consistent.sum(axis=1)
+        o = outside[rows]
+        o += mismatch[ids]
+        outside[rows] = o
+        consistent = o <= dm
+        counts = consistent.view(np.uint8).sum(axis=1, dtype=count_acc)
         stopped = counts == 1
         if stopped.any():
             rr = rows[stopped]

@@ -67,6 +67,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert _lines(out2)[2].split(",")[4] == "0.05"  # flag wins
 
 
+def test_delta_flag_overrides_config_dm(tmp_path):
+    cfg = {
+        "m": 8, "k": 8, "v": 4, "p": 0.2, "dm": 0, "theta": 0.5,
+        "seed": 6, "adversary": "uniform", "trials": 50,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "delta.csv"
+    assert main(
+        ["simulate", "--config", str(cfg_path), "--delta", "0.25", "--out", str(out)]
+    ) == 0
+    assert _lines(out)[2].split(",")[5] == "2"  # dm = floor(0.25 * 8), not the file's 0
+
+
 def test_sweep_p_command(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(

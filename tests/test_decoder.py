@@ -74,6 +74,17 @@ def test_step_fail_when_no_consistent_word(literal_codebook):
     assert state.reads == 2
 
 
+def test_step_rejects_molecule_outside_code_space(literal_codebook):
+    # payload 2 does not exist when v=2; it must not be read as molecule (1, 0)
+    cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
+    state = new_state(cb)
+    with pytest.raises(ValueError, match="out of range"):
+        step(state, cb, Molecule(0, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        step(state, cb, Molecule(2, 0))
+    assert state.reads == 0 and not state.seen
+
+
 def test_run_zero_error_decides_truth(easy_codebook):
     params = easy_codebook.params
     rng = np.random.default_rng(0)
