@@ -1,7 +1,11 @@
 """Read sampling, error flags, and the adversaries that fill in what an
 erroneous read returns: honest (identity), uniform (random molecule, with an
 index-preserving variant), strong (clairvoyant, decoder-aware), and weak
-(causal, codebook-aware only)."""
+(causal, codebook-aware only).
+
+Each observe_* maps a whole trial at once: the true id row
+cb.word_ids[message][f], the index sequence f and the error flags go in, the
+observed id row (index*v + payload per read) comes out."""
 
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import numpy as np
 from . import decoder
 from .analysis import SPartition
 from .codebook import Codebook, IndexSet
-from .core import Molecule
 
 ADVERSARIES = ("honest", "uniform", "uniform-index", "strong", "weak")
 
@@ -37,26 +40,31 @@ def sample_error_flags(p: float, horizon: int, rng: np.random.Generator) -> np.n
     return rng.random(horizon) < p
 
 
-def observe_honest(sampled: Molecule) -> Molecule:
-    """Errors never corrupt anything: the observed molecule is the sampled one."""
-    return sampled
+def observe_honest(true_ids: np.ndarray, f, flags) -> np.ndarray:
+    """Errors never corrupt anything: the observed row is the true one."""
+    return true_ids
 
 
 def observe_uniform(
-    sampled: Molecule,
+    true_ids: np.ndarray,
+    f,
+    flags,
     m: int,
     v: int,
     rng: np.random.Generator,
     index_preserving: bool = False,
-) -> Molecule:
-    """Replacement molecule for an erroneous read.
+) -> np.ndarray:
+    """Observed id row when each erroneous read returns a uniform molecule.
 
-    Default: uniform over all m*v molecules (the correct one included).
-    index_preserving: keep sampled.index, draw only the payload uniformly.
+    Replacement tables are drawn for every read position, indices then
+    payloads, and consulted only where flags is set, so sweeps over p share
+    common random numbers.  Default: uniform over all m*v molecules (the
+    correct one included).  index_preserving: keep the sampled index f[t] and
+    draw only the payload.
     """
-    if index_preserving:
-        return Molecule(sampled.index, int(rng.integers(0, v)))
-    return Molecule(int(rng.integers(0, m)), int(rng.integers(0, v)))
+    rep_idx = f if index_preserving else rng.integers(0, m, size=len(f))
+    rep_pay = rng.integers(0, v, size=len(f))
+    return np.where(flags, rep_idx * v + rep_pay, true_ids)
 
 
 @dataclass(frozen=True)
@@ -125,18 +133,16 @@ def strong_prepare(
 
 
 def observe_strong(
-    plan: StrongAdversaryPlan,
-    cb: Codebook,
-    time: int,
-    sampled: Molecule,
-    error: bool,
-) -> Molecule:
-    """Active plan substitutes codeword m_prime's molecule at t1 times; every
-    other read (inactive plan, clean read, or erroneous read outside t1)
-    passes the sampled molecule through."""
-    if plan.active and error and time in plan.t1:
-        return Molecule(sampled.index, int(cb.matrix[plan.m_prime, sampled.index]))
-    return sampled
+    plan: StrongAdversaryPlan, cb: Codebook, true_ids: np.ndarray, f, flags
+) -> np.ndarray:
+    """Active plan substitutes codeword m_prime's molecule on erroneous reads
+    at t1 times; every other read (inactive plan, clean read, or erroneous
+    read outside t1) keeps its true molecule."""
+    if not plan.active:
+        return true_ids
+    at_t1 = np.zeros(len(f), dtype=bool)
+    at_t1[np.fromiter(plan.t1, dtype=np.int64, count=len(plan.t1)) - 1] = True
+    return np.where(flags & at_t1, cb.word_ids[plan.m_prime][f], true_ids)
 
 
 @dataclass(frozen=True)
@@ -178,10 +184,10 @@ def weak_prepare(
 
 
 def observe_weak(
-    plan: WeakAdversaryPlan, cb: Codebook, sampled: Molecule, error: bool
-) -> Molecule:
+    plan: WeakAdversaryPlan, cb: Codebook, true_ids: np.ndarray, f, flags
+) -> np.ndarray:
     """Active plan turns every erroneous read into codeword m_prime's molecule
     at the sampled index (a no-op where the codewords agree)."""
-    if plan.active and error:
-        return Molecule(sampled.index, int(cb.matrix[plan.m_prime, sampled.index]))
-    return sampled
+    if not plan.active:
+        return true_ids
+    return np.where(flags, cb.word_ids[plan.m_prime][f], true_ids)

@@ -3,8 +3,10 @@
 Subcommands: codebook, simulate, sweep-p, curves, smembership, converse.
 Shared flags: --m --k --v --p --delta --theta --adversary --trials --seed
 --read-cap --out --config.  --config points at a JSON file whose keys mirror
-SimParams field names plus adversary/trials/h_m/r_prime_m/out; explicit flags
-override file values.  --delta sets the consistency slack dm = floor(delta*m).
+SimParams field names plus delta/adversary/trials/h_m/r_prime_m/out; explicit
+flags override file values, and an unknown key is an error.  --delta sets the
+consistency slack dm = floor(delta*m).  Errors raised by the library end the
+run with a one-line "dnareads: <message>" instead of a traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import sys
 from . import analysis, harness
 from .channel import ADVERSARIES
 from .codebook import construct_greedy, save_codebook, verify_intersections
-from .core import SimParams
 
 
 def _add_shared(sp: argparse.ArgumentParser) -> None:
@@ -77,30 +78,9 @@ def _build_config(merged: dict) -> harness.ExperimentConfig:
     for field in ("m", "k", "v"):
         if field not in merged:
             raise SystemExit(f"missing required parameter --{field}")
-    if "dm" not in merged:
-        delta = merged.get("delta", 0.0)
-        merged["dm"] = math.floor(delta * merged["m"])
-    params = SimParams(
-        m=merged["m"],
-        k=merged["k"],
-        v=merged["v"],
-        p=merged["p"],
-        dm=merged["dm"],
-        theta=merged["theta"],
-        read_cap=merged.get("read_cap"),
-        seed=merged["seed"],
-        alpha=merged.get("alpha"),
-        beta=merged.get("beta"),
-        r_in=merged.get("r_in"),
-    )
-    return harness.ExperimentConfig(
-        params=params,
-        adversary=merged["adversary"],
-        trials=merged["trials"],
-        h_m=merged.get("h_m"),
-        r_prime_m=merged.get("r_prime_m"),
-        out=merged.get("out"),
-    )
+    delta = merged.pop("delta", 0.0)
+    merged.setdefault("dm", math.floor(delta * merged["m"]))
+    return harness.config_from_dict(merged)
 
 
 def _emit(cfg_out: str | None, text: str) -> None:
@@ -153,7 +133,13 @@ def main(argv=None) -> int:
     sp.add_argument("--rprimem", type=int, required=True)
 
     args = ap.parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, RuntimeError) as exc:
+        raise SystemExit(f"dnareads: {exc}") from None
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "codebook":
         cfg = _build_config(_merge_config(args))
         cb = construct_greedy(cfg.params)

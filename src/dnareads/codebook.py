@@ -68,13 +68,6 @@ class Codebook:
         table.setflags(write=False)
         return table
 
-    @cached_property
-    def words(self) -> tuple[OuterCodeword, ...]:
-        return tuple(OuterCodeword(tuple(int(x) for x in row)) for row in self.matrix)
-
-    def word(self, message: int) -> OuterCodeword:
-        return self.words[message]
-
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
@@ -82,13 +75,6 @@ class Codebook:
 def intersection_threshold(params: SimParams) -> int:
     """Candidates are accepted iff every pairwise intersection is < this."""
     return math.ceil(params.theta * params.m)
-
-
-def intersection(a: OuterCodeword, b: OuterCodeword) -> int:
-    """Number of index positions where the two codewords store the same payload."""
-    if len(a) != len(b):
-        raise ValueError("codeword lengths differ")
-    return sum(x == y for x, y in zip(a.payloads, b.payloads))
 
 
 def construct_greedy(params: SimParams, rng: np.random.Generator | None = None) -> Codebook:

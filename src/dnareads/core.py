@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,7 +45,6 @@ class SimParams:
     theta   pairwise-intersection budget fraction for codebook construction
     read_cap  truncation horizon in reads; defaults to 50 * m
     seed    master seed for codebook construction and trial streams
-    alpha, beta, r_in  optional rate metadata carried for bookkeeping only
     """
 
     m: int
@@ -57,9 +55,6 @@ class SimParams:
     theta: float
     read_cap: int | None = None
     seed: int = 0
-    alpha: float | None = None
-    beta: float | None = None
-    r_in: float | None = None
 
     def __post_init__(self):
         if self.read_cap is None:
@@ -82,12 +77,6 @@ def validate(params: SimParams) -> SimParams:
         raise ValueError("theta out of range")
     if not isinstance(params.read_cap, (int, np.integer)) or params.read_cap < 1:
         raise ValueError("read_cap out of range")
-    if params.alpha is not None and not params.alpha > 1.0:
-        raise ValueError("alpha out of range")
-    if params.beta is not None and not params.beta > 0.0:
-        raise ValueError("beta out of range")
-    if params.r_in is not None and not 0.0 < params.r_in <= 1.0:
-        raise ValueError("r_in out of range")
     return params
 
 
@@ -103,20 +92,6 @@ def params_from_dict(d: dict) -> SimParams:
     return SimParams(**d)
 
 
-def params_to_json(params: SimParams) -> str:
-    return json.dumps(params_to_dict(params), indent=2)
-
-
-def params_from_json(text: str) -> SimParams:
-    return params_from_dict(json.loads(text))
-
-
-def with_p(params: SimParams, p: float) -> SimParams:
-    """Copy of params at a different corruption rate; seed unchanged so that
-    sweeps over p share common random numbers."""
-    return replace(params, p=p)
-
-
 @dataclass(frozen=True)
 class Molecule:
     """One stored or observed molecule: an (index, payload) pair."""
@@ -129,10 +104,6 @@ class Molecule:
         return self.index * v + self.payload
 
 
-def molecule_from_id(mol_id: int, v: int) -> Molecule:
-    return Molecule(int(mol_id) // v, int(mol_id) % v)
-
-
 @dataclass(frozen=True)
 class OuterCodeword:
     """Length-m payload assignment; entry j is the payload stored at index j."""
@@ -141,9 +112,6 @@ class OuterCodeword:
 
     def __len__(self) -> int:
         return len(self.payloads)
-
-    def molecule(self, index: int) -> Molecule:
-        return Molecule(index, self.payloads[index])
 
 
 class VerdictKind(Enum):

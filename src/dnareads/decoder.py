@@ -4,9 +4,10 @@ that the clairvoyant adversary needs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -76,12 +77,7 @@ def run(cb: Codebook, reads: Iterable[Molecule], read_cap: int) -> Verdict:
     yields Truncated.
     """
     state = new_state(cb)
-    it: Iterator[Molecule] = iter(reads)
-    for _ in range(read_cap):
-        try:
-            observed = next(it)
-        except StopIteration:
-            break
+    for observed in islice(reads, read_cap):
         res = step(state, cb, observed)
         if res.kind is StepKind.STOP:
             return Verdict.decided(res.decoded, state.reads)
@@ -96,26 +92,14 @@ def stopping_time_no_errors(
     """Stop time and output of the decoder on the error-free stream of message
     m along index sequence f, or None when it has not stopped by the horizon.
 
-    The output id is None for a Fail stop.  Only first occurrences of an
-    index matter, so the work is O(min(horizon, m) * k).
+    The output id is None for a Fail stop.
     """
-    truth = cb.word_ids[m]
-    dm = cb.params.dm
-    outside = np.zeros(len(cb), dtype=np.int64)
-    seen_idx = np.zeros(cb.params.m, dtype=bool)
-    for j in range(horizon):
-        i = int(f[j])
-        if seen_idx[i]:
-            continue
-        seen_idx[i] = True
-        outside += cb.mismatch[truth[i]]
-        consistent = outside <= dm
-        n = int(consistent.sum())
-        if n == 1:
-            return (j + 1, int(np.argmax(consistent)))
-        if n == 0:
-            return (j + 1, None)
-    return None
+    truth = cb.matrix[m].tolist()
+    stream = (Molecule(i, truth[i]) for i in np.asarray(f[:horizon]).tolist())
+    verdict = run(cb, stream, horizon)
+    if verdict.kind is VerdictKind.TRUNCATED:
+        return None
+    return verdict.n_reads, verdict.decoded
 
 
 def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, int | None]]:

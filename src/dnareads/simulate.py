@@ -14,20 +14,22 @@ Every trial consumes its private random stream in one fixed order:
        strong        one random() for psi
 
 Replacement tables are drawn for every read position and consulted only on
-erroneous reads, so sweeps over p reuse common random numbers, and the
-serial and batched engines are draw-for-draw identical.
+erroneous reads, so sweeps over p reuse common random numbers.  Both engines
+draw and observe a trial through _observe_trial, so they are draw-for-draw
+identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channel, decoder
 from .analysis import s_membership
 from .codebook import Codebook
-from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind, derive_trial_rng
+from .core import Molecule, ReadRecord, Trace, Verdict, derive_trial_rng
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,41 @@ class TrialOutcome:
     expected_stop: int | None = None
 
 
-def _draw_common(cb: Codebook, trial: int):
-    p = cb.params.p
-    cap = cb.params.read_cap
-    rng = derive_trial_rng(cb.params.seed, trial)
-    message = int(rng.integers(cb.params.k))
-    f = channel.sample_index_sequence(cb.params.m, cap, rng)
-    flags = channel.sample_error_flags(p, cap, rng)
-    return rng, message, f, flags
+class _Observed(NamedTuple):
+    message: int
+    f: np.ndarray
+    flags: np.ndarray
+    true_ids: np.ndarray
+    observed: np.ndarray
+    plan: object
+
+
+def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m=None):
+    """Draw one trial in the stream order above and apply its adversary: the
+    one draw-and-observe path of both engines.  plan is the strong or weak
+    adversary's plan, None for the others."""
+    params = cb.params
+    rng = derive_trial_rng(params.seed, trial)
+    message = int(rng.integers(params.k))
+    f = channel.sample_index_sequence(params.m, params.read_cap, rng)
+    flags = channel.sample_error_flags(params.p, params.read_cap, rng)
+    true_ids = cb.word_ids[message][f]
+    plan = None
+    if adversary == "honest":
+        observed = channel.observe_honest(true_ids, f, flags)
+    elif adversary in ("uniform", "uniform-index"):
+        observed = channel.observe_uniform(
+            true_ids, f, flags, params.m, params.v, rng, adversary == "uniform-index"
+        )
+    elif adversary == "weak":
+        plan = channel.weak_prepare(cb, message, r_prime_m, rng)
+        observed = channel.observe_weak(plan, cb, true_ids, f, flags)
+    else:
+        psi = bool(rng.random() < params.p)
+        part = s_membership(f, h_m, params.dm, r_prime_m)
+        plan = channel.strong_prepare(cb, message, f, flags, h_m, part, psi)
+        observed = channel.observe_strong(plan, cb, true_ids, f, flags)
+    return _Observed(message, f, flags, true_ids, observed, plan)
 
 
 def run_trial(
@@ -68,77 +97,38 @@ def run_trial(
     r_prime_m: int | None = None,
     collect_trace: bool = False,
 ) -> tuple[TrialOutcome, Trace | None]:
-    """Reference engine: one trial, any adversary, optional full trace."""
+    """Reference engine: one trial, any adversary, optional full trace.
+
+    The observed row goes through decoder.run, the per-molecule decoder with
+    int64 counts; the trace is the consumed prefix of the row."""
     if adversary not in channel.ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}")
-    params = cb.params
-    m, v, cap = params.m, params.v, params.read_cap
-    rng, message, f, flags = _draw_common(cb, trial)
-
-    rep_idx = rep_pay = None
-    weak_plan = strong_plan = None
-    if adversary == "uniform":
-        rep_idx = rng.integers(0, m, size=cap)
-        rep_pay = rng.integers(0, v, size=cap)
-    elif adversary == "uniform-index":
-        rep_pay = rng.integers(0, v, size=cap)
-    elif adversary == "weak":
-        if r_prime_m is None:
-            raise ValueError("weak adversary needs r_prime_m")
-        weak_plan = channel.weak_prepare(cb, message, r_prime_m, rng)
-    elif adversary == "strong":
+    if adversary == "weak" and r_prime_m is None:
+        raise ValueError("weak adversary needs r_prime_m")
+    if adversary == "strong":
         if h_m is None or r_prime_m is None:
             raise ValueError("strong adversary needs h_m and r_prime_m")
-        if h_m > cap:
+        if h_m > cb.params.read_cap:
             raise ValueError("h_m exceeds read_cap")
-        psi = bool(rng.random() < params.p)
-        part = s_membership(f, h_m, params.dm, r_prime_m)
-        strong_plan = channel.strong_prepare(cb, message, f, flags, h_m, part, psi)
-
-    truth = cb.matrix[message]
-    state = decoder.new_state(cb)
-    records: list[ReadRecord] = []
-    verdict = None
-    for t in range(cap):
-        idx = int(f[t])
-        sampled = Molecule(idx, int(truth[idx]))
-        error = bool(flags[t])
-        if not error:
-            observed = sampled
-        elif adversary == "honest":
-            observed = channel.observe_honest(sampled)
-        elif adversary == "uniform":
-            observed = Molecule(int(rep_idx[t]), int(rep_pay[t]))
-        elif adversary == "uniform-index":
-            observed = Molecule(idx, int(rep_pay[t]))
-        elif adversary == "weak":
-            observed = channel.observe_weak(weak_plan, cb, sampled, error)
-        else:
-            observed = channel.observe_strong(strong_plan, cb, t + 1, sampled, error)
-        res = decoder.step(state, cb, observed)
-        if collect_trace:
-            records.append(ReadRecord(t + 1, sampled, error, observed))
-        if res.kind is decoder.StepKind.STOP:
-            verdict = Verdict.decided(res.decoded, state.reads)
-            break
-        if res.kind is decoder.StepKind.FAIL:
-            verdict = Verdict.failed(state.reads)
-            break
-    if verdict is None:
-        verdict = Verdict.truncated(cap)
-
-    outcome = _classify(
-        cb, adversary, message, f, flags, h_m, r_prime_m, weak_plan, strong_plan, verdict
+    v, cap = cb.params.v, cb.params.read_cap
+    obs = _observe_trial(cb, adversary, trial, h_m, r_prime_m)
+    ids = obs.observed.tolist()
+    verdict = decoder.run(cb, (Molecule(*divmod(i, v)) for i in ids), cap)
+    outcome = _classify(cb, adversary, obs, h_m, r_prime_m, verdict)
+    if not collect_trace:
+        return outcome, None
+    n = verdict.n_reads
+    reads = zip(obs.true_ids[:n].tolist(), obs.flags[:n].tolist(), ids)
+    records = tuple(
+        ReadRecord(t + 1, Molecule(*divmod(sampled, v)), error, Molecule(*divmod(seen, v)))
+        for t, (sampled, error, seen) in enumerate(reads)
     )
-    trace = Trace(message, tuple(records), verdict) if collect_trace else None
-    return outcome, trace
+    return outcome, Trace(obs.message, records, verdict)
 
 
-def _classify(
-    cb, adversary, message, f, flags, h_m, r_prime_m, weak_plan, strong_plan, verdict
-) -> TrialOutcome:
+def _classify(cb, adversary, obs: _Observed, h_m, r_prime_m, verdict) -> TrialOutcome:
+    message, f, flags, plan = obs.message, obs.f, obs.flags, obs.plan
     if adversary == "strong":
-        plan = strong_plan
         expected = plan.stop_times.get(plan.m_prime) if plan.active else None
         return TrialOutcome(
             message=message,
@@ -150,7 +140,6 @@ def _classify(
             expected_stop=expected,
         )
     if adversary == "weak":
-        plan = weak_plan
         conditions = False
         expected = None
         if plan.active and h_m is not None:
@@ -224,9 +213,7 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
     identical to run_trial over trials start..start+trials-1."""
     if adversary not in ("honest", "uniform", "uniform-index"):
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
-    params = cb.params
-    m, v, k, cap = params.m, params.v, params.k, params.read_cap
-    word_ids = cb.word_ids
+    cap = cb.params.read_cap
     message = np.empty(trials, dtype=np.int64)
     kind = np.full(trials, 2, dtype=np.int8)
     decoded = np.full(trials, -1, dtype=np.int64)
@@ -237,18 +224,9 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         b = min(rows_per_batch, trials - lo)
         obs = np.empty((b, cap), dtype=id_dtype)
         for r in range(b):
-            rng, msg, f, flags = _draw_common(cb, start + lo + r)
-            true_ids = word_ids[msg][f]
-            if adversary == "honest":
-                obs[r] = true_ids
-            elif adversary == "uniform":
-                rep_idx = rng.integers(0, m, size=cap)
-                rep_pay = rng.integers(0, v, size=cap)
-                obs[r] = np.where(flags, rep_idx * v + rep_pay, true_ids)
-            else:
-                rep_pay = rng.integers(0, v, size=cap)
-                obs[r] = np.where(flags, f * v + rep_pay, true_ids)
-            message[lo + r] = msg
+            trial = _observe_trial(cb, adversary, start + lo + r)
+            message[lo + r] = trial.message
+            obs[r] = trial.observed
         _decode_batch(
             cb, obs, kind[lo : lo + b], decoded[lo : lo + b], n_reads[lo : lo + b]
         )

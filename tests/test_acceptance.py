@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dnareads import SimParams
+from dnareads import OuterCodeword, SimParams
 from dnareads.analysis import (
     achievable_exponent,
     converse_valid,
@@ -214,14 +214,11 @@ def test_criterion_07_exact_combinatorics():
         size = int(rng.integers(0, m + 1))
         iset = IndexSet.of(rng.choice(m, size=size, replace=False))
         got = unique_restriction_set(cb, iset)
+        restr = [restriction(OuterCodeword(tuple(row)), iset) for row in cb.matrix]
         brute = {
             i
             for i in range(k)
-            if all(
-                restriction(cb.word(j), iset) != restriction(cb.word(i), iset)
-                for j in range(k)
-                if j != i
-            )
+            if all(restr[j] != restr[i] for j in range(k) if j != i)
         }
         if got != brute:
             restr_ok = False

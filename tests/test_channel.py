@@ -16,8 +16,9 @@ from dnareads.channel import (
     weak_prepare,
 )
 from dnareads.codebook import IndexSet, construct_greedy
-from dnareads.core import Molecule, derive_trial_rng
-from dnareads.decoder import stopping_time_no_errors
+from dnareads.core import derive_trial_rng
+from dnareads.decoder import replay, stopping_time_no_errors
+from dnareads.simulate import run_trial
 from dnareads.analysis import s_membership
 
 
@@ -66,36 +67,39 @@ def test_error_flags_common_random_numbers():
 
 
 def test_observe_honest_identity():
-    mol = Molecule(3, 0)
-    assert observe_honest(mol) is mol
+    true_ids = np.array([12, 1, 7])
+    flags = np.array([True, False, True])
+    assert observe_honest(true_ids, np.array([3, 0, 1]), flags) is true_ids
 
 
 def test_observe_uniform_singleton_space():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        assert observe_uniform(Molecule(0, 0), 1, 1, rng) == Molecule(0, 0)
+    zeros = np.zeros(5, dtype=np.int64)
+    row = observe_uniform(zeros, zeros, np.ones(5, dtype=bool), 1, 1, np.random.default_rng(0))
+    assert not row.any()
+
+
+def _erroneous_row(n, index, payload, v):
+    """n erroneous reads of molecule (index, payload): true ids, f, flags."""
+    f = np.full(n, index)
+    return f * v + payload, f, np.ones(n, dtype=bool)
 
 
 def test_observe_uniform_frequencies():
     # all m*v molecules equally likely, independent of the sampled molecule
-    rng = np.random.default_rng(4)
     n = 100_000
-    counts = np.zeros(16, dtype=np.int64)
-    for _ in range(n):
-        mol = observe_uniform(Molecule(2, 1), 4, 4, rng)
-        counts[mol.id(4)] += 1
+    row = observe_uniform(*_erroneous_row(n, 2, 1, 4), 4, 4, np.random.default_rng(4))
+    counts = np.bincount(row, minlength=16)
     expected = n / 16
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 40.0  # df=15; far tail cutoff
 
 
 def test_observe_uniform_index_preserving():
-    rng = np.random.default_rng(5)
-    pays = np.zeros(4, dtype=np.int64)
-    for _ in range(20_000):
-        mol = observe_uniform(Molecule(2, 1), 4, 4, rng, index_preserving=True)
-        assert mol.index == 2
-        pays[mol.payload] += 1
+    row = observe_uniform(
+        *_erroneous_row(20_000, 2, 1, 4), 4, 4, np.random.default_rng(5), index_preserving=True
+    )
+    assert (row // 4 == 2).all()
+    pays = np.bincount(row % 4, minlength=4)
     sigma = np.sqrt(20_000 * 0.25 * 0.75)
     assert (np.abs(pays - 5000) < 4 * sigma).all()
 
@@ -137,36 +141,31 @@ def test_strong_prepare_u_partition(strong_setup):
         assert out != msg
 
 
-def test_observe_strong_substitution(literal_codebook):
-    cb = literal_codebook([[0, 0, 0], [1, 1, 0]], dm=0)
-    plan = StrongAdversaryPlan(
-        active=True,
-        m_prime=1,
-        t1=frozenset({2}),
-        t2=frozenset({1, 3}),
-        psi=True,
-        stop_times={},
-        u1=frozenset({1}),
-        u2=frozenset(),
-    )
-    sampled = Molecule(1, 0)
-    # erroneous read at a t1 time: payload swapped to codeword 1's
-    assert observe_strong(plan, cb, 2, sampled, True) == Molecule(1, 1)
-    # erroneous read outside t1 passes through
-    assert observe_strong(plan, cb, 1, sampled, True) == sampled
-    # clean read at a t1 time passes through
-    assert observe_strong(plan, cb, 2, sampled, False) == sampled
-    inactive = StrongAdversaryPlan(
-        active=False,
-        m_prime=None,
-        t1=plan.t1,
-        t2=plan.t2,
+def _strong_plan(active, m_prime, t1):
+    return StrongAdversaryPlan(
+        active=active,
+        m_prime=m_prime,
+        t1=frozenset(t1),
+        t2=frozenset(),
         psi=True,
         stop_times={},
         u1=frozenset(),
         u2=frozenset(),
     )
-    assert observe_strong(inactive, cb, 2, sampled, True) == sampled
+
+
+def test_observe_strong_substitution(literal_codebook):
+    cb = literal_codebook([[0, 0, 0], [1, 1, 0]], dm=0)
+    f = np.array([1, 1, 1])
+    true_ids = cb.word_ids[0][f]  # molecule (1, 0), id 2
+    # time 1: erroneous read outside t1 passes through; time 2: erroneous
+    # read at a t1 time becomes codeword 1's molecule (1, 1); time 3: clean
+    # read at a t1 time passes through
+    flags = np.array([True, True, False])
+    row = observe_strong(_strong_plan(True, 1, {2, 3}), cb, true_ids, f, flags)
+    assert row.tolist() == [2, 3, 2]
+    inactive = _strong_plan(False, None, {2, 3})
+    assert observe_strong(inactive, cb, true_ids, f, np.ones(3, dtype=bool)).tolist() == [2, 2, 2]
 
 
 def test_weak_prepare_empty_restriction_uniform():
@@ -218,54 +217,89 @@ def test_observe_weak_substitution(literal_codebook):
     cb = literal_codebook([[0, 0, 1], [0, 1, 1]], dm=0)
     plan = WeakAdversaryPlan(index_set=IndexSet.of([0]), m_prime=1, psi=True)
     assert plan.active
-    # substitution at a differing index
-    assert observe_weak(plan, cb, Molecule(1, 0), True) == Molecule(1, 1)
-    # no-op where the codewords agree
-    assert observe_weak(plan, cb, Molecule(2, 1), True) == Molecule(2, 1)
-    # clean reads pass through
-    assert observe_weak(plan, cb, Molecule(1, 0), False) == Molecule(1, 0)
+    f = np.array([1, 2, 1])
+    true_ids = cb.word_ids[0][f]  # molecules (1, 0), (2, 1), (1, 0)
+    flags = np.array([True, True, False])
+    # substitution at a differing index, no-op at index 2 where the codewords
+    # agree, and the clean read passes through
+    assert observe_weak(plan, cb, true_ids, f, flags).tolist() == [3, 5, 2]
     dormant = WeakAdversaryPlan(index_set=IndexSet.of([0]), m_prime=1, psi=False)
     assert not dormant.active
-    assert observe_weak(dormant, cb, Molecule(1, 0), True) == Molecule(1, 0)
+    assert observe_weak(dormant, cb, true_ids, f, np.ones(3, dtype=bool)).tolist() == [2, 5, 2]
+
+
+def _rows_of_every_adversary(cb, f, flags):
+    true_ids = cb.word_ids[0][f]
+    weak = WeakAdversaryPlan(index_set=IndexSet.of([]), m_prime=1, psi=True)
+    strong = _strong_plan(True, 1, range(1, len(f) + 1))
+    m, v = cb.params.m, cb.params.v
+    rng = np.random.default_rng(0)
+    return true_ids, {
+        "honest": observe_honest(true_ids, f, flags),
+        "uniform": observe_uniform(true_ids, f, flags, m, v, rng),
+        "uniform-index": observe_uniform(true_ids, f, flags, m, v, rng, index_preserving=True),
+        "strong": observe_strong(strong, cb, true_ids, f, flags),
+        "weak": observe_weak(weak, cb, true_ids, f, flags),
+    }
 
 
 def test_clean_reads_never_corrupted(literal_codebook):
     # error=false implies observed == sampled for every adversary
     cb = literal_codebook([[0, 0], [1, 1]], dm=0)
-    sampled = Molecule(0, 0)
-    rng = np.random.default_rng(0)
-    assert observe_honest(sampled) == sampled
-    weak = WeakAdversaryPlan(index_set=IndexSet.of([]), m_prime=1, psi=True)
-    assert observe_weak(weak, cb, sampled, False) == sampled
-    strong = StrongAdversaryPlan(
-        active=True,
-        m_prime=1,
-        t1=frozenset({1}),
-        t2=frozenset({2}),
-        psi=True,
-        stop_times={},
-        u1=frozenset({1}),
-        u2=frozenset(),
-    )
-    assert observe_strong(strong, cb, 1, sampled, False) == sampled
+    f = np.array([0, 1, 0, 1, 1])
+    true_ids, rows = _rows_of_every_adversary(cb, f, np.zeros(5, dtype=bool))
+    assert set(rows) == set(ADVERSARIES)
+    for name, row in rows.items():
+        assert np.array_equal(row, true_ids), name
 
 
 def test_index_preserved_by_targeted_adversaries(literal_codebook):
     # strong, weak, and the index-preserving uniform variant keep the index
     cb = literal_codebook([[0, 0], [1, 1]], dm=0)
-    sampled = Molecule(1, 0)
-    weak = WeakAdversaryPlan(index_set=IndexSet.of([]), m_prime=1, psi=True)
-    assert observe_weak(weak, cb, sampled, True).index == 1
-    strong = StrongAdversaryPlan(
-        active=True,
-        m_prime=1,
-        t1=frozenset({4}),
-        t2=frozenset(),
-        psi=True,
-        stop_times={},
-        u1=frozenset({1}),
-        u2=frozenset(),
-    )
-    assert observe_strong(strong, cb, 4, sampled, True).index == 1
-    rng = np.random.default_rng(0)
-    assert observe_uniform(sampled, 2, 2, rng, index_preserving=True).index == 1
+    f = np.array([1, 0, 1, 1])
+    true_ids, rows = _rows_of_every_adversary(cb, f, np.ones(4, dtype=bool))
+    for name in ("strong", "weak", "uniform-index"):
+        assert np.array_equal(rows[name] // 2, f), name
+    # the targeted adversaries really substituted codeword 1's molecules
+    assert np.array_equal(rows["weak"], cb.word_ids[1][f])
+    assert np.array_equal(rows["strong"], cb.word_ids[1][f])
+
+
+@pytest.mark.parametrize("adversary", ADVERSARIES)
+def test_trace_replays_and_matches_adversary_row(small_codebook, adversary):
+    # A trace is the consumed prefix of the adversary's observed row, and
+    # replaying it reproduces the verdict.  The row is re-derived here from
+    # the documented per-trial draw order, without the observe_* functions.
+    cb = small_codebook
+    m, v, cap = cb.params.m, cb.params.v, cb.params.read_cap
+    h_m, r_prime_m = 20, 3 if adversary == "weak" else 5
+    for trial in range(25):
+        outcome, trace = run_trial(cb, adversary, trial, h_m, r_prime_m, collect_trace=True)
+        assert replay(cb, trace) == outcome.verdict
+        rng = derive_trial_rng(cb.params.seed, trial)
+        message = int(rng.integers(cb.params.k))
+        f = sample_index_sequence(m, cap, rng)
+        flags = sample_error_flags(cb.params.p, cap, rng)
+        true_ids = cb.word_ids[message][f]
+        replacement = true_ids
+        if adversary == "uniform":
+            replacement = rng.integers(0, m, size=cap) * v + rng.integers(0, v, size=cap)
+        elif adversary == "uniform-index":
+            replacement = f * v + rng.integers(0, v, size=cap)
+        elif adversary == "weak":
+            plan = weak_prepare(cb, message, r_prime_m, rng)
+            if plan.active:
+                replacement = cb.word_ids[plan.m_prime][f]
+        elif adversary == "strong":
+            psi = bool(rng.random() < cb.params.p)
+            part = s_membership(f, h_m, cb.params.dm, r_prime_m)
+            plan = strong_prepare(cb, message, f, flags, h_m, part, psi)
+            if plan.active:
+                at_t1 = np.isin(np.arange(1, cap + 1), list(plan.t1))
+                replacement = np.where(at_t1, cb.word_ids[plan.m_prime][f], true_ids)
+        row = np.where(flags, replacement, true_ids)
+        n = outcome.verdict.n_reads
+        assert trace.true_message == message
+        assert [r.observed.id(v) for r in trace.records] == row[:n].tolist()
+        assert [r.sampled.id(v) for r in trace.records] == true_ids[:n].tolist()
+        assert [r.error for r in trace.records] == flags[:n].tolist()

@@ -165,3 +165,38 @@ def test_stdout_when_out_omitted(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("# dnareads")
+
+
+def test_unknown_config_key_fails_naming_it(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 8, "k": 8, "v": 4, "tirals": 5, "trials": 20}))
+    with pytest.raises(SystemExit, match="tirals") as exc:
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+    assert str(exc.value).startswith("dnareads: ")
+    assert "\n" not in str(exc.value)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["codebook", "--m", "6", "--k", "4", "--v", "2"], "codebook budget exhausted"),
+        (["simulate", "--m", "8", "--k", "8", "--v", "4", "--p", "1.5"], "p out of range"),
+        (
+            [
+                "converse",
+                "--m", "10", "--k", "16", "--v", "2",
+                "--p", "0.3", "--delta", "0.2", "--theta", "0.7",
+                "--hm", "20", "--rprimem", "3", "--adversary", "uniform",
+            ],
+            "converse experiment needs the strong or weak adversary",
+        ),
+    ],
+    ids=["codebook-budget", "simulate-p", "converse-adversary"],
+)
+def test_library_errors_are_one_line(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    text = str(exc.value)
+    assert text.startswith(f"dnareads: {message}")
+    assert "\n" not in text

@@ -7,7 +7,6 @@ from dnareads import SimParams
 from dnareads.codebook import (
     IndexSet,
     construct_greedy,
-    intersection,
     intersection_threshold,
     load_codebook,
     restriction,
@@ -18,13 +17,11 @@ from dnareads.codebook import (
 from dnareads.core import OuterCodeword, derive_codebook_rng
 
 
-def test_intersection_examples():
-    a = OuterCodeword((0, 1, 2, 3))
-    assert intersection(a, a) == 4
-    assert intersection(a, OuterCodeword((1, 2, 3, 0))) == 0
-    assert intersection(a, OuterCodeword((0, 1, 3, 2))) == 2
-    with pytest.raises(ValueError):
-        intersection(a, OuterCodeword((0, 1)))
+def test_intersection_examples(literal_codebook):
+    a = [0, 1, 2, 3]
+    assert verify_intersections(literal_codebook([a, a], dm=0)) == 4
+    assert verify_intersections(literal_codebook([a, [1, 2, 3, 0]], dm=0)) == 0
+    assert verify_intersections(literal_codebook([a, [0, 1, 3, 2]], dm=0)) == 2
 
 
 def test_intersection_threshold_ceiling():
@@ -78,8 +75,12 @@ def test_verify_intersections_hand_instance(literal_codebook):
 
 
 def test_words_match_matrix(small_codebook):
-    w = small_codebook.word(3)
-    assert w.payloads == tuple(int(x) for x in small_codebook.matrix[3])
+    # word_ids[c, i] is the id index*v + payload of codeword c's molecule at i
+    p = small_codebook.params
+    ids = small_codebook.word_ids
+    assert ids.shape == (p.k, p.m)
+    assert np.array_equal(ids[3] // p.v, np.arange(p.m))
+    assert np.array_equal(ids[3] % p.v, small_codebook.matrix[3])
 
 
 def test_restriction_orders_indices():
@@ -110,10 +111,10 @@ def test_unique_restriction_set_brute_force():
         size = int(rng.integers(0, m + 1))
         iset = IndexSet.of(rng.choice(m, size=size, replace=False))
         got = unique_restriction_set(cb, iset)
+        restr = [restriction(OuterCodeword(tuple(row)), iset) for row in cb.matrix]
         brute = set()
         for i in range(k):
-            ri = restriction(cb.word(i), iset)
-            if all(restriction(cb.word(j), iset) != ri for j in range(k) if j != i):
+            if all(restr[j] != restr[i] for j in range(k) if j != i):
                 brute.add(i)
         assert got == brute
         # at most one unique representative per restriction value

@@ -184,12 +184,13 @@ def test_incremental_outside_matches_scratch(data):
     params = SimParams(m=m, k=k, v=v, p=0.0, dm=dm, theta=1.0, seed=0)
     cb = Codebook(params, matrix)
     n_reads = data.draw(st.integers(1, 12))
+    words = [OuterCodeword(tuple(row)) for row in matrix]
     state = new_state(cb)
     for _ in range(n_reads):
         mol = Molecule(data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, v - 1)))
         res = step(state, cb, mol)
         for msg in range(k):
-            assert state.outside[msg] == outside_count(state.seen, cb.word(msg))
+            assert state.outside[msg] == outside_count(state.seen, words[msg])
         if res.kind is not StepKind.CONTINUE:
             break
 

@@ -116,6 +116,9 @@ def test_sweep_p_columns_and_determinism(sweep_config):
         assert bound == analysis.error_prob_upper_bound(8, p, 1, thr)
         assert dp == analysis.race_dp(8, p, 1, thr)
         assert 0.0 <= pe_hat <= 1.0
+        # moving p keeps the seed: each row equals a standalone run at that p
+        at_p = replace(sweep_config, params=replace(sweep_config.params, p=p))
+        assert pe_hat == run_trials(at_p).pe_hat
     with pytest.raises(ValueError, match="p_list empty"):
         sweep_p(sweep_config, [])
 
