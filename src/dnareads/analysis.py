@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,21 +161,60 @@ def expected_z1(m: int, n: int) -> float:
     return n * (1.0 - 1.0 / m) ** (n - 1) if n > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class ZStats:
-    """Distinct-value count z and exactly-once count z1 of a sequence prefix."""
+def index_counts(draws, m: int) -> np.ndarray:
+    """Per-row multiplicity table of a (rows, h) block of indices in [0, m):
+    counts[r, i] is how often row r drew index i, from one bincount over
+    r*m + index."""
+    rows = len(draws)
+    flat = draws + (m * np.arange(rows))[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * m).reshape(rows, m)
 
-    z: int
-    z1: int
+
+def greedy_removals(counts, dm: int):
+    """Per row, the largest number of whole value-groups whose total
+    multiplicity fits the dm-slot budget.  The last axis of counts lists the
+    group multiplicities; zeros are no group, so a multiplicity table from
+    index_counts works as is.  The result drops the last axis.
+
+    Exact maximizer: a group costs its full multiplicity and saves exactly
+    one distinct value, so an optimal selection takes the cheapest groups.
+    Taking min(#groups of multiplicity j, budget // j) for j = 1, 2, ... is
+    that ascending scan: once some multiplicity is not fully affordable, the
+    budget left is below it and no larger group fits.
+    """
+    counts = np.asarray(counts)
+    budget, removed = dm, np.zeros(counts.shape[:-1], dtype=np.int64)
+    for j in range(1, dm + 1):
+        take = np.minimum((counts == j).sum(axis=-1), budget // j)
+        removed = removed + take
+        budget = budget - j * take
+        if (budget <= j).all():
+            break
+    return removed
 
 
-def z_stats(f, h_m: int) -> ZStats:
-    """Z statistics of the first h_m entries of index sequence f."""
-    head = np.asarray(f)[:h_m]
-    if len(head) != h_m:
-        raise ValueError("sequence shorter than h_m")
-    _, counts = np.unique(head, return_counts=True)
-    return ZStats(z=int(len(counts)), z1=int((counts == 1).sum()))
+class PartitionStats(NamedTuple):
+    """Per-row partition-test statistics of index-sequence heads: z distinct
+    indices, z1 indices drawn exactly once, the greedy removals, membership
+    in S (z - removed <= r_prime_m) and the weaker closed-form test
+    (z - min(z1, dm) <= r_prime_m)."""
+
+    z: np.ndarray
+    z1: np.ndarray
+    removed: np.ndarray
+    in_s: np.ndarray
+    sufficient: np.ndarray
+
+
+def partition_stats(counts, dm: int, r_prime_m: int) -> PartitionStats:
+    """The partition test on every row of a multiplicity table such as
+    index_counts returns; a 1-D table is a single row."""
+    z = (counts > 0).sum(axis=-1)
+    z1 = (counts == 1).sum(axis=-1)
+    removed = greedy_removals(counts, dm)
+    return PartitionStats(
+        z, z1, removed, z - removed <= r_prime_m, z - np.minimum(z1, dm) <= r_prime_m
+    )
 
 
 @dataclass(frozen=True)
@@ -192,45 +232,30 @@ class SPartition:
     sufficient: bool
 
 
-def greedy_removals(counts, dm: int) -> int:
-    """Largest number of whole value-groups whose total multiplicity fits the
-    dm-slot budget, scanning multiplicities in ascending order.
-
-    Exact maximizer: a group costs its full multiplicity and saves exactly
-    one distinct value, so any optimal selection exchanges group-for-group
-    into the cheapest ones at equal or lower cost.
-    """
-    budget = dm
-    removed = 0
-    for c in np.sort(np.asarray(counts)):
-        c = int(c)
-        if c > budget:
-            break
-        budget -= c
-        removed += 1
-    return removed
-
-
 def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
     """Decide membership and exhibit a witness partition (times are 1-based):
-    t1 holds every draw of the removed value-groups, t2 the rest, and
-    membership means t2 hits at most r_prime_m distinct indices."""
+    t1 holds every draw of the removed value-groups, the lowest index first
+    among equal multiplicities; t2 holds the rest, and membership means t2
+    hits at most r_prime_m distinct indices."""
     head = np.asarray(f)[:h_m]
     if len(head) != h_m:
         raise ValueError("sequence shorter than h_m")
     if dm < 0 or r_prime_m < 0:
         raise ValueError("budget out of range")
-    vals, counts = np.unique(head, return_counts=True)
-    z = len(vals)
-    z1 = int((counts == 1).sum())
-    order = np.argsort(counts, kind="stable")
-    n_removed = greedy_removals(counts, dm)
-    removed_set = {int(vals[i]) for i in order[:n_removed]}
-    t1 = frozenset(j + 1 for j in range(h_m) if int(head[j]) in removed_set)
-    t2 = frozenset(range(1, h_m + 1)) - t1
-    in_s = (z - n_removed) <= r_prime_m
-    sufficient = (z - min(z1, dm)) <= r_prime_m
-    return SPartition(in_s=in_s, t1=t1, t2=t2, sufficient=sufficient)
+    counts = np.bincount(head)
+    stats = partition_stats(counts, dm, r_prime_m)
+    vals = np.flatnonzero(counts)
+    order = np.argsort(counts[vals], kind="stable")
+    removed = np.zeros(len(counts), dtype=bool)
+    removed[vals[order[: stats.removed]]] = True
+    in_t1 = removed[head]
+    times = np.arange(1, h_m + 1)
+    return SPartition(
+        in_s=bool(stats.in_s),
+        t1=frozenset(times[in_t1].tolist()),
+        t2=frozenset(times[~in_t1].tolist()),
+        sufficient=bool(stats.sufficient),
+    )
 
 
 def rate_region(c: float, c_in: float, beta: float) -> float:

@@ -73,7 +73,7 @@ class StrongAdversaryPlan:
 
     active requires psi, errors covering every t1 time, and a qualifying
     m_prime; stop_times maps each message that stops by the horizon to its
-    error-free stopping time; u1/u2 split those into self-decoding and not.
+    error-free stopping time; u1 holds those that decode to themselves.
     """
 
     active: bool
@@ -83,7 +83,6 @@ class StrongAdversaryPlan:
     psi: bool
     stop_times: Mapping[int, int]
     u1: frozenset[int]
-    u2: frozenset[int]
 
 
 def strong_prepare(
@@ -106,7 +105,6 @@ def strong_prepare(
     stops = decoder.stopping_times_all(cb, f, h_m)
     stop_times = {msg: t for msg, (t, _) in stops.items()}
     u1 = frozenset(msg for msg, (_, out) in stops.items() if out == msg)
-    u2 = frozenset(stops) - u1
     m_prime = None
     active = False
     if part.in_s and psi:
@@ -128,7 +126,6 @@ def strong_prepare(
         psi=psi,
         stop_times=MappingProxyType(stop_times),
         u1=u1,
-        u2=u2,
     )
 
 

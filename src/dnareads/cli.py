@@ -16,9 +16,10 @@ import json
 import math
 import sys
 
-from . import analysis, harness
+from . import harness
 from .channel import ADVERSARIES
 from .codebook import construct_greedy, save_codebook, verify_intersections
+from .core import check_fields
 
 
 def _add_shared(sp: argparse.ArgumentParser) -> None:
@@ -49,7 +50,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        check_fields(loaded, harness.CONFIG_KEYS + ("delta",))
+        merged.update(loaded)
     for key in (
         "m",
         "k",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -80,15 +80,16 @@ def validate(params: SimParams) -> SimParams:
     return params
 
 
-def params_to_dict(params: SimParams) -> dict:
-    return asdict(params)
+def check_fields(keys, allowed=()) -> None:
+    """Raise ValueError naming every key that is neither a SimParams field
+    nor in allowed."""
+    extra = set(keys) - set(SimParams.__dataclass_fields__) - set(allowed)
+    if extra:
+        raise ValueError(f"unknown parameter fields: {sorted(extra)}")
 
 
 def params_from_dict(d: dict) -> SimParams:
-    known = {f for f in SimParams.__dataclass_fields__}
-    extra = set(d) - known
-    if extra:
-        raise ValueError(f"unknown parameter fields: {sorted(extra)}")
+    check_fields(d)
     return SimParams(**d)
 
 

@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from .codebook import Codebook
-from .core import Molecule, OuterCodeword, ReadRecord, Trace, Verdict, VerdictKind
+from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind
 
 
 class StepKind(Enum):
@@ -40,11 +40,6 @@ class DecoderState:
 
 def new_state(cb: Codebook) -> DecoderState:
     return DecoderState(seen=set(), outside=np.zeros(len(cb), dtype=np.int64))
-
-
-def outside_count(seen: Iterable[Molecule], w: OuterCodeword) -> int:
-    """From-scratch count of molecules in seen lying outside codeword w."""
-    return sum(w.payloads[mol.index] != mol.payload for mol in seen)
 
 
 def step(state: DecoderState, cb: Codebook, observed: Molecule) -> StepResult:
@@ -86,13 +81,12 @@ def run(cb: Codebook, reads: Iterable[Molecule], read_cap: int) -> Verdict:
     return Verdict.truncated(read_cap)
 
 
-def stopping_time_no_errors(
-    cb: Codebook, m: int, f, horizon: int
-) -> tuple[int, int | None] | None:
+def stopping_time_no_errors(cb: Codebook, m: int, f, horizon: int) -> tuple[int, int] | None:
     """Stop time and output of the decoder on the error-free stream of message
     m along index sequence f, or None when it has not stopped by the horizon.
 
-    The output id is None for a Fail stop.
+    Codeword m never contradicts its own molecules, so the stream cannot
+    Fail: the decoder either stops or runs to the horizon.
     """
     truth = cb.matrix[m].tolist()
     stream = (Molecule(i, truth[i]) for i in np.asarray(f[:horizon]).tolist())
@@ -102,7 +96,7 @@ def stopping_time_no_errors(
     return verdict.n_reads, verdict.decoded
 
 
-def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, int | None]]:
+def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, int]]:
     """stopping_time_no_errors for every message at once, skipping NoStop ones.
 
     Vectorized over messages: row a of outside holds the outside counts when
@@ -115,7 +109,7 @@ def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, in
     _, first_pos = np.unique(head, return_index=True)
     outside = np.zeros((k, k), dtype=np.int64)
     alive = np.ones(k, dtype=bool)
-    out: dict[int, tuple[int, int | None]] = {}
+    out: dict[int, tuple[int, int]] = {}
     for pos in np.sort(first_pos):
         outside += cb.mismatch[cb.word_ids[:, int(head[pos])]]
         if not alive.any():
@@ -127,9 +121,6 @@ def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, in
         for slot, r in enumerate(rows):
             if counts[slot] == 1:
                 out[int(r)] = (t, int(np.argmax(consistent[slot])))
-                alive[r] = False
-            elif counts[slot] == 0:
-                out[int(r)] = (t, None)
                 alive[r] = False
     return out
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -15,7 +14,7 @@ from .core import SimParams, VerdictKind, derive_trial_rng, params_from_dict, va
 
 CSV_VERSION = "dnareads 0.1.0"
 
-_CONFIG_KEYS = ("adversary", "trials", "h_m", "r_prime_m", "out")
+CONFIG_KEYS = ("adversary", "trials", "h_m", "r_prime_m", "out")
 
 
 @dataclass(frozen=True)
@@ -61,29 +60,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
-    extras = {k: d.pop(k) for k in _CONFIG_KEYS if k in d}
+    extras = {k: d.pop(k) for k in CONFIG_KEYS if k in d}
     params = params_from_dict(d)
     return ExperimentConfig(params=params, **extras)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    from .core import params_to_dict
-
-    d = params_to_dict(cfg.params)
-    for k in _CONFIG_KEYS:
-        d[k] = getattr(cfg, k)
-    return d
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
-
-
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -192,6 +171,16 @@ def emit_exponent_curves(r0_list, c_grid) -> list[tuple]:
     return rows
 
 
+_MEMBERSHIP_BYTES = 2_000_000
+
+
+def _membership_row_bytes(m: int, h_m: int) -> int:
+    """Bytes s_membership_experiment holds per row of a chunk: the int64 draw
+    and its flat index (h_m each), the int64 multiplicity table and one bool
+    mask over it (m each), and a few int64 per-row counters."""
+    return 16 * h_m + 9 * m + 128
+
+
 def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[tuple]:
     """Empirical partition-test membership rate per M, against the exact
     greedy decision, with coupon statistics alongside their expectations.
@@ -215,22 +204,15 @@ def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[tup
         d_m = math.floor(delta * m)
         rpm = math.floor(mid * m)
         rng = derive_trial_rng(seed, m)
-        seqs = rng.integers(0, m, size=(trials, h_m))
-        members = 0
-        sufficient = 0
-        z_sum = 0
-        z1_sum = 0
-        for row in seqs:
-            _, counts = np.unique(row, return_counts=True)
-            z = len(counts)
-            z1 = int((counts == 1).sum())
-            z_sum += z
-            z1_sum += z1
-            removed = analysis.greedy_removals(counts, d_m)
-            if z - removed <= rpm:
-                members += 1
-            if z - min(z1, d_m) <= rpm:
-                sufficient += 1
+        chunk = max(1, _MEMBERSHIP_BYTES // _membership_row_bytes(m, h_m))
+        members = sufficient = z_sum = z1_sum = 0
+        for lo in range(0, trials, chunk):
+            draws = rng.integers(0, m, size=(min(chunk, trials - lo), h_m))
+            stats = analysis.partition_stats(analysis.index_counts(draws, m), d_m, rpm)
+            members += int(stats.in_s.sum())
+            sufficient += int(stats.sufficient.sum())
+            z_sum += int(stats.z.sum())
+            z1_sum += int(stats.z1.sum())
         rows.append(
             (
                 int(m),

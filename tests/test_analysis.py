@@ -16,6 +16,8 @@ from dnareads.analysis import (
     expected_z,
     expected_z1,
     greedy_removals,
+    index_counts,
+    partition_stats,
     race_dp,
     race_step_odds,
     rate_region,
@@ -23,7 +25,6 @@ from dnareads.analysis import (
     s_membership,
     strong_converse_factor,
     weak_converse_factor,
-    z_stats,
 )
 
 
@@ -177,19 +178,21 @@ def test_expected_z_monte_carlo():
     draws = rng.integers(0, m, size=(trials, n))
     cnt = np.zeros((trials, m), dtype=np.int64)
     np.add.at(cnt, (np.arange(trials)[:, None], draws), 1)
+    assert np.array_equal(index_counts(draws, m), cnt)
     z = (cnt > 0).sum(axis=1)
     z1 = (cnt == 1).sum(axis=1)
     assert abs(z.mean() - expected_z(m, n)) < 4 * z.std(ddof=1) / math.sqrt(trials)
     assert abs(z1.mean() - expected_z1(m, n)) < 4 * z1.std(ddof=1) / math.sqrt(trials)
 
 
-def test_z_stats_examples():
-    zs = z_stats([1, 2, 3, 1], 4)
-    assert zs.z == 3 and zs.z1 == 2
-    zs = z_stats([0, 0, 0], 3)
-    assert zs.z == 1 and zs.z1 == 0
-    with pytest.raises(ValueError, match="sequence shorter"):
-        z_stats([1, 2], 3)
+def test_partition_stats_z_examples():
+    # one block, one row per example: z distinct indices, z1 drawn once
+    stats = partition_stats(index_counts([[1, 2, 3, 1], [0, 0, 0, 0]], 4), 1, 2)
+    assert stats.z.tolist() == [3, 1]
+    assert stats.z1.tolist() == [2, 0]
+    assert stats.removed.tolist() == [1, 0]
+    assert stats.in_s.tolist() == [True, True]
+    assert stats.sufficient.tolist() == [True, True]
 
 
 def test_s_membership_witness_example():
@@ -232,15 +235,27 @@ def test_s_membership_witness_is_valid(data):
         assert part.in_s
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=0, max_size=7), st.integers(0, 6))
-def test_greedy_removals_is_optimal(counts, dm):
-    got = greedy_removals(counts, dm)
+def _best_removals(counts, dm):
+    """Brute force: the most value-groups whose multiplicities fit dm."""
+    groups = [c for c in counts if c]
     best = 0
-    for r in range(len(counts) + 1):
-        if any(sum(comb) <= dm for comb in itertools.combinations(counts, r)):
+    for r in range(len(groups) + 1):
+        if any(sum(comb) <= dm for comb in itertools.combinations(groups, r)):
             best = r
-    assert got == best
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 5), min_size=7, max_size=7), min_size=1, max_size=6),
+    st.integers(0, 6),
+)
+def test_greedy_removals_is_optimal(block, dm):
+    # one row alone, then the whole block at once, each row against brute force
+    assert greedy_removals(block[0], dm) == _best_removals(block[0], dm)
+    got = greedy_removals(np.array(block), dm)
+    assert got.shape == (len(block),)
+    assert got.tolist() == [_best_removals(row, dm) for row in block]
 
 
 def test_rate_region_value():

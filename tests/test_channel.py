@@ -131,12 +131,12 @@ def test_strong_prepare_no_errors_inactive(strong_setup):
 def test_strong_prepare_u_partition(strong_setup):
     cb, f, flags, part = strong_setup
     plan = strong_prepare(cb, 0, f, flags, 20, part, psi=True)
-    assert plan.u1 | plan.u2 == set(plan.stop_times)
-    assert not plan.u1 & plan.u2
+    u2 = set(plan.stop_times) - plan.u1
+    assert plan.u1 <= set(plan.stop_times)
     for msg in plan.u1:
         t, out = stopping_time_no_errors(cb, msg, f, 20)
         assert out == msg and t == plan.stop_times[msg] <= 20
-    for msg in plan.u2:
+    for msg in u2:
         t, out = stopping_time_no_errors(cb, msg, f, 20)
         assert out != msg
 
@@ -150,7 +150,6 @@ def _strong_plan(active, m_prime, t1):
         psi=True,
         stop_times={},
         u1=frozenset(),
-        u2=frozenset(),
     )
 
 

@@ -178,6 +178,25 @@ def test_unknown_config_key_fails_naming_it(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["smembership", "--m-list", "20", "--coverage", "0.430783", "--delta", "0.05"],
+        ["curves", "--r0-list", "0.3", "--c-min", "0.5", "--c-max", "1.0", "--c-points", "5"],
+    ],
+    ids=["smembership", "curves"],
+)
+def test_unknown_config_key_fails_in_smembership_and_curves(tmp_path, argv):
+    # commands that build no ExperimentConfig check the file's keys too
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tirals": 5, "trials": 50}))
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    assert str(exc.value) == "dnareads: unknown parameter fields: ['tirals']"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["codebook", "--m", "6", "--k", "4", "--v", "2"], "codebook budget exhausted"),

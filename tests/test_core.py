@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from dnareads.core import (
     derive_codebook_rng,
     derive_trial_rng,
     params_from_dict,
-    params_to_dict,
     validate,
 )
 
@@ -89,12 +88,12 @@ def test_validate_rejects_bad_field(field, value):
 
 def test_params_json_round_trip():
     params = SimParams(m=10, k=4, v=4, p=0.1, dm=2, theta=0.5, seed=11)
-    assert params_from_dict(json.loads(json.dumps(params_to_dict(params)))) == params
-    assert params_from_dict(params_to_dict(params)) == params
+    assert params_from_dict(json.loads(json.dumps(asdict(params)))) == params
+    assert params_from_dict(asdict(params)) == params
 
 
 def test_params_dict_rejects_unknown_keys():
-    d = params_to_dict(SimParams(m=2, k=2, v=2, p=0.0, dm=0, theta=1.0))
+    d = asdict(SimParams(m=2, k=2, v=2, p=0.0, dm=0, theta=1.0))
     d["typo"] = 1
     with pytest.raises(ValueError, match="unknown parameter fields"):
         params_from_dict(d)
@@ -102,7 +101,7 @@ def test_params_dict_rejects_unknown_keys():
 
 def test_params_json_is_flat():
     params = SimParams(m=2, k=2, v=2, p=0.0, dm=0, theta=1.0)
-    d = json.loads(json.dumps(params_to_dict(params)))
+    d = json.loads(json.dumps(asdict(params)))
     assert d["m"] == 2 and d["read_cap"] == 100
 
 

@@ -9,7 +9,6 @@ from dnareads.decoder import (
     StepKind,
     load_trace,
     new_state,
-    outside_count,
     replay,
     run,
     save_trace,
@@ -17,6 +16,11 @@ from dnareads.decoder import (
     stopping_time_no_errors,
     stopping_times_all,
 )
+
+
+def outside_count(seen, w: OuterCodeword) -> int:
+    """From-scratch oracle: molecules in seen lying outside codeword w."""
+    return sum(w.payloads[mol.index] != mol.payload for mol in seen)
 
 
 def test_outside_count_examples():
@@ -150,6 +154,35 @@ def test_stopping_times_all_matches_scalar(small_codebook):
                 assert msg not in table
             else:
                 assert table[msg] == scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stopping_times_all_never_fail(data):
+    # on its own error-free stream codeword a never gains an outside count,
+    # so row a either never stops or stops with an int output, namely a
+    m = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(2, 6))
+    v = data.draw(st.integers(2, 3))
+    dm = data.draw(st.integers(0, 2))
+    matrix = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.integers(0, v - 1), min_size=m, max_size=m),
+                min_size=k,
+                max_size=k,
+            )
+        ),
+        dtype=np.int64,
+    )
+    from dnareads.codebook import Codebook
+
+    cb = Codebook(SimParams(m=m, k=k, v=v, p=0.0, dm=dm, theta=1.0, seed=0), matrix)
+    horizon = data.draw(st.integers(1, 15))
+    f = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=horizon, max_size=horizon)))
+    for a, (t, out) in stopping_times_all(cb, f, horizon).items():
+        assert isinstance(t, int) and 1 <= t <= horizon
+        assert isinstance(out, int) and out == a
 
 
 def test_no_error_decoding_is_correct_when_feasible(small_codebook):

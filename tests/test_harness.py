@@ -1,12 +1,14 @@
 import json
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from dnareads import SimParams
 from dnareads.harness import (
+    CONFIG_KEYS,
     CONVERSE_HEADER,
     CSV_VERSION,
     CURVES_HEADER,
@@ -14,23 +16,21 @@ from dnareads.harness import (
     SWEEP_HEADER,
     ExperimentConfig,
     config_from_dict,
-    config_to_dict,
     converse_experiment,
     csv_text,
     emit_exponent_curves,
     format_cell,
-    load_config,
     ones_threshold,
     run_trials,
     s_membership_experiment,
-    save_config,
     simulate_row,
     SIMULATE_HEADER,
     sweep_p,
     validate_config,
     wilson_interval,
 )
-from dnareads import analysis
+from dnareads import analysis, harness
+from dnareads.core import derive_trial_rng
 
 
 @pytest.fixture
@@ -65,15 +65,15 @@ def test_validate_config(sweep_config):
 
 def test_config_round_trip(tmp_path, sweep_config):
     cfg = replace(sweep_config, h_m=12, r_prime_m=3, out="x.csv")
-    d = config_to_dict(cfg)
+    # a config file is flat JSON mirroring parameter names
+    d = {**asdict(cfg.params), **{k: getattr(cfg, k) for k in CONFIG_KEYS}}
     assert d["m"] == 8 and d["adversary"] == "uniform" and d["h_m"] == 12
     assert config_from_dict(d) == cfg
     path = tmp_path / "cfg.json"
-    save_config(cfg, str(path))
-    assert load_config(str(path)) == cfg
-    # the saved file is flat JSON mirroring parameter names
+    path.write_text(json.dumps(d, indent=2))
     raw = json.loads(path.read_text())
     assert raw["theta"] == 0.5 and raw["r_prime_m"] == 3
+    assert config_from_dict(raw) == cfg
 
 
 def test_run_trials_zero_error_regime():
@@ -144,6 +144,71 @@ def test_s_membership_experiment_rows():
         assert abs(mz - ez) < 1.5  # small-m sanity, not a tolerance claim
     with pytest.raises(ValueError, match="converse condition violated"):
         s_membership_experiment([20], 1.0, 0.5, trials=10)
+
+
+def _membership_rows_per_row_loop(m_list, c, delta, trials, seed):
+    """Oracle: the experiment as one block draw per M, reduced row by row with
+    np.unique and the ascending scan over sorted group multiplicities."""
+    r0 = 1.0 - delta - math.exp(-c)
+    lo, hi = analysis.rprime_window(0.9 * c, delta, r0)
+    rows = []
+    for m in m_list:
+        h_m, d_m = math.floor(0.9 * c * m), math.floor(delta * m)
+        rpm = math.floor(0.5 * (lo + hi) * m)
+        seqs = derive_trial_rng(seed, m).integers(0, m, size=(trials, h_m))
+        members = sufficient = z_sum = z1_sum = 0
+        for row in seqs:
+            _, counts = np.unique(row, return_counts=True)
+            z, z1 = len(counts), int((counts == 1).sum())
+            budget, removed = d_m, 0
+            for cnt in sorted(counts.tolist()):
+                if cnt > budget:
+                    break
+                budget -= cnt
+                removed += 1
+            members += z - removed <= rpm
+            sufficient += z - min(z1, d_m) <= rpm
+            z_sum += z
+            z1_sum += z1
+        rows.append(
+            (m, h_m, d_m, rpm, trials, members / trials, sufficient / trials,
+             z_sum / trials, analysis.expected_z(m, h_m),
+             z1_sum / trials, analysis.expected_z1(m, h_m))
+        )
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_s_membership_experiment_matches_row_loop(seed):
+    args = ([20, 50, 120], 0.430783, 0.05, 700)
+    got = s_membership_experiment(*args, seed=seed)
+    want = _membership_rows_per_row_loop(*args, seed=seed)
+    assert csv_text(SMEMBERSHIP_HEADER, got) == csv_text(SMEMBERSHIP_HEADER, want)
+
+
+def test_s_membership_chunks_match_one_block(monkeypatch):
+    args = ([30, 90], 0.430783, 0.05, 500)
+    one = s_membership_experiment(*args, seed=3)
+    # 100 rows per chunk at M=90 splits its 500 trials into five chunks
+    h_m = math.floor(0.9 * 0.430783 * 90)
+    budget = 100 * harness._membership_row_bytes(90, h_m)
+    monkeypatch.setattr(harness, "_MEMBERSHIP_BYTES", budget)
+    assert s_membership_experiment(*args, seed=3) == one
+
+
+def test_s_membership_memory_stays_within_budget(monkeypatch):
+    # 20000 trials x 155 draws at M=400 is a 24.8 MB block drawn at once;
+    # chunked under a 1 MB budget, every per-row temporary counts
+    budget = 1_000_000
+    monkeypatch.setattr(harness, "_MEMBERSHIP_BYTES", budget)
+    s_membership_experiment([400], 0.430783, 0.05, trials=10)  # warm imports
+    tracemalloc.start()
+    try:
+        s_membership_experiment([400], 0.430783, 0.05, trials=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * budget
 
 
 def test_converse_experiment_weak(small_codebook):
