@@ -196,10 +196,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "converse":
         cfg = _build_config(_merge_config(args))
         rows, summary = harness.converse_experiment(cfg)
-        if cfg.out:
-            harness.write_csv(cfg.out, harness.CONVERSE_HEADER, rows)
-        else:
-            sys.stdout.write(harness.csv_text(harness.CONVERSE_HEADER, rows))
+        _emit(cfg.out, harness.csv_text(harness.CONVERSE_HEADER, rows))
         print(
             "converse adversary={adversary} trials={trials} "
             "activation_rate={activation_rate:.6g} n_conditions={n_conditions} "

@@ -190,6 +190,8 @@ def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[tup
     0.9*c.  Rows: (m, h_m, d_m, r_prime_m, trials, member_frac, suff_frac,
     mean_z, expected_z, mean_z1, expected_z1).
     """
+    if trials < 1:
+        raise ValueError("trials out of range")
     if not analysis.converse_valid(c, delta):
         raise ValueError("converse condition violated")
     r0 = 1.0 - delta - math.exp(-c)

@@ -144,6 +144,9 @@ def test_s_membership_experiment_rows():
         assert abs(mz - ez) < 1.5  # small-m sanity, not a tolerance claim
     with pytest.raises(ValueError, match="converse condition violated"):
         s_membership_experiment([20], 1.0, 0.5, trials=10)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials out of range"):
+            s_membership_experiment([20], 0.430783, 0.05, trials=trials)
 
 
 def _membership_rows_per_row_loop(m_list, c, delta, trials, seed):
