@@ -73,7 +73,7 @@ class StrongAdversaryPlan:
 
     active requires psi, errors covering every t1 time, and a qualifying
     m_prime; stop_times maps each message that stops by the horizon to its
-    error-free stopping time; u1 holds those that decode to themselves.
+    error-free stopping time (such a stop always decodes to the message).
     """
 
     active: bool
@@ -82,7 +82,6 @@ class StrongAdversaryPlan:
     t2: frozenset[int]
     psi: bool
     stop_times: Mapping[int, int]
-    u1: frozenset[int]
 
 
 def strong_prepare(
@@ -97,14 +96,12 @@ def strong_prepare(
     """Build the clairvoyant plan for true message m.
 
     Active iff the partition witnesses membership, errors occur at every t1
-    time, some other message m' in u1 samples identically on t2 (codewords
-    agree on every index hit by t2 reads), and psi holds.  The smallest
-    qualifying m' id is chosen.  Uses the full future f, flags, and error-free
+    time, some other message m' that stops by the horizon samples identically
+    on t2 (codewords agree on every index hit by t2 reads), and psi holds.
+    The smallest qualifying m' id is chosen.  Uses the full future f, flags, and error-free
     decoder behavior; legitimate only for this adversary model.
     """
-    stops = decoder.stopping_times_all(cb, f, h_m)
-    stop_times = {msg: t for msg, (t, _) in stops.items()}
-    u1 = frozenset(msg for msg, (_, out) in stops.items() if out == msg)
+    stop_times = decoder.stopping_times_all(cb, f, h_m)
     m_prime = None
     active = False
     if part.in_s and psi:
@@ -113,7 +110,7 @@ def strong_prepare(
             t2_indices = sorted({int(f[j - 1]) for j in part.t2})
             w = cb.matrix
             agree = (w[:, t2_indices] == w[m, t2_indices]).all(axis=1)
-            for cand in sorted(u1):
+            for cand in sorted(stop_times):
                 if cand != m and agree[cand]:
                     m_prime = cand
                     break
@@ -125,7 +122,6 @@ def strong_prepare(
         t2=part.t2,
         psi=psi,
         stop_times=MappingProxyType(stop_times),
-        u1=u1,
     )
 
 

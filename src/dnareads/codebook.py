@@ -77,28 +77,78 @@ def intersection_threshold(params: SimParams) -> int:
     return math.ceil(params.theta * params.m)
 
 
-def construct_greedy(params: SimParams, rng: np.random.Generator | None = None) -> Codebook:
+# Byte budget of construct_greedy: the words plus one block of candidates and
+# every per-candidate temporary (see _greedy_row_bytes).
+_GREEDY_BYTES = 1_000_000
+
+
+def _greedy_dtypes(m: int, v: int) -> tuple[np.dtype, np.dtype]:
+    """Narrowest dtypes of a payload and of an intersection count."""
+    return np.min_scalar_type(v - 1), np.min_scalar_type(m)
+
+
+def _greedy_row_bytes(m: int, k: int, v: int) -> int:
+    """Bytes construct_greedy holds per candidate of a block: the int64 draw,
+    its narrow copy and narrow transpose (m each), the counts against the
+    accepted words and one bool compare row (k each) with their max and
+    survivor mask, and the walk's narrow survivor row, its bool compare (m),
+    count, filter flag and alive flag."""
+    pay, cnt = (t.itemsize for t in _greedy_dtypes(m, v))
+    return 8 * m + 3 * pay * m + (cnt + 1) * k + m + 2 * cnt + 3
+
+
+def _greedy_block(m: int, k: int, v: int) -> int:
+    """Candidates per block under _GREEDY_BYTES after the int64 words and
+    their narrow transpose; at least one."""
+    fixed = (8 + _greedy_dtypes(m, v)[0].itemsize) * k * m
+    return max(1, (_GREEDY_BYTES - fixed) // _greedy_row_bytes(m, k, v))
+
+
+def construct_greedy(params: SimParams) -> Codebook:
     """Draw uniform candidates, keep those below the intersection threshold.
 
-    Deterministic given params.seed when rng is omitted.  Gives up after
-    1000 * k candidate draws.
+    Deterministic given params.seed: candidates come from
+    derive_codebook_rng(params.seed), and a candidate is accepted iff its
+    intersection with every word accepted before it is below the threshold.
+    Gives up after 1000 * k candidate draws.
+
+    Candidates are drawn in blocks of _greedy_block rows, which equal the
+    one-at-a-time draws.  Each block's intersections with the words accepted
+    before it are counted in one pass over the m index positions.  The
+    survivors are then walked in order: the first is accepted and the later
+    ones are filtered against it alone.
     """
     validate(params)
-    if rng is None:
-        rng = derive_codebook_rng(params.seed)
+    m, k, v = params.m, params.k, params.v
+    pay, cnt = _greedy_dtypes(m, v)
+    rng = derive_codebook_rng(params.seed)
     thr = intersection_threshold(params)
-    words = np.empty((params.k, params.m), dtype=np.int64)
-    accepted = 0
-    budget = 1000 * params.k
-    for _ in range(budget):
-        cand = rng.integers(0, params.v, size=params.m)
-        if accepted == 0 or int((words[:accepted] == cand).sum(axis=1).max()) < thr:
-            words[accepted] = cand
+    words = np.empty((k, m), dtype=np.int64)
+    words_t = np.empty((m, k), dtype=pay)
+    accepted = drawn = 0
+    budget = 1000 * k
+    block = _greedy_block(m, k, v)
+    while drawn < budget:
+        b = min(block, budget - drawn)
+        drawn += b
+        cand = rng.integers(0, v, size=(b, m)).astype(pay)
+        if accepted:
+            cols = np.ascontiguousarray(cand.T)
+            counts = np.zeros((b, accepted), dtype=cnt)
+            for i in range(m):
+                counts += cols[i][:, None] == words_t[i, :accepted]
+            cand = cand[counts.max(axis=1) < thr]
+        alive = np.ones(len(cand), dtype=bool)
+        for i in range(len(cand)):
+            if not alive[i]:
+                continue
+            words[accepted] = words_t[:, accepted] = cand[i]
             accepted += 1
-            if accepted == params.k:
+            if accepted == k:
                 return Codebook(params, words)
+            alive[i + 1 :] &= (cand[i + 1 :] == cand[i]).sum(axis=1, dtype=cnt) < thr
     raise RuntimeError(
-        f"codebook budget exhausted: accepted {accepted} of {params.k} words "
+        f"codebook budget exhausted: accepted {accepted} of {k} words "
         f"after {budget} candidates"
     )
 

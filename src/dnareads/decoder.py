@@ -81,22 +81,23 @@ def run(cb: Codebook, reads: Iterable[Molecule], read_cap: int) -> Verdict:
     return Verdict.truncated(read_cap)
 
 
-def stopping_time_no_errors(cb: Codebook, m: int, f, horizon: int) -> tuple[int, int] | None:
-    """Stop time and output of the decoder on the error-free stream of message
-    m along index sequence f, or None when it has not stopped by the horizon.
+def stopping_time_no_errors(cb: Codebook, m: int, f, horizon: int) -> int | None:
+    """Stop time of the decoder on the error-free stream of message m along
+    index sequence f, or None when it has not stopped by the horizon.
 
     Codeword m never contradicts its own molecules, so the stream cannot
-    Fail: the decoder either stops or runs to the horizon.
+    Fail, and a stop leaves m as the one consistent codeword: the output of
+    a stop is always m itself.
     """
     truth = cb.matrix[m].tolist()
     stream = (Molecule(i, truth[i]) for i in np.asarray(f[:horizon]).tolist())
     verdict = run(cb, stream, horizon)
     if verdict.kind is VerdictKind.TRUNCATED:
         return None
-    return verdict.n_reads, verdict.decoded
+    return verdict.n_reads
 
 
-def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, int]]:
+def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, int]:
     """stopping_time_no_errors for every message at once, skipping NoStop ones.
 
     Vectorized over messages: row a of outside holds the outside counts when
@@ -109,19 +110,17 @@ def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, tuple[int, in
     _, first_pos = np.unique(head, return_index=True)
     outside = np.zeros((k, k), dtype=np.int64)
     alive = np.ones(k, dtype=bool)
-    out: dict[int, tuple[int, int]] = {}
+    out: dict[int, int] = {}
     for pos in np.sort(first_pos):
         outside += cb.mismatch[cb.word_ids[:, int(head[pos])]]
         if not alive.any():
             break
-        consistent = outside[alive] <= dm
-        counts = consistent.sum(axis=1)
         rows = np.flatnonzero(alive)
+        stopped = rows[(outside[rows] <= dm).sum(axis=1) == 1]
         t = int(pos) + 1
-        for slot, r in enumerate(rows):
-            if counts[slot] == 1:
-                out[int(r)] = (t, int(np.argmax(consistent[slot])))
-                alive[r] = False
+        for r in stopped.tolist():
+            out[r] = t
+        alive[stopped] = False
     return out
 
 

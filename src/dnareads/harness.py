@@ -200,6 +200,9 @@ def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[tup
     if window is None:
         raise ValueError("empty window")
     mid = 0.5 * (window[0] + window[1])
+    for m in m_list:
+        if math.floor(cpp * m) < 1:
+            raise ValueError(f"horizon floor(0.9*c*M) is 0 at M={m}")
     rows = []
     for m in m_list:
         h_m = math.floor(cpp * m)

@@ -148,10 +148,8 @@ def _classify(cb, adversary, obs: _Observed, h_m, r_prime_m, verdict) -> TrialOu
                 t1_covered = all(bool(flags[j - 1]) for j in part.t1)
                 t2_inside = {int(f[j - 1]) for j in part.t2} <= plan.index_set.indices
                 if t1_covered and t2_inside:
-                    stop = decoder.stopping_time_no_errors(cb, plan.m_prime, f, h_m)
-                    if stop is not None and stop[1] == plan.m_prime:
-                        conditions = True
-                        expected = stop[0]
+                    expected = decoder.stopping_time_no_errors(cb, plan.m_prime, f, h_m)
+                    conditions = expected is not None
         return TrialOutcome(
             message=message,
             verdict=verdict,

@@ -16,8 +16,8 @@ from dnareads.channel import (
     weak_prepare,
 )
 from dnareads.codebook import IndexSet, construct_greedy
-from dnareads.core import derive_trial_rng
-from dnareads.decoder import replay, stopping_time_no_errors
+from dnareads.core import Molecule, Verdict, derive_trial_rng
+from dnareads.decoder import replay, run, stopping_time_no_errors
 from dnareads.simulate import run_trial
 from dnareads.analysis import s_membership
 
@@ -131,14 +131,15 @@ def test_strong_prepare_no_errors_inactive(strong_setup):
 def test_strong_prepare_u_partition(strong_setup):
     cb, f, flags, part = strong_setup
     plan = strong_prepare(cb, 0, f, flags, 20, part, psi=True)
-    u2 = set(plan.stop_times) - plan.u1
-    assert plan.u1 <= set(plan.stop_times)
-    for msg in plan.u1:
-        t, out = stopping_time_no_errors(cb, msg, f, 20)
-        assert out == msg and t == plan.stop_times[msg] <= 20
-    for msg in u2:
-        t, out = stopping_time_no_errors(cb, msg, f, 20)
-        assert out != msg
+    # stop_times holds every message that stops by the horizon, and each
+    # such stop decodes to the message itself
+    for msg in range(len(cb)):
+        t = stopping_time_no_errors(cb, msg, f, 20)
+        assert plan.stop_times.get(msg) == t
+        if t is not None:
+            assert t <= 20
+            stream = [Molecule(int(i), int(cb.matrix[msg, i])) for i in f[:t]]
+            assert run(cb, stream, t) == Verdict.decided(msg, t)
 
 
 def _strong_plan(active, m_prime, t1):
@@ -149,7 +150,6 @@ def _strong_plan(active, m_prime, t1):
         t2=frozenset(),
         psi=True,
         stop_times={},
-        u1=frozenset(),
     )
 
 

@@ -196,6 +196,17 @@ def test_unknown_config_key_fails_in_smembership_and_curves(tmp_path, argv):
     assert not out.exists()
 
 
+def test_smembership_rejects_empty_horizon(tmp_path, capsys):
+    # floor(0.9 * 0.430783 * 1) = 0: no prefix to test, so no row
+    out = tmp_path / "x.csv"
+    argv = ["smembership", "--m-list", "50,1", "--coverage", "0.430783", "--delta", "0.05"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "10", "--out", str(out)])
+    assert str(exc.value) == "dnareads: horizon floor(0.9*c*M) is 0 at M=1"
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

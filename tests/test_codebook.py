@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dnareads import SimParams
+from dnareads import SimParams, codebook
 from dnareads.codebook import (
     IndexSet,
     construct_greedy,
@@ -15,6 +17,31 @@ from dnareads.codebook import (
     verify_intersections,
 )
 from dnareads.core import OuterCodeword, derive_codebook_rng
+
+
+def sequential_greedy(params):
+    """The one-candidate-at-a-time construction: the oracle of the block
+    construction, draw for draw."""
+    rng = derive_codebook_rng(params.seed)
+    thr = intersection_threshold(params)
+    words = np.empty((params.k, params.m), dtype=np.int64)
+    accepted = 0
+    budget = 1000 * params.k
+    for _ in range(budget):
+        cand = rng.integers(0, params.v, size=params.m)
+        if accepted == 0 or int((words[:accepted] == cand).sum(axis=1).max()) < thr:
+            words[accepted] = cand
+            accepted += 1
+            if accepted == params.k:
+                return words
+    raise RuntimeError(
+        f"codebook budget exhausted: accepted {accepted} of {params.k} words "
+        f"after {budget} candidates"
+    )
+
+
+UNIFORM_SWEEP_CODE = dict(m=20, k=64, v=8, dm=1, theta=0.25)
+DECODE_WIDE_CODE = dict(m=64, k=1024, v=2, dm=3, theta=0.7)
 
 
 def test_intersection_examples(literal_codebook):
@@ -34,9 +61,59 @@ def test_construct_deterministic():
     a = construct_greedy(params)
     b = construct_greedy(params)
     assert np.array_equal(a.matrix, b.matrix)
-    # explicit rng overrides the seed-derived stream
-    c = construct_greedy(params, rng=derive_codebook_rng(4))
-    assert np.array_equal(a.matrix, c.matrix)
+    # the book is the sequential draw from derive_codebook_rng(seed)
+    assert np.array_equal(a.matrix, sequential_greedy(params))
+
+
+@pytest.mark.parametrize(
+    "code, seed",
+    [
+        (UNIFORM_SWEEP_CODE, 1000),
+        (UNIFORM_SWEEP_CODE, 1001),
+        (UNIFORM_SWEEP_CODE, 7),
+        (DECODE_WIDE_CODE, 1000),
+        (dict(m=7, k=20, v=3, dm=1, theta=0.5), 2),
+    ],
+    ids=["uniform-sweep-1000", "uniform-sweep-1001", "uniform-sweep-7", "decode-wide", "odd-m"],
+)
+def test_construct_matches_sequential(code, seed):
+    params = SimParams(p=0.0, seed=seed, **code)
+    assert np.array_equal(construct_greedy(params).matrix, sequential_greedy(params))
+
+
+def test_construct_matches_sequential_across_capped_block(monkeypatch):
+    # budget 2000 in blocks of 1500: the last block is capped at 500.  Seed 14
+    # accepts its second word at draw 1777, inside that block; seed 5 never
+    # does, and both constructions give up with the same message.
+    monkeypatch.setattr(codebook, "_greedy_block", lambda m, k, v: 1500)
+    code = dict(m=10, k=2, v=2, p=0.0, dm=0, theta=0.1)
+    params = SimParams(seed=14, **code)
+    assert np.array_equal(construct_greedy(params).matrix, sequential_greedy(params))
+    params = SimParams(seed=5, **code)
+    with pytest.raises(RuntimeError) as want:
+        sequential_greedy(params)
+    with pytest.raises(RuntimeError) as got:
+        construct_greedy(params)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [DECODE_WIDE_CODE, dict(m=64, k=24, v=300, dm=0, theta=0.015)],
+    ids=["decode-wide", "wide-alphabet"],
+)
+def test_construct_memory_stays_within_budget(code):
+    params = SimParams(p=0.0, seed=1, **code)
+    construct_greedy(replace(params, k=2))  # warm imports
+    tracemalloc.start()
+    try:
+        construct_greedy(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an unbounded first block would hold 1000*k candidates
+    assert codebook._greedy_block(params.m, params.k, params.v) < 1000 * params.k
+    assert peak <= 1.25 * codebook._GREEDY_BYTES
 
 
 def test_construct_respects_threshold():
@@ -48,11 +125,19 @@ def test_construct_respects_threshold():
         assert cb.matrix.min() >= 0 and cb.matrix.max() < 2
 
 
-def test_construct_budget_exhausted():
-    # v=1 admits one distinct word; the second can never clear the threshold
-    params = SimParams(m=4, k=2, v=1, p=0.0, dm=0, theta=0.5, seed=0)
-    with pytest.raises(RuntimeError, match="budget exhausted"):
-        construct_greedy(params)
+def test_construct_budget_exhausted(monkeypatch):
+    # v=1 admits one distinct word; binary length-4 words at distance >= 3
+    # admit two.  Both constructions give up with the same message, also in
+    # blocks of 7, which do not divide the budget, so the last one is capped.
+    for code in (dict(m=4, k=2, v=1), dict(m=4, k=3, v=2)):
+        params = SimParams(p=0.0, dm=0, theta=0.5, seed=0, **code)
+        with pytest.raises(RuntimeError, match="budget exhausted") as want:
+            sequential_greedy(params)
+        for block in (codebook._greedy_block(params.m, params.k, params.v), 7):
+            monkeypatch.setattr(codebook, "_greedy_block", lambda m, k, v: block)
+            with pytest.raises(RuntimeError) as got:
+                construct_greedy(params)
+            assert str(got.value) == str(want.value)
 
 
 def test_single_word_book():
@@ -60,6 +145,7 @@ def test_single_word_book():
     cb = construct_greedy(params)
     assert len(cb) == 1
     assert verify_intersections(cb) == 0
+    assert np.array_equal(cb.matrix, sequential_greedy(params))
 
 
 def test_matrix_read_only():

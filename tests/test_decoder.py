@@ -18,6 +18,12 @@ from dnareads.decoder import (
 )
 
 
+def error_free_run(cb, msg, f, horizon):
+    """decoder.run on message msg's error-free stream along f."""
+    truth = cb.matrix[msg]
+    return run(cb, (Molecule(int(i), int(truth[i])) for i in f[:horizon]), horizon)
+
+
 def outside_count(seen, w: OuterCodeword) -> int:
     """From-scratch oracle: molecules in seen lying outside codeword w."""
     return sum(w.payloads[mol.index] != mol.payload for mol in seen)
@@ -126,7 +132,8 @@ def test_run_consumes_exactly_decided_prefix(easy_codebook):
 def test_stopping_time_hand_trace(literal_codebook):
     # disjoint pair with slack 1: the second index read pushes word 0 out
     cb = literal_codebook([[0, 0, 0, 0], [1, 1, 1, 1]], dm=1)
-    assert stopping_time_no_errors(cb, 1, [0, 1, 2, 3], 4) == (2, 1)
+    assert stopping_time_no_errors(cb, 1, [0, 1, 2, 3], 4) == 2
+    assert error_free_run(cb, 1, [0, 1, 2, 3], 4) == Verdict.decided(1, 2)
 
 
 def test_stopping_time_no_stop(literal_codebook):
@@ -138,7 +145,8 @@ def test_stopping_time_no_stop(literal_codebook):
 def test_stopping_time_immediate_on_disjoint_pair(literal_codebook):
     # zero slack and disjoint codewords: the very first read settles it
     cb = literal_codebook([[0, 0], [1, 1]], dm=0, v=3)
-    assert stopping_time_no_errors(cb, 0, [0, 1], 2) == (1, 0)
+    assert stopping_time_no_errors(cb, 0, [0, 1], 2) == 1
+    assert error_free_run(cb, 0, [0, 1], 2) == Verdict.decided(0, 1)
 
 
 def test_stopping_times_all_matches_scalar(small_codebook):
@@ -160,7 +168,8 @@ def test_stopping_times_all_matches_scalar(small_codebook):
 @given(st.data())
 def test_stopping_times_all_never_fail(data):
     # on its own error-free stream codeword a never gains an outside count,
-    # so row a either never stops or stops with an int output, namely a
+    # so row a either never stops or stops at an int time, where decoder.run
+    # on that stream decides a
     m = data.draw(st.integers(2, 6))
     k = data.draw(st.integers(2, 6))
     v = data.draw(st.integers(2, 3))
@@ -180,9 +189,15 @@ def test_stopping_times_all_never_fail(data):
     cb = Codebook(SimParams(m=m, k=k, v=v, p=0.0, dm=dm, theta=1.0, seed=0), matrix)
     horizon = data.draw(st.integers(1, 15))
     f = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=horizon, max_size=horizon)))
-    for a, (t, out) in stopping_times_all(cb, f, horizon).items():
+    stops = stopping_times_all(cb, f, horizon)
+    for a in range(k):
+        verdict = error_free_run(cb, a, f, horizon)
+        if a not in stops:
+            assert verdict.kind is VerdictKind.TRUNCATED
+            continue
+        t = stops[a]
         assert isinstance(t, int) and 1 <= t <= horizon
-        assert isinstance(out, int) and out == a
+        assert verdict == Verdict.decided(a, t)
 
 
 def test_no_error_decoding_is_correct_when_feasible(small_codebook):
@@ -191,8 +206,8 @@ def test_no_error_decoding_is_correct_when_feasible(small_codebook):
     rng = np.random.default_rng(3)
     f = rng.integers(0, params.m, size=200)
     for msg in range(len(small_codebook)):
-        t, out = stopping_time_no_errors(small_codebook, msg, f, 200)
-        assert out == msg
+        t = stopping_time_no_errors(small_codebook, msg, f, 200)
+        assert error_free_run(small_codebook, msg, f, 200) == Verdict.decided(msg, t)
 
 
 @settings(max_examples=40, deadline=None)
