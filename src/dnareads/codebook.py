@@ -112,11 +112,12 @@ def construct_greedy(params: SimParams) -> Codebook:
     intersection with every word accepted before it is below the threshold.
     Gives up after 1000 * k candidate draws.
 
-    Candidates are drawn in blocks of _greedy_block rows, which equal the
-    one-at-a-time draws.  Each block's intersections with the words accepted
-    before it are counted in one pass over the m index positions.  The
-    survivors are then walked in order: the first is accepted and the later
-    ones are filtered against it alone.
+    Candidates are drawn in blocks, which equal the one-at-a-time draws: k
+    rows first, doubling up to _greedy_block rows, so a small code draws
+    little more than it uses.  Each block's intersections with the words
+    accepted before it are counted in one pass over the m index positions.
+    The survivors are then walked in order: the first is accepted and the
+    later ones are filtered against it alone.
     """
     validate(params)
     m, k, v = params.m, params.k, params.v
@@ -127,9 +128,10 @@ def construct_greedy(params: SimParams) -> Codebook:
     words_t = np.empty((m, k), dtype=pay)
     accepted = drawn = 0
     budget = 1000 * k
-    block = _greedy_block(m, k, v)
+    cap = _greedy_block(m, k, v)
+    b = min(k, cap)
     while drawn < budget:
-        b = min(block, budget - drawn)
+        b = min(b, budget - drawn)
         drawn += b
         cand = rng.integers(0, v, size=(b, m)).astype(pay)
         if accepted:
@@ -147,6 +149,7 @@ def construct_greedy(params: SimParams) -> Codebook:
             if accepted == k:
                 return Codebook(params, words)
             alive[i + 1 :] &= (cand[i + 1 :] == cand[i]).sum(axis=1, dtype=cnt) < thr
+        b = min(2 * b, cap)
     raise RuntimeError(
         f"codebook budget exhausted: accepted {accepted} of {k} words "
         f"after {budget} candidates"

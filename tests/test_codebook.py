@@ -82,14 +82,16 @@ def test_construct_matches_sequential(code, seed):
 
 
 def test_construct_matches_sequential_across_capped_block(monkeypatch):
-    # budget 2000 in blocks of 1500: the last block is capped at 500.  Seed 14
-    # accepts its second word at draw 1777, inside that block; seed 5 never
-    # does, and both constructions give up with the same message.
-    monkeypatch.setattr(codebook, "_greedy_block", lambda m, k, v: 1500)
+    # The second word must be the first one's complement.  Blocks of 2, 4,
+    # ..., 512, 600 draw 1622 of the 2000 candidates, and the last block is
+    # capped at 378.  Seed 14 accepts its second word at draw 1777, inside
+    # that block.  Seed 47 would accept it at draw 2055, past the budget, so
+    # both constructions give up with the same message.
+    monkeypatch.setattr(codebook, "_greedy_block", lambda m, k, v: 600)
     code = dict(m=10, k=2, v=2, p=0.0, dm=0, theta=0.1)
     params = SimParams(seed=14, **code)
     assert np.array_equal(construct_greedy(params).matrix, sequential_greedy(params))
-    params = SimParams(seed=5, **code)
+    params = SimParams(seed=47, **code)
     with pytest.raises(RuntimeError) as want:
         sequential_greedy(params)
     with pytest.raises(RuntimeError) as got:
@@ -111,7 +113,7 @@ def test_construct_memory_stays_within_budget(code):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # an unbounded first block would hold 1000*k candidates
+    # the byte cap binds: without it the blocks would grow to 1000*k rows
     assert codebook._greedy_block(params.m, params.k, params.v) < 1000 * params.k
     assert peak <= 1.25 * codebook._GREEDY_BYTES
 
@@ -128,7 +130,8 @@ def test_construct_respects_threshold():
 def test_construct_budget_exhausted(monkeypatch):
     # v=1 admits one distinct word; binary length-4 words at distance >= 3
     # admit two.  Both constructions give up with the same message, also in
-    # blocks of 7, which do not divide the budget, so the last one is capped.
+    # blocks of at most 7, which do not fill the budget exactly, so the last
+    # one is capped.
     for code in (dict(m=4, k=2, v=1), dict(m=4, k=3, v=2)):
         params = SimParams(p=0.0, dm=0, theta=0.5, seed=0, **code)
         with pytest.raises(RuntimeError, match="budget exhausted") as want:
