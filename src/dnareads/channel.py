@@ -98,8 +98,8 @@ def strong_prepare(
     Active iff the partition witnesses membership, errors occur at every t1
     time, some other message m' that stops by the horizon samples identically
     on t2 (codewords agree on every index hit by t2 reads), and psi holds.
-    The smallest qualifying m' id is chosen.  Uses the full future f, flags, and error-free
-    decoder behavior; legitimate only for this adversary model.
+    The smallest qualifying m' id is chosen.  Uses the full future f, flags,
+    and error-free decoder behavior; legitimate only for this adversary model.
     """
     stop_times = decoder.stopping_times_all(cb, f, h_m)
     m_prime = None
