@@ -221,22 +221,22 @@ def partition_stats(counts, dm: int, r_prime_m: int) -> PartitionStats:
 class SPartition:
     """Result of the bounded-slack partition test on an index-sequence prefix.
 
-    in_s is True when times {1..h_m} split into t1 (at most dm of them) and t2
-    whose surviving draws hit at most r_prime_m distinct indices.  sufficient
-    reports the weaker closed-form test z - min(z1, dm) <= r_prime_m.
+    t1 is a bool mask over the h_m prefix: entry j is read time j+1, and the
+    times it leaves out form t2.  in_s is True when t1 (at most dm times)
+    leaves a t2 whose draws hit at most r_prime_m distinct indices.
+    sufficient reports the weaker closed-form test z - min(z1, dm) <= r_prime_m.
     """
 
     in_s: bool
-    t1: frozenset[int]
-    t2: frozenset[int]
+    t1: np.ndarray
     sufficient: bool
 
 
 def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
-    """Decide membership and exhibit a witness partition (times are 1-based):
-    t1 holds every draw of the removed value-groups, the lowest index first
-    among equal multiplicities; t2 holds the rest, and membership means t2
-    hits at most r_prime_m distinct indices."""
+    """Decide membership and exhibit a witness partition: the t1 mask marks
+    every draw of the removed value-groups, the lowest index first among
+    equal multiplicities; membership means the unmarked draws hit at most
+    r_prime_m distinct indices."""
     head = np.asarray(f)[:h_m]
     if len(head) != h_m:
         raise ValueError("sequence shorter than h_m")
@@ -248,13 +248,8 @@ def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
     order = np.argsort(counts[vals], kind="stable")
     removed = np.zeros(len(counts), dtype=bool)
     removed[vals[order[: stats.removed]]] = True
-    in_t1 = removed[head]
-    times = np.arange(1, h_m + 1)
     return SPartition(
-        in_s=bool(stats.in_s),
-        t1=frozenset(times[in_t1].tolist()),
-        t2=frozenset(times[~in_t1].tolist()),
-        sufficient=bool(stats.sufficient),
+        in_s=bool(stats.in_s), t1=removed[head], sufficient=bool(stats.sufficient)
     )
 
 

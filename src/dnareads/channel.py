@@ -17,7 +17,7 @@ import numpy as np
 
 from . import decoder
 from .analysis import SPartition
-from .codebook import Codebook, IndexSet
+from .codebook import Codebook
 
 ADVERSARIES = ("honest", "uniform", "uniform-index", "strong", "weak")
 
@@ -67,19 +67,20 @@ def observe_uniform(
     return np.where(flags, rep_idx * v + rep_pay, true_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrongAdversaryPlan:
     """Per-trial plan of the clairvoyant adversary.
 
-    active requires psi, errors covering every t1 time, and a qualifying
-    m_prime; stop_times maps each message that stops by the horizon to its
-    error-free stopping time (such a stop always decodes to the message).
+    t1 is the partition's bool mask over the h_m read prefix (entry j is read
+    time j+1); the other prefix times are t2.  active requires psi, errors
+    at every t1 time, and a qualifying m_prime; stop_times maps each message
+    that stops by the horizon to its error-free stopping time (such a stop
+    always decodes to the message).
     """
 
     active: bool
     m_prime: int | None
-    t1: frozenset[int]
-    t2: frozenset[int]
+    t1: np.ndarray
     psi: bool
     stop_times: Mapping[int, int]
 
@@ -104,22 +105,19 @@ def strong_prepare(
     stop_times = decoder.stopping_times_all(cb, f, h_m)
     m_prime = None
     active = False
-    if part.in_s and psi:
-        covered = all(bool(flags[j - 1]) for j in part.t1)
-        if covered:
-            t2_indices = sorted({int(f[j - 1]) for j in part.t2})
-            w = cb.matrix
-            agree = (w[:, t2_indices] == w[m, t2_indices]).all(axis=1)
-            for cand in sorted(stop_times):
-                if cand != m and agree[cand]:
-                    m_prime = cand
-                    break
-            active = m_prime is not None
+    if part.in_s and psi and flags[:h_m][part.t1].all():
+        t2_indices = f[:h_m][~part.t1]  # repeats are harmless to the compare
+        w = cb.matrix
+        agree = (w[:, t2_indices] == w[m, t2_indices]).all(axis=1)
+        for cand in sorted(stop_times):
+            if cand != m and agree[cand]:
+                m_prime = cand
+                break
+        active = m_prime is not None
     return StrongAdversaryPlan(
         active=active,
         m_prime=m_prime,
         t1=part.t1,
-        t2=part.t2,
         psi=psi,
         stop_times=MappingProxyType(stop_times),
     )
@@ -134,17 +132,17 @@ def observe_strong(
     if not plan.active:
         return true_ids
     at_t1 = np.zeros(len(f), dtype=bool)
-    at_t1[np.fromiter(plan.t1, dtype=np.int64, count=len(plan.t1)) - 1] = True
+    at_t1[: len(plan.t1)] = plan.t1
     return np.where(flags & at_t1, cb.word_ids[plan.m_prime][f], true_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakAdversaryPlan:
-    """Causal adversary's per-trial plan: a uniform index set to leave alone,
-    a uniformly chosen confusable message (if any), and the Bernoulli(p)
-    activity coin."""
+    """Causal adversary's per-trial plan: a uniform index set to leave alone
+    (a sorted int array of indices in [0, m)), a uniformly chosen confusable
+    message (if any), and the Bernoulli(p) activity coin."""
 
-    index_set: IndexSet
+    index_set: np.ndarray
     m_prime: int | None
     psi: bool
 
@@ -166,14 +164,13 @@ def weak_prepare(
     if not 0 <= r_prime_m <= mm:
         raise ValueError("r_prime_m out of range")
     chosen = np.sort(rng.choice(mm, size=r_prime_m, replace=False))
-    idx = [int(i) for i in chosen]
     w = cb.matrix
-    equal = (w[:, idx] == w[m, idx]).all(axis=1)
+    equal = (w[:, chosen] == w[m, chosen]).all(axis=1)
     equal[m] = False
     cands = np.flatnonzero(equal)
     m_prime = int(cands[rng.integers(len(cands))]) if len(cands) else None
     psi = bool(rng.random() < cb.params.p)
-    return WeakAdversaryPlan(index_set=IndexSet.of(idx), m_prime=m_prime, psi=psi)
+    return WeakAdversaryPlan(index_set=chosen, m_prime=m_prime, psi=psi)
 
 
 def observe_weak(

@@ -1,12 +1,14 @@
 """Command line front end.
 
 Subcommands: codebook, simulate, sweep-p, curves, smembership, converse.
-Shared flags: --m --k --v --p --delta --theta --adversary --trials --seed
---read-cap --out --config.  --config points at a JSON file whose keys mirror
-SimParams field names plus delta/adversary/trials/h_m/r_prime_m/out; explicit
-flags override file values, and an unknown key is an error.  --delta sets the
-consistency slack dm = floor(delta*m).  Errors raised by the library end the
-run with a one-line "dnareads: <message>" instead of a traceback.
+Each takes only the flags it reads, out of --m --k --v --p --delta --theta
+--adversary --trials --seed --read-cap --out --config.  --config points at a
+JSON file whose keys mirror SimParams field names plus
+delta/adversary/trials/h_m/r_prime_m/out, the same keys in every
+subcommand; explicit flags override file values, and an unknown key is an
+error.  --delta sets the consistency slack dm = floor(delta*m).  Errors
+raised by the library end the run with a one-line "dnareads: <message>"
+instead of a traceback.
 """
 
 from __future__ import annotations
@@ -18,23 +20,39 @@ import sys
 
 from . import harness
 from .channel import ADVERSARIES
-from .codebook import construct_greedy, save_codebook, verify_intersections
+from .codebook import (
+    construct_greedy,
+    intersection_threshold,
+    save_codebook,
+    verify_intersections,
+)
 from .core import check_fields
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--m", type=int, help="molecules per codeword")
-    sp.add_argument("--k", type=int, help="number of messages")
-    sp.add_argument("--v", type=int, help="payloads per index")
-    sp.add_argument("--p", type=float, help="sequencing-error probability")
-    sp.add_argument("--delta", type=float, help="slack fraction; dm = floor(delta*m)")
-    sp.add_argument("--theta", type=float, help="pairwise-intersection budget fraction")
-    sp.add_argument("--adversary", choices=ADVERSARIES)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--read-cap", type=int, dest="read_cap")
-    sp.add_argument("--out", help="output file; stdout when omitted")
-    sp.add_argument("--config", help="JSON config file")
+_FLAGS = {
+    "m": dict(type=int, help="molecules per codeword"),
+    "k": dict(type=int, help="number of messages"),
+    "v": dict(type=int, help="payloads per index"),
+    "p": dict(type=float, help="sequencing-error probability"),
+    "delta": dict(type=float, help="slack fraction; dm = floor(delta*m)"),
+    "theta": dict(type=float, help="pairwise-intersection budget fraction"),
+    "adversary": dict(choices=ADVERSARIES),
+    "trials": dict(type=int),
+    "seed": dict(type=int),
+    "read_cap": dict(type=int),
+    "out": dict(help="output file; stdout when omitted"),
+    "config": dict(help="JSON config file"),
+}
+
+
+def _subcommand(sub, name: str, summary: str, flags) -> argparse.ArgumentParser:
+    """A subcommand taking the named _FLAGS.  Abbreviations are off, so that
+    a flag it does not take (--m) is an error, not a prefix of one it does
+    (--m-list)."""
+    sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in flags:
+        sp.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
+    return sp
 
 
 _DEFAULTS = {
@@ -106,32 +124,38 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="dnareads")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("codebook", help="construct a codebook and save it")
-    _add_shared(sp)
+    _subcommand(
+        sub,
+        "codebook",
+        "construct a codebook and save it",
+        ("m", "k", "v", "theta", "seed", "out", "config"),
+    )
 
-    sp = sub.add_parser("simulate", help="Monte Carlo error-rate run")
-    _add_shared(sp)
+    sp = _subcommand(sub, "simulate", "Monte Carlo error-rate run", _FLAGS)
     sp.add_argument("--hm", type=int, help="horizon for converse adversaries")
     sp.add_argument("--rprimem", type=int, help="untouched-index budget")
 
-    sp = sub.add_parser("sweep-p", help="error rate and bounds across p values")
-    _add_shared(sp)
+    sp = _subcommand(
+        sub, "sweep-p", "error rate and bounds across p values", [f for f in _FLAGS if f != "p"]
+    )
     sp.add_argument("--p-list", dest="p_list", required=True, help="comma-separated p values")
 
-    sp = sub.add_parser("curves", help="exponent/coverage trade-off table")
-    _add_shared(sp)
+    sp = _subcommand(sub, "curves", "exponent/coverage trade-off table", ("out", "config"))
     sp.add_argument("--r0-list", dest="r0_list", required=True)
     sp.add_argument("--c-min", dest="c_min", type=float, required=True)
     sp.add_argument("--c-max", dest="c_max", type=float, required=True)
     sp.add_argument("--c-points", dest="c_points", type=int, default=100)
 
-    sp = sub.add_parser("smembership", help="partition-test membership trend")
-    _add_shared(sp)
+    sp = _subcommand(
+        sub,
+        "smembership",
+        "partition-test membership trend",
+        ("delta", "trials", "seed", "out", "config"),
+    )
     sp.add_argument("--m-list", dest="m_list", required=True)
     sp.add_argument("--coverage", type=float, required=True, help="coverage factor c")
 
-    sp = sub.add_parser("converse", help="adversary mechanics experiment")
-    _add_shared(sp)
+    sp = _subcommand(sub, "converse", "adversary mechanics experiment", _FLAGS)
     sp.add_argument("--hm", type=int, required=True)
     sp.add_argument("--rprimem", type=int, required=True)
 
@@ -151,7 +175,7 @@ def _run(args: argparse.Namespace) -> int:
             save_codebook(cb, cfg.out)
         print(
             f"codebook m={cfg.params.m} k={cfg.params.k} v={cfg.params.v} "
-            f"max_intersection={worst} threshold={math.ceil(cfg.params.theta * cfg.params.m)}"
+            f"max_intersection={worst} threshold={intersection_threshold(cfg.params)}"
         )
         return 0
 

@@ -4,30 +4,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .core import OuterCodeword, SimParams, derive_codebook_rng, validate
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Subset of index positions [0, m)."""
-
-    indices: frozenset[int]
-
-    @classmethod
-    def of(cls, it: Iterable[int]) -> "IndexSet":
-        return cls(frozenset(int(i) for i in it))
-
-    def sorted(self) -> list[int]:
-        return sorted(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,14 +151,15 @@ def verify_intersections(cb: Codebook) -> int:
     return best
 
 
-def restriction(word: OuterCodeword, index_set: IndexSet) -> tuple[int, ...]:
+def restriction(word: OuterCodeword, indices: Sequence[int]) -> tuple[int, ...]:
     """Payloads of the codeword at the given indices, in ascending index order."""
-    return tuple(word.payloads[i] for i in index_set.sorted())
+    return tuple(word.payloads[i] for i in sorted(indices))
 
 
-def unique_restriction_set(cb: Codebook, index_set: IndexSet) -> set[int]:
-    """Messages whose restriction to index_set no other codeword shares."""
-    idx = index_set.sorted()
+def unique_restriction_set(cb: Codebook, indices: Sequence[int]) -> set[int]:
+    """Messages whose restriction to the given indices no other codeword
+    shares."""
+    idx = sorted(indices)
     restr = [tuple(int(x) for x in row) for row in cb.matrix[:, idx]]
     counts = Counter(restr)
     return {i for i, r in enumerate(restr) if counts[r] == 1}

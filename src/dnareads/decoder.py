@@ -29,11 +29,11 @@ class StepResult:
 
 @dataclass
 class DecoderState:
-    """seen holds distinct observed molecules; outside[m] counts members of
-    seen that codeword m does not contain.  Maintained incrementally, always
-    re-derivable from seen alone."""
+    """seen holds the distinct observed molecule ids; outside[c] counts the
+    members of seen that codeword c does not contain.  Maintained
+    incrementally, always re-derivable from seen alone."""
 
-    seen: set[Molecule]
+    seen: set[int]
     outside: np.ndarray
     reads: int = 0
 
@@ -42,19 +42,20 @@ def new_state(cb: Codebook) -> DecoderState:
     return DecoderState(seen=set(), outside=np.zeros(len(cb), dtype=np.int64))
 
 
-def step(state: DecoderState, cb: Codebook, observed: Molecule) -> StepResult:
-    """Consume one read.  Duplicates leave the state unchanged; a new distinct
-    molecule bumps the outside count of every codeword it contradicts.  Stops
-    when exactly one codeword has outside <= dm, fails when none does.
-    Raises ValueError for a molecule outside the codebook's m x v space."""
+def step(state: DecoderState, cb: Codebook, observed: int) -> StepResult:
+    """Consume one read, given as its molecule id index*v + payload (the ids
+    of Codebook.word_ids and of every observe_* row).  Duplicates leave the
+    state unchanged; a new distinct molecule bumps the outside count of every
+    codeword it contradicts.  Stops when exactly one codeword has outside <=
+    dm, fails when none does.  Raises ValueError for an id outside [0, m*v)."""
     params = cb.params
-    if not (0 <= observed.index < params.m and 0 <= observed.payload < params.v):
-        raise ValueError(f"observed molecule {observed} out of range")
+    if not 0 <= observed < params.m * params.v:
+        raise ValueError(f"observed id {observed} out of range [0, {params.m * params.v})")
     state.reads += 1
     if observed in state.seen:
         return StepResult(StepKind.CONTINUE)
     state.seen.add(observed)
-    state.outside += cb.mismatch[observed.id(params.v)]
+    state.outside += cb.mismatch[observed]
     consistent = state.outside <= params.dm
     n = int(consistent.sum())
     if n == 1:
@@ -64,8 +65,8 @@ def step(state: DecoderState, cb: Codebook, observed: Molecule) -> StepResult:
     return StepResult(StepKind.CONTINUE)
 
 
-def run(cb: Codebook, reads: Iterable[Molecule], read_cap: int) -> Verdict:
-    """Feed observed molecules through step until Stop, Fail, or read_cap.
+def run(cb: Codebook, reads: Iterable[int], read_cap: int) -> Verdict:
+    """Feed observed molecule ids through step until Stop, Fail, or read_cap.
 
     Consumption halts at the verdict, so the decision depends only on the
     observed prefix.  A stream shorter than read_cap that never resolves
@@ -89,8 +90,7 @@ def stopping_time_no_errors(cb: Codebook, m: int, f, horizon: int) -> int | None
     Fail, and a stop leaves m as the one consistent codeword: the output of
     a stop is always m itself.
     """
-    truth = cb.matrix[m].tolist()
-    stream = (Molecule(i, truth[i]) for i in np.asarray(f[:horizon]).tolist())
+    stream = cb.word_ids[m][np.asarray(f)[:horizon]].tolist()
     verdict = run(cb, stream, horizon)
     if verdict.kind is VerdictKind.TRUNCATED:
         return None
@@ -181,5 +181,13 @@ def load_trace(path: str) -> Trace:
 
 def replay(cb: Codebook, trace: Trace) -> Verdict:
     """Re-run the decoder on a trace's observed molecules; reproduces the
-    recorded verdict since the record list is exactly the consumed prefix."""
-    return run(cb, (r.observed for r in trace.records), len(trace.records))
+    recorded verdict since the record list is exactly the consumed prefix.
+    Raises ValueError for a molecule outside the codebook's m x v space."""
+    m, v = cb.params.m, cb.params.v
+    for r in trace.records:
+        for mol in (r.sampled, r.observed):
+            if not (0 <= mol.index < m and 0 <= mol.payload < v):
+                raise ValueError(
+                    f"trace read {r.time}: molecule {mol} outside the {m} x {v} code space"
+                )
+    return run(cb, [r.observed.id(v) for r in trace.records], len(trace.records))

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import analysis, simulate
 from .channel import ADVERSARIES
-from .codebook import Codebook, construct_greedy
+from .codebook import Codebook, construct_greedy, intersection_threshold
 from .core import SimParams, VerdictKind, derive_trial_rng, params_from_dict, validate
 
 CSV_VERSION = "dnareads 0.1.0"
@@ -130,8 +130,8 @@ def _run_on(cfg: ExperimentConfig, cb: Codebook) -> RunSummary:
 
 def ones_threshold(params: SimParams) -> int:
     """Race threshold used for the analytic columns of sweep_p: the distinct
-    clean molecules that settle decoding, ceil(theta*m) + dm."""
-    return math.ceil(params.theta * params.m) + params.dm
+    clean molecules that settle decoding, the intersection threshold plus dm."""
+    return intersection_threshold(params) + params.dm
 
 
 def sweep_p(cfg: ExperimentConfig, p_list) -> list[tuple]:

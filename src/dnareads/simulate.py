@@ -36,11 +36,15 @@ from .core import Molecule, ReadRecord, Trace, Verdict, derive_trial_rng
 class TrialOutcome:
     """Verdict of one trial plus adversary diagnostics.
 
-    conditions marks trials where the relevant guaranteed-error premises held
-    (strong: plan active; weak: membership, t1 error coverage, t2 indices
-    inside the untouched set, confusable m' self-decoding by the horizon, and
-    psi).  expected_stop is the error-free stopping time of m_prime when
-    conditions hold.
+    message, m_prime and the verdict's decoded output are message ids in
+    [0, k).  conditions marks trials where the guaranteed-error premises
+    held: for the strong adversary, an active plan.  For the weak one they
+    cannot hold, so conditions is False.  They ask that the untouched set,
+    where the true message agrees with m_prime, hold every t2 index; the t1
+    times cover at most dm distinct indices, so the true message keeps at
+    most dm outside molecules on m_prime's error-free stream, and m_prime
+    never stops alone.  expected_stop is the error-free stopping time of
+    m_prime when conditions hold.
     """
 
     message: int
@@ -54,7 +58,6 @@ class TrialOutcome:
 
 class _Observed(NamedTuple):
     message: int
-    f: np.ndarray
     flags: np.ndarray
     true_ids: np.ndarray
     observed: np.ndarray
@@ -86,7 +89,7 @@ def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m
         part = s_membership(f, h_m, params.dm, r_prime_m)
         plan = channel.strong_prepare(cb, message, f, flags, h_m, part, psi)
         observed = channel.observe_strong(plan, cb, true_ids, f, flags)
-    return _Observed(message, f, flags, true_ids, observed, plan)
+    return _Observed(message, flags, true_ids, observed, plan)
 
 
 def run_trial(
@@ -99,7 +102,7 @@ def run_trial(
 ) -> tuple[TrialOutcome, Trace | None]:
     """Reference engine: one trial, any adversary, optional full trace.
 
-    The observed row goes through decoder.run, the per-molecule decoder with
+    The observed id row goes through decoder.run, the per-read decoder with
     int64 counts; the trace is the consumed prefix of the row."""
     if adversary not in channel.ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}")
@@ -113,8 +116,8 @@ def run_trial(
     v, cap = cb.params.v, cb.params.read_cap
     obs = _observe_trial(cb, adversary, trial, h_m, r_prime_m)
     ids = obs.observed.tolist()
-    verdict = decoder.run(cb, (Molecule(*divmod(i, v)) for i in ids), cap)
-    outcome = _classify(cb, adversary, obs, h_m, r_prime_m, verdict)
+    verdict = decoder.run(cb, ids, cap)
+    outcome = _classify(obs, verdict)
     if not collect_trace:
         return outcome, None
     n = verdict.n_reads
@@ -126,40 +129,21 @@ def run_trial(
     return outcome, Trace(obs.message, records, verdict)
 
 
-def _classify(cb, adversary, obs: _Observed, h_m, r_prime_m, verdict) -> TrialOutcome:
-    message, f, flags, plan = obs.message, obs.f, obs.flags, obs.plan
-    if adversary == "strong":
-        expected = plan.stop_times.get(plan.m_prime) if plan.active else None
-        return TrialOutcome(
-            message=message,
-            verdict=verdict,
-            psi=plan.psi,
-            active=plan.active,
-            conditions=plan.active,
-            m_prime=plan.m_prime,
-            expected_stop=expected,
-        )
-    if adversary == "weak":
-        conditions = False
-        expected = None
-        if plan.active and h_m is not None:
-            part = s_membership(f, h_m, cb.params.dm, r_prime_m)
-            if part.in_s:
-                t1_covered = all(bool(flags[j - 1]) for j in part.t1)
-                t2_inside = {int(f[j - 1]) for j in part.t2} <= plan.index_set.indices
-                if t1_covered and t2_inside:
-                    expected = decoder.stopping_time_no_errors(cb, plan.m_prime, f, h_m)
-                    conditions = expected is not None
-        return TrialOutcome(
-            message=message,
-            verdict=verdict,
-            psi=plan.psi,
-            active=plan.active,
-            conditions=conditions,
-            m_prime=plan.m_prime,
-            expected_stop=expected,
-        )
-    return TrialOutcome(message=message, verdict=verdict)
+def _classify(obs: _Observed, verdict: Verdict) -> TrialOutcome:
+    plan = obs.plan
+    if plan is None:
+        return TrialOutcome(message=obs.message, verdict=verdict)
+    # only the strong plan's premises can hold (see TrialOutcome)
+    held = isinstance(plan, channel.StrongAdversaryPlan) and plan.active
+    return TrialOutcome(
+        message=obs.message,
+        verdict=verdict,
+        psi=plan.psi,
+        active=plan.active,
+        conditions=held,
+        m_prime=plan.m_prime,
+        expected_stop=plan.stop_times[plan.m_prime] if held else None,
+    )
 
 
 @dataclass
@@ -170,9 +154,6 @@ class BatchResult:
     kind: np.ndarray
     decoded: np.ndarray
     n_reads: np.ndarray
-
-    def errored(self) -> np.ndarray:
-        return (self.kind != 0) | (self.decoded != self.message)
 
 
 _BATCH_BYTES = 32_000_000

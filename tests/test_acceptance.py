@@ -22,7 +22,6 @@ from dnareads.analysis import (
     s_membership,
 )
 from dnareads.codebook import (
-    IndexSet,
     construct_greedy,
     intersection_threshold,
     restriction,
@@ -196,8 +195,8 @@ def test_criterion_07_exact_combinatorics():
             agree = False
             break
         if part.in_s:
-            survivors = {f[j - 1] for j in part.t2}
-            if len(part.t1) > dm or len(survivors) > rpm:
+            survivors = {f[j] for j in range(h_m) if not part.t1[j]}
+            if part.t1.sum() > dm or len(survivors) > rpm:
                 agree = False
                 break
     restr_ok = True
@@ -212,7 +211,7 @@ def test_criterion_07_exact_combinatorics():
             rng.integers(0, v, size=(k, m)),
         )
         size = int(rng.integers(0, m + 1))
-        iset = IndexSet.of(rng.choice(m, size=size, replace=False))
+        iset = rng.choice(m, size=size, replace=False)
         got = unique_restriction_set(cb, iset)
         restr = [restriction(OuterCodeword(tuple(row)), iset) for row in cb.matrix]
         brute = {

@@ -198,8 +198,8 @@ def test_partition_stats_z_examples():
 def test_s_membership_witness_example():
     part = s_membership([1, 2, 3, 1], 4, 1, 2)
     assert part.in_s
-    assert part.t1 == frozenset({2})
-    assert part.t2 == frozenset({1, 3, 4})
+    # t1 is read time 2 alone; times 1, 3 and 4 form t2
+    assert part.t1.tolist() == [False, True, False, False]
     assert part.sufficient
 
 
@@ -225,11 +225,13 @@ def test_s_membership_witness_is_valid(data):
     dm = data.draw(st.integers(0, 3))
     rpm = data.draw(st.integers(0, m))
     part = s_membership(f, h_m, dm, rpm)
-    assert part.t1 | part.t2 == frozenset(range(1, h_m + 1))
-    assert not part.t1 & part.t2
-    assert len(part.t1) <= dm
+    assert part.t1.dtype == bool and part.t1.shape == (h_m,)
+    assert part.t1.sum() <= dm
+    # t1 takes whole value-groups: no index is read both in t1 and in t2
+    t1_indices = {f[j] for j in range(h_m) if part.t1[j]}
+    survivors = {f[j] for j in range(h_m) if not part.t1[j]}
+    assert not t1_indices & survivors
     if part.in_s:
-        survivors = {f[j - 1] for j in part.t2}
         assert len(survivors) <= rpm
     if part.sufficient:
         assert part.in_s

@@ -15,8 +15,8 @@ from dnareads.channel import (
     strong_prepare,
     weak_prepare,
 )
-from dnareads.codebook import IndexSet, construct_greedy
-from dnareads.core import Molecule, Verdict, derive_trial_rng
+from dnareads.codebook import construct_greedy
+from dnareads.core import Verdict, derive_trial_rng
 from dnareads.decoder import replay, run, stopping_time_no_errors
 from dnareads.simulate import run_trial
 from dnareads.analysis import s_membership
@@ -122,7 +122,7 @@ def test_strong_prepare_psi_false_inactive(strong_setup):
 
 def test_strong_prepare_no_errors_inactive(strong_setup):
     cb, f, flags, part = strong_setup
-    if not part.t1:
+    if not part.t1.any():
         pytest.skip("witness partition has empty t1 for this draw")
     plan = strong_prepare(cb, 0, f, np.zeros(40, dtype=bool), 20, part, psi=True)
     assert not plan.active
@@ -138,16 +138,15 @@ def test_strong_prepare_u_partition(strong_setup):
         assert plan.stop_times.get(msg) == t
         if t is not None:
             assert t <= 20
-            stream = [Molecule(int(i), int(cb.matrix[msg, i])) for i in f[:t]]
-            assert run(cb, stream, t) == Verdict.decided(msg, t)
+            assert run(cb, cb.word_ids[msg][f[:t]].tolist(), t) == Verdict.decided(msg, t)
 
 
 def _strong_plan(active, m_prime, t1):
+    """A plan whose t1 mask marks the given 0-based read positions."""
     return StrongAdversaryPlan(
         active=active,
         m_prime=m_prime,
-        t1=frozenset(t1),
-        t2=frozenset(),
+        t1=np.asarray(t1, dtype=bool),
         psi=True,
         stop_times={},
     )
@@ -161,9 +160,12 @@ def test_observe_strong_substitution(literal_codebook):
     # read at a t1 time becomes codeword 1's molecule (1, 1); time 3: clean
     # read at a t1 time passes through
     flags = np.array([True, True, False])
-    row = observe_strong(_strong_plan(True, 1, {2, 3}), cb, true_ids, f, flags)
+    row = observe_strong(_strong_plan(True, 1, [False, True, True]), cb, true_ids, f, flags)
     assert row.tolist() == [2, 3, 2]
-    inactive = _strong_plan(False, None, {2, 3})
+    # a mask over a shorter prefix leaves the later reads alone
+    row = observe_strong(_strong_plan(True, 1, [True, True]), cb, true_ids, f, np.ones(3, bool))
+    assert row.tolist() == [3, 3, 2]
+    inactive = _strong_plan(False, None, [False, True, True])
     assert observe_strong(inactive, cb, true_ids, f, np.ones(3, dtype=bool)).tolist() == [2, 2, 2]
 
 
@@ -206,7 +208,8 @@ def test_weak_prepare_candidates_match_restriction(small_codebook):
         if plan.m_prime is None:
             continue
         hits += 1
-        idx = plan.index_set.sorted()
+        idx = plan.index_set
+        assert idx.tolist() == sorted(set(idx.tolist())) and len(idx) == 3
         assert (w[plan.m_prime, idx] == w[2, idx]).all()
         assert plan.m_prime != 2
     assert hits > 0
@@ -214,7 +217,7 @@ def test_weak_prepare_candidates_match_restriction(small_codebook):
 
 def test_observe_weak_substitution(literal_codebook):
     cb = literal_codebook([[0, 0, 1], [0, 1, 1]], dm=0)
-    plan = WeakAdversaryPlan(index_set=IndexSet.of([0]), m_prime=1, psi=True)
+    plan = WeakAdversaryPlan(index_set=np.array([0]), m_prime=1, psi=True)
     assert plan.active
     f = np.array([1, 2, 1])
     true_ids = cb.word_ids[0][f]  # molecules (1, 0), (2, 1), (1, 0)
@@ -222,15 +225,15 @@ def test_observe_weak_substitution(literal_codebook):
     # substitution at a differing index, no-op at index 2 where the codewords
     # agree, and the clean read passes through
     assert observe_weak(plan, cb, true_ids, f, flags).tolist() == [3, 5, 2]
-    dormant = WeakAdversaryPlan(index_set=IndexSet.of([0]), m_prime=1, psi=False)
+    dormant = WeakAdversaryPlan(index_set=np.array([0]), m_prime=1, psi=False)
     assert not dormant.active
     assert observe_weak(dormant, cb, true_ids, f, np.ones(3, dtype=bool)).tolist() == [2, 5, 2]
 
 
 def _rows_of_every_adversary(cb, f, flags):
     true_ids = cb.word_ids[0][f]
-    weak = WeakAdversaryPlan(index_set=IndexSet.of([]), m_prime=1, psi=True)
-    strong = _strong_plan(True, 1, range(1, len(f) + 1))
+    weak = WeakAdversaryPlan(index_set=np.array([], dtype=np.int64), m_prime=1, psi=True)
+    strong = _strong_plan(True, 1, np.ones(len(f), dtype=bool))
     m, v = cb.params.m, cb.params.v
     rng = np.random.default_rng(0)
     return true_ids, {
@@ -294,7 +297,8 @@ def test_trace_replays_and_matches_adversary_row(small_codebook, adversary):
             part = s_membership(f, h_m, cb.params.dm, r_prime_m)
             plan = strong_prepare(cb, message, f, flags, h_m, part, psi)
             if plan.active:
-                at_t1 = np.isin(np.arange(1, cap + 1), list(plan.t1))
+                at_t1 = np.zeros(cap, dtype=bool)
+                at_t1[:h_m] = plan.t1
                 replacement = np.where(at_t1, cb.word_ids[plan.m_prime][f], true_ids)
         row = np.where(flags, replacement, true_ids)
         n = outcome.verdict.n_reads

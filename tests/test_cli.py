@@ -230,3 +230,43 @@ def test_library_errors_are_one_line(argv, message):
     text = str(exc.value)
     assert text.startswith(f"dnareads: {message}")
     assert "\n" not in text
+
+
+_BASE_ARGV = {
+    "codebook": ["codebook", "--m", "10", "--k", "8", "--v", "4"],
+    "sweep-p": ["sweep-p", "--m", "8", "--k", "8", "--v", "4", "--p-list", "0.1"],
+    "curves": ["curves", "--r0-list", "0.3", "--c-min", "0.5", "--c-max", "1.0"],
+    "smembership": [
+        "smembership", "--m-list", "20", "--coverage", "0.430783", "--delta", "0.05",
+    ],
+}
+_FLAG_VALUES = {
+    "--m": "7", "--k": "8", "--v": "4", "--p": "0.9", "--delta": "0.1", "--theta": "0.5",
+    "--adversary": "strong", "--trials": "5", "--seed": "1", "--read-cap": "2",
+}
+_UNREAD_FLAGS = [
+    ("codebook", flag) for flag in ("--p", "--delta", "--adversary", "--trials", "--read-cap")
+] + [("sweep-p", "--p")] + [
+    ("curves", flag)
+    for flag in (
+        "--m", "--k", "--v", "--p", "--delta", "--theta", "--adversary", "--trials",
+        "--seed", "--read-cap",
+    )
+] + [
+    ("smembership", flag)
+    for flag in ("--m", "--k", "--v", "--p", "--theta", "--adversary", "--read-cap")
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag", _UNREAD_FLAGS, ids=[f"{c}{f}" for c, f in _UNREAD_FLAGS]
+)
+def test_subcommand_rejects_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    # a flag the subcommand would ignore is an argument error, also where it
+    # is a prefix of one the subcommand takes (--p of --p-list, --m of --m-list)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(_BASE_ARGV[command] + [flag, _FLAG_VALUES[flag], "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not out.exists()

@@ -7,7 +7,6 @@ import pytest
 
 from dnareads import SimParams, codebook
 from dnareads.codebook import (
-    IndexSet,
     construct_greedy,
     intersection_threshold,
     load_codebook,
@@ -174,17 +173,17 @@ def test_words_match_matrix(small_codebook):
 
 def test_restriction_orders_indices():
     w = OuterCodeword((5, 6, 7, 8))
-    assert restriction(w, IndexSet.of([2, 0])) == (5, 7)
-    assert restriction(w, IndexSet.of([])) == ()
+    assert restriction(w, [2, 0]) == (5, 7)
+    assert restriction(w, []) == ()
 
 
 def test_unique_restriction_set_hand_instance(literal_codebook):
     cb = literal_codebook([[0, 0, 1], [0, 1, 1], [0, 0, 2]], dm=0)
     # restricted to index 0 all words collide; on {1,2} each is distinct
-    assert unique_restriction_set(cb, IndexSet.of([0])) == set()
-    assert unique_restriction_set(cb, IndexSet.of([1, 2])) == {0, 1, 2}
+    assert unique_restriction_set(cb, [0]) == set()
+    assert unique_restriction_set(cb, [2, 1]) == {0, 1, 2}
     # index 2 alone: word 0 and 1 share payload 1, word 2 is alone
-    assert unique_restriction_set(cb, IndexSet.of([2])) == {2}
+    assert unique_restriction_set(cb, np.array([2])) == {2}
 
 
 def test_unique_restriction_set_brute_force():
@@ -198,7 +197,7 @@ def test_unique_restriction_set_brute_force():
 
         cb = Codebook(params, rng.integers(0, v, size=(k, m)))
         size = int(rng.integers(0, m + 1))
-        iset = IndexSet.of(rng.choice(m, size=size, replace=False))
+        iset = rng.choice(m, size=size, replace=False)
         got = unique_restriction_set(cb, iset)
         restr = [restriction(OuterCodeword(tuple(row)), iset) for row in cb.matrix]
         brute = set()
@@ -212,7 +211,7 @@ def test_unique_restriction_set_brute_force():
 
 def test_empty_restriction_never_unique(small_codebook):
     # every pair collides on the empty restriction once k >= 2
-    assert unique_restriction_set(small_codebook, IndexSet.of([])) == set()
+    assert unique_restriction_set(small_codebook, []) == set()
 
 
 def test_save_load_round_trip(tmp_path, small_codebook):

@@ -19,9 +19,10 @@ from dnareads.decoder import (
 
 
 def error_free_run(cb, msg, f, horizon):
-    """decoder.run on message msg's error-free stream along f."""
+    """decoder.run on message msg's error-free stream of molecule ids along f."""
+    v = cb.params.v
     truth = cb.matrix[msg]
-    return run(cb, (Molecule(int(i), int(truth[i])) for i in f[:horizon]), horizon)
+    return run(cb, (Molecule(int(i), int(truth[i])).id(v) for i in f[:horizon]), horizon)
 
 
 def outside_count(seen, w: OuterCodeword) -> int:
@@ -43,11 +44,11 @@ def test_step_hand_trace(literal_codebook):
     # mismatch settles it
     cb = literal_codebook([[0, 0, 0, 0], [0, 0, 1, 1]], dm=1)
     state = new_state(cb)
-    r1 = step(state, cb, Molecule(0, 0))
+    r1 = step(state, cb, Molecule(0, 0).id(2))
     assert r1.kind is StepKind.CONTINUE
-    r2 = step(state, cb, Molecule(2, 1))
+    r2 = step(state, cb, Molecule(2, 1).id(2))
     assert r2.kind is StepKind.CONTINUE
-    r3 = step(state, cb, Molecule(3, 1))
+    r3 = step(state, cb, Molecule(3, 1).id(2))
     assert r3.kind is StepKind.STOP and r3.decoded == 1
     assert state.reads == 3
 
@@ -55,10 +56,10 @@ def test_step_hand_trace(literal_codebook):
 def test_step_duplicate_is_noop(literal_codebook):
     cb = literal_codebook([[0, 0], [1, 1]], dm=0)
     state = new_state(cb)
-    step(state, cb, Molecule(0, 0))
+    step(state, cb, 0)
     seen_before = set(state.seen)
     outside_before = state.outside.copy()
-    res = step(state, cb, Molecule(0, 0))
+    res = step(state, cb, 0)
     assert res.kind is StepKind.CONTINUE
     assert state.seen == seen_before
     assert np.array_equal(state.outside, outside_before)
@@ -69,7 +70,7 @@ def test_step_stops_at_first_distinguishing_read(literal_codebook):
     # with zero slack and fully disjoint codewords, one read suffices
     cb = literal_codebook([[0, 0], [1, 1]], dm=0)
     state = new_state(cb)
-    res = step(state, cb, Molecule(0, 0))
+    res = step(state, cb, 0)
     assert res.kind is StepKind.STOP and res.decoded == 0
     assert state.reads == 1
 
@@ -78,20 +79,22 @@ def test_step_fail_when_no_consistent_word(literal_codebook):
     # payload 2 at index 1 lies outside both codewords
     cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=3)
     state = new_state(cb)
-    assert step(state, cb, Molecule(0, 0)).kind is StepKind.CONTINUE
-    res = step(state, cb, Molecule(1, 2))
+    assert step(state, cb, Molecule(0, 0).id(3)).kind is StepKind.CONTINUE
+    res = step(state, cb, Molecule(1, 2).id(3))
     assert res.kind is StepKind.FAIL
     assert state.reads == 2
 
 
 def test_step_rejects_molecule_outside_code_space(literal_codebook):
-    # payload 2 does not exist when v=2; it must not be read as molecule (1, 0)
+    # ids live in [0, m*v) = [0, 4); id 4 would be molecule (2, 0) of a
+    # longer code, and a negative id would index the mismatch table from
+    # its end
     cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
     state = new_state(cb)
     with pytest.raises(ValueError, match="out of range"):
-        step(state, cb, Molecule(0, 2))
+        step(state, cb, 4)
     with pytest.raises(ValueError, match="out of range"):
-        step(state, cb, Molecule(2, 0))
+        step(state, cb, -1)
     assert state.reads == 0 and not state.seen
 
 
@@ -100,8 +103,7 @@ def test_run_zero_error_decides_truth(easy_codebook):
     rng = np.random.default_rng(0)
     for msg in range(len(easy_codebook)):
         f = rng.integers(0, params.m, size=params.read_cap)
-        reads = (Molecule(int(i), int(easy_codebook.matrix[msg, i])) for i in f)
-        verdict = run(easy_codebook, reads, params.read_cap)
+        verdict = run(easy_codebook, easy_codebook.word_ids[msg][f].tolist(), params.read_cap)
         assert verdict.kind is VerdictKind.DECIDED
         assert verdict.decoded == msg
         assert verdict.n_reads <= params.read_cap
@@ -119,10 +121,9 @@ def test_run_consumes_exactly_decided_prefix(easy_codebook):
     consumed = []
 
     def stream():
-        for i in f:
-            mol = Molecule(int(i), int(easy_codebook.matrix[0, i]))
-            consumed.append(mol)
-            yield mol
+        for i in easy_codebook.word_ids[0][f].tolist():
+            consumed.append(i)
+            yield i
 
     verdict = run(easy_codebook, stream(), params.read_cap)
     assert verdict.kind is VerdictKind.DECIDED
@@ -236,9 +237,10 @@ def test_incremental_outside_matches_scratch(data):
     state = new_state(cb)
     for _ in range(n_reads):
         mol = Molecule(data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, v - 1)))
-        res = step(state, cb, mol)
+        res = step(state, cb, mol.id(v))
+        seen = [Molecule(*divmod(i, v)) for i in state.seen]
         for msg in range(k):
-            assert state.outside[msg] == outside_count(state.seen, words[msg])
+            assert state.outside[msg] == outside_count(seen, words[msg])
         if res.kind is not StepKind.CONTINUE:
             break
 
@@ -278,3 +280,16 @@ def test_load_trace_rejects_malformed(tmp_path):
     bad.write_text("message 0\nverdict maybe 1\n")
     with pytest.raises(ValueError, match="unknown verdict kind"):
         load_trace(str(bad))
+
+
+def test_replay_rejects_molecule_outside_code_space(tmp_path, literal_codebook):
+    # payload 2 does not exist when v=2; read as an id it would be molecule
+    # (1, 0), so replay must refuse the trace instead
+    cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
+    path = tmp_path / "trace.txt"
+    path.write_text("message 0\n1 0 0 0 0 2\nverdict truncated 1\n")
+    with pytest.raises(ValueError, match=r"trace read 1: .* outside the 2 x 2 code space"):
+        replay(cb, load_trace(str(path)))
+    path.write_text("message 0\n1 2 0 0 0 0\nverdict truncated 1\n")
+    with pytest.raises(ValueError, match="outside the 2 x 2 code space"):
+        replay(cb, load_trace(str(path)))

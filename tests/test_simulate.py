@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnareads import SimParams, simulate
 from dnareads.codebook import Codebook, construct_greedy
+from dnareads.analysis import s_membership
 from dnareads.core import VerdictKind
+from dnareads.decoder import stopping_time_no_errors
 from dnareads.simulate import run_batch, run_trial
 
 _KIND = {VerdictKind.DECIDED: 0, VerdictKind.FAILED: 1, VerdictKind.TRUNCATED: 2}
@@ -170,10 +173,44 @@ def test_weak_trial_diagnostics(small_codebook):
         n_active += bool(outcome.active)
         if outcome.active:
             assert outcome.psi and outcome.m_prime is not None
-        if outcome.conditions:
-            assert outcome.active and outcome.expected_stop is not None
+        # the premises cannot hold (test_weak_premises_cannot_hold)
+        assert outcome.conditions is False and outcome.expected_stop is None
     assert n_active <= n_psi
     assert n_active > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weak_premises_cannot_hold(data):
+    # The weak adversary's premises ask for a pair a != b that agree on every
+    # index read at a t2 time of the membership witness, and for b to stop by
+    # the horizon on its error-free stream.  The t1 times cover at most dm
+    # distinct indices, and a disagrees with b only there, so a keeps at most
+    # dm outside molecules on that stream and b is never alone: b never stops.
+    m = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(2, 6))
+    v = data.draw(st.integers(2, 3))
+    dm = data.draw(st.integers(0, 3))
+    h = data.draw(st.integers(1, 12))
+    matrix = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.integers(0, v - 1), min_size=m, max_size=m),
+                min_size=k,
+                max_size=k,
+            )
+        ),
+        dtype=np.int64,
+    )
+    f = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=h, max_size=h)))
+    rpm = data.draw(st.integers(0, m))
+    cb = Codebook(SimParams(m=m, k=k, v=v, p=0.0, dm=dm, theta=1.0, seed=0), matrix)
+    part = s_membership(f, h, dm, rpm)
+    t2_indices = np.unique(f[~part.t1])
+    for a in range(k):
+        for b in range(k):
+            if a != b and (matrix[a, t2_indices] == matrix[b, t2_indices]).all():
+                assert stopping_time_no_errors(cb, b, f, h) is None
 
 
 def test_strong_trial_diagnostics(small_codebook):
