@@ -27,6 +27,116 @@ def derive_trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+# Trials below this have a one-word spawn-key trial entry; trial_states
+# covers exactly them.
+COLUMNAR_TRIALS = 1 << 32
+
+# SeedSequence's hash constants and PCG64's multiplier, as numpy defines them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, const: list) -> np.ndarray:
+    """SeedSequence's hashmix; const holds the running hash constant, which
+    every call advances."""
+    value = value ^ np.uint32(const[0])
+    const[0] = const[0] * _MULT_A & _MASK32
+    value = value * np.uint32(const[0])
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def trial_states(seed: int, start: int, count: int) -> np.ndarray:
+    """(count, 4) uint64 rows, row r equal to the generate_state(4, uint64)
+    of trial start+r's SeedSequence in derive_trial_rng, for trials below
+    COLUMNAR_TRIALS.
+
+    The entropy is the run entropy (seed & _MASK64 as two 32-bit words,
+    padded with zeros to the pool size of 4) followed by the spawn key
+    (0, trial).  Only the last word depends on the trial, so the pool is
+    mixed as in SeedSequence with the trial word as a column."""
+    if start < 0 or start + count > COLUMNAR_TRIALS:
+        raise ValueError("trial out of range")
+    s = seed & _MASK64
+    # one-element columns for the words every trial shares
+    run = np.array([[s & _MASK32], [s >> 32], [0], [0]], dtype=np.uint32)
+    trial = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
+    spawn = (np.array([_TRIAL_DOMAIN], dtype=np.uint32), trial)
+    const = [_INIT_A]
+    pool = [_hashmix(word, const) for word in run]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    for word in spawn:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const))
+    # 8 words from the cycled pool, paired little-endian into 4 uint64s
+    out = np.zeros((count, 4), dtype=np.uint64)
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        value = (value ^ (value >> np.uint32(16))).astype(np.uint64)
+        out[:, i // 2] |= value << np.uint64(32 * (i % 2))
+    return out
+
+
+def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
+    """(len(states), n_raw) uint64: row r is the first n_raw random_raw
+    outputs of the PCG64 that derive_trial_rng seeds from states[r].
+
+    PCG64 seeds its 128-bit LCG from a state row as inc = (s2:s3) << 1 | 1,
+    state = (inc + (s0:s1)) * MULT + inc; one bit generator is set to each
+    row's state in turn."""
+    out = np.empty((len(states), n_raw), dtype=np.uint64)
+    if n_raw == 0:
+        return out
+    bg = np.random.PCG64(0)
+    lcg = {}
+    full = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    for r, (s0, s1, s2, s3) in enumerate(states.tolist()):
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        lcg["inc"] = inc
+        lcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        bg.state = full
+        out[r] = bg.random_raw(n_raw)
+    return out
+
+
+def raw_words(raws: np.ndarray) -> np.ndarray:
+    """The 32-bit words bounded integer draws read from raws, in order: the
+    low half of each raw, then its high half.  Shifts, not a byte view, so
+    the order holds on any host."""
+    words = np.empty(raws.shape[:-1] + (2 * raws.shape[-1],), dtype=np.uint64)
+    words[..., 0::2] = raws & np.uint64(_MASK32)
+    words[..., 1::2] = raws >> np.uint64(32)
+    return words
+
+
+def bounded(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's bounded integers in [0, n) from 32-bit words, as numpy's
+    integers(0, n) makes them for 1 < n < 2**32: value (w * n) >> 32, drawn
+    again when the low half of w * n is below (2**32 - n) % n.  Returns the
+    values and the mask of words numpy would have rejected; a rejected word
+    shifts every later draw of its stream."""
+    prod = words * np.uint64(n)
+    values = (prod >> np.uint64(32)).view(np.int64)
+    threshold = (2**32 - n) % n
+    if threshold == 0:
+        return values, np.zeros(words.shape, dtype=bool)
+    return values, (prod & np.uint64(_MASK32)) < np.uint64(threshold)
+
+
 def derive_codebook_rng(seed: int) -> np.random.Generator:
     """Stream used for codebook construction; disjoint from all trial streams."""
     ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(_CODEBOOK_DOMAIN, 0))

@@ -145,29 +145,51 @@ def save_trace(trace: Trace, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_READ_FIELDS = ("time", "index", "payload", "error", "observed index", "observed payload")
+
+
+def _int_field(text: str, lineno: int, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"trace line {lineno}: {field} {text!r} is not an integer") from None
+
+
 def load_trace(path: str) -> Trace:
+    """Parse a save_trace file.  Raises a one-line ValueError naming the line
+    for a malformed header, read line or trailer, a non-integer field, read
+    times other than 1..n, or a verdict whose n_reads is not the number of
+    reads n."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("message "):
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1][0] != "message" or len(lines[0][1]) != 2:
         raise ValueError("malformed trace header")
-    true_message = int(lines[0].split()[1])
-    trailer = lines[-1].split()
+    no, header = lines[0]
+    true_message = _int_field(header[1], no, "message")
+    end, trailer = lines[-1]
     if trailer[0] != "verdict":
         raise ValueError("missing verdict trailer")
-    if trailer[1] == "decided":
-        verdict = Verdict.decided(int(trailer[2]), int(trailer[3]))
-    elif trailer[1] == "failed":
-        verdict = Verdict.failed(int(trailer[2]))
-    elif trailer[1] == "truncated":
-        verdict = Verdict.truncated(int(trailer[2]))
+    kind = trailer[1] if len(trailer) > 1 else ""
+    if kind not in ("decided", "failed", "truncated"):
+        raise ValueError(f"unknown verdict kind {kind!r}")
+    if len(trailer) != (4 if kind == "decided" else 3):
+        raise ValueError(f"trace line {end}: malformed verdict trailer")
+    n_reads = _int_field(trailer[-1], end, "n_reads")
+    if kind == "decided":
+        verdict = Verdict.decided(_int_field(trailer[2], end, "decoded"), n_reads)
+    elif kind == "failed":
+        verdict = Verdict.failed(n_reads)
     else:
-        raise ValueError(f"unknown verdict kind {trailer[1]!r}")
+        verdict = Verdict.truncated(n_reads)
     records = []
-    for ln in lines[1:-1]:
-        parts = ln.split()
+    for no, parts in lines[1:-1]:
         if len(parts) != 6:
-            raise ValueError(f"malformed read line: {ln!r}")
-        t, si, sp, err, oi, op = (int(x) for x in parts)
+            raise ValueError(f"trace line {no}: malformed read line {' '.join(parts)!r}")
+        t, si, sp, err, oi, op = (
+            _int_field(x, no, field) for x, field in zip(parts, _READ_FIELDS)
+        )
+        if t != len(records) + 1:
+            raise ValueError(f"trace line {no}: read time {t}, expected {len(records) + 1}")
         records.append(
             ReadRecord(
                 time=t,
@@ -175,6 +197,11 @@ def load_trace(path: str) -> Trace:
                 error=bool(err),
                 observed=Molecule(oi, op),
             )
+        )
+    if n_reads != len(records):
+        raise ValueError(
+            f"trace line {end}: verdict n_reads {n_reads}, but the trace holds "
+            f"{len(records)} reads"
         )
     return Trace(true_message=true_message, records=tuple(records), verdict=verdict)
 

@@ -1,18 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dnareads.core import (
+    COLUMNAR_TRIALS,
     Molecule,
     SimParams,
     Verdict,
     VerdictKind,
+    bounded,
     derive_codebook_rng,
     derive_trial_rng,
     params_from_dict,
+    raw_words,
+    trial_raws,
+    trial_states,
     validate,
 )
 
@@ -118,3 +127,85 @@ def test_verdict_constructors():
     assert f.kind is VerdictKind.FAILED and f.decoded is None
     t = Verdict.truncated(100)
     assert t.kind is VerdictKind.TRUNCATED and t.n_reads == 100
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, -3, 2**64 + 3]
+_TRIALS = [0, 1, 12345, COLUMNAR_TRIALS - 1]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_trial_states_match_seed_sequence(seed):
+    for trial in _TRIALS:
+        ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(0, trial))
+        assert np.array_equal(trial_states(seed, trial, 1)[0], ss.generate_state(4, np.uint64))
+    # a column of trials equals the trials one at a time
+    block = trial_states(seed, 1000, 50)
+    assert block.shape == (50, 4) and block.dtype == np.uint64
+    for r in (0, 17, 49):
+        assert np.array_equal(block[r], trial_states(seed, 1000 + r, 1)[0])
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_trial_raws_match_trial_stream(seed):
+    states = trial_states(seed, 0, 1)
+    states = np.concatenate([states] + [trial_states(seed, t, 1) for t in _TRIALS[1:]])
+    raws = trial_raws(states, 9)
+    for row, trial in zip(raws, _TRIALS):
+        assert np.array_equal(row, derive_trial_rng(seed, trial).bit_generator.random_raw(9))
+    assert trial_raws(states, 0).shape == (len(_TRIALS), 0)
+
+
+def test_trial_states_refuse_trials_past_one_word():
+    with pytest.raises(ValueError, match="trial out of range"):
+        trial_states(0, COLUMNAR_TRIALS - 1, 2)
+    with pytest.raises(ValueError, match="trial out of range"):
+        trial_states(0, -1, 1)
+
+
+def test_raw_words_take_low_half_first():
+    raws = np.array([[0x0123456789ABCDEF, 0xFEDCBA9876543210]], dtype=np.uint64)
+    assert raw_words(raws).tolist() == [[0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]]
+    # numpy's full-range 32-bit draws read the same words
+    raw = derive_trial_rng(5, 3).bit_generator.random_raw(2)
+    words = derive_trial_rng(5, 3).integers(0, 2**32, size=4, dtype=np.uint64)
+    assert np.array_equal(raw_words(raw[None])[0], words)
+
+
+@pytest.mark.parametrize("n,size", [(3, 5), (2**31 + 1, 1), (2**31 + 1, 3)])
+def test_bounded_flags_every_row_numpy_redrew(n, size):
+    # At n = 2**31 + 1 about half of all words fall below the rejection
+    # threshold; numpy then draws again and every later value of the row
+    # shifts.  Rows whose decoded values differ from numpy's must be flagged.
+    trials = 400
+    states = trial_states(11, 0, trials)
+    words = raw_words(trial_raws(states, (size + 1) // 2))[:, :size]
+    values, rejected = bounded(words, n)
+    flagged = rejected.any(axis=1)
+    for t in range(trials):
+        want = derive_trial_rng(11, t).integers(0, n, size=size)
+        assert flagged[t] or np.array_equal(values[t], want), t
+    if n == 3:
+        assert not flagged.any()
+    else:
+        assert flagged.any() and not flagged.all()
+
+
+def test_bounded_values_stay_in_range():
+    words = np.array([[0, 1, 2**31, 2**32 - 1]], dtype=np.uint64)
+    for n in (2, 3, 7, 2**16, 2**31 + 1, 2**32 - 1):
+        values, _ = bounded(words, n)
+        assert values.min() >= 0 and values.max() < n
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the batch engine's bit generator is built on first use, not at import
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, dnareads; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

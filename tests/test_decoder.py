@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,6 +282,37 @@ def test_load_trace_rejects_malformed(tmp_path):
     bad.write_text("message 0\nverdict maybe 1\n")
     with pytest.raises(ValueError, match="unknown verdict kind"):
         load_trace(str(bad))
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # read times must run 1..n
+        ("message 0\n5 0 0 0 0 0\n9 1 0 0 1 0\nverdict decided 0 2\n",
+         "trace line 2: read time 5, expected 1"),
+        ("message 0\n1 0 0 0 0 0\n1 1 0 0 1 0\nverdict decided 0 2\n",
+         "trace line 3: read time 1, expected 2"),
+        # the verdict's n_reads must be the record count
+        ("message 0\n1 0 0 0 0 0\n2 1 0 0 1 0\nverdict decided 0 7\n",
+         "trace line 4: verdict n_reads 7, but the trace holds 2 reads"),
+        ("message 0\n1 0 0 0 0 0\nverdict truncated 3\n",
+         "trace line 3: verdict n_reads 3, but the trace holds 1 reads"),
+        # a non-integer field names its line and field
+        ("message 0\n1 0 x 0 0 0\nverdict failed 1\n",
+         "trace line 2: payload 'x' is not an integer"),
+        ("message 0\n\n1 0 0 0 0 0\n2 0 0 1 1 y\nverdict failed 2\n",
+         "trace line 4: observed payload 'y' is not an integer"),
+        ("message zero\nverdict failed 0\n", "trace line 1: message 'zero' is not an integer"),
+        ("message 0\nverdict decided 1 n\n", "trace line 2: n_reads 'n' is not an integer"),
+        ("message 0\nverdict decided 0\n", "trace line 2: malformed verdict trailer"),
+        ("message 0\n1 0 0 0 0\nverdict failed 1\n", "trace line 2: malformed read line"),
+    ],
+)
+def test_load_trace_rejects_inconsistent_trace(tmp_path, text, error):
+    path = tmp_path / "trace.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+        load_trace(str(path))
 
 
 def test_replay_rejects_molecule_outside_code_space(tmp_path, literal_codebook):

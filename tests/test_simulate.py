@@ -1,11 +1,12 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnareads import SimParams, simulate
+from dnareads import SimParams, core, simulate
 from dnareads.codebook import Codebook, construct_greedy
 from dnareads.analysis import s_membership
 from dnareads.core import VerdictKind
@@ -15,11 +16,11 @@ from dnareads.simulate import run_batch, run_trial
 _KIND = {VerdictKind.DECIDED: 0, VerdictKind.FAILED: 1, VerdictKind.TRUNCATED: 2}
 
 
-def _assert_matches_serial(cb, adversary, batch, collect_trace=False):
+def _assert_matches_serial(cb, adversary, batch, collect_trace=False, start=0):
     """Compare a batch trial by trial with the int64 per-trial engine."""
     traces = []
     for t in range(len(batch.message)):
-        outcome, trace = run_trial(cb, adversary, t, collect_trace=collect_trace)
+        outcome, trace = run_trial(cb, adversary, start + t, collect_trace=collect_trace)
         assert batch.message[t] == outcome.message
         assert batch.kind[t] == _KIND[outcome.verdict.kind]
         assert batch.n_reads[t] == outcome.verdict.n_reads
@@ -112,6 +113,82 @@ def test_batched_engine_offset_start(easy_codebook):
     assert np.array_equal(full.message[50:], tail.message)
     assert np.array_equal(full.kind[50:], tail.kind)
     assert np.array_equal(full.n_reads[50:], tail.n_reads)
+
+
+def test_batched_engine_rejects_negative_start(easy_codebook):
+    with pytest.raises(ValueError, match="trial out of range"):
+        run_batch(easy_codebook, "uniform", 3, start=-1)
+
+
+def test_batched_engine_crosses_spawn_key_word(easy_codebook):
+    # trials from 2**32 on have a two-word spawn-key entry and are drawn by
+    # the per-trial engine; the two before it are decoded from raw words
+    start = 2**32 - 2
+    batch = run_batch(easy_codebook, "uniform", 4, start=start)
+    _assert_matches_serial(easy_codebook, "uniform", batch, start=start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_columnar_rows_match_reference_draws(data):
+    m = data.draw(st.integers(1, 70), label="m")
+    k = data.draw(st.integers(1, 40), label="k")
+    v = data.draw(st.integers(1, 9), label="v")
+    cap = data.draw(st.integers(1, 300), label="read_cap")
+    p = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="p")
+    adversary = data.draw(st.sampled_from(["honest", "uniform", "uniform-index"]))
+    start = data.draw(st.integers(0, 10**6), label="start")
+    seed = data.draw(st.integers(-(2**65), 2**65), label="seed")
+    trials = data.draw(st.integers(1, 6), label="trials")
+    # 1 byte puts every row in a sub-block of its own
+    budget = data.draw(st.sampled_from([1, simulate._BATCH_BYTES]), label="budget")
+    matrix = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, v, (k, m))
+    params = SimParams(m=m, k=k, v=v, p=p, dm=0, theta=1.0, read_cap=cap, seed=seed)
+    cb = Codebook(params, matrix)
+    message = np.empty(trials, dtype=np.int64)
+    obs = np.empty((trials, cap), dtype=simulate._id_dtype(cb))
+    layout = simulate._Layout(cb, adversary)
+    with mock.patch.object(simulate, "_BATCH_BYTES", budget):
+        simulate._draw_rows(cb, adversary, layout, start, message, obs)
+    for r in range(trials):
+        ref = simulate._observe_trial(cb, adversary, start + r)
+        assert message[r] == ref.message
+        assert np.array_equal(obs[r], ref.observed)
+
+
+def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
+    # Flag chosen rows of every sub-block as if numpy had rejected one of
+    # their words, and garble all their decoded values: run_batch must redraw
+    # exactly those rows through the per-trial engine.
+    chosen = [0, 3, 17, 40]
+    flagged = []
+    real = core.bounded
+
+    def flagging(words, n):
+        values, rejected = real(words, n)
+        rows = [r for r in chosen if r < len(words)]
+        values[rows] = (values[rows] + 1) % n
+        rejected[rows, 0] = True
+        flagged.append(len(rows))
+        return values, rejected
+
+    monkeypatch.setattr(core, "bounded", flagging)
+    batch = run_batch(wide_codebook, "uniform", 150)
+    assert sum(flagged) > 0
+    _assert_matches_serial(wide_codebook, "uniform", batch)
+
+
+def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
+    # a numpy that read the high half of a raw first would shift every draw
+    real = core.raw_words
+
+    def high_first(raws):
+        words = real(raws)
+        return np.stack([words[..., 1::2], words[..., 0::2]], axis=-1).reshape(words.shape)
+
+    monkeypatch.setattr(core, "raw_words", high_first)
+    with pytest.raises(RuntimeError, match=r"trial 5 .* numpy \d"):
+        run_batch(easy_codebook, "uniform", 3, start=5)
 
 
 def test_batched_engine_rejects_planning_adversaries(easy_codebook):
