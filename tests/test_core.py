@@ -147,8 +147,7 @@ def test_trial_states_match_seed_sequence(seed):
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_trial_raws_match_trial_stream(seed):
-    states = trial_states(seed, 0, 1)
-    states = np.concatenate([states] + [trial_states(seed, t, 1) for t in _TRIALS[1:]])
+    states = np.concatenate([trial_states(seed, t, 1) for t in _TRIALS])
     raws = trial_raws(states, 9)
     for row, trial in zip(raws, _TRIALS):
         assert np.array_equal(row, derive_trial_rng(seed, trial).bit_generator.random_raw(9))
@@ -188,13 +187,6 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
         assert not flagged.any()
     else:
         assert flagged.any() and not flagged.all()
-
-
-def test_bounded_values_stay_in_range():
-    words = np.array([[0, 1, 2**31, 2**32 - 1]], dtype=np.uint64)
-    for n in (2, 3, 7, 2**16, 2**31 + 1, 2**32 - 1):
-        values, _ = bounded(words, n)
-        assert values.min() >= 0 and values.max() < n
 
 
 def test_import_leaves_numpy_random_unloaded():
