@@ -73,9 +73,11 @@ class StrongAdversaryPlan:
 
     t1 is the partition's bool mask over the h_m read prefix (entry j is read
     time j+1); the other prefix times are t2.  active requires psi, errors
-    at every t1 time, and a qualifying m_prime; stop_times maps each message
-    that stops by the horizon to its error-free stopping time (such a stop
-    always decodes to the message).
+    at every t1 time, and a qualifying m_prime; stop_times maps each
+    candidate m' that stops by the horizon to its error-free stopping time
+    (such a stop always decodes to m').  The candidates are the other
+    messages that sample identically on t2, and there are none unless the
+    partition, psi and the t1 errors hold.
     """
 
     active: bool
@@ -102,20 +104,16 @@ def strong_prepare(
     The smallest qualifying m' id is chosen.  Uses the full future f, flags,
     and error-free decoder behavior; legitimate only for this adversary model.
     """
-    stop_times = decoder.stopping_times_all(cb, f, h_m)
-    m_prime = None
-    active = False
+    candidates = []
     if part.in_s and psi and flags[:h_m][part.t1].all():
         t2_indices = f[:h_m][~part.t1]  # repeats are harmless to the compare
-        w = cb.matrix
-        agree = (w[:, t2_indices] == w[m, t2_indices]).all(axis=1)
-        for cand in sorted(stop_times):
-            if cand != m and agree[cand]:
-                m_prime = cand
-                break
-        active = m_prime is not None
+        agree = (cb.matrix[:, t2_indices] == cb.matrix[m, t2_indices]).all(axis=1)
+        agree[m] = False
+        candidates = np.flatnonzero(agree).tolist()
+    stop_times = decoder.stopping_times_all(cb, f, h_m, candidates)
+    m_prime = min(stop_times, default=None)
     return StrongAdversaryPlan(
-        active=active,
+        active=m_prime is not None,
         m_prime=m_prime,
         t1=part.t1,
         psi=psi,

@@ -160,9 +160,9 @@ class SimParams:
     m: int
     k: int
     v: int
-    p: float
-    dm: int
-    theta: float
+    p: float = 0.0
+    dm: int = 0
+    theta: float = 0.5
     read_cap: int | None = None
     seed: int = 0
 
@@ -171,36 +171,51 @@ class SimParams:
             object.__setattr__(self, "read_cap", 50 * self.m)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+_KINDS = {
+    "an integer": _is_int,
+    "an integer or null": lambda x: x is None or _is_int(x),
+    "a number": lambda x: _is_int(x) or isinstance(x, (float, np.floating)),
+    "a string": lambda x: isinstance(x, str),
+    "a string or null": lambda x: x is None or isinstance(x, str),
+}
+
+# field: (kind, range test on the value and the whole record); the tests are
+# written so that NaN fails them.  read_cap may be null in a config file,
+# where it means its default.
+PARAM_RULES = {
+    "m": ("an integer", lambda x, r: x >= 1),
+    "k": ("an integer", lambda x, r: x >= 1),
+    "v": ("an integer", lambda x, r: x >= 1),
+    "p": ("a number", lambda x, r: 0.0 <= x <= 1.0),
+    "dm": ("an integer", lambda x, r: 0 <= x <= r["m"]),
+    "theta": ("a number", lambda x, r: 0.0 < x <= 1.0),
+    "read_cap": ("an integer or null", lambda x, r: x is None or x >= 1),
+    "seed": ("an integer", None),
+}
+
+
+def check_rules(record, rules, ranges: bool = True) -> None:
+    """Check every field of the record (a name -> value mapping) that rules
+    lists, in the rules' order: a ValueError names the first one not of its
+    kind or, when ranges is set, out of its range."""
+    for name, (kind, in_range) in rules.items():
+        if name not in record:
+            continue
+        x = record[name]
+        if not _KINDS[kind](x):
+            raise ValueError(f"{name} must be {kind}, got {x!r}")
+        if ranges and in_range is not None and not in_range(x, record):
+            raise ValueError(f"{name} out of range")
+
+
 def validate(params: SimParams) -> SimParams:
-    """Range-check every field; raises ValueError naming the offending field."""
-    if not isinstance(params.m, (int, np.integer)) or params.m < 1:
-        raise ValueError("m out of range")
-    if not isinstance(params.k, (int, np.integer)) or params.k < 1:
-        raise ValueError("k out of range")
-    if not isinstance(params.v, (int, np.integer)) or params.v < 1:
-        raise ValueError("v out of range")
-    if not (0.0 <= params.p <= 1.0):
-        raise ValueError("p out of range")
-    if not isinstance(params.dm, (int, np.integer)) or not 0 <= params.dm <= params.m:
-        raise ValueError("dm out of range")
-    if not (0.0 < params.theta <= 1.0):
-        raise ValueError("theta out of range")
-    if not isinstance(params.read_cap, (int, np.integer)) or params.read_cap < 1:
-        raise ValueError("read_cap out of range")
+    """Type- and range-check every field; raises ValueError naming the first bad one."""
+    check_rules(vars(params), PARAM_RULES)
     return params
-
-
-def check_fields(keys, allowed=()) -> None:
-    """Raise ValueError naming every key that is neither a SimParams field
-    nor in allowed."""
-    extra = set(keys) - set(SimParams.__dataclass_fields__) - set(allowed)
-    if extra:
-        raise ValueError(f"unknown parameter fields: {sorted(extra)}")
-
-
-def params_from_dict(d: dict) -> SimParams:
-    check_fields(d)
-    return SimParams(**d)
 
 
 @dataclass(frozen=True)

@@ -97,31 +97,10 @@ def stopping_time_no_errors(cb: Codebook, m: int, f, horizon: int) -> int | None
     return verdict.n_reads
 
 
-def stopping_times_all(cb: Codebook, f, horizon: int) -> dict[int, int]:
-    """stopping_time_no_errors for every message at once, skipping NoStop ones.
-
-    Vectorized over messages: row a of outside holds the outside counts when
-    a is the true message, so a fresh index i adds the mismatch rows of every
-    codeword's molecule at i in one (k, k) update.
-    """
-    k = len(cb)
-    dm = cb.params.dm
-    head = np.asarray(f[:horizon])
-    _, first_pos = np.unique(head, return_index=True)
-    outside = np.zeros((k, k), dtype=np.int64)
-    alive = np.ones(k, dtype=bool)
-    out: dict[int, int] = {}
-    for pos in np.sort(first_pos):
-        outside += cb.mismatch[cb.word_ids[:, int(head[pos])]]
-        if not alive.any():
-            break
-        rows = np.flatnonzero(alive)
-        stopped = rows[(outside[rows] <= dm).sum(axis=1) == 1]
-        t = int(pos) + 1
-        for r in stopped.tolist():
-            out[r] = t
-        alive[stopped] = False
-    return out
+def stopping_times_all(cb: Codebook, f, horizon: int, messages) -> dict[int, int]:
+    """stopping_time_no_errors for each of messages, skipping NoStop ones."""
+    stops = ((a, stopping_time_no_errors(cb, a, f, horizon)) for a in messages)
+    return {a: t for a, t in stops if t is not None}
 
 
 def save_trace(trace: Trace, path: str) -> None:

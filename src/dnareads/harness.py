@@ -10,11 +10,9 @@ import numpy as np
 from . import analysis, simulate
 from .channel import ADVERSARIES
 from .codebook import Codebook, construct_greedy, intersection_threshold
-from .core import SimParams, VerdictKind, derive_trial_rng, params_from_dict, validate
+from .core import PARAM_RULES, SimParams, VerdictKind, check_rules, derive_trial_rng, validate
 
 CSV_VERSION = "dnareads 0.1.0"
-
-CONFIG_KEYS = ("adversary", "trials", "h_m", "r_prime_m", "out")
 
 
 @dataclass(frozen=True)
@@ -49,20 +47,52 @@ class ExperimentConfig:
     out: str | None = None
 
 
+# the config keys beside the SimParams fields and delta
+CONFIG_KEYS = tuple(f for f in ExperimentConfig.__dataclass_fields__ if f != "params")
+# ExperimentConfig's fields and delta, as PARAM_RULES states SimParams'.
+CONFIG_RULES = {
+    "adversary": ("a string", lambda x, r: x in ADVERSARIES),
+    "trials": ("an integer", lambda x, r: x >= 1),
+    "h_m": ("an integer or null", lambda x, r: x is None or 1 <= x <= r["params"].read_cap),
+    "r_prime_m": ("an integer or null", lambda x, r: x is None or 0 <= x <= r["params"].m),
+    "out": ("a string or null", None),
+    "delta": ("a number", lambda x, r: 0.0 <= x <= 1.0),
+}
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     validate(cfg.params)
-    if cfg.adversary not in ADVERSARIES:
-        raise ValueError("adversary out of range")
-    if cfg.trials < 1:
-        raise ValueError("trials out of range")
+    check_rules(vars(cfg), CONFIG_RULES)
     return cfg
 
 
+def check_dict(d: dict) -> None:
+    """Check that every key of a flat config dict has a rule, and the kind of
+    every value, before anything computes with them; ranges wait for
+    config_from_dict."""
+    rules = {**PARAM_RULES, **CONFIG_RULES}
+    extra = set(d) - set(rules)
+    if extra:
+        raise ValueError(f"unknown parameter fields: {sorted(extra)}")
+    check_rules(d, rules, ranges=False)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """The validated config of a flat dict: SimParams fields, CONFIG_KEYS and
+    delta, which sets dm = floor(delta*m) unless d also holds dm.  m, k and v
+    are required; every other key defaults as in SimParams and
+    ExperimentConfig."""
+    check_dict(d)
+    for name in ("m", "k", "v"):
+        if name not in d:
+            raise ValueError(f"missing required parameter {name}")
     d = dict(d)
+    if "delta" in d:
+        delta = d.pop("delta")
+        check_rules({"delta": delta}, CONFIG_RULES)
+        d.setdefault("dm", math.floor(delta * d["m"]))
     extras = {k: d.pop(k) for k in CONFIG_KEYS if k in d}
-    params = params_from_dict(d)
-    return ExperimentConfig(params=params, **extras)
+    return validate_config(ExperimentConfig(params=SimParams(**d), **extras))
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -162,6 +192,8 @@ def emit_exponent_curves(r0_list, c_grid) -> list[tuple]:
     an r0 contributes no row for that r0."""
     rows = []
     for r0 in r0_list:
+        if not 0.0 < r0 < 1.0:
+            raise ValueError("r0 out of range")
         boundary = math.log(1.0 / (1.0 - r0))
         for c in c_grid:
             if c < boundary - 1e-12:

@@ -131,14 +131,19 @@ def test_strong_prepare_no_errors_inactive(strong_setup):
 def test_strong_prepare_u_partition(strong_setup):
     cb, f, flags, part = strong_setup
     plan = strong_prepare(cb, 0, f, flags, 20, part, psi=True)
-    # stop_times holds every message that stops by the horizon, and each
-    # such stop decodes to the message itself
+    # stop_times holds the t2-agreeing candidates that stop by the horizon,
+    # each such stop decodes to the candidate, and m_prime is the smallest
+    gate = part.in_s and flags[:20][part.t1].all()
+    t2 = f[:20][~part.t1]
     for msg in range(len(cb)):
         t = stopping_time_no_errors(cb, msg, f, 20)
-        assert plan.stop_times.get(msg) == t
+        agrees = msg != 0 and (cb.matrix[msg, t2] == cb.matrix[0, t2]).all()
+        assert plan.stop_times.get(msg) == (t if gate and agrees else None)
         if t is not None:
             assert t <= 20
             assert run(cb, cb.word_ids[msg][f[:t]].tolist(), t) == Verdict.decided(msg, t)
+    assert plan.m_prime == min(plan.stop_times, default=None)
+    assert plan.active == (plan.m_prime is not None)
 
 
 def _strong_plan(active, m_prime, t1):

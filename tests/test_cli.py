@@ -221,8 +221,13 @@ def test_smembership_rejects_empty_horizon(tmp_path, capsys):
             ],
             "converse experiment needs the strong or weak adversary",
         ),
+        (["curves", "--r0-list", "0.3,1.5", "--c-min", "0.5", "--c-max", "1"], "r0 out of range"),
+        (
+            ["curves", "--r0-list", "0.3", "--c-min", "0.5", "--c-max", "1", "--c-points", "0"],
+            "--c-points out of range",
+        ),
     ],
-    ids=["codebook-budget", "simulate-p", "converse-adversary"],
+    ids=["codebook-budget", "simulate-p", "converse-adversary", "curves-r0", "curves-c-points"],
 )
 def test_library_errors_are_one_line(argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -270,3 +275,75 @@ def test_subcommand_rejects_flag_it_does_not_read(tmp_path, capsys, command, fla
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
     assert not out.exists()
+
+
+_CFG = {"m": 8, "k": 8, "v": 4, "trials": 5, "out": "x.csv"}
+_BAD_VALUES = {"p": "0.1", "trials": "5", "seed": 1.5, "theta": None, "h_m": "x", "out": 7, "m": True}
+_STRONG = [
+    "simulate", "--m", "8", "--k", "8", "--v", "4", "--trials", "5",
+    "--adversary", "strong", "--rprimem", "2", "--out", "x.csv",
+]
+_SMEMBERSHIP = ["smembership", "--m-list", "20", "--coverage", "0.430783", "--delta", "0.05"]
+# (id, argv, text of cfg.json or None for no file, what the message must hold)
+_BAD_INPUTS = [
+    (
+        f"config-{key}",
+        ["simulate", "--config", "cfg.json"],
+        json.dumps({**_CFG, key: value}),
+        f"dnareads: {key} must be ",
+    )
+    for key, value in _BAD_VALUES.items()
+] + [
+    ("config-missing", ["simulate", "--m", "8", "--config", "none.json"], None, "none.json"),
+    ("config-invalid", ["simulate", "--config", "cfg.json"], '{"m": 8,', "cfg.json"),
+    ("config-not-object", ["simulate", "--config", "cfg.json"], "[8, 8, 4]", "cfg.json"),
+    (
+        "out-unwritable",
+        ["simulate", "--m", "8", "--k", "8", "--v", "4", "--trials", "5", "--out", "no/x.csv"],
+        None,
+        "no/x.csv",
+    ),
+    (
+        "smembership-config-trials",
+        _SMEMBERSHIP + ["--config", "cfg.json"],
+        json.dumps({"trials": "5", "out": "x.csv"}),
+        "dnareads: trials must be an integer, got '5'",
+    ),
+    ("hm-zero", _STRONG + ["--hm", "0"], None, "dnareads: h_m out of range"),
+    ("hm-negative", _STRONG + ["--hm", "-3"], None, "dnareads: h_m out of range"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,config,named", [c[1:] for c in _BAD_INPUTS], ids=[c[0] for c in _BAD_INPUTS]
+)
+def test_bad_input_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, config, named):
+    # every bad value, file or path is one "dnareads: " line that names it,
+    # raised before any output is written
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    text = str(exc.value)
+    assert text.startswith("dnareads: ") and named in text
+    assert "\n" not in text
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["sweep-p", "--m", "8", "--k", "8", "--v", "4", "--p-list", "0.1,x"], "--p-list"),
+        (["smembership", "--m-list", "20,4.5", "--coverage", "0.43", "--delta", "0.05"], "--m-list"),
+        (["curves", "--r0-list", "0.3,,y", "--c-min", "0.5", "--c-max", "1"], "--r0-list"),
+        (["smembership", "--m-list", ",", "--coverage", "0.43", "--delta", "0.05"], "--m-list"),
+    ],
+    ids=["p-list", "m-list", "r0-list", "m-list-empty"],
+)
+def test_bad_list_element_names_its_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err

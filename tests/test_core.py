@@ -18,12 +18,12 @@ from dnareads.core import (
     bounded,
     derive_codebook_rng,
     derive_trial_rng,
-    params_from_dict,
     raw_words,
     trial_raws,
     trial_states,
     validate,
 )
+from dnareads.harness import config_from_dict
 
 
 def test_trial_rng_reproducible():
@@ -95,17 +95,37 @@ def test_validate_rejects_bad_field(field, value):
         validate(replace(good, **{field: value}))
 
 
+@pytest.mark.parametrize(
+    "field,value,kind",
+    [
+        ("m", True, "an integer"),
+        ("k", 4.0, "an integer"),
+        ("p", "0.1", "a number"),
+        ("p", False, "a number"),
+        ("theta", None, "a number"),
+        ("seed", 1.5, "an integer"),
+        ("read_cap", "x", "an integer or null"),
+    ],
+)
+def test_validate_rejects_wrong_kind(field, value, kind):
+    # a bool is not an int, and nothing is converted
+    good = SimParams(m=10, k=4, v=4, p=0.1, dm=2, theta=0.5)
+    with pytest.raises(ValueError) as exc:
+        validate(replace(good, **{field: value}))
+    assert str(exc.value) == f"{field} must be {kind}, got {value!r}"
+
+
 def test_params_json_round_trip():
     params = SimParams(m=10, k=4, v=4, p=0.1, dm=2, theta=0.5, seed=11)
-    assert params_from_dict(json.loads(json.dumps(asdict(params)))) == params
-    assert params_from_dict(asdict(params)) == params
+    assert config_from_dict(json.loads(json.dumps(asdict(params)))).params == params
+    assert config_from_dict(asdict(params)).params == params
 
 
 def test_params_dict_rejects_unknown_keys():
     d = asdict(SimParams(m=2, k=2, v=2, p=0.0, dm=0, theta=1.0))
     d["typo"] = 1
     with pytest.raises(ValueError, match="unknown parameter fields"):
-        params_from_dict(d)
+        config_from_dict(d)
 
 
 def test_params_json_is_flat():

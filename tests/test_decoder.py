@@ -158,7 +158,7 @@ def test_stopping_times_all_matches_scalar(small_codebook):
     for _ in range(20):
         horizon = int(rng.integers(1, 40))
         f = rng.integers(0, params.m, size=horizon)
-        table = stopping_times_all(small_codebook, f, horizon)
+        table = stopping_times_all(small_codebook, f, horizon, range(len(small_codebook)))
         for msg in range(len(small_codebook)):
             scalar = stopping_time_no_errors(small_codebook, msg, f, horizon)
             if scalar is None:
@@ -192,7 +192,7 @@ def test_stopping_times_all_never_fail(data):
     cb = Codebook(SimParams(m=m, k=k, v=v, p=0.0, dm=dm, theta=1.0, seed=0), matrix)
     horizon = data.draw(st.integers(1, 15))
     f = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=horizon, max_size=horizon)))
-    stops = stopping_times_all(cb, f, horizon)
+    stops = stopping_times_all(cb, f, horizon, range(k))
     for a in range(k):
         verdict = error_free_run(cb, a, f, horizon)
         if a not in stops:
