@@ -9,6 +9,7 @@ import argparse
 
 import numpy as np
 
+from dnareads.cli import one_line_errors
 from dnareads.harness import CURVES_HEADER, csv_text, emit_exponent_curves, write_csv
 
 
@@ -21,11 +22,16 @@ def main():
     ap.add_argument("--out", default="curves.csv")
     args = ap.parse_args()
 
+    if args.points < 1:
+        raise ValueError("--points out of range")
     grid = np.linspace(args.c_min, args.c_max, args.points)
     rows = emit_exponent_curves(args.rates, grid)
     write_csv(args.out, CURVES_HEADER, rows)
     for r0 in args.rates:
         sub = [r for r in rows if r[0] == r0]
+        if not sub:
+            print(f"R0={r0}: no c in the grid reaches a nonnegative exponent")
+            continue
         best = max(r[2] for r in sub)
         cross = next((r[1] for a, r in zip(sub, sub[1:]) if a[3] and not r[3]), None)
         print(f"R0={r0}: max delta {best:.6f}, converse boundary near c={cross}")
@@ -33,4 +39,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with one_line_errors():
+        main()

@@ -9,6 +9,7 @@ with M whenever the converse condition c*exp(-c) > delta holds.
 import argparse
 
 from dnareads.analysis import coverage_for_exponent
+from dnareads.cli import one_line_errors
 from dnareads.harness import SMEMBERSHIP_HEADER, s_membership_experiment, write_csv
 
 
@@ -34,4 +35,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with one_line_errors():
+        main()

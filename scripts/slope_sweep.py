@@ -11,6 +11,7 @@ import argparse
 import numpy as np
 
 from dnareads import SimParams
+from dnareads.cli import one_line_errors
 from dnareads.harness import SWEEP_HEADER, ExperimentConfig, sweep_p, write_csv
 
 
@@ -47,4 +48,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with one_line_errors():
+        main()

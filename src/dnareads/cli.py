@@ -13,6 +13,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -126,12 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+@contextlib.contextmanager
+def one_line_errors():
+    """End a ValueError, RuntimeError or OSError raised inside as one
+    "dnareads: <message>" line on stderr and exit status 1 (scripts/ too)."""
     try:
-        return _run(args)
+        yield
     except (ValueError, RuntimeError, OSError) as exc:
         raise SystemExit(f"dnareads: {exc}") from None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    with one_line_errors():
+        return _run(args)
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -175,23 +175,27 @@ def save_codebook(cb: Codebook, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_codebook(path: str) -> Codebook:
-    """Inverse of save_codebook.  Fields absent from the file (p, dm, read_cap)
-    come back at inert defaults; construction parameters round-trip exactly."""
+def load_codebook(path: str, params: SimParams) -> Codebook:
+    """Inverse of save_codebook: the book the file holds, run at params.
+    Raises a ValueError naming the first of the header's m, k, v, theta and
+    seed that differs from params, since the file does not hold the run
+    parameters (p, dm, read_cap)."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5:
             raise ValueError("malformed codebook header")
         m, k, v = int(header[0]), int(header[1]), int(header[2])
-        theta = float(header[3])
-        seed = int(header[4])
+        stored = dict(m=m, k=k, v=v, theta=float(header[3]), seed=int(header[4]))
+        for field, x in stored.items():
+            ran = getattr(params, field)
+            if x != ran:
+                raise ValueError(f"codebook {path}: {field} {x!r}, but the run has {ran!r}")
         matrix = np.empty((k, m), dtype=np.int64)
         for i in range(k):
             row = fh.readline().split()
             if len(row) != m:
                 raise ValueError(f"malformed codebook row {i}")
             matrix[i] = [int(x) for x in row]
-    params = SimParams(m=m, k=k, v=v, p=0.0, dm=0, theta=theta, seed=seed)
     cb = Codebook(params, matrix)
     for i, row in enumerate(cb.matrix):
         if not ((0 <= row) & (row < v)).all():

@@ -241,9 +241,11 @@ class OuterCodeword:
 
 
 class VerdictKind(Enum):
-    DECIDED = "decided"
-    FAILED = "failed"
-    TRUNCATED = "truncated"
+    """The values are the kind codes of the batch engine and the CSVs."""
+
+    DECIDED = 0
+    FAILED = 1
+    TRUNCATED = 2
 
 
 @dataclass(frozen=True)

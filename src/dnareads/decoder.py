@@ -5,7 +5,6 @@ that the clairvoyant adversary needs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import Iterable
 
@@ -13,18 +12,6 @@ import numpy as np
 
 from .codebook import Codebook
 from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind
-
-
-class StepKind(Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-    FAIL = "fail"
-
-
-@dataclass(frozen=True)
-class StepResult:
-    kind: StepKind
-    decoded: int | None = None
 
 
 @dataclass
@@ -42,31 +29,33 @@ def new_state(cb: Codebook) -> DecoderState:
     return DecoderState(seen=set(), outside=np.zeros(len(cb), dtype=np.int64))
 
 
-def step(state: DecoderState, cb: Codebook, observed: int) -> StepResult:
+def step(state: DecoderState, cb: Codebook, observed: int) -> Verdict | None:
     """Consume one read, given as its molecule id index*v + payload (the ids
     of Codebook.word_ids and of every observe_* row).  Duplicates leave the
     state unchanged; a new distinct molecule bumps the outside count of every
-    codeword it contradicts.  Stops when exactly one codeword has outside <=
-    dm, fails when none does.  Raises ValueError for an id outside [0, m*v)."""
+    codeword it contradicts.  Returns Decided when exactly one codeword has
+    outside <= dm, Failed when none does, and None to keep reading.  Raises
+    ValueError for an id outside [0, m*v)."""
     params = cb.params
     if not 0 <= observed < params.m * params.v:
         raise ValueError(f"observed id {observed} out of range [0, {params.m * params.v})")
     state.reads += 1
     if observed in state.seen:
-        return StepResult(StepKind.CONTINUE)
+        return None
     state.seen.add(observed)
     state.outside += cb.mismatch[observed]
     consistent = state.outside <= params.dm
     n = int(consistent.sum())
     if n == 1:
-        return StepResult(StepKind.STOP, int(np.argmax(consistent)))
+        return Verdict.decided(int(np.argmax(consistent)), state.reads)
     if n == 0:
-        return StepResult(StepKind.FAIL)
-    return StepResult(StepKind.CONTINUE)
+        return Verdict.failed(state.reads)
+    return None
 
 
 def run(cb: Codebook, reads: Iterable[int], read_cap: int) -> Verdict:
-    """Feed observed molecule ids through step until Stop, Fail, or read_cap.
+    """The first verdict step gives on the observed molecule ids, or
+    Truncated at read_cap.
 
     Consumption halts at the verdict, so the decision depends only on the
     observed prefix.  A stream shorter than read_cap that never resolves
@@ -74,11 +63,9 @@ def run(cb: Codebook, reads: Iterable[int], read_cap: int) -> Verdict:
     """
     state = new_state(cb)
     for observed in islice(reads, read_cap):
-        res = step(state, cb, observed)
-        if res.kind is StepKind.STOP:
-            return Verdict.decided(res.decoded, state.reads)
-        if res.kind is StepKind.FAIL:
-            return Verdict.failed(state.reads)
+        verdict = step(state, cb, observed)
+        if verdict is not None:
+            return verdict
     return Verdict.truncated(read_cap)
 
 
@@ -92,9 +79,7 @@ def stopping_time_no_errors(cb: Codebook, m: int, f, horizon: int) -> int | None
     """
     stream = cb.word_ids[m][np.asarray(f)[:horizon]].tolist()
     verdict = run(cb, stream, horizon)
-    if verdict.kind is VerdictKind.TRUNCATED:
-        return None
-    return verdict.n_reads
+    return None if verdict.kind is VerdictKind.TRUNCATED else verdict.n_reads
 
 
 def stopping_times_all(cb: Codebook, f, horizon: int, messages) -> dict[int, int]:
@@ -114,15 +99,14 @@ def save_trace(trace: Trace, path: str) -> None:
             f"{r.observed.index} {r.observed.payload}"
         )
     v = trace.verdict
-    if v.kind is VerdictKind.DECIDED:
-        lines.append(f"verdict decided {v.decoded} {v.n_reads}")
-    elif v.kind is VerdictKind.FAILED:
-        lines.append(f"verdict failed {v.n_reads}")
-    else:
-        lines.append(f"verdict truncated {v.n_reads}")
+    decoded = f" {v.decoded}" if v.kind is VerdictKind.DECIDED else ""
+    lines.append(f"verdict {v.kind.name.lower()}{decoded} {v.n_reads}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
+
+# a trailer's kind token: the VerdictKind name in lower case
+_KIND_TOKENS = {kind.name.lower(): kind for kind in VerdictKind}
 
 _READ_FIELDS = ("time", "index", "payload", "error", "observed index", "observed payload")
 
@@ -148,18 +132,15 @@ def load_trace(path: str) -> Trace:
     end, trailer = lines[-1]
     if trailer[0] != "verdict":
         raise ValueError("missing verdict trailer")
-    kind = trailer[1] if len(trailer) > 1 else ""
-    if kind not in ("decided", "failed", "truncated"):
-        raise ValueError(f"unknown verdict kind {kind!r}")
-    if len(trailer) != (4 if kind == "decided" else 3):
+    token = trailer[1] if len(trailer) > 1 else ""
+    kind = _KIND_TOKENS.get(token)
+    if kind is None:
+        raise ValueError(f"unknown verdict kind {token!r}")
+    decided = kind is VerdictKind.DECIDED
+    if len(trailer) != (4 if decided else 3):
         raise ValueError(f"trace line {end}: malformed verdict trailer")
     n_reads = _int_field(trailer[-1], end, "n_reads")
-    if kind == "decided":
-        verdict = Verdict.decided(_int_field(trailer[2], end, "decoded"), n_reads)
-    elif kind == "failed":
-        verdict = Verdict.failed(n_reads)
-    else:
-        verdict = Verdict.truncated(n_reads)
+    decoded = _int_field(trailer[2], end, "decoded") if decided else None
     records = []
     for no, parts in lines[1:-1]:
         if len(parts) != 6:
@@ -169,20 +150,13 @@ def load_trace(path: str) -> Trace:
         )
         if t != len(records) + 1:
             raise ValueError(f"trace line {no}: read time {t}, expected {len(records) + 1}")
-        records.append(
-            ReadRecord(
-                time=t,
-                sampled=Molecule(si, sp),
-                error=bool(err),
-                observed=Molecule(oi, op),
-            )
-        )
+        records.append(ReadRecord(t, Molecule(si, sp), bool(err), Molecule(oi, op)))
     if n_reads != len(records):
         raise ValueError(
             f"trace line {end}: verdict n_reads {n_reads}, but the trace holds "
             f"{len(records)} reads"
         )
-    return Trace(true_message=true_message, records=tuple(records), verdict=verdict)
+    return Trace(true_message, tuple(records), Verdict(kind, n_reads, decoded))
 
 
 def replay(cb: Codebook, trace: Trace) -> Verdict:

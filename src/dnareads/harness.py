@@ -10,7 +10,9 @@ import numpy as np
 from . import analysis, simulate
 from .channel import ADVERSARIES
 from .codebook import Codebook, construct_greedy, intersection_threshold
-from .core import PARAM_RULES, SimParams, VerdictKind, check_rules, derive_trial_rng, validate
+from .core import (
+    PARAM_RULES, SimParams, Verdict, VerdictKind, check_rules, derive_trial_rng, validate
+)
 
 CSV_VERSION = "dnareads 0.1.0"
 
@@ -106,14 +108,15 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _summarize(message, kind, decoded, n_reads) -> RunSummary:
-    trials = len(message)
-    errors = int(((kind == 0) & (decoded != message)).sum())
-    failures = int((kind == 1).sum())
-    truncated = int((kind == 2).sum())
+def _summarize(batch: simulate.BatchResult) -> RunSummary:
+    trials = len(batch.message)
+    decided = batch.kind == VerdictKind.DECIDED.value
+    errors = int((decided & (batch.decoded != batch.message)).sum())
+    failures = int((batch.kind == VerdictKind.FAILED.value).sum())
+    truncated = int((batch.kind == VerdictKind.TRUNCATED.value).sum())
     bad = errors + failures + truncated
-    mean_reads = float(np.mean(n_reads))
-    stderr = float(np.std(n_reads, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean_reads = float(np.mean(batch.n_reads))
+    stderr = float(np.std(batch.n_reads, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RunSummary(
         trials=trials,
         errors=errors,
@@ -124,9 +127,6 @@ def _summarize(message, kind, decoded, n_reads) -> RunSummary:
         mean_reads=mean_reads,
         stderr_reads=stderr,
     )
-
-
-_KIND_CODE = {VerdictKind.DECIDED: 0, VerdictKind.FAILED: 1, VerdictKind.TRUNCATED: 2}
 
 
 def run_trials(cfg: ExperimentConfig) -> RunSummary:
@@ -143,19 +143,42 @@ def run_trials(cfg: ExperimentConfig) -> RunSummary:
 def _run_on(cfg: ExperimentConfig, cb: Codebook) -> RunSummary:
     """cfg.trials trials of cfg.adversary on a codebook built for cfg.params."""
     if cfg.adversary in ("honest", "uniform", "uniform-index"):
-        batch = simulate.run_batch(cb, cfg.adversary, cfg.trials)
-        return _summarize(batch.message, batch.kind, batch.decoded, batch.n_reads)
-    outcomes = [
-        simulate.run_trial(cb, cfg.adversary, t, cfg.h_m, cfg.r_prime_m)[0]
-        for t in range(cfg.trials)
-    ]
-    message = np.array([o.message for o in outcomes])
-    kind = np.array([_KIND_CODE[o.verdict.kind] for o in outcomes])
-    decoded = np.array(
-        [o.verdict.decoded if o.verdict.decoded is not None else -1 for o in outcomes]
+        return _summarize(simulate.run_batch(cb, cfg.adversary, cfg.trials))
+    outcomes = list(_checked_trials(cfg, cb))
+    verdicts = [o.verdict for o in outcomes]
+    batch = simulate.BatchResult(
+        message=np.array([o.message for o in outcomes]),
+        kind=np.array([v.kind.value for v in verdicts]),
+        decoded=np.array([_id(v.decoded) for v in verdicts]),
+        n_reads=np.array([v.n_reads for v in verdicts]),
     )
-    n_reads = np.array([o.verdict.n_reads for o in outcomes])
-    return _summarize(message, kind, decoded, n_reads)
+    return _summarize(batch)
+
+
+def _id(x: int | None) -> int:
+    """A message id for a CSV cell or a BatchResult column: -1 when absent."""
+    return -1 if x is None else x
+
+
+def _checked_trials(cfg: ExperimentConfig, cb: Codebook):
+    """simulate.run_trial's outcome of each of cfg.trials trials, in order:
+    the one per-trial loop.  Raises when a trial whose guaranteed-error
+    premises hold does not decode to m_prime, the wrong message, at its
+    error-free stopping time by the horizon."""
+    for t in range(cfg.trials):
+        outcome, _ = simulate.run_trial(cb, cfg.adversary, t, cfg.h_m, cfg.r_prime_m)
+        v = outcome.verdict
+        if outcome.conditions and not (
+            v == Verdict.decided(outcome.m_prime, outcome.expected_stop)
+            and v.decoded != outcome.message
+            and v.n_reads <= cfg.h_m
+        ):
+            raise RuntimeError(
+                f"guaranteed-error implication violated on trial {t}: "
+                f"expected Decided({outcome.m_prime}, {outcome.expected_stop}), "
+                f"got {v}"
+            )
+        yield outcome
 
 
 def ones_threshold(params: SimParams) -> int:
@@ -281,28 +304,11 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
         raise ValueError("converse experiment needs the strong or weak adversary")
     if cfg.h_m is None or cfg.r_prime_m is None:
         raise ValueError("converse experiment needs h_m and r_prime_m")
-    cb = construct_greedy(cfg.params)
     rows = []
-    n_active = n_cond = cond_errors = total_errors = 0
-    for t in range(cfg.trials):
-        outcome, _ = simulate.run_trial(cb, cfg.adversary, t, cfg.h_m, cfg.r_prime_m)
+    n_active = n_cond = total_errors = 0
+    for t, outcome in enumerate(_checked_trials(cfg, construct_greedy(cfg.params))):
         v = outcome.verdict
         errored = v.kind is not VerdictKind.DECIDED or v.decoded != outcome.message
-        if outcome.conditions:
-            ok = (
-                v.kind is VerdictKind.DECIDED
-                and v.decoded == outcome.m_prime
-                and v.decoded != outcome.message
-                and v.n_reads == outcome.expected_stop
-                and v.n_reads <= cfg.h_m
-            )
-            if not ok:
-                raise RuntimeError(
-                    f"guaranteed-error implication violated on trial {t}: "
-                    f"expected Decided({outcome.m_prime}, {outcome.expected_stop}), "
-                    f"got {v}"
-                )
-            cond_errors += 1
         n_active += bool(outcome.active)
         n_cond += bool(outcome.conditions)
         total_errors += errored
@@ -310,12 +316,12 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
             (
                 t,
                 outcome.message,
-                -1 if outcome.m_prime is None else outcome.m_prime,
+                _id(outcome.m_prime),
                 bool(outcome.psi),
                 bool(outcome.active),
                 bool(outcome.conditions),
-                _KIND_CODE[v.kind],
-                -1 if v.decoded is None else v.decoded,
+                v.kind.value,
+                _id(v.decoded),
                 v.n_reads,
                 errored,
             )
@@ -332,8 +338,9 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
         "n_active": n_active,
         "activation_rate": n_active / cfg.trials,
         "n_conditions": n_cond,
-        "conditional_errors": cond_errors,
-        "conditional_error_rate": cond_errors / n_cond if n_cond else float("nan"),
+        # every trial whose premises hold errs, or _checked_trials has raised
+        "conditional_errors": n_cond,
+        "conditional_error_rate": 1.0 if n_cond else float("nan"),
         "error_rate": total_errors / cfg.trials,
         "converse_factor": factor,
         "p": p,

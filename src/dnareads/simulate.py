@@ -48,7 +48,7 @@ import numpy as np
 from . import channel, core, decoder
 from .analysis import s_membership
 from .codebook import Codebook
-from .core import Molecule, ReadRecord, Trace, Verdict, derive_trial_rng
+from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind, derive_trial_rng
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def _classify(obs: _Observed, verdict: Verdict) -> TrialOutcome:
 
 @dataclass
 class BatchResult:
-    """Columnar outcomes: kind codes 0=decided, 1=failed, 2=truncated."""
+    """Columnar outcomes; kind holds VerdictKind values."""
 
     message: np.ndarray
     kind: np.ndarray
@@ -214,7 +214,7 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         raise ValueError("trial out of range")
     cap = cb.params.read_cap
     message = np.empty(trials, dtype=np.int64)
-    kind = np.full(trials, 2, dtype=np.int8)
+    kind = np.full(trials, VerdictKind.TRUNCATED.value, dtype=np.int8)
     decoded = np.full(trials, -1, dtype=np.int64)
     n_reads = np.full(trials, cap, dtype=np.int64)
     rows_per_batch = _rows_per_batch(cb, trials)
@@ -360,13 +360,13 @@ def _decode_batch(cb, obs, kind, decoded, n_reads):
         stopped = counts == 1
         if stopped.any():
             rr = rows[stopped]
-            kind[rr] = 0
+            kind[rr] = VerdictKind.DECIDED.value
             decoded[rr] = np.argmax(consistent[stopped], axis=1)
             n_reads[rr] = t + 1
             alive[rr] = False
         failed = counts == 0
         if failed.any():
             rr = rows[failed]
-            kind[rr] = 1
+            kind[rr] = VerdictKind.FAILED.value
             n_reads[rr] = t + 1
             alive[rr] = False

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dnareads import SimParams
 from dnareads.cli import main
 from dnareads.codebook import load_codebook
 
@@ -22,8 +23,9 @@ def test_codebook_command(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    cb = load_codebook(str(out))
-    assert cb.matrix.shape == (8, 10)
+    params = SimParams(m=10, k=8, v=4, theta=0.5, seed=2)
+    cb = load_codebook(str(out), params)
+    assert cb.matrix.shape == (8, 10) and cb.params == params
     assert "max_intersection=" in capsys.readouterr().out
 
 

@@ -217,10 +217,9 @@ def test_empty_restriction_never_unique(small_codebook):
 def test_save_load_round_trip(tmp_path, small_codebook):
     path = tmp_path / "book.txt"
     save_codebook(small_codebook, str(path))
-    back = load_codebook(str(path))
+    back = load_codebook(str(path), small_codebook.params)
     assert np.array_equal(back.matrix, small_codebook.matrix)
-    for field in ("m", "k", "v", "theta", "seed"):
-        assert getattr(back.params, field) == getattr(small_codebook.params, field)
+    assert back.params == small_codebook.params
     # second save of the loaded book is byte-identical
     path2 = tmp_path / "book2.txt"
     save_codebook(back, str(path2))
@@ -228,16 +227,30 @@ def test_save_load_round_trip(tmp_path, small_codebook):
 
 
 def test_load_rejects_malformed(tmp_path):
+    params = SimParams(m=2, k=1, v=2, theta=0.5, seed=0)
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n")
     with pytest.raises(ValueError, match="malformed codebook header"):
-        load_codebook(str(bad))
+        load_codebook(str(bad), params)
     bad.write_text("2 1 2 0.5 0\n0 1 1\n")
     with pytest.raises(ValueError, match="malformed codebook row"):
-        load_codebook(str(bad))
+        load_codebook(str(bad), params)
     bad.write_text("2 1 2 0.5 0\n0 7\n")
     with pytest.raises(ValueError, match="payload out of range"):
-        load_codebook(str(bad))
+        load_codebook(str(bad), params)
+
+
+def test_load_rejects_code_parameters_of_another_run(tmp_path, small_codebook):
+    path = tmp_path / "book.txt"
+    save_codebook(small_codebook, str(path))
+    params = small_codebook.params
+    for field, other in (("k", params.k + 1), ("theta", params.theta / 2), ("seed", 99)):
+        with pytest.raises(ValueError, match=f"^codebook .*: {field} ") as info:
+            load_codebook(str(path), replace(params, **{field: other}))
+        assert "\n" not in str(info.value)
+    # the run parameters come from params, not from the file
+    run = replace(params, p=0.2, dm=params.dm + 1, read_cap=7)
+    assert load_codebook(str(path), run).params == run
 
 
 def test_greedy_stopping_feasible(small_params):

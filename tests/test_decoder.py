@@ -8,7 +8,6 @@ from dnareads import SimParams
 from dnareads.codebook import construct_greedy
 from dnareads.core import Molecule, OuterCodeword, ReadRecord, Trace, Verdict, VerdictKind
 from dnareads.decoder import (
-    StepKind,
     load_trace,
     new_state,
     replay,
@@ -46,12 +45,9 @@ def test_step_hand_trace(literal_codebook):
     # mismatch settles it
     cb = literal_codebook([[0, 0, 0, 0], [0, 0, 1, 1]], dm=1)
     state = new_state(cb)
-    r1 = step(state, cb, Molecule(0, 0).id(2))
-    assert r1.kind is StepKind.CONTINUE
-    r2 = step(state, cb, Molecule(2, 1).id(2))
-    assert r2.kind is StepKind.CONTINUE
-    r3 = step(state, cb, Molecule(3, 1).id(2))
-    assert r3.kind is StepKind.STOP and r3.decoded == 1
+    assert step(state, cb, Molecule(0, 0).id(2)) is None
+    assert step(state, cb, Molecule(2, 1).id(2)) is None
+    assert step(state, cb, Molecule(3, 1).id(2)) == Verdict.decided(1, 3)
     assert state.reads == 3
 
 
@@ -61,8 +57,7 @@ def test_step_duplicate_is_noop(literal_codebook):
     step(state, cb, 0)
     seen_before = set(state.seen)
     outside_before = state.outside.copy()
-    res = step(state, cb, 0)
-    assert res.kind is StepKind.CONTINUE
+    assert step(state, cb, 0) is None
     assert state.seen == seen_before
     assert np.array_equal(state.outside, outside_before)
     assert state.reads == 2
@@ -72,8 +67,7 @@ def test_step_stops_at_first_distinguishing_read(literal_codebook):
     # with zero slack and fully disjoint codewords, one read suffices
     cb = literal_codebook([[0, 0], [1, 1]], dm=0)
     state = new_state(cb)
-    res = step(state, cb, 0)
-    assert res.kind is StepKind.STOP and res.decoded == 0
+    assert step(state, cb, 0) == Verdict.decided(0, 1)
     assert state.reads == 1
 
 
@@ -81,9 +75,8 @@ def test_step_fail_when_no_consistent_word(literal_codebook):
     # payload 2 at index 1 lies outside both codewords
     cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=3)
     state = new_state(cb)
-    assert step(state, cb, Molecule(0, 0).id(3)).kind is StepKind.CONTINUE
-    res = step(state, cb, Molecule(1, 2).id(3))
-    assert res.kind is StepKind.FAIL
+    assert step(state, cb, Molecule(0, 0).id(3)) is None
+    assert step(state, cb, Molecule(1, 2).id(3)) == Verdict.failed(2)
     assert state.reads == 2
 
 
@@ -243,7 +236,7 @@ def test_incremental_outside_matches_scratch(data):
         seen = [Molecule(*divmod(i, v)) for i in state.seen]
         for msg in range(k):
             assert state.outside[msg] == outside_count(seen, words[msg])
-        if res.kind is not StepKind.CONTINUE:
+        if res is not None:
             break
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -29,8 +30,8 @@ from dnareads.harness import (
     validate_config,
     wilson_interval,
 )
-from dnareads import analysis, harness
-from dnareads.core import derive_trial_rng
+from dnareads import analysis, cli, harness, simulate
+from dnareads.core import Verdict, derive_trial_rng
 
 
 @pytest.fixture
@@ -238,6 +239,35 @@ def test_converse_experiment_requires_budgets(small_codebook):
     )
     with pytest.raises(ValueError, match="strong or weak"):
         converse_experiment(cfg)
+
+
+@pytest.mark.parametrize("adversary", ["strong", "weak"])
+def test_simulate_checks_guaranteed_error_implication(monkeypatch, small_codebook, adversary):
+    # premises that hold, but a verdict other than Decided(m_prime,
+    # expected_stop): the per-trial loop of simulate must refuse it, as
+    # converse does
+    def run_trial(cb, adv, trial, h_m=None, r_prime_m=None, collect_trace=False):
+        outcome = simulate.TrialOutcome(
+            message=0, verdict=Verdict.decided(0, 5), psi=True, active=True,
+            conditions=True, m_prime=1, expected_stop=5,
+        )
+        return outcome, None
+
+    monkeypatch.setattr(simulate, "run_trial", run_trial)
+    cfg = ExperimentConfig(
+        params=small_codebook.params, adversary=adversary, trials=3, h_m=20, r_prime_m=4
+    )
+    expected = "guaranteed-error implication violated on trial 0: expected Decided(1, 5)"
+    with pytest.raises(RuntimeError, match=re.escape(expected)):
+        run_trials(cfg)
+    argv = (
+        "simulate --m 10 --k 16 --v 2 --p 0.3 --delta 0.2 --theta 0.7 --read-cap 400 "
+        f"--adversary {adversary} --hm 20 --rprimem 4 --trials 3"
+    )
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv.split())
+    message = str(info.value.code)
+    assert message.startswith("dnareads: " + expected) and "\n" not in message
 
 
 def test_format_cell():

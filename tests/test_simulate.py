@@ -13,16 +13,13 @@ from dnareads.core import VerdictKind
 from dnareads.decoder import stopping_time_no_errors
 from dnareads.simulate import run_batch, run_trial
 
-_KIND = {VerdictKind.DECIDED: 0, VerdictKind.FAILED: 1, VerdictKind.TRUNCATED: 2}
-
-
 def _assert_matches_serial(cb, adversary, batch, collect_trace=False, start=0):
     """Compare a batch trial by trial with the int64 per-trial engine."""
     traces = []
     for t in range(len(batch.message)):
         outcome, trace = run_trial(cb, adversary, start + t, collect_trace=collect_trace)
         assert batch.message[t] == outcome.message
-        assert batch.kind[t] == _KIND[outcome.verdict.kind]
+        assert batch.kind[t] == outcome.verdict.kind.value
         assert batch.n_reads[t] == outcome.verdict.n_reads
         if outcome.verdict.kind is VerdictKind.DECIDED:
             assert batch.decoded[t] == outcome.verdict.decoded

@@ -32,9 +32,9 @@ def test_every_traced_callable_resolves():
 
 _BENCH = _TRACER.parent
 _SRC = _BENCH.parent / "src"
-# Runs tiny converse (strong, weak) and simulate commands untraced, installs
-# the tracer, runs them again, and prints whether the CSVs match plus the
-# traced metrics.
+# Runs tiny converse (strong, weak) and simulate (uniform, weak) commands
+# untraced, installs the tracer, runs them again, and prints whether the CSVs
+# match plus the traced metrics.
 _SMOKE = """
 import json, sys
 from pathlib import Path
@@ -47,6 +47,8 @@ argvs = [
     conv + " --adversary strong --hm 20 --rprimem 5",
     conv + " --adversary weak --hm 20 --rprimem 3",
     "simulate --m 8 --k 8 --v 4 --p 0.1 --delta 0.125 --adversary uniform --trials 60",
+    "simulate --m 10 --k 16 --v 2 --p 0.3 --delta 0.2 --theta 0.7 --read-cap 400"
+    " --adversary weak --rprimem 3 --trials 20",
 ]
 
 def run_all(tag):
@@ -80,5 +82,5 @@ def test_traced_cli_counts_reads_and_keeps_csvs(tmp_path):
     assert metrics["channel.values_drawn"] > 0
     assert 0.0 < metrics["simulate.read_use_ratio"] <= 1.0
     assert metrics["decoder.step.calls"] > 0
-    assert metrics["simulate.run_trial.calls"] == 80
+    assert metrics["simulate.run_trial.calls"] == 100
     assert metrics["simulate.run_batch.calls"] == 1
