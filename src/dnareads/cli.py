@@ -7,7 +7,8 @@ harness.config_from_dict, and every default is a field default of SimParams
 or ExperimentConfig.  --delta sets the consistency slack dm = floor(delta*m),
 and an explicit --delta replaces a file's dm.  Bad input, library errors and
 file errors end the run with a one-line "dnareads: <message>" instead of a
-traceback.
+traceback.  sweep-p, curves and converse print a summary to stderr after
+their CSV; stdout holds the CSV alone when --out is omitted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import argparse
 import contextlib
 import json
 import sys
+
+import numpy as np
 
 from . import harness
 from .channel import ADVERSARIES
@@ -78,12 +81,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {**d, **flags}
 
 
-def _emit(cfg_out: str | None, text: str) -> None:
-    if cfg_out:
-        with open(cfg_out, "w") as fh:
-            fh.write(text)
+def _emit(out: str | None, header: list[str], rows) -> None:
+    if out:
+        harness.write_csv(out, header, rows)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(harness.csv_text(header, rows))
 
 
 def _list(kind):
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def one_line_errors():
     """End a ValueError, RuntimeError or OSError raised inside as one
-    "dnareads: <message>" line on stderr and exit status 1 (scripts/ too)."""
+    "dnareads: <message>" line on stderr and exit status 1."""
     try:
         yield
     except (ValueError, RuntimeError, OSError) as exc:
@@ -164,25 +166,40 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         summary = harness.run_trials(cfg)
-        text = harness.csv_text(
-            harness.SIMULATE_HEADER, [harness.simulate_row(cfg, summary)]
-        )
-        _emit(cfg.out, text)
+        _emit(cfg.out, harness.SIMULATE_HEADER, [harness.simulate_row(cfg, summary)])
         return 0
 
     if args.command == "sweep-p":
         rows = harness.sweep_p(cfg, args.p_list)
-        _emit(cfg.out, harness.csv_text(harness.SWEEP_HEADER, rows))
+        _emit(cfg.out, harness.SWEEP_HEADER, rows)
+        # least-squares slope of log pe_hat on log p; p = 0 has no logarithm
+        fit = [(p, pe) for p, pe, *_ in rows if p > 0]
+        if len({p for p, _ in fit}) >= 2:
+            if all(pe > 0 for _, pe in fit):
+                slope, dm = np.polyfit(*np.log(fit).T, 1)[0], cfg.params.dm
+                line = f"fitted slope {slope:.3f} (expect within [{dm}, {dm + 1}])"
+            else:
+                line = "some pe_hat are zero; raise --trials to resolve the slope"
+            print(line, file=sys.stderr)
         return 0
 
     if args.command == "curves":
-        import numpy as np
-
         if args.c_points < 1:
             raise ValueError("--c-points out of range")
         grid = np.linspace(args.c_min, args.c_max, args.c_points)
         rows = harness.emit_exponent_curves(args.r0_list, grid)
-        _emit(d.get("out"), harness.csv_text(harness.CURVES_HEADER, rows))
+        _emit(d.get("out"), harness.CURVES_HEADER, rows)
+        for r0 in args.r0_list:
+            sub = sorted((r for r in rows if r[0] == r0), key=lambda r: r[1])
+            best = max((r[2] for r in sub), default=0.0)
+            cross = [b[1] for a, b in zip(sub, sub[1:]) if a[3] and not b[3]]
+            if not sub:
+                line = "no c in the grid reaches a nonnegative exponent"
+            elif cross:
+                line = f"max delta {best:.6f}, converse boundary near c={cross[0]}"
+            else:
+                line = f"max delta {best:.6f}, no converse boundary in the grid"
+            print(f"R0={r0}: {line}", file=sys.stderr)
         return 0
 
     if args.command == "smembership":
@@ -195,12 +212,12 @@ def _run(args: argparse.Namespace) -> int:
             d.get("trials", harness.ExperimentConfig.trials),
             d.get("seed", SimParams.seed),
         )
-        _emit(d.get("out"), harness.csv_text(harness.SMEMBERSHIP_HEADER, rows))
+        _emit(d.get("out"), harness.SMEMBERSHIP_HEADER, rows)
         return 0
 
     if args.command == "converse":
         rows, summary = harness.converse_experiment(cfg)
-        _emit(cfg.out, harness.csv_text(harness.CONVERSE_HEADER, rows))
+        _emit(cfg.out, harness.CONVERSE_HEADER, rows)
         print(
             "converse adversary={adversary} trials={trials} "
             "activation_rate={activation_rate:.6g} n_conditions={n_conditions} "

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OuterCodeword, SimParams, derive_codebook_rng, validate
+from .core import OuterCodeword, SimParams, derive_codebook_rng, parse_field, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,25 +177,34 @@ def save_codebook(cb: Codebook, path: str) -> None:
 
 def load_codebook(path: str, params: SimParams) -> Codebook:
     """Inverse of save_codebook: the book the file holds, run at params.
-    Raises a ValueError naming the first of the header's m, k, v, theta and
-    seed that differs from params, since the file does not hold the run
-    parameters (p, dm, read_cap)."""
+    Raises a one-line ValueError naming the line and field of a non-numeric
+    value, a row past the header's k, or the first of the header's m, k, v,
+    theta and seed that differs from params, since the file does not hold
+    the run parameters (p, dm, read_cap)."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5:
-            raise ValueError("malformed codebook header")
-        m, k, v = int(header[0]), int(header[1]), int(header[2])
-        stored = dict(m=m, k=k, v=v, theta=float(header[3]), seed=int(header[4]))
-        for field, x in stored.items():
-            ran = getattr(params, field)
-            if x != ran:
-                raise ValueError(f"codebook {path}: {field} {x!r}, but the run has {ran!r}")
-        matrix = np.empty((k, m), dtype=np.int64)
-        for i in range(k):
-            row = fh.readline().split()
-            if len(row) != m:
-                raise ValueError(f"malformed codebook row {i}")
-            matrix[i] = [int(x) for x in row]
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or len(lines[0][1]) != 5:
+        raise ValueError("malformed codebook header")
+    where = f"codebook {path} line {lines[0][0]}"
+    stored = {
+        field: parse_field(x, where, field, float if field == "theta" else int)
+        for field, x in zip(("m", "k", "v", "theta", "seed"), lines[0][1])
+    }
+    for field, x in stored.items():
+        ran = getattr(params, field)
+        if x != ran:
+            raise ValueError(f"codebook {path}: {field} {x!r}, but the run has {ran!r}")
+    m, k, v = params.m, params.k, params.v
+    rows = lines[1:]
+    if len(rows) > k:
+        raise ValueError(f"codebook {path} line {rows[k][0]}: row past k = {k}")
+    matrix = np.empty((k, m), dtype=np.int64)
+    for i in range(k):
+        if i >= len(rows) or len(rows[i][1]) != m:
+            raise ValueError(f"malformed codebook row {i}")
+        no, row = rows[i]
+        where = f"codebook {path} line {no}"
+        matrix[i] = [parse_field(x, where, "payload") for x in row]
     cb = Codebook(params, matrix)
     for i, row in enumerate(cb.matrix):
         if not ((0 <= row) & (row < v)).all():

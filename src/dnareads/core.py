@@ -218,6 +218,16 @@ def validate(params: SimParams) -> SimParams:
     return params
 
 
+def parse_field(text: str, where: str, field: str, kind=int):
+    """A file's field as kind (int or float), or a one-line ValueError
+    "<where>: <field> '<text>' is not an integer" (or "a number")."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {field} {text!r} is not {noun}") from None
+
+
 @dataclass(frozen=True)
 class Molecule:
     """One stored or observed molecule: an (index, payload) pair."""

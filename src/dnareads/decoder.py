@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from .codebook import Codebook
-from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind
+from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind, parse_field
 
 
 @dataclass
@@ -111,13 +111,6 @@ _KIND_TOKENS = {kind.name.lower(): kind for kind in VerdictKind}
 _READ_FIELDS = ("time", "index", "payload", "error", "observed index", "observed payload")
 
 
-def _int_field(text: str, lineno: int, field: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"trace line {lineno}: {field} {text!r} is not an integer") from None
-
-
 def load_trace(path: str) -> Trace:
     """Parse a save_trace file.  Raises a one-line ValueError naming the line
     for a malformed header, read line or trailer, a non-integer field, read
@@ -128,7 +121,7 @@ def load_trace(path: str) -> Trace:
     if not lines or lines[0][1][0] != "message" or len(lines[0][1]) != 2:
         raise ValueError("malformed trace header")
     no, header = lines[0]
-    true_message = _int_field(header[1], no, "message")
+    true_message = parse_field(header[1], f"trace line {no}", "message")
     end, trailer = lines[-1]
     if trailer[0] != "verdict":
         raise ValueError("missing verdict trailer")
@@ -139,14 +132,14 @@ def load_trace(path: str) -> Trace:
     decided = kind is VerdictKind.DECIDED
     if len(trailer) != (4 if decided else 3):
         raise ValueError(f"trace line {end}: malformed verdict trailer")
-    n_reads = _int_field(trailer[-1], end, "n_reads")
-    decoded = _int_field(trailer[2], end, "decoded") if decided else None
+    n_reads = parse_field(trailer[-1], f"trace line {end}", "n_reads")
+    decoded = parse_field(trailer[2], f"trace line {end}", "decoded") if decided else None
     records = []
     for no, parts in lines[1:-1]:
         if len(parts) != 6:
             raise ValueError(f"trace line {no}: malformed read line {' '.join(parts)!r}")
         t, si, sp, err, oi, op = (
-            _int_field(x, no, field) for x, field in zip(parts, _READ_FIELDS)
+            parse_field(x, f"trace line {no}", field) for x, field in zip(parts, _READ_FIELDS)
         )
         if t != len(records) + 1:
             raise ValueError(f"trace line {no}: read time {t}, expected {len(records) + 1}")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,7 +102,33 @@ def test_sweep_p_command(tmp_path):
     assert len(lines) == 4
 
 
-def test_curves_command(tmp_path):
+_SWEEP = [
+    "sweep-p", "--m", "20", "--k", "64", "--v", "8", "--delta", "0.05", "--theta", "0.25",
+    "--read-cap", "200", "--trials", "300", "--seed", "11",
+]
+
+
+@pytest.mark.parametrize(
+    "adversary,p_list,summary",
+    [
+        ("uniform", "0.1,0.2", r"fitted slope -?\d+\.\d{3} \(expect within \[1, 2\]\)\n"),
+        ("honest", "0.1,0.2", r"some pe_hat are zero; raise --trials to resolve the slope\n"),
+        ("uniform", "0.3", ""),
+    ],
+    ids=["slope", "zero-pe-hat", "one-p"],
+)
+def test_sweep_p_prints_slope_summary(tmp_path, capsys, adversary, p_list, summary):
+    # the slope of log pe_hat on log p goes to stderr; one p has no slope,
+    # whatever its pe_hat
+    out = tmp_path / "sweep.csv"
+    argv = _SWEEP + ["--adversary", adversary, "--p-list", p_list, "--out", str(out)]
+    assert main(argv) == 0
+    pe_hat = [float(row.split(",")[1]) for row in _lines(out)[2:]]
+    assert all(pe_hat) == (adversary == "uniform")
+    assert re.fullmatch(summary, capsys.readouterr().err)
+
+
+def test_curves_command(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     rc = main(
         [
@@ -116,6 +143,30 @@ def test_curves_command(tmp_path):
     assert lines[1] == "R0,c,delta,converse_ok"
     assert len(lines) > 10
     assert set(row.split(",")[3] for row in lines[2:]) <= {"true", "false"}
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["R0=0.3", "R0=0.5"]
+    assert all(re.search(r": max delta [\d.]+, converse boundary near c=[\d.]+$", e) for e in err)
+    # a descending grid has the same boundary, up to the grid's rounding
+    argv = ["curves", "--r0-list", "0.3", "--c-min", "3.0", "--c-max", "0.1", "--c-points", "40"]
+    assert main(argv + ["--out", str(tmp_path / "down.csv")]) == 0
+    down, c = capsys.readouterr().err.rstrip().rsplit("=", 1)
+    assert down == err[0].rsplit("=", 1)[0]
+    assert float(c) == pytest.approx(float(err[0].rsplit("=", 1)[1]))
+
+
+def test_curves_summary_without_boundary_or_rows(tmp_path, capsys):
+    # below c = 1, R0 = 0.3 never leaves the converse regime and R0 = 0.9
+    # never reaches a nonnegative exponent, so 0.9 has no rows
+    out = tmp_path / "curves.csv"
+    argv = ["curves", "--r0-list", "0.3,0.9", "--c-min", "0.05", "--c-max", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert all(row.startswith("0.3,") for row in _lines(out)[2:])
+    err = capsys.readouterr().err
+    assert "None" not in err
+    assert err.splitlines() == [
+        "R0=0.3: max delta 0.332121, no converse boundary in the grid",
+        "R0=0.9: no c in the grid reaches a nonnegative exponent",
+    ]
 
 
 def test_smembership_command(tmp_path):
@@ -228,8 +279,16 @@ def test_smembership_rejects_empty_horizon(tmp_path, capsys):
             ["curves", "--r0-list", "0.3", "--c-min", "0.5", "--c-max", "1", "--c-points", "0"],
             "--c-points out of range",
         ),
+        (["sweep-p", "--m", "0", "--k", "8", "--v", "4", "--p-list", "0.1"], "m out of range"),
+        (
+            ["smembership", "--m-list", "0", "--coverage", "0.430783", "--delta", "0.05"],
+            "horizon floor(0.9*c*M) is 0 at M=0",
+        ),
     ],
-    ids=["codebook-budget", "simulate-p", "converse-adversary", "curves-r0", "curves-c-points"],
+    ids=[
+        "codebook-budget", "simulate-p", "converse-adversary", "curves-r0", "curves-c-points",
+        "sweep-p-m0", "smembership-m0",
+    ],
 )
 def test_library_errors_are_one_line(argv, message):
     with pytest.raises(SystemExit) as exc:

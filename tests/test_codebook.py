@@ -238,6 +238,17 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text("2 1 2 0.5 0\n0 7\n")
     with pytest.raises(ValueError, match="payload out of range"):
         load_codebook(str(bad), params)
+    # a non-numeric field or a row past k names its line
+    for text, message in (
+        ("2 1 x 0.5 0\n0 1\n", "line 1: v 'x' is not an integer"),
+        ("2 1 2 half 0\n0 1\n", "line 1: theta 'half' is not a number"),
+        ("2 1 2 0.5 0\n0 z\n", "line 2: payload 'z' is not an integer"),
+        ("2 1 2 0.5 0\n0 1\n1 0\n", "line 3: row past k = 1"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_codebook(str(bad), params)
+        assert str(info.value) == f"codebook {bad} {message}"
 
 
 def test_load_rejects_code_parameters_of_another_run(tmp_path, small_codebook):

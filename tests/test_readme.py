@@ -19,13 +19,36 @@ def test_readme_python_blocks_run(capsys):
     assert "VerdictKind." in capsys.readouterr().out
 
 
-def test_readme_commands_parse():
-    # every dnareads command of the README's sh blocks parses with the
-    # current flags (continuation lines joined); none is run
-    from dnareads.cli import build_parser
-
+def _commands():
+    # every dnareads command of the README's sh blocks, continuation lines joined
     text = "\n".join(re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.S | re.M))
     lines = text.replace("\\\n", " ").splitlines()
-    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("dnareads ")]
-    parsed = {build_parser().parse_args(argv).command for argv in commands}
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("dnareads ")]
+
+
+def test_readme_commands_parse():
+    # every command parses with the current flags; none is run
+    from dnareads.cli import build_parser
+
+    parsed = {build_parser().parse_args(argv).command for argv in _commands()}
     assert parsed == {"codebook", "simulate", "sweep-p", "curves", "smembership", "converse"}
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # every command runs as written, at 40 trials where it takes --trials,
+    # and writes its file into tmp_path
+    from dnareads.cli import build_parser, main
+    from dnareads.harness import CSV_VERSION
+
+    for argv in _commands():
+        out = tmp_path / f"{argv[0]}.out"
+        argv = argv + ["--out", str(out)]
+        args = build_parser().parse_args(argv)
+        if "trials" in vars(args):
+            argv += ["--trials", "40"]
+        assert main(argv) == 0, argv
+        first = out.read_text().splitlines()[0]
+        if args.command == "codebook":
+            assert first == f"{args.m} {args.k} {args.v} {args.theta!r} {args.seed}"
+        else:
+            assert first == f"# {CSV_VERSION}", argv
