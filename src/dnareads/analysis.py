@@ -29,6 +29,8 @@ def achievable_exponent(c: float, r0: float) -> float:
     Needs c >= ln(1/(1-r0)) for a nonnegative exponent; values within 1e-12
     of that boundary clamp to exactly 0 so grid endpoints stay stable.
     """
+    if not c > 0.0:
+        raise ValueError("c out of range")
     if not 0.0 < r0 < 1.0:
         raise ValueError("r0 out of range")
     delta = 1.0 - r0 - math.exp(-c)
@@ -41,7 +43,7 @@ def achievable_exponent(c: float, r0: float) -> float:
 
 def converse_valid(c: float, delta: float) -> bool:
     """True when delta < c * e^{-c}, the regime where the matching converse holds."""
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError("c out of range")
     return delta < c * math.exp(-c)
 
@@ -53,11 +55,11 @@ def rprime_window(cpp: float, delta: float, r0: float) -> tuple[float, float] | 
     cpp is the reduced coverage c''; the lower end is the larger of
     1-e^{-cpp}-delta and 1-e^{-cpp}-cpp*e^{-cpp}.
     """
-    if cpp <= 0.0:
+    if not cpp > 0.0:
         raise ValueError("cpp out of range")
     if not 0.0 < r0 < 1.0:
         raise ValueError("r0 out of range")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError("delta out of range")
     e = math.exp(-cpp)
     lo = max(1.0 - e - delta, 1.0 - e - cpp * e)
@@ -256,11 +258,13 @@ def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
 def rate_region(c: float, c_in: float, beta: float) -> float:
     """Net information rate (1 - e^{-c}) (c_in - 1/beta) of the concatenated
     system at coverage c, inner capacity c_in, and molecule length factor beta."""
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError("c out of range")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta out of range")
-    if c_in <= 1.0 / beta:
+    if not c_in > 0.0:
+        raise ValueError("c_in out of range")
+    if not c_in > 1.0 / beta:
         raise ValueError("capacity nonpositive")
     return (1.0 - math.exp(-c)) * (c_in - 1.0 / beta)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,7 +82,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {**d, **flags}
 
 
-def _emit(out: str | None, header: list[str], rows) -> None:
+def _emit(out: str | None, header: tuple[str, ...], rows) -> None:
     if out:
         harness.write_csv(out, header, rows)
     else:
@@ -103,6 +104,18 @@ def _list(kind):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type for a finite float; argparse reports nan or inf as an
+    "invalid finite float value" of the flag."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
+_finite.__name__ = "finite float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dnareads")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -117,13 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp = _subcommand(sub, "curves", "exponent/coverage trade-off table", ("out", "config"))
     sp.add_argument("--r0-list", dest="r0_list", type=_list(float), required=True)
-    sp.add_argument("--c-min", dest="c_min", type=float, required=True)
-    sp.add_argument("--c-max", dest="c_max", type=float, required=True)
+    sp.add_argument("--c-min", dest="c_min", type=_finite, required=True)
+    sp.add_argument("--c-max", dest="c_max", type=_finite, required=True)
     sp.add_argument("--c-points", dest="c_points", type=int, default=100)
     smembership = ("delta", "trials", "seed", "out", "config")
     sp = _subcommand(sub, "smembership", "partition-test membership trend", smembership)
     sp.add_argument("--m-list", dest="m_list", type=_list(int), required=True)
-    sp.add_argument("--coverage", type=float, required=True, help="coverage factor c")
+    sp.add_argument("--coverage", type=_finite, required=True, help="coverage factor c")
     required = ("h_m", "r_prime_m")
     _subcommand(sub, "converse", "adversary mechanics experiment", _FLAGS, required)
     return ap
@@ -171,9 +184,9 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "sweep-p":
         rows = harness.sweep_p(cfg, args.p_list)
-        _emit(cfg.out, harness.SWEEP_HEADER, rows)
+        _emit(cfg.out, harness.SweepRow._fields, rows)
         # least-squares slope of log pe_hat on log p; p = 0 has no logarithm
-        fit = [(p, pe) for p, pe, *_ in rows if p > 0]
+        fit = [(r.p, r.pe_hat) for r in rows if r.p > 0]
         if len({p for p, _ in fit}) >= 2:
             if all(pe > 0 for _, pe in fit):
                 slope, dm = np.polyfit(*np.log(fit).T, 1)[0], cfg.params.dm
@@ -188,11 +201,11 @@ def _run(args: argparse.Namespace) -> int:
             raise ValueError("--c-points out of range")
         grid = np.linspace(args.c_min, args.c_max, args.c_points)
         rows = harness.emit_exponent_curves(args.r0_list, grid)
-        _emit(d.get("out"), harness.CURVES_HEADER, rows)
+        _emit(d.get("out"), harness.CurveRow._fields, rows)
         for r0 in args.r0_list:
-            sub = sorted((r for r in rows if r[0] == r0), key=lambda r: r[1])
-            best = max((r[2] for r in sub), default=0.0)
-            cross = [b[1] for a, b in zip(sub, sub[1:]) if a[3] and not b[3]]
+            sub = sorted((r for r in rows if r.R0 == r0), key=lambda r: r.c)
+            best = max((r.delta for r in sub), default=0.0)
+            cross = [b.c for a, b in zip(sub, sub[1:]) if a.converse_ok and not b.converse_ok]
             if not sub:
                 line = "no c in the grid reaches a nonnegative exponent"
             elif cross:
@@ -212,12 +225,12 @@ def _run(args: argparse.Namespace) -> int:
             d.get("trials", harness.ExperimentConfig.trials),
             d.get("seed", SimParams.seed),
         )
-        _emit(d.get("out"), harness.SMEMBERSHIP_HEADER, rows)
+        _emit(d.get("out"), harness.MembershipRow._fields, rows)
         return 0
 
     if args.command == "converse":
         rows, summary = harness.converse_experiment(cfg)
-        _emit(cfg.out, harness.CONVERSE_HEADER, rows)
+        _emit(cfg.out, harness.ConverseRow._fields, rows)
         print(
             "converse adversary={adversary} trials={trials} "
             "activation_rate={activation_rate:.6g} n_conditions={n_conditions} "

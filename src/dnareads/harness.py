@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,13 +18,13 @@ from .core import (
 CSV_VERSION = "dnareads 0.1.0"
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """Aggregated outcomes of one experiment.
+class RunSummary(NamedTuple):
+    """Aggregated outcomes of one experiment, the tail of a simulate row.
 
     errors counts wrong Decided verdicts; failures and truncated are the
-    other two non-success verdicts; pe_hat pools all three.  mean_reads and
-    stderr_reads cover every trial regardless of verdict.
+    other two non-success verdicts; pe_hat pools all three, and [pe_lo,
+    pe_hi] is its 95% Wilson interval.  mean_reads and stderr_reads cover
+    every trial regardless of verdict.
     """
 
     trials: int
@@ -31,9 +32,55 @@ class RunSummary:
     failures: int
     truncated: int
     pe_hat: float
-    pe_ci95: tuple[float, float]
+    pe_lo: float
+    pe_hi: float
     mean_reads: float
     stderr_reads: float
+
+
+# The CSV rows: each type's fields are its CSV's header.
+class SweepRow(NamedTuple):
+    p: float
+    pe_hat: float
+    bound: float
+    dp: float
+
+
+class CurveRow(NamedTuple):
+    R0: float
+    c: float
+    delta: float
+    converse_ok: bool
+
+
+class MembershipRow(NamedTuple):
+    m: int
+    h_m: int
+    d_m: int
+    r_prime_m: int
+    trials: int
+    member_frac: float
+    suff_frac: float
+    mean_z: float
+    expected_z: float
+    mean_z1: float
+    expected_z1: float
+
+
+class ConverseRow(NamedTuple):
+    """One trial of a strong or weak adversary; absent ids are -1 and kind
+    is a VerdictKind value."""
+
+    trial: int
+    message: int
+    m_prime: int
+    psi: bool
+    active: bool
+    conditions: bool
+    kind: int
+    decoded: int
+    n_reads: int
+    errored: bool
 
 
 @dataclass(frozen=True)
@@ -69,14 +116,15 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def check_dict(d: dict) -> None:
-    """Check that every key of a flat config dict has a rule, and the kind of
-    every value, before anything computes with them; ranges wait for
-    config_from_dict."""
+    """Check that every key of a flat config dict has a rule, the kind of
+    every value and the range of delta, before anything computes with them;
+    the other ranges wait for config_from_dict."""
     rules = {**PARAM_RULES, **CONFIG_RULES}
     extra = set(d) - set(rules)
     if extra:
         raise ValueError(f"unknown parameter fields: {sorted(extra)}")
     check_rules(d, rules, ranges=False)
+    check_rules(d, {"delta": CONFIG_RULES["delta"]})
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -90,9 +138,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ValueError(f"missing required parameter {name}")
     d = dict(d)
     if "delta" in d:
-        delta = d.pop("delta")
-        check_rules({"delta": delta}, CONFIG_RULES)
-        d.setdefault("dm", math.floor(delta * d["m"]))
+        d.setdefault("dm", math.floor(d.pop("delta") * d["m"]))
     extras = {k: d.pop(k) for k in CONFIG_KEYS if k in d}
     return validate_config(ExperimentConfig(params=SimParams(**d), **extras))
 
@@ -118,14 +164,8 @@ def _summarize(batch: simulate.BatchResult) -> RunSummary:
     mean_reads = float(np.mean(batch.n_reads))
     stderr = float(np.std(batch.n_reads, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RunSummary(
-        trials=trials,
-        errors=errors,
-        failures=failures,
-        truncated=truncated,
-        pe_hat=bad / trials,
-        pe_ci95=wilson_interval(bad, trials),
-        mean_reads=mean_reads,
-        stderr_reads=stderr,
+        trials, errors, failures, truncated, bad / trials, *wilson_interval(bad, trials),
+        mean_reads, stderr,
     )
 
 
@@ -142,27 +182,21 @@ def run_trials(cfg: ExperimentConfig) -> RunSummary:
 
 def _run_on(cfg: ExperimentConfig, cb: Codebook) -> RunSummary:
     """cfg.trials trials of cfg.adversary on a codebook built for cfg.params."""
-    if cfg.adversary in ("honest", "uniform", "uniform-index"):
+    if cfg.adversary in simulate.BATCH_ADVERSARIES:
         return _summarize(simulate.run_batch(cb, cfg.adversary, cfg.trials))
-    outcomes = list(_checked_trials(cfg, cb))
-    verdicts = [o.verdict for o in outcomes]
-    batch = simulate.BatchResult(
-        message=np.array([o.message for o in outcomes]),
-        kind=np.array([v.kind.value for v in verdicts]),
-        decoded=np.array([_id(v.decoded) for v in verdicts]),
-        n_reads=np.array([v.n_reads for v in verdicts]),
-    )
-    return _summarize(batch)
+    rows = list(_checked_trials(cfg, cb))
+    columns = zip(*((r.message, r.kind, r.decoded, r.n_reads) for r in rows))
+    return _summarize(simulate.BatchResult(*map(np.array, columns)))
 
 
 def _id(x: int | None) -> int:
-    """A message id for a CSV cell or a BatchResult column: -1 when absent."""
+    """A message id for a CSV cell: -1 when absent."""
     return -1 if x is None else x
 
 
 def _checked_trials(cfg: ExperimentConfig, cb: Codebook):
-    """simulate.run_trial's outcome of each of cfg.trials trials, in order:
-    the one per-trial loop.  Raises when a trial whose guaranteed-error
+    """The ConverseRow of each of cfg.trials trials of simulate.run_trial, in
+    order: the one per-trial loop.  Raises when a trial whose guaranteed-error
     premises hold does not decode to m_prime, the wrong message, at its
     error-free stopping time by the horizon."""
     for t in range(cfg.trials):
@@ -178,7 +212,11 @@ def _checked_trials(cfg: ExperimentConfig, cb: Codebook):
                 f"expected Decided({outcome.m_prime}, {outcome.expected_stop}), "
                 f"got {v}"
             )
-        yield outcome
+        yield ConverseRow(
+            t, outcome.message, _id(outcome.m_prime), bool(outcome.psi),
+            bool(outcome.active), bool(outcome.conditions), v.kind.value, _id(v.decoded),
+            v.n_reads, v.kind is not VerdictKind.DECIDED or v.decoded != outcome.message,
+        )
 
 
 def ones_threshold(params: SimParams) -> int:
@@ -187,8 +225,8 @@ def ones_threshold(params: SimParams) -> int:
     return intersection_threshold(params) + params.dm
 
 
-def sweep_p(cfg: ExperimentConfig, p_list) -> list[tuple]:
-    """One run per p with common random numbers; rows (p, pe_hat, bound, dp).
+def sweep_p(cfg: ExperimentConfig, p_list) -> list[SweepRow]:
+    """One run per p with common random numbers.
 
     The codebook does not depend on p, so it is built once and shared.
     """
@@ -206,13 +244,13 @@ def sweep_p(cfg: ExperimentConfig, p_list) -> list[tuple]:
         summary = _run_on(sub, Codebook(sub.params, matrix))
         bound = analysis.error_prob_upper_bound(m, p, dm, thr)
         dp = analysis.race_dp(m, p, dm, thr)
-        rows.append((p, summary.pe_hat, bound, dp))
+        rows.append(SweepRow(p, summary.pe_hat, bound, dp))
     return rows
 
 
-def emit_exponent_curves(r0_list, c_grid) -> list[tuple]:
-    """Rows (r0, c, delta, converse_ok); c below the zero-exponent boundary of
-    an r0 contributes no row for that r0."""
+def emit_exponent_curves(r0_list, c_grid) -> list[CurveRow]:
+    """The exponent and converse regime at each (r0, c); c below the
+    zero-exponent boundary of an r0 contributes no row for that r0."""
     rows = []
     for r0 in r0_list:
         if not 0.0 < r0 < 1.0:
@@ -222,7 +260,8 @@ def emit_exponent_curves(r0_list, c_grid) -> list[tuple]:
             if c < boundary - 1e-12:
                 continue
             delta = analysis.achievable_exponent(float(c), float(r0))
-            rows.append((float(r0), float(c), delta, analysis.converse_valid(float(c), delta)))
+            ok = analysis.converse_valid(float(c), delta)
+            rows.append(CurveRow(float(r0), float(c), delta, ok))
     return rows
 
 
@@ -236,14 +275,13 @@ def _membership_row_bytes(m: int, h_m: int) -> int:
     return 16 * h_m + 9 * m + 128
 
 
-def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[tuple]:
+def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[MembershipRow]:
     """Empirical partition-test membership rate per M, against the exact
     greedy decision, with coupon statistics alongside their expectations.
 
     Per M: horizon floor(0.9*c*M), slack floor(delta*M), and the untouched
     budget from the midpoint of the feasibility window at reduced coverage
-    0.9*c.  Rows: (m, h_m, d_m, r_prime_m, trials, member_frac, suff_frac,
-    mean_z, expected_z, mean_z1, expected_z1).
+    0.9*c.
     """
     if trials < 1:
         raise ValueError("trials out of range")
@@ -274,58 +312,30 @@ def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[tup
             z_sum += int(stats.z.sum())
             z1_sum += int(stats.z1.sum())
         rows.append(
-            (
-                int(m),
-                h_m,
-                d_m,
-                rpm,
-                int(trials),
-                members / trials,
-                sufficient / trials,
-                z_sum / trials,
-                analysis.expected_z(m, h_m),
-                z1_sum / trials,
-                analysis.expected_z1(m, h_m),
+            MembershipRow(
+                int(m), h_m, d_m, rpm, int(trials), members / trials, sufficient / trials,
+                z_sum / trials, analysis.expected_z(m, h_m),
+                z1_sum / trials, analysis.expected_z1(m, h_m),
             )
         )
     return rows
 
 
-def converse_experiment(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
+def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]:
     """Per-trial adversary diagnostics with the guaranteed-error implication
     checked on every trial.
 
-    Returns (rows, summary).  Row: (trial, message, m_prime, psi, active,
-    conditions, kind, decoded, n_reads, errored).  Raises if any trial whose
-    premises hold fails to decode to m_prime by the horizon.
+    Returns (rows, summary).  Raises if any trial whose premises hold fails
+    to decode to m_prime by the horizon.
     """
     validate_config(cfg)
     if cfg.adversary not in ("strong", "weak"):
         raise ValueError("converse experiment needs the strong or weak adversary")
     if cfg.h_m is None or cfg.r_prime_m is None:
         raise ValueError("converse experiment needs h_m and r_prime_m")
-    rows = []
-    n_active = n_cond = total_errors = 0
-    for t, outcome in enumerate(_checked_trials(cfg, construct_greedy(cfg.params))):
-        v = outcome.verdict
-        errored = v.kind is not VerdictKind.DECIDED or v.decoded != outcome.message
-        n_active += bool(outcome.active)
-        n_cond += bool(outcome.conditions)
-        total_errors += errored
-        rows.append(
-            (
-                t,
-                outcome.message,
-                _id(outcome.m_prime),
-                bool(outcome.psi),
-                bool(outcome.active),
-                bool(outcome.conditions),
-                v.kind.value,
-                _id(v.decoded),
-                v.n_reads,
-                errored,
-            )
-        )
+    rows = list(_checked_trials(cfg, construct_greedy(cfg.params)))
+    n_active = sum(r.active for r in rows)
+    n_cond = sum(r.conditions for r in rows)
     p, dm, m = cfg.params.p, cfg.params.dm, cfg.params.m
     factor = (
         analysis.strong_converse_factor(p, dm)
@@ -341,7 +351,7 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
         # every trial whose premises hold errs, or _checked_trials has raised
         "conditional_errors": n_cond,
         "conditional_error_rate": 1.0 if n_cond else float("nan"),
-        "error_rate": total_errors / cfg.trials,
+        "error_rate": sum(r.errored for r in rows) / cfg.trials,
         "converse_factor": factor,
         "p": p,
     }
@@ -370,74 +380,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
         fh.write(csv_text(header, rows))
 
 
-SWEEP_HEADER = ["p", "pe_hat", "bound", "dp"]
-CURVES_HEADER = ["R0", "c", "delta", "converse_ok"]
-SMEMBERSHIP_HEADER = [
-    "m",
-    "h_m",
-    "d_m",
-    "r_prime_m",
-    "trials",
-    "member_frac",
-    "suff_frac",
-    "mean_z",
-    "expected_z",
-    "mean_z1",
-    "expected_z1",
-]
-CONVERSE_HEADER = [
-    "trial",
-    "message",
-    "m_prime",
-    "psi",
-    "active",
-    "conditions",
-    "kind",
-    "decoded",
-    "n_reads",
-    "errored",
-]
-SIMULATE_HEADER = [
-    "adversary",
-    "m",
-    "k",
-    "v",
-    "p",
-    "dm",
-    "theta",
-    "read_cap",
-    "seed",
-    "trials",
-    "errors",
-    "failures",
-    "truncated",
-    "pe_hat",
-    "pe_lo",
-    "pe_hi",
-    "mean_reads",
-    "stderr_reads",
-]
+SIMULATE_HEADER = ("adversary", *(f.name for f in fields(SimParams)), *RunSummary._fields)
 
 
 def simulate_row(cfg: ExperimentConfig, s: RunSummary) -> tuple:
-    p = cfg.params
-    return (
-        cfg.adversary,
-        p.m,
-        p.k,
-        p.v,
-        p.p,
-        p.dm,
-        p.theta,
-        p.read_cap,
-        p.seed,
-        s.trials,
-        s.errors,
-        s.failures,
-        s.truncated,
-        s.pe_hat,
-        s.pe_ci95[0],
-        s.pe_ci95[1],
-        s.mean_reads,
-        s.stderr_reads,
-    )
+    return (cfg.adversary, *astuple(cfg.params), *s)

@@ -175,6 +175,9 @@ class BatchResult:
     n_reads: np.ndarray
 
 
+# The message-blind adversaries, which run_batch runs.
+BATCH_ADVERSARIES = ("honest", "uniform", "uniform-index")
+
 _BATCH_BYTES = 32_000_000
 
 
@@ -208,7 +211,7 @@ def _rows_per_batch(cb: Codebook, trials: int) -> int:
 def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> BatchResult:
     """Vectorized engine for the message-blind adversaries, draw-for-draw
     identical to run_trial over trials start..start+trials-1."""
-    if adversary not in ("honest", "uniform", "uniform-index"):
+    if adversary not in BATCH_ADVERSARIES:
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
     if start < 0:
         raise ValueError("trial out of range")

@@ -77,6 +77,28 @@ def test_rprime_window_values():
         rprime_window(0.0, 0.1, 0.4)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call,args,named",
+    [
+        (converse_valid, (_NAN, 0.1), "c"),
+        (rprime_window, (_NAN, 0.05, 0.3), "cpp"),
+        (rprime_window, (0.4, _NAN, 0.3), "delta"),
+        (achievable_exponent, (_NAN, 0.3), "c"),
+        (rate_region, (_NAN, 1.5, 2.0), "c"),
+        (rate_region, (1.0, _NAN, 2.0), "c_in"),
+    ],
+    ids=["converse_valid-c", "rprime_window-cpp", "rprime_window-delta",
+         "achievable_exponent-c", "rate_region-c", "rate_region-c_in"],
+)
+def test_nan_argument_is_out_of_range(call, args, named):
+    # each guard is written so that NaN fails it, not passes it
+    with pytest.raises(ValueError, match=f"^{named} out of range$"):
+        call(*args)
+
+
 def test_expected_reads_bound_against_rational_oracle():
     got = expected_reads_upper_bound(10, 0.0, 5)
     exact = sum(Fraction(1, 1) / (Fraction(10 - k, 10)) for k in range(5))

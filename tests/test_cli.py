@@ -372,6 +372,9 @@ _BAD_INPUTS = [
     ),
     ("hm-zero", _STRONG + ["--hm", "0"], None, "dnareads: h_m out of range"),
     ("hm-negative", _STRONG + ["--hm", "-3"], None, "dnareads: h_m out of range"),
+] + [
+    (f"smembership-delta-{x}", _SMEMBERSHIP[:-1] + [x], None, "dnareads: delta out of range")
+    for x in ("1.5", "nan")
 ]
 
 
@@ -400,8 +403,15 @@ def test_bad_input_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, config,
         (["smembership", "--m-list", "20,4.5", "--coverage", "0.43", "--delta", "0.05"], "--m-list"),
         (["curves", "--r0-list", "0.3,,y", "--c-min", "0.5", "--c-max", "1"], "--r0-list"),
         (["smembership", "--m-list", ",", "--coverage", "0.43", "--delta", "0.05"], "--m-list"),
+        (["curves", "--r0-list", "0.3", "--c-min", "nan", "--c-max", "1"], "--c-min"),
+        (["curves", "--r0-list", "0.3", "--c-min", "0.5", "--c-max", "inf"], "--c-max"),
+        (["smembership", "--m-list", "50", "--coverage", "nan", "--delta", "0.05"], "--coverage"),
+        (["smembership", "--m-list", "50", "--coverage", "inf", "--delta", "0.05"], "--coverage"),
     ],
-    ids=["p-list", "m-list", "r0-list", "m-list-empty"],
+    ids=[
+        "p-list", "m-list", "r0-list", "m-list-empty", "c-min-nan", "c-max-inf",
+        "coverage-nan", "coverage-inf",
+    ],
 )
 def test_bad_list_element_names_its_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -10,12 +10,11 @@ import pytest
 from dnareads import SimParams
 from dnareads.harness import (
     CONFIG_KEYS,
-    CONVERSE_HEADER,
     CSV_VERSION,
-    CURVES_HEADER,
-    SMEMBERSHIP_HEADER,
-    SWEEP_HEADER,
+    ConverseRow,
+    CurveRow,
     ExperimentConfig,
+    MembershipRow,
     config_from_dict,
     converse_experiment,
     csv_text,
@@ -26,6 +25,7 @@ from dnareads.harness import (
     s_membership_experiment,
     simulate_row,
     SIMULATE_HEADER,
+    SweepRow,
     sweep_p,
     validate_config,
     wilson_interval,
@@ -83,7 +83,7 @@ def test_run_trials_zero_error_regime():
     assert summary.trials == 300
     assert summary.errors == summary.failures == summary.truncated == 0
     assert summary.pe_hat == 0.0
-    assert summary.pe_ci95[0] == 0.0
+    assert summary.pe_lo == 0.0
     assert summary.mean_reads > 0
 
 
@@ -91,7 +91,7 @@ def test_run_trials_counts_are_consistent(sweep_config):
     summary = run_trials(replace(sweep_config, params=replace(sweep_config.params, p=0.3)))
     bad = summary.errors + summary.failures + summary.truncated
     assert summary.pe_hat == pytest.approx(bad / summary.trials, abs=1e-15)
-    lo, hi = summary.pe_ci95
+    lo, hi = summary.pe_lo, summary.pe_hi
     assert 0.0 <= lo <= summary.pe_hat <= hi <= 1.0
 
 
@@ -187,7 +187,7 @@ def test_s_membership_experiment_matches_row_loop(seed):
     args = ([20, 50, 120], 0.430783, 0.05, 700)
     got = s_membership_experiment(*args, seed=seed)
     want = _membership_rows_per_row_loop(*args, seed=seed)
-    assert csv_text(SMEMBERSHIP_HEADER, got) == csv_text(SMEMBERSHIP_HEADER, want)
+    assert csv_text(MembershipRow._fields, got) == csv_text(MembershipRow._fields, want)
 
 
 def test_s_membership_chunks_match_one_block(monkeypatch):
@@ -227,7 +227,7 @@ def test_converse_experiment_weak(small_codebook):
     assert summary["activation_rate"] <= p + 3 * sigma
     assert summary["converse_factor"] == analysis.weak_converse_factor(10, p, 2)
     # row shape matches the header
-    assert len(rows[0]) == len(CONVERSE_HEADER)
+    assert len(rows[0]) == len(ConverseRow._fields)
 
 
 def test_converse_experiment_requires_budgets(small_codebook):
@@ -299,7 +299,12 @@ def test_simulate_row_layout(sweep_config):
 
 
 def test_headers_are_stable():
-    assert SWEEP_HEADER == ["p", "pe_hat", "bound", "dp"]
-    assert CURVES_HEADER == ["R0", "c", "delta", "converse_ok"]
-    assert SMEMBERSHIP_HEADER[0] == "m" and SMEMBERSHIP_HEADER[5] == "member_frac"
-    assert CONVERSE_HEADER[0] == "trial" and CONVERSE_HEADER[-1] == "errored"
+    assert list(SweepRow._fields) == ["p", "pe_hat", "bound", "dp"]
+    assert list(CurveRow._fields) == ["R0", "c", "delta", "converse_ok"]
+    assert MembershipRow._fields[0] == "m" and MembershipRow._fields[5] == "member_frac"
+    assert ConverseRow._fields[0] == "trial" and ConverseRow._fields[-1] == "errored"
+    assert list(SIMULATE_HEADER) == [
+        "adversary", "m", "k", "v", "p", "dm", "theta", "read_cap", "seed", "trials",
+        "errors", "failures", "truncated", "pe_hat", "pe_lo", "pe_hi", "mean_reads",
+        "stderr_reads",
+    ]
