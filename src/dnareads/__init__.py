@@ -9,7 +9,6 @@ been seen up to a slack of dm foreign molecules.
 
 from .core import (
     Molecule,
-    OuterCodeword,
     ReadRecord,
     SimParams,
     Trace,
@@ -24,7 +23,6 @@ from .harness import ExperimentConfig, RunSummary, run_trials
 
 __all__ = [
     "Molecule",
-    "OuterCodeword",
     "ReadRecord",
     "SimParams",
     "Trace",

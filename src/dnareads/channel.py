@@ -4,8 +4,10 @@ index-preserving variant), strong (clairvoyant, decoder-aware), and weak
 (causal, codebook-aware only).
 
 Each observe_* maps a whole trial at once: the true id row
-cb.word_ids[message][f], the index sequence f and the error flags go in, the
-observed id row (index*v + payload per read) comes out."""
+cb.word_ids[message][f], the error flags and what the adversary needs go in,
+the observed id row (index*v + payload per read) comes out.  The uniform
+adversary maps replacement ids that the engine draws; the strong and weak ones
+swap in a message that codebook.agreeing finds."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import decoder
 from .analysis import SPartition
-from .codebook import Codebook
+from .codebook import Codebook, agreeing
 
 ADVERSARIES = ("honest", "uniform", "uniform-index", "strong", "weak")
 
@@ -45,26 +47,10 @@ def observe_honest(true_ids: np.ndarray, f, flags) -> np.ndarray:
     return true_ids
 
 
-def observe_uniform(
-    true_ids: np.ndarray,
-    f,
-    flags,
-    m: int,
-    v: int,
-    rng: np.random.Generator,
-    index_preserving: bool = False,
-) -> np.ndarray:
-    """Observed id row when each erroneous read returns a uniform molecule.
-
-    Replacement tables are drawn for every read position, indices then
-    payloads, and consulted only where flags is set, so sweeps over p share
-    common random numbers.  Default: uniform over all m*v molecules (the
-    correct one included).  index_preserving: keep the sampled index f[t] and
-    draw only the payload.
-    """
-    rep_idx = f if index_preserving else rng.integers(0, m, size=len(f))
-    rep_pay = rng.integers(0, v, size=len(f))
-    return np.where(flags, rep_idx * v + rep_pay, true_ids)
+def observe_uniform(true_ids: np.ndarray, flags, replacement: np.ndarray) -> np.ndarray:
+    """Each erroneous read returns its replacement id, which the engine draws
+    for every read position; on a row or on a block of rows."""
+    return np.where(flags, replacement, true_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +61,9 @@ class StrongAdversaryPlan:
     time j+1); the other prefix times are t2.  active requires psi, errors
     at every t1 time, and a qualifying m_prime; stop_times maps each
     candidate m' that stops by the horizon to its error-free stopping time
-    (such a stop always decodes to m').  The candidates are the other
-    messages that sample identically on t2, and there are none unless the
-    partition, psi and the t1 errors hold.
+    (such a stop always decodes to m').  The candidates are the messages
+    codebook.agreeing gives for the t2 indices, and there are none unless
+    the partition, psi and the t1 errors hold.
     """
 
     active: bool
@@ -99,17 +85,13 @@ def strong_prepare(
     """Build the clairvoyant plan for true message m.
 
     Active iff the partition witnesses membership, errors occur at every t1
-    time, some other message m' that stops by the horizon samples identically
-    on t2 (codewords agree on every index hit by t2 reads), and psi holds.
-    The smallest qualifying m' id is chosen.  Uses the full future f, flags,
-    and error-free decoder behavior; legitimate only for this adversary model.
+    time, psi holds, and a candidate m' stops by the horizon; the smallest
+    such m' is chosen.  Uses the full future f, flags, and error-free decoder
+    behavior; legitimate only for this adversary model.
     """
     candidates = []
     if part.in_s and psi and flags[:h_m][part.t1].all():
-        t2_indices = f[:h_m][~part.t1]  # repeats are harmless to the compare
-        agree = (cb.matrix[:, t2_indices] == cb.matrix[m, t2_indices]).all(axis=1)
-        agree[m] = False
-        candidates = np.flatnonzero(agree).tolist()
+        candidates = agreeing(cb, m, f[:h_m][~part.t1])
     stop_times = decoder.stopping_times_all(cb, f, h_m, candidates)
     m_prime = min(stop_times, default=None)
     return StrongAdversaryPlan(
@@ -162,10 +144,7 @@ def weak_prepare(
     if not 0 <= r_prime_m <= mm:
         raise ValueError("r_prime_m out of range")
     chosen = np.sort(rng.choice(mm, size=r_prime_m, replace=False))
-    w = cb.matrix
-    equal = (w[:, chosen] == w[m, chosen]).all(axis=1)
-    equal[m] = False
-    cands = np.flatnonzero(equal)
+    cands = agreeing(cb, m, chosen)
     m_prime = int(cands[rng.integers(len(cands))]) if len(cands) else None
     psi = bool(rng.random() < cb.params.p)
     return WeakAdversaryPlan(index_set=chosen, m_prime=m_prime, psi=psi)

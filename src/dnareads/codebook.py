@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .core import OuterCodeword, SimParams, derive_codebook_rng, parse_field, validate
+from .core import SimParams, derive_codebook_rng, parse_field, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +58,10 @@ def intersection_threshold(params: SimParams) -> int:
     return math.ceil(params.theta * params.m)
 
 
+# Runs of construct_greedy's candidate budget before it gives up; a run that
+# gets stuck on a maximal code starts over from the stream's next candidates.
+_GREEDY_RUNS = 3
+
 # Byte budget of construct_greedy: the words plus one block of candidates and
 # every per-candidate temporary (see _greedy_row_bytes).
 _GREEDY_BYTES = 1_000_000
@@ -93,7 +95,8 @@ def construct_greedy(params: SimParams) -> Codebook:
     Deterministic given params.seed: candidates come from
     derive_codebook_rng(params.seed), and a candidate is accepted iff its
     intersection with every word accepted before it is below the threshold.
-    Gives up after 1000 * k candidate draws.
+    A run that draws 1000 * k candidates without k words is dropped and the
+    next starts from the stream's next candidate, up to _GREEDY_RUNS runs.
 
     Candidates are drawn in blocks, which equal the one-at-a-time draws: k
     rows first, doubling up to _greedy_block rows, so a small code draws
@@ -109,33 +112,34 @@ def construct_greedy(params: SimParams) -> Codebook:
     thr = intersection_threshold(params)
     words = np.empty((k, m), dtype=np.int64)
     words_t = np.empty((m, k), dtype=pay)
-    accepted = drawn = 0
     budget = 1000 * k
     cap = _greedy_block(m, k, v)
-    b = min(k, cap)
-    while drawn < budget:
-        b = min(b, budget - drawn)
-        drawn += b
-        cand = rng.integers(0, v, size=(b, m)).astype(pay)
-        if accepted:
-            cols = np.ascontiguousarray(cand.T)
-            counts = np.zeros((b, accepted), dtype=cnt)
-            for i in range(m):
-                counts += cols[i][:, None] == words_t[i, :accepted]
-            cand = cand[counts.max(axis=1) < thr]
-        alive = np.ones(len(cand), dtype=bool)
-        for i in range(len(cand)):
-            if not alive[i]:
-                continue
-            words[accepted] = words_t[:, accepted] = cand[i]
-            accepted += 1
-            if accepted == k:
-                return Codebook(params, words)
-            alive[i + 1 :] &= (cand[i + 1 :] == cand[i]).sum(axis=1, dtype=cnt) < thr
-        b = min(2 * b, cap)
+    for _ in range(_GREEDY_RUNS):
+        accepted = drawn = 0
+        b = min(k, cap)
+        while drawn < budget:
+            b = min(b, budget - drawn)
+            drawn += b
+            cand = rng.integers(0, v, size=(b, m)).astype(pay)
+            if accepted:
+                cols = np.ascontiguousarray(cand.T)
+                counts = np.zeros((b, accepted), dtype=cnt)
+                for i in range(m):
+                    counts += cols[i][:, None] == words_t[i, :accepted]
+                cand = cand[counts.max(axis=1) < thr]
+            alive = np.ones(len(cand), dtype=bool)
+            for i in range(len(cand)):
+                if not alive[i]:
+                    continue
+                words[accepted] = words_t[:, accepted] = cand[i]
+                accepted += 1
+                if accepted == k:
+                    return Codebook(params, words)
+                alive[i + 1 :] &= (cand[i + 1 :] == cand[i]).sum(axis=1, dtype=cnt) < thr
+            b = min(2 * b, cap)
     raise RuntimeError(
         f"codebook budget exhausted: accepted {accepted} of {k} words "
-        f"after {budget} candidates"
+        f"after {_GREEDY_RUNS} runs of {budget} candidates"
     )
 
 
@@ -151,18 +155,14 @@ def verify_intersections(cb: Codebook) -> int:
     return best
 
 
-def restriction(word: OuterCodeword, indices: Sequence[int]) -> tuple[int, ...]:
-    """Payloads of the codeword at the given indices, in ascending index order."""
-    return tuple(word.payloads[i] for i in sorted(indices))
-
-
-def unique_restriction_set(cb: Codebook, indices: Sequence[int]) -> set[int]:
-    """Messages whose restriction to the given indices no other codeword
-    shares."""
-    idx = sorted(indices)
-    restr = [tuple(int(x) for x in row) for row in cb.matrix[:, idx]]
-    counts = Counter(restr)
-    return {i for i, r in enumerate(restr) if counts[r] == 1}
+def agreeing(cb: Codebook, m: int, indices) -> list[int]:
+    """Sorted ids of the messages other than m whose codewords store m's
+    payload at every index in indices (repeats are harmless): the messages
+    an impersonator can swap in for m without touching those indices."""
+    w = cb.matrix
+    agree = (w[:, indices] == w[m, indices]).all(axis=1)
+    agree[m] = False
+    return np.flatnonzero(agree).tolist()
 
 
 def save_codebook(cb: Codebook, path: str) -> None:

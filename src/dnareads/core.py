@@ -240,16 +240,6 @@ class Molecule:
         return self.index * v + self.payload
 
 
-@dataclass(frozen=True)
-class OuterCodeword:
-    """Length-m payload assignment; entry j is the payload stored at index j."""
-
-    payloads: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-
 class VerdictKind(Enum):
     """The values are the kind codes of the batch engine and the CSVs."""
 

@@ -288,6 +288,8 @@ def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[Mem
     if not analysis.converse_valid(c, delta):
         raise ValueError("converse condition violated")
     r0 = 1.0 - delta - math.exp(-c)
+    if not 0.0 < r0 < 1.0:
+        raise ValueError(f"coverage {c!r} and delta {delta!r} give no rate in (0, 1)")
     cpp = 0.9 * c
     window = analysis.rprime_window(cpp, delta, r0)
     if window is None:

@@ -57,13 +57,10 @@ class TrialOutcome:
 
     message, m_prime and the verdict's decoded output are message ids in
     [0, k).  conditions marks trials where the guaranteed-error premises
-    held: for the strong adversary, an active plan.  For the weak one they
-    cannot hold, so conditions is False.  They ask that the untouched set,
-    where the true message agrees with m_prime, hold every t2 index; the t1
-    times cover at most dm distinct indices, so the true message keeps at
-    most dm outside molecules on m_prime's error-free stream, and m_prime
-    never stops alone.  expected_stop is the error-free stopping time of
-    m_prime when conditions hold.
+    held: an active strong plan, never a weak one.  Neither ever happens: an
+    m' that agrees with the true message on every t2 index never stops alone
+    (README "Tests").  expected_stop is m_prime's error-free stopping time
+    when conditions hold.
     """
 
     message: int
@@ -97,9 +94,10 @@ def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m
     if adversary == "honest":
         observed = channel.observe_honest(true_ids, f, flags)
     elif adversary in ("uniform", "uniform-index"):
-        observed = channel.observe_uniform(
-            true_ids, f, flags, params.m, params.v, rng, adversary == "uniform-index"
-        )
+        cap = params.read_cap
+        rep_idx = rng.integers(0, params.m, size=cap) if adversary == "uniform" else f
+        rep_pay = rng.integers(0, params.v, size=cap)
+        observed = channel.observe_uniform(true_ids, flags, rep_idx * params.v + rep_pay)
     elif adversary == "weak":
         plan = channel.weak_prepare(cb, message, r_prime_m, rng)
         observed = channel.observe_weak(plan, cb, true_ids, f, flags)
@@ -297,7 +295,7 @@ def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
     else:
         rep_idx = f
     rep_pay, words = _integers(words, p.v, cap, bad)
-    obs[:] = np.where(flags, rep_idx * p.v + rep_pay, true_ids)
+    obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + rep_pay)
     return bad
 
 

@@ -18,7 +18,7 @@ from dnareads.channel import (
 from dnareads.codebook import construct_greedy
 from dnareads.core import Verdict, derive_trial_rng
 from dnareads.decoder import replay, run, stopping_time_no_errors
-from dnareads.simulate import run_trial
+from dnareads.simulate import _observe_trial, run_trial
 from dnareads.analysis import s_membership
 
 
@@ -72,36 +72,46 @@ def test_observe_honest_identity():
     assert observe_honest(true_ids, np.array([3, 0, 1]), flags) is true_ids
 
 
-def test_observe_uniform_singleton_space():
-    zeros = np.zeros(5, dtype=np.int64)
-    row = observe_uniform(zeros, zeros, np.ones(5, dtype=bool), 1, 1, np.random.default_rng(0))
-    assert not row.any()
+def _uniform_rows(literal_codebook, adversary, m, v, n):
+    """One trial of n reads as simulate._observe_trial draws it at p = 1, so
+    every read is erroneous, for a one-word code over m indices and v
+    payloads."""
+    cb = literal_codebook([[0] * m], dm=0, v=v, p=1.0, read_cap=n)
+    obs = _observe_trial(cb, adversary, 0)
+    assert obs.flags.all()
+    return obs
 
 
-def _erroneous_row(n, index, payload, v):
-    """n erroneous reads of molecule (index, payload): true ids, f, flags."""
-    f = np.full(n, index)
-    return f * v + payload, f, np.ones(n, dtype=bool)
+def test_observe_uniform_singleton_space(literal_codebook):
+    assert not _uniform_rows(literal_codebook, "uniform", 1, 1, 5).observed.any()
 
 
-def test_observe_uniform_frequencies():
+def test_observe_uniform_frequencies(literal_codebook):
     # all m*v molecules equally likely, independent of the sampled molecule
     n = 100_000
-    row = observe_uniform(*_erroneous_row(n, 2, 1, 4), 4, 4, np.random.default_rng(4))
-    counts = np.bincount(row, minlength=16)
+    obs = _uniform_rows(literal_codebook, "uniform", 4, 4, n)
+    counts = np.bincount(obs.observed, minlength=16)
     expected = n / 16
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 40.0  # df=15; far tail cutoff
 
 
-def test_observe_uniform_index_preserving():
-    row = observe_uniform(
-        *_erroneous_row(20_000, 2, 1, 4), 4, 4, np.random.default_rng(5), index_preserving=True
-    )
-    assert (row // 4 == 2).all()
-    pays = np.bincount(row % 4, minlength=4)
+def test_observe_uniform_index_preserving(literal_codebook):
+    obs = _uniform_rows(literal_codebook, "uniform-index", 4, 4, 20_000)
+    assert (obs.observed // 4 == obs.true_ids // 4).all()
+    pays = np.bincount(obs.observed % 4, minlength=4)
     sigma = np.sqrt(20_000 * 0.25 * 0.75)
     assert (np.abs(pays - 5000) < 4 * sigma).all()
+
+
+def test_observe_uniform_maps_erroneous_reads():
+    true_ids = np.array([[1, 2, 3], [4, 5, 6]])
+    flags = np.array([[True, False, True], [False, False, True]])
+    replacement = np.array([[7, 8, 9], [10, 11, 12]])
+    row = observe_uniform(true_ids[0], flags[0], replacement[0])
+    assert row.tolist() == [7, 2, 9]
+    block = observe_uniform(true_ids, flags, replacement)
+    assert block.tolist() == [[7, 2, 9], [4, 5, 12]]
 
 
 @pytest.fixture
@@ -239,12 +249,13 @@ def _rows_of_every_adversary(cb, f, flags):
     true_ids = cb.word_ids[0][f]
     weak = WeakAdversaryPlan(index_set=np.array([], dtype=np.int64), m_prime=1, psi=True)
     strong = _strong_plan(True, 1, np.ones(len(f), dtype=bool))
-    m, v = cb.params.m, cb.params.v
+    m, v, n = cb.params.m, cb.params.v, len(f)
     rng = np.random.default_rng(0)
+    pay = rng.integers(0, v, size=n)
     return true_ids, {
         "honest": observe_honest(true_ids, f, flags),
-        "uniform": observe_uniform(true_ids, f, flags, m, v, rng),
-        "uniform-index": observe_uniform(true_ids, f, flags, m, v, rng, index_preserving=True),
+        "uniform": observe_uniform(true_ids, flags, rng.integers(0, m, size=n) * v + pay),
+        "uniform-index": observe_uniform(true_ids, flags, f * v + pay),
         "strong": observe_strong(strong, cb, true_ids, f, flags),
         "weak": observe_weak(weak, cb, true_ids, f, flags),
     }

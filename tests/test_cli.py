@@ -263,7 +263,8 @@ def test_smembership_rejects_empty_horizon(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["codebook", "--m", "6", "--k", "4", "--v", "2"], "codebook budget exhausted"),
+        # at most 4 binary words of length 6 lie at distance >= 4 from each other
+        (["codebook", "--m", "6", "--k", "5", "--v", "2"], "codebook budget exhausted"),
         (["simulate", "--m", "8", "--k", "8", "--v", "4", "--p", "1.5"], "p out of range"),
         (
             [
@@ -375,6 +376,15 @@ _BAD_INPUTS = [
 ] + [
     (f"smembership-delta-{x}", _SMEMBERSHIP[:-1] + [x], None, "dnareads: delta out of range")
     for x in ("1.5", "nan")
+] + [
+    # 1 - delta - e^-coverage is 0 or rounds to 1: no rate, named by its flags
+    (
+        f"smembership-no-rate-{c}",
+        ["smembership", "--m-list", "50", "--coverage", c, "--delta", "0", "--trials", "5"],
+        None,
+        f"dnareads: coverage {float(c)!r} and delta 0.0 give no rate",
+    )
+    for c in ("1e-300", "40")
 ]
 
 

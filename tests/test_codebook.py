@@ -7,40 +7,43 @@ import pytest
 
 from dnareads import SimParams, codebook
 from dnareads.codebook import (
+    Codebook,
+    agreeing,
     construct_greedy,
     intersection_threshold,
     load_codebook,
-    restriction,
     save_codebook,
-    unique_restriction_set,
     verify_intersections,
 )
-from dnareads.core import OuterCodeword, derive_codebook_rng
+from dnareads.core import derive_codebook_rng
 
 
-def sequential_greedy(params):
+def sequential_greedy(params, runs=3):
     """The one-candidate-at-a-time construction: the oracle of the block
-    construction, draw for draw."""
+    construction, draw for draw.  Each of the runs starts over from the
+    stream's next candidate."""
     rng = derive_codebook_rng(params.seed)
     thr = intersection_threshold(params)
     words = np.empty((params.k, params.m), dtype=np.int64)
-    accepted = 0
     budget = 1000 * params.k
-    for _ in range(budget):
-        cand = rng.integers(0, params.v, size=params.m)
-        if accepted == 0 or int((words[:accepted] == cand).sum(axis=1).max()) < thr:
-            words[accepted] = cand
-            accepted += 1
-            if accepted == params.k:
-                return words
+    for _ in range(runs):
+        accepted = 0
+        for _ in range(budget):
+            cand = rng.integers(0, params.v, size=params.m)
+            if accepted == 0 or int((words[:accepted] == cand).sum(axis=1).max()) < thr:
+                words[accepted] = cand
+                accepted += 1
+                if accepted == params.k:
+                    return words
     raise RuntimeError(
         f"codebook budget exhausted: accepted {accepted} of {params.k} words "
-        f"after {budget} candidates"
+        f"after {runs} runs of {budget} candidates"
     )
 
 
 UNIFORM_SWEEP_CODE = dict(m=20, k=64, v=8, dm=1, theta=0.25)
 DECODE_WIDE_CODE = dict(m=64, k=1024, v=2, dm=3, theta=0.7)
+CONVERSE_CODE = dict(m=10, k=16, v=2, dm=2, theta=0.7)
 
 
 def test_intersection_examples(literal_codebook):
@@ -80,19 +83,33 @@ def test_construct_matches_sequential(code, seed):
     assert np.array_equal(construct_greedy(params).matrix, sequential_greedy(params))
 
 
+def test_stuck_first_run_is_started_over():
+    # The converse code at seed 11 gets stuck on a maximal code of 15 words
+    # in its first run; the second run builds all 16.
+    params = SimParams(p=0.0, seed=11, **CONVERSE_CODE)
+    with pytest.raises(RuntimeError, match="accepted 15 of 16 words after 1 runs"):
+        sequential_greedy(params, runs=1)
+    cb = construct_greedy(params)
+    assert np.array_equal(cb.matrix, sequential_greedy(params))
+    assert verify_intersections(cb) < intersection_threshold(params)
+
+
 def test_construct_matches_sequential_across_capped_block(monkeypatch):
     # The second word must be the first one's complement.  Blocks of 2, 4,
     # ..., 512, 600 draw 1622 of the 2000 candidates, and the last block is
     # capped at 378.  Seed 14 accepts its second word at draw 1777, inside
     # that block.  Seed 47 would accept it at draw 2055, past the budget, so
-    # both constructions give up with the same message.
+    # its first run gives up.  Both constructions build the same words in the
+    # second run, which starts at draw 2001, and, held to one run, give up
+    # with the same message.
     monkeypatch.setattr(codebook, "_greedy_block", lambda m, k, v: 600)
     code = dict(m=10, k=2, v=2, p=0.0, dm=0, theta=0.1)
-    params = SimParams(seed=14, **code)
-    assert np.array_equal(construct_greedy(params).matrix, sequential_greedy(params))
-    params = SimParams(seed=47, **code)
+    for seed in (14, 47):
+        params = SimParams(seed=seed, **code)
+        assert np.array_equal(construct_greedy(params).matrix, sequential_greedy(params))
+    monkeypatch.setattr(codebook, "_GREEDY_RUNS", 1)
     with pytest.raises(RuntimeError) as want:
-        sequential_greedy(params)
+        sequential_greedy(params, runs=1)
     with pytest.raises(RuntimeError) as got:
         construct_greedy(params)
     assert str(got.value) == str(want.value)
@@ -171,47 +188,40 @@ def test_words_match_matrix(small_codebook):
     assert np.array_equal(ids[3] % p.v, small_codebook.matrix[3])
 
 
-def test_restriction_orders_indices():
-    w = OuterCodeword((5, 6, 7, 8))
-    assert restriction(w, [2, 0]) == (5, 7)
-    assert restriction(w, []) == ()
-
-
-def test_unique_restriction_set_hand_instance(literal_codebook):
+def test_agreeing_hand_instance(literal_codebook):
     cb = literal_codebook([[0, 0, 1], [0, 1, 1], [0, 0, 2]], dm=0)
-    # restricted to index 0 all words collide; on {1,2} each is distinct
-    assert unique_restriction_set(cb, [0]) == set()
-    assert unique_restriction_set(cb, [2, 1]) == {0, 1, 2}
-    # index 2 alone: word 0 and 1 share payload 1, word 2 is alone
-    assert unique_restriction_set(cb, np.array([2])) == {2}
+    # on index 0 all words agree; on {1,2} each is distinct
+    assert [agreeing(cb, i, [0]) for i in range(3)] == [[1, 2], [0, 2], [0, 1]]
+    assert [agreeing(cb, i, [2, 1]) for i in range(3)] == [[], [], []]
+    # index 2 alone: word 0 and 1 share payload 1, word 2 is alone; repeats
+    # change nothing
+    assert [agreeing(cb, i, np.array([2, 2])) for i in range(3)] == [[1], [0], []]
 
 
-def test_unique_restriction_set_brute_force():
+def test_agreeing_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(30):
         k = int(rng.integers(2, 12))
         m = int(rng.integers(2, 8))
         v = int(rng.integers(2, 4))
         params = SimParams(m=m, k=k, v=v, p=0.0, dm=0, theta=1.0, seed=0)
-        from dnareads.codebook import Codebook
-
         cb = Codebook(params, rng.integers(0, v, size=(k, m)))
         size = int(rng.integers(0, m + 1))
         iset = rng.choice(m, size=size, replace=False)
-        got = unique_restriction_set(cb, iset)
-        restr = [restriction(OuterCodeword(tuple(row)), iset) for row in cb.matrix]
-        brute = set()
+        restr = [tuple(row[sorted(iset)]) for row in cb.matrix]
         for i in range(k):
-            if all(restr[j] != restr[i] for j in range(k) if j != i):
-                brute.add(i)
-        assert got == brute
-        # at most one unique representative per restriction value
-        assert len(got) <= v ** len(iset)
+            brute = [j for j in range(k) if j != i and restr[j] == restr[i]]
+            assert agreeing(cb, i, iset) == brute
+        # at most one message per restriction value agrees with no other
+        unique = [i for i in range(k) if not agreeing(cb, i, iset)]
+        assert len(unique) <= v ** len(iset)
 
 
 def test_empty_restriction_never_unique(small_codebook):
-    # every pair collides on the empty restriction once k >= 2
-    assert unique_restriction_set(small_codebook, []) == set()
+    # on no indices every other message agrees, so none is unique once k >= 2
+    k = len(small_codebook)
+    for i in range(k):
+        assert agreeing(small_codebook, i, []) == [j for j in range(k) if j != i]
 
 
 def test_save_load_round_trip(tmp_path, small_codebook):

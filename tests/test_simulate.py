@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dnareads import SimParams, core, simulate
 from dnareads.codebook import Codebook, construct_greedy
 from dnareads.analysis import s_membership
+from dnareads.channel import strong_prepare
 from dnareads.core import VerdictKind
 from dnareads.decoder import stopping_time_no_errors
 from dnareads.simulate import run_batch, run_trial
@@ -261,6 +262,8 @@ def test_weak_premises_cannot_hold(data):
     # the horizon on its error-free stream.  The t1 times cover at most dm
     # distinct indices, and a disagrees with b only there, so a keeps at most
     # dm outside molecules on that stream and b is never alone: b never stops.
+    # The strong adversary's candidates are such b, so its plan is never
+    # active, even with psi and every read in error.
     m = data.draw(st.integers(2, 6))
     k = data.draw(st.integers(2, 6))
     v = data.draw(st.integers(2, 3))
@@ -285,6 +288,8 @@ def test_weak_premises_cannot_hold(data):
         for b in range(k):
             if a != b and (matrix[a, t2_indices] == matrix[b, t2_indices]).all():
                 assert stopping_time_no_errors(cb, b, f, h) is None
+        plan = strong_prepare(cb, a, f, np.ones(h, dtype=bool), h, part, psi=True)
+        assert plan.active is False and plan.stop_times == {}
 
 
 def test_strong_trial_diagnostics(small_codebook):
