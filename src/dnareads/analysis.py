@@ -226,12 +226,10 @@ class SPartition:
     t1 is a bool mask over the h_m prefix: entry j is read time j+1, and the
     times it leaves out form t2.  in_s is True when t1 (at most dm times)
     leaves a t2 whose draws hit at most r_prime_m distinct indices.
-    sufficient reports the weaker closed-form test z - min(z1, dm) <= r_prime_m.
     """
 
     in_s: bool
     t1: np.ndarray
-    sufficient: bool
 
 
 def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
@@ -250,9 +248,7 @@ def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
     order = np.argsort(counts[vals], kind="stable")
     removed = np.zeros(len(counts), dtype=bool)
     removed[vals[order[: stats.removed]]] = True
-    return SPartition(
-        in_s=bool(stats.in_s), t1=removed[head], sufficient=bool(stats.sufficient)
-    )
+    return SPartition(in_s=bool(stats.in_s), t1=removed[head])
 
 
 def rate_region(c: float, c_in: float, beta: float) -> float:

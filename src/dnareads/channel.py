@@ -12,8 +12,6 @@ swap in a message that codebook.agreeing finds."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -58,19 +56,22 @@ class StrongAdversaryPlan:
     """Per-trial plan of the clairvoyant adversary.
 
     t1 is the partition's bool mask over the h_m read prefix (entry j is read
-    time j+1); the other prefix times are t2.  active requires psi, errors
-    at every t1 time, and a qualifying m_prime; stop_times maps each
-    candidate m' that stops by the horizon to its error-free stopping time
-    (such a stop always decodes to m').  The candidates are the messages
-    codebook.agreeing gives for the t2 indices, and there are none unless
-    the partition, psi and the t1 errors hold.
+    time j+1); the other prefix times are t2.  m_prime is the smallest
+    candidate m' that stops by the horizon, and stop its error-free stopping
+    time (such a stop always decodes to m'); both are None when none does.
+    The candidates are the messages codebook.agreeing gives for the t2
+    indices, and there are none unless the partition, psi and the t1 errors
+    hold.
     """
 
-    active: bool
     m_prime: int | None
+    stop: int | None
     t1: np.ndarray
     psi: bool
-    stop_times: Mapping[int, int]
+
+    @property
+    def active(self) -> bool:
+        return self.m_prime is not None
 
 
 def strong_prepare(
@@ -92,15 +93,9 @@ def strong_prepare(
     candidates = []
     if part.in_s and psi and flags[:h_m][part.t1].all():
         candidates = agreeing(cb, m, f[:h_m][~part.t1])
-    stop_times = decoder.stopping_times_all(cb, f, h_m, candidates)
-    m_prime = min(stop_times, default=None)
-    return StrongAdversaryPlan(
-        active=m_prime is not None,
-        m_prime=m_prime,
-        t1=part.t1,
-        psi=psi,
-        stop_times=MappingProxyType(stop_times),
-    )
+    stops = decoder.stopping_times_all(cb, f, h_m, candidates)
+    m_prime = min(stops, default=None)
+    return StrongAdversaryPlan(m_prime, stops.get(m_prime), part.t1, psi)
 
 
 def observe_strong(

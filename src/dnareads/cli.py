@@ -46,12 +46,12 @@ _FLAGS = {
     "read_cap": dict(type=int),
     "out": dict(help="output file; stdout when omitted"),
     "config": dict(help="JSON config file"),
-    "h_m": dict(flag="--hm", type=int, help="horizon for converse adversaries"),
-    "r_prime_m": dict(flag="--rprimem", type=int, help="untouched-index budget"),
+    "h_m": dict(flag="--hm", type=int, help="horizon (strong adversary)"),
+    "r_prime_m": dict(flag="--rprimem", type=int, help="untouched-index budget (strong, weak)"),
 }
 
 
-def _subcommand(sub, name: str, summary: str, flags, required=()) -> argparse.ArgumentParser:
+def _subcommand(sub, name: str, summary: str, flags) -> argparse.ArgumentParser:
     """A subcommand taking the named _FLAGS.  Abbreviations are off, so that
     a flag it does not take (--m) is an error, not a prefix of one it does
     (--m-list)."""
@@ -59,7 +59,7 @@ def _subcommand(sub, name: str, summary: str, flags, required=()) -> argparse.Ar
     for dest in flags:
         kw = dict(_FLAGS[dest])
         flag = kw.pop("flag", "--" + dest.replace("_", "-"))
-        sp.add_argument(flag, dest=dest, required=dest in required, **kw)
+        sp.add_argument(flag, dest=dest, **kw)
     return sp
 
 
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     codebook = ("m", "k", "v", "theta", "seed", "out", "config")
     _subcommand(sub, "codebook", "construct a codebook and save it", codebook)
     _subcommand(sub, "simulate", "Monte Carlo error-rate run", _FLAGS)
-    sweep = [f for f in _FLAGS if f not in ("p", "h_m", "r_prime_m")]
+    sweep = [f for f in _FLAGS if f != "p"]
     sp = _subcommand(sub, "sweep-p", "error rate and bounds across p values", sweep)
     sp.add_argument(
         "--p-list", dest="p_list", type=_list(float), required=True,
@@ -137,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _subcommand(sub, "smembership", "partition-test membership trend", smembership)
     sp.add_argument("--m-list", dest="m_list", type=_list(int), required=True)
     sp.add_argument("--coverage", type=_finite, required=True, help="coverage factor c")
-    required = ("h_m", "r_prime_m")
-    _subcommand(sub, "converse", "adversary mechanics experiment", _FLAGS, required)
+    _subcommand(sub, "converse", "adversary mechanics experiment", _FLAGS)
     return ap
 
 

@@ -177,15 +177,19 @@ def save_codebook(cb: Codebook, path: str) -> None:
 
 def load_codebook(path: str, params: SimParams) -> Codebook:
     """Inverse of save_codebook: the book the file holds, run at params.
-    Raises a one-line ValueError naming the line and field of a non-numeric
-    value, a row past the header's k, or the first of the header's m, k, v,
-    theta and seed that differs from params, since the file does not hold
-    the run parameters (p, dm, read_cap)."""
+    Raises a one-line ValueError "codebook <path> line <n>: ..." for a
+    malformed header or row, a non-numeric value, a payload out of range or
+    a row past the header's k (a file that ends early names the line after
+    its last), and one naming the first of the header's m, k, v, theta and
+    seed that differs from params, since the file does not hold the run
+    parameters (p, dm, read_cap)."""
     with open(path) as fh:
-        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines or len(lines[0][1]) != 5:
-        raise ValueError("malformed codebook header")
+        numbered = list(enumerate(fh, 1))
+    # the end of the file, as a line with no fields
+    lines = [(no, ln.split()) for no, ln in numbered if ln.strip()] + [(len(numbered) + 1, [])]
     where = f"codebook {path} line {lines[0][0]}"
+    if len(lines[0][1]) != 5:
+        raise ValueError(f"{where}: malformed header, want m k v theta seed")
     stored = {
         field: parse_field(x, where, field, float if field == "theta" else int)
         for field, x in zip(("m", "k", "v", "theta", "seed"), lines[0][1])
@@ -195,18 +199,15 @@ def load_codebook(path: str, params: SimParams) -> Codebook:
         if x != ran:
             raise ValueError(f"codebook {path}: {field} {x!r}, but the run has {ran!r}")
     m, k, v = params.m, params.k, params.v
-    rows = lines[1:]
-    if len(rows) > k:
-        raise ValueError(f"codebook {path} line {rows[k][0]}: row past k = {k}")
+    if len(lines) > k + 2:
+        raise ValueError(f"codebook {path} line {lines[k + 1][0]}: row past k = {k}")
     matrix = np.empty((k, m), dtype=np.int64)
-    for i in range(k):
-        if i >= len(rows) or len(rows[i][1]) != m:
-            raise ValueError(f"malformed codebook row {i}")
-        no, row = rows[i]
+    for i, (no, row) in enumerate(lines[1 : k + 1]):
         where = f"codebook {path} line {no}"
-        matrix[i] = [parse_field(x, where, "payload") for x in row]
-    cb = Codebook(params, matrix)
-    for i, row in enumerate(cb.matrix):
-        if not ((0 <= row) & (row < v)).all():
-            raise ValueError(f"payload out of range in row {i}")
-    return cb
+        if len(row) != m:
+            raise ValueError(f"{where}: malformed row, want m = {m} payloads, got {len(row)}")
+        payloads = [parse_field(x, where, "payload") for x in row]
+        if not all(0 <= x < v for x in payloads):
+            raise ValueError(f"{where}: payload out of range [0, {v})")
+        matrix[i] = payloads
+    return Codebook(params, matrix)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, simulate
-from .channel import ADVERSARIES
+from .channel import ADVERSARIES, StrongAdversaryPlan
 from .codebook import Codebook, construct_greedy, intersection_threshold
 from .core import (
     PARAM_RULES, SimParams, Verdict, VerdictKind, check_rules, derive_trial_rng, validate
@@ -201,21 +201,22 @@ def _checked_trials(cfg: ExperimentConfig, cb: Codebook):
     error-free stopping time by the horizon."""
     for t in range(cfg.trials):
         outcome, _ = simulate.run_trial(cb, cfg.adversary, t, cfg.h_m, cfg.r_prime_m)
-        v = outcome.verdict
-        if outcome.conditions and not (
-            v == Verdict.decided(outcome.m_prime, outcome.expected_stop)
+        plan, v = outcome.plan, outcome.verdict
+        # only an active strong plan's premises can hold (README "Tests")
+        conditions = isinstance(plan, StrongAdversaryPlan) and plan.active
+        if conditions and not (
+            v == Verdict.decided(plan.m_prime, plan.stop)
             and v.decoded != outcome.message
             and v.n_reads <= cfg.h_m
         ):
             raise RuntimeError(
                 f"guaranteed-error implication violated on trial {t}: "
-                f"expected Decided({outcome.m_prime}, {outcome.expected_stop}), "
-                f"got {v}"
+                f"expected Decided({plan.m_prime}, {plan.stop}), got {v}"
             )
         yield ConverseRow(
-            t, outcome.message, _id(outcome.m_prime), bool(outcome.psi),
-            bool(outcome.active), bool(outcome.conditions), v.kind.value, _id(v.decoded),
-            v.n_reads, v.kind is not VerdictKind.DECIDED or v.decoded != outcome.message,
+            t, outcome.message, _id(plan.m_prime), plan.psi, plan.active, conditions,
+            v.kind.value, _id(v.decoded), v.n_reads,
+            v.kind is not VerdictKind.DECIDED or v.decoded != outcome.message,
         )
 
 
@@ -235,9 +236,17 @@ def sweep_p(cfg: ExperimentConfig, p_list) -> list[SweepRow]:
     subs = [replace(cfg, params=replace(cfg.params, p=float(p))) for p in p_list]
     for sub in subs:
         validate_config(sub)
-    matrix = construct_greedy(subs[0].params).matrix
+    # the domain of the analytic columns, checked before any trial runs
     m, dm = cfg.params.m, cfg.params.dm
     thr = ones_threshold(cfg.params)
+    if max(p_list) >= 1.0:
+        raise ValueError(f"--p-list holds p = {max(p_list)!r}; the union bound needs p < 1")
+    if thr >= m:
+        raise ValueError(
+            f"ones threshold ceil(theta*m) + dm = {thr} is not below m = {m}; "
+            "lower --theta or --delta, or raise --m"
+        )
+    matrix = construct_greedy(subs[0].params).matrix
     rows = []
     for sub in subs:
         p = sub.params.p
@@ -333,8 +342,6 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
     validate_config(cfg)
     if cfg.adversary not in ("strong", "weak"):
         raise ValueError("converse experiment needs the strong or weak adversary")
-    if cfg.h_m is None or cfg.r_prime_m is None:
-        raise ValueError("converse experiment needs h_m and r_prime_m")
     rows = list(_checked_trials(cfg, construct_greedy(cfg.params)))
     n_active = sum(r.active for r in rows)
     n_cond = sum(r.conditions for r in rows)

@@ -53,23 +53,17 @@ from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind, derive_tria
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Verdict of one trial plus adversary diagnostics.
-
-    message, m_prime and the verdict's decoded output are message ids in
-    [0, k).  conditions marks trials where the guaranteed-error premises
-    held: an active strong plan, never a weak one.  Neither ever happens: an
-    m' that agrees with the true message on every t2 index never stops alone
-    (README "Tests").  expected_stop is m_prime's error-free stopping time
-    when conditions hold.
-    """
+    """Verdict of one trial and the plan of its adversary: the strong or weak
+    plan, None for the others.  message, m_prime and the verdict's decoded
+    output are message ids in [0, k)."""
 
     message: int
     verdict: Verdict
-    psi: bool | None = None
-    active: bool | None = None
-    conditions: bool | None = None
-    m_prime: int | None = None
-    expected_stop: int | None = None
+    plan: channel.StrongAdversaryPlan | channel.WeakAdversaryPlan | None
+
+    @property
+    def m_prime(self) -> int | None:
+        return None if self.plan is None else self.plan.m_prime
 
 
 class _Observed(NamedTuple):
@@ -134,7 +128,7 @@ def run_trial(
     obs = _observe_trial(cb, adversary, trial, h_m, r_prime_m)
     ids = obs.observed.tolist()
     verdict = decoder.run(cb, ids, cap)
-    outcome = _classify(obs, verdict)
+    outcome = TrialOutcome(obs.message, verdict, obs.plan)
     if not collect_trace:
         return outcome, None
     n = verdict.n_reads
@@ -144,23 +138,6 @@ def run_trial(
         for t, (sampled, error, seen) in enumerate(reads)
     )
     return outcome, Trace(obs.message, records, verdict)
-
-
-def _classify(obs: _Observed, verdict: Verdict) -> TrialOutcome:
-    plan = obs.plan
-    if plan is None:
-        return TrialOutcome(message=obs.message, verdict=verdict)
-    # only the strong plan's premises can hold (see TrialOutcome)
-    held = isinstance(plan, channel.StrongAdversaryPlan) and plan.active
-    return TrialOutcome(
-        message=obs.message,
-        verdict=verdict,
-        psi=plan.psi,
-        active=plan.active,
-        conditions=held,
-        m_prime=plan.m_prime,
-        expected_stop=plan.stop_times[plan.m_prime] if held else None,
-    )
 
 
 @dataclass

@@ -141,29 +141,30 @@ def test_strong_prepare_no_errors_inactive(strong_setup):
 def test_strong_prepare_u_partition(strong_setup):
     cb, f, flags, part = strong_setup
     plan = strong_prepare(cb, 0, f, flags, 20, part, psi=True)
-    # stop_times holds the t2-agreeing candidates that stop by the horizon,
-    # each such stop decodes to the candidate, and m_prime is the smallest
+    # m_prime is the smallest t2-agreeing candidate that stops by the
+    # horizon, stop is its error-free stopping time, and each such stop
+    # decodes to the candidate
     gate = part.in_s and flags[:20][part.t1].all()
     t2 = f[:20][~part.t1]
+    stops = {}
     for msg in range(len(cb)):
         t = stopping_time_no_errors(cb, msg, f, 20)
         agrees = msg != 0 and (cb.matrix[msg, t2] == cb.matrix[0, t2]).all()
-        assert plan.stop_times.get(msg) == (t if gate and agrees else None)
         if t is not None:
             assert t <= 20
             assert run(cb, cb.word_ids[msg][f[:t]].tolist(), t) == Verdict.decided(msg, t)
-    assert plan.m_prime == min(plan.stop_times, default=None)
+            if gate and agrees:
+                stops[msg] = t
+    assert plan.m_prime == min(stops, default=None)
+    assert plan.stop == stops.get(plan.m_prime)
     assert plan.active == (plan.m_prime is not None)
 
 
-def _strong_plan(active, m_prime, t1):
-    """A plan whose t1 mask marks the given 0-based read positions."""
+def _strong_plan(m_prime, t1):
+    """A plan whose t1 mask marks the given 0-based read positions; active
+    unless m_prime is None.  observe_strong does not read stop."""
     return StrongAdversaryPlan(
-        active=active,
-        m_prime=m_prime,
-        t1=np.asarray(t1, dtype=bool),
-        psi=True,
-        stop_times={},
+        m_prime=m_prime, stop=None, t1=np.asarray(t1, dtype=bool), psi=True
     )
 
 
@@ -175,12 +176,12 @@ def test_observe_strong_substitution(literal_codebook):
     # read at a t1 time becomes codeword 1's molecule (1, 1); time 3: clean
     # read at a t1 time passes through
     flags = np.array([True, True, False])
-    row = observe_strong(_strong_plan(True, 1, [False, True, True]), cb, true_ids, f, flags)
+    row = observe_strong(_strong_plan(1, [False, True, True]), cb, true_ids, f, flags)
     assert row.tolist() == [2, 3, 2]
     # a mask over a shorter prefix leaves the later reads alone
-    row = observe_strong(_strong_plan(True, 1, [True, True]), cb, true_ids, f, np.ones(3, bool))
+    row = observe_strong(_strong_plan(1, [True, True]), cb, true_ids, f, np.ones(3, bool))
     assert row.tolist() == [3, 3, 2]
-    inactive = _strong_plan(False, None, [False, True, True])
+    inactive = _strong_plan(None, [False, True, True])
     assert observe_strong(inactive, cb, true_ids, f, np.ones(3, dtype=bool)).tolist() == [2, 2, 2]
 
 
@@ -248,7 +249,7 @@ def test_observe_weak_substitution(literal_codebook):
 def _rows_of_every_adversary(cb, f, flags):
     true_ids = cb.word_ids[0][f]
     weak = WeakAdversaryPlan(index_set=np.array([], dtype=np.int64), m_prime=1, psi=True)
-    strong = _strong_plan(True, 1, np.ones(len(f), dtype=bool))
+    strong = _strong_plan(1, np.ones(len(f), dtype=bool))
     m, v, n = cb.params.m, cb.params.v, len(f)
     rng = np.random.default_rng(0)
     pay = rng.integers(0, v, size=n)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from dnareads import SimParams
-from dnareads.cli import main
+from dnareads.cli import build_parser, main
 from dnareads.codebook import load_codebook
 
 
@@ -207,6 +208,89 @@ def test_converse_command(tmp_path, capsys):
     assert "activation_rate=" in err
 
 
+_CONVERSE = [
+    "converse", "--m", "10", "--k", "16", "--v", "2", "--p", "0.3", "--delta", "0.2",
+    "--theta", "0.7", "--seed", "3", "--read-cap", "400", "--trials", "200",
+]
+
+
+def test_weak_converse_needs_no_horizon(capsys):
+    # the weak adversary reads no h_m, so --hm changes nothing
+    argv = _CONVERSE + ["--adversary", "weak", "--rprimem", "3"]
+    assert main(argv) == 0
+    without = capsys.readouterr()
+    assert main(argv + ["--hm", "20"]) == 0
+    assert capsys.readouterr() == without
+    assert without.out.startswith("# dnareads") and "activation_rate=" in without.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _CONVERSE + ["--adversary", "strong", "--rprimem", "5"],
+        ["simulate"] + _CONVERSE[1:] + ["--adversary", "strong", "--rprimem", "5"],
+    ],
+    ids=["converse", "simulate"],
+)
+def test_strong_without_horizon_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value) == "dnareads: strong adversary needs h_m and r_prime_m"
+    assert capsys.readouterr().out == ""
+
+
+_SWEEP_ADVERSARY = [
+    "sweep-p", "--m", "10", "--k", "16", "--v", "2", "--delta", "0.2", "--theta", "0.7",
+    "--read-cap", "400", "--trials", "60", "--seed", "3", "--p-list", "0.1,0.3",
+]
+
+
+@pytest.mark.parametrize(
+    "flags,keys",
+    [
+        (["--adversary", "weak", "--rprimem", "3"], {"adversary": "weak", "r_prime_m": 3}),
+        (
+            ["--adversary", "strong", "--hm", "20", "--rprimem", "5"],
+            {"adversary": "strong", "h_m": 20, "r_prime_m": 5},
+        ),
+    ],
+    ids=["weak", "strong"],
+)
+def test_sweep_p_takes_adversary_budgets(tmp_path, flags, keys):
+    # the flags and the config file set h_m and r_prime_m alike
+    by_flags, by_file, cfg = tmp_path / "flags.csv", tmp_path / "file.csv", tmp_path / "cfg.json"
+    assert main(_SWEEP_ADVERSARY + flags + ["--out", str(by_flags)]) == 0
+    cfg.write_text(json.dumps(keys))
+    assert main(_SWEEP_ADVERSARY + ["--config", str(cfg), "--out", str(by_file)]) == 0
+    assert by_flags.read_bytes() == by_file.read_bytes()
+    assert len(_lines(by_flags)) == 4
+
+
+# the base argv of each subcommand that takes --adversary
+_ADVERSARY_BASE = {
+    "simulate": ["simulate", "--m", "8", "--k", "8", "--v", "4"],
+    "sweep-p": ["sweep-p", "--m", "8", "--k", "8", "--v", "4", "--p-list", "0.1"],
+    "converse": ["converse", "--m", "8", "--k", "8", "--v", "4"],
+}
+
+
+def test_adversary_flags_parse_wherever_adversary_is_offered():
+    # a subcommand that offers strong and weak takes the flags they read
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offering = {
+        name for name, sp in sub.choices.items() if any(a.dest == "adversary" for a in sp._actions)
+    }
+    assert offering == set(_ADVERSARY_BASE)
+    for argv in _ADVERSARY_BASE.values():
+        for extra in (
+            ["--adversary", "strong", "--hm", "5", "--rprimem", "2"],
+            ["--adversary", "weak", "--rprimem", "2"],
+        ):
+            args = parser.parse_args(argv + extra)
+            assert (args.adversary, args.r_prime_m) == (extra[1], 2)
+
+
 def test_stdout_when_out_omitted(capsys):
     rc = main(
         [
@@ -385,6 +469,23 @@ _BAD_INPUTS = [
         f"dnareads: coverage {float(c)!r} and delta 0.0 give no rate",
     )
     for c in ("1e-300", "40")
+] + [
+    # the analytic columns' domain, checked before any trial runs
+    (
+        "sweep-p-p-one",
+        ["sweep-p", "--m", "8", "--k", "8", "--v", "4", "--p-list", "0.5,1.0"],
+        None,
+        "--p-list",
+    ),
+    (
+        "sweep-p-ones-threshold",
+        [
+            "sweep-p", "--m", "10", "--k", "4", "--v", "2", "--delta", "1.0", "--theta", "0.9",
+            "--p-list", "0.1",
+        ],
+        None,
+        "--theta",
+    ),
 ]
 
 

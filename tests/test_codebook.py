@@ -239,17 +239,17 @@ def test_save_load_round_trip(tmp_path, small_codebook):
 def test_load_rejects_malformed(tmp_path):
     params = SimParams(m=2, k=1, v=2, theta=0.5, seed=0)
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 2 3\n")
-    with pytest.raises(ValueError, match="malformed codebook header"):
-        load_codebook(str(bad), params)
-    bad.write_text("2 1 2 0.5 0\n0 1 1\n")
-    with pytest.raises(ValueError, match="malformed codebook row"):
-        load_codebook(str(bad), params)
-    bad.write_text("2 1 2 0.5 0\n0 7\n")
-    with pytest.raises(ValueError, match="payload out of range"):
-        load_codebook(str(bad), params)
-    # a non-numeric field or a row past k names its line
+    # every error names the file and its line; a file that ends early names
+    # the line after its last
     for text, message in (
+        ("1 2 3\n", "line 1: malformed header, want m k v theta seed"),
+        ("", "line 1: malformed header, want m k v theta seed"),
+        ("\n\n2 1 2 0.5\n", "line 3: malformed header, want m k v theta seed"),
+        ("2 1 2 0.5 0\n0 1 1\n", "line 2: malformed row, want m = 2 payloads, got 3"),
+        ("2 1 2 0.5 0\n\n", "line 3: malformed row, want m = 2 payloads, got 0"),
+        ("2 1 2 0.5 0\n0 7\n", "line 2: payload out of range [0, 2)"),
+        ("2 1 2 0.5 0\n-1 0\n", "line 2: payload out of range [0, 2)"),
+        ("2 1 2 0.5 0\n0 99999999999999999999\n", "line 2: payload out of range [0, 2)"),
         ("2 1 x 0.5 0\n0 1\n", "line 1: v 'x' is not an integer"),
         ("2 1 2 half 0\n0 1\n", "line 1: theta 'half' is not a number"),
         ("2 1 2 0.5 0\n0 z\n", "line 2: payload 'z' is not an integer"),

@@ -31,6 +31,7 @@ from dnareads.harness import (
     wilson_interval,
 )
 from dnareads import analysis, cli, harness, simulate
+from dnareads.channel import StrongAdversaryPlan
 from dnareads.core import Verdict, derive_trial_rng
 
 
@@ -231,9 +232,15 @@ def test_converse_experiment_weak(small_codebook):
 
 
 def test_converse_experiment_requires_budgets(small_codebook):
+    # each adversary's needs are run_trial's to check: weak reads r_prime_m
+    # alone, strong also h_m
     cfg = ExperimentConfig(params=small_codebook.params, adversary="weak", trials=10)
-    with pytest.raises(ValueError, match="needs h_m and r_prime_m"):
+    with pytest.raises(ValueError, match="weak adversary needs r_prime_m"):
         converse_experiment(cfg)
+    rows, _ = converse_experiment(replace(cfg, r_prime_m=3))
+    assert rows == converse_experiment(replace(cfg, r_prime_m=3, h_m=20))[0]
+    with pytest.raises(ValueError, match="strong adversary needs h_m and r_prime_m"):
+        converse_experiment(replace(cfg, adversary="strong", r_prime_m=3))
     cfg = ExperimentConfig(
         params=small_codebook.params, adversary="uniform", trials=10, h_m=5, r_prime_m=2
     )
@@ -243,15 +250,12 @@ def test_converse_experiment_requires_budgets(small_codebook):
 
 @pytest.mark.parametrize("adversary", ["strong", "weak"])
 def test_simulate_checks_guaranteed_error_implication(monkeypatch, small_codebook, adversary):
-    # premises that hold, but a verdict other than Decided(m_prime,
-    # expected_stop): the per-trial loop of simulate must refuse it, as
-    # converse does
+    # an active strong plan, whose premises hold, but a verdict other than
+    # Decided(m_prime, stop): the per-trial loop of simulate must refuse it,
+    # as converse does
     def run_trial(cb, adv, trial, h_m=None, r_prime_m=None, collect_trace=False):
-        outcome = simulate.TrialOutcome(
-            message=0, verdict=Verdict.decided(0, 5), psi=True, active=True,
-            conditions=True, m_prime=1, expected_stop=5,
-        )
-        return outcome, None
+        plan = StrongAdversaryPlan(m_prime=1, stop=5, t1=np.ones(20, dtype=bool), psi=True)
+        return simulate.TrialOutcome(message=0, verdict=Verdict.decided(0, 5), plan=plan), None
 
     monkeypatch.setattr(simulate, "run_trial", run_trial)
     cfg = ExperimentConfig(

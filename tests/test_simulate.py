@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from dnareads import SimParams, core, simulate
 from dnareads.codebook import Codebook, construct_greedy
 from dnareads.analysis import s_membership
-from dnareads.channel import strong_prepare
+from dnareads.channel import StrongAdversaryPlan, WeakAdversaryPlan, strong_prepare
 from dnareads.core import VerdictKind
 from dnareads.decoder import stopping_time_no_errors
-from dnareads.simulate import run_batch, run_trial
+from dnareads.harness import ExperimentConfig, converse_experiment
+from dnareads.simulate import BATCH_ADVERSARIES, run_batch, run_trial
 
 def _assert_matches_serial(cb, adversary, batch, collect_trace=False, start=0):
     """Compare a batch trial by trial with the int64 per-trial engine."""
@@ -244,14 +245,19 @@ def test_weak_trial_diagnostics(small_codebook):
     n_active = n_psi = 0
     for t in range(n):
         outcome, _ = run_trial(small_codebook, "weak", t, h_m=20, r_prime_m=3)
-        n_psi += bool(outcome.psi)
-        n_active += bool(outcome.active)
-        if outcome.active:
-            assert outcome.psi and outcome.m_prime is not None
-        # the premises cannot hold (test_weak_premises_cannot_hold)
-        assert outcome.conditions is False and outcome.expected_stop is None
+        plan = outcome.plan
+        assert isinstance(plan, WeakAdversaryPlan) and outcome.m_prime == plan.m_prime
+        n_psi += plan.psi
+        n_active += plan.active
+        if plan.active:
+            assert plan.psi and plan.m_prime is not None
     assert n_active <= n_psi
     assert n_active > 0
+    # the premises cannot hold (test_weak_premises_cannot_hold)
+    cfg = ExperimentConfig(small_codebook.params, "weak", n, h_m=20, r_prime_m=3)
+    rows, _ = converse_experiment(cfg)
+    assert sum(r.active for r in rows) == n_active
+    assert not any(r.conditions for r in rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,15 +295,29 @@ def test_weak_premises_cannot_hold(data):
             if a != b and (matrix[a, t2_indices] == matrix[b, t2_indices]).all():
                 assert stopping_time_no_errors(cb, b, f, h) is None
         plan = strong_prepare(cb, a, f, np.ones(h, dtype=bool), h, part, psi=True)
-        assert plan.active is False and plan.stop_times == {}
+        assert plan.active is False and plan.m_prime is None and plan.stop is None
 
 
 def test_strong_trial_diagnostics(small_codebook):
+    # an active plan carries m' and its error-free stop by the horizon, and
+    # its premises hold exactly when it is active
     for t in range(100):
         outcome, _ = run_trial(small_codebook, "strong", t, h_m=20, r_prime_m=5)
-        assert outcome.conditions == outcome.active
-        if outcome.active:
-            assert outcome.m_prime is not None and outcome.expected_stop <= 20
+        plan = outcome.plan
+        assert isinstance(plan, StrongAdversaryPlan) and outcome.m_prime == plan.m_prime
+        assert plan.active == (plan.stop is not None)
+        if plan.active:
+            assert plan.stop <= 20
+    cfg = ExperimentConfig(small_codebook.params, "strong", 100, h_m=20, r_prime_m=5)
+    rows, _ = converse_experiment(cfg)
+    assert all(r.conditions == r.active for r in rows)
+
+
+@pytest.mark.parametrize("adversary", BATCH_ADVERSARIES)
+def test_blind_adversaries_have_no_plan(easy_codebook, adversary):
+    for t in range(5):
+        outcome, _ = run_trial(easy_codebook, adversary, t)
+        assert outcome.plan is None and outcome.m_prime is None
 
 
 def test_uniform_index_preserves_index(easy_codebook):
