@@ -16,7 +16,6 @@ from .core import (
     VerdictKind,
     derive_codebook_rng,
     derive_trial_rng,
-    validate,
 )
 from .codebook import Codebook, construct_greedy, load_codebook, save_codebook
 from .harness import ExperimentConfig, RunSummary, run_trials
@@ -30,7 +29,6 @@ __all__ = [
     "VerdictKind",
     "derive_codebook_rng",
     "derive_trial_rng",
-    "validate",
     "Codebook",
     "construct_greedy",
     "load_codebook",

@@ -14,7 +14,6 @@ their CSV; stdout holds the CSV alone when --out is omitted.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -141,20 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@contextlib.contextmanager
-def one_line_errors():
-    """End a ValueError, RuntimeError or OSError raised inside as one
-    "dnareads: <message>" line on stderr and exit status 1."""
-    try:
-        yield
-    except (ValueError, RuntimeError, OSError) as exc:
-        raise SystemExit(f"dnareads: {exc}") from None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with one_line_errors():
+    # a ValueError, RuntimeError or OSError ends the run as one
+    # "dnareads: <message>" line on stderr and exit status 1
+    try:
         return _run(args)
+    except (ValueError, RuntimeError, OSError) as exc:
+        raise SystemExit(f"dnareads: {exc}") from None
 
 
 def _run(args: argparse.Namespace) -> int:

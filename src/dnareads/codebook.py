@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SimParams, derive_codebook_rng, parse_field, validate
+from .core import SimParams, derive_codebook_rng, parse_field
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +105,6 @@ def construct_greedy(params: SimParams) -> Codebook:
     The survivors are then walked in order: the first is accepted and the
     later ones are filtered against it alone.
     """
-    validate(params)
     m, k, v = params.m, params.k, params.v
     pay, cnt = _greedy_dtypes(m, v)
     rng = derive_codebook_rng(params.seed)

@@ -1,4 +1,4 @@
-"""Shared domain types, parameter validation, and the per-trial RNG contract."""
+"""Shared domain types, parameter rules, and the per-trial RNG contract."""
 
 from __future__ import annotations
 
@@ -155,6 +155,10 @@ class SimParams:
     theta   pairwise-intersection budget fraction for codebook construction
     read_cap  truncation horizon in reads; defaults to 50 * m
     seed    master seed for codebook construction and trial streams
+
+    Building one, directly or by dataclasses.replace, checks every field
+    against PARAM_RULES: a ValueError names the first one not of its kind
+    or out of its range.
     """
 
     m: int
@@ -167,6 +171,8 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
+        # the default follows from a checked m and is in range
+        check_rules(vars(self), PARAM_RULES)
         if self.read_cap is None:
             object.__setattr__(self, "read_cap", 50 * self.m)
 
@@ -210,12 +216,6 @@ def check_rules(record, rules, ranges: bool = True) -> None:
             raise ValueError(f"{name} must be {kind}, got {x!r}")
         if ranges and in_range is not None and not in_range(x, record):
             raise ValueError(f"{name} out of range")
-
-
-def validate(params: SimParams) -> SimParams:
-    """Type- and range-check every field; raises ValueError naming the first bad one."""
-    check_rules(vars(params), PARAM_RULES)
-    return params
 
 
 def parse_field(text: str, where: str, field: str, kind=int):

@@ -11,9 +11,7 @@ import numpy as np
 from . import analysis, simulate
 from .channel import ADVERSARIES, StrongAdversaryPlan
 from .codebook import Codebook, construct_greedy, intersection_threshold
-from .core import (
-    PARAM_RULES, SimParams, Verdict, VerdictKind, check_rules, derive_trial_rng, validate
-)
+from .core import PARAM_RULES, SimParams, Verdict, VerdictKind, check_rules, derive_trial_rng
 
 CSV_VERSION = "dnareads 0.1.0"
 
@@ -86,7 +84,8 @@ class ConverseRow(NamedTuple):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """SimParams plus run plumbing.  h_m and r_prime_m are the horizon and
-    untouched-index budget of the converse experiments."""
+    untouched-index budget of the converse experiments.  Building one checks
+    every field against CONFIG_RULES, as SimParams checks its own."""
 
     params: SimParams
     adversary: str = "uniform"
@@ -95,6 +94,9 @@ class ExperimentConfig:
     r_prime_m: int | None = None
     out: str | None = None
 
+    def __post_init__(self):
+        check_rules(vars(self), CONFIG_RULES)
+
 
 # the config keys beside the SimParams fields and delta
 CONFIG_KEYS = tuple(f for f in ExperimentConfig.__dataclass_fields__ if f != "params")
@@ -102,17 +104,11 @@ CONFIG_KEYS = tuple(f for f in ExperimentConfig.__dataclass_fields__ if f != "pa
 CONFIG_RULES = {
     "adversary": ("a string", lambda x, r: x in ADVERSARIES),
     "trials": ("an integer", lambda x, r: x >= 1),
-    "h_m": ("an integer or null", lambda x, r: x is None or 1 <= x <= r["params"].read_cap),
+    "h_m": ("an integer or null", lambda x, r: x is None or x >= 1),
     "r_prime_m": ("an integer or null", lambda x, r: x is None or 0 <= x <= r["params"].m),
     "out": ("a string or null", None),
     "delta": ("a number", lambda x, r: 0.0 <= x <= 1.0),
 }
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    validate(cfg.params)
-    check_rules(vars(cfg), CONFIG_RULES)
-    return cfg
 
 
 def check_dict(d: dict) -> None:
@@ -140,7 +136,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if "delta" in d:
         d.setdefault("dm", math.floor(d.pop("delta") * d["m"]))
     extras = {k: d.pop(k) for k in CONFIG_KEYS if k in d}
-    return validate_config(ExperimentConfig(params=SimParams(**d), **extras))
+    return ExperimentConfig(params=SimParams(**d), **extras)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -176,7 +172,6 @@ def run_trials(cfg: ExperimentConfig) -> RunSummary:
     clairvoyant and causal ones through the per-trial engine.  Both consume
     identical random streams, so the summary is engine-independent.
     """
-    validate_config(cfg)
     return _run_on(cfg, construct_greedy(cfg.params))
 
 
@@ -234,8 +229,6 @@ def sweep_p(cfg: ExperimentConfig, p_list) -> list[SweepRow]:
     if not len(p_list):
         raise ValueError("p_list empty")
     subs = [replace(cfg, params=replace(cfg.params, p=float(p))) for p in p_list]
-    for sub in subs:
-        validate_config(sub)
     # the domain of the analytic columns, checked before any trial runs
     m, dm = cfg.params.m, cfg.params.dm
     thr = ones_threshold(cfg.params)
@@ -339,7 +332,6 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
     Returns (rows, summary).  Raises if any trial whose premises hold fails
     to decode to m_prime by the horizon.
     """
-    validate_config(cfg)
     if cfg.adversary not in ("strong", "weak"):
         raise ValueError("converse experiment needs the strong or weak adversary")
     rows = list(_checked_trials(cfg, construct_greedy(cfg.params)))
@@ -358,11 +350,9 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
         "activation_rate": n_active / cfg.trials,
         "n_conditions": n_cond,
         # every trial whose premises hold errs, or _checked_trials has raised
-        "conditional_errors": n_cond,
         "conditional_error_rate": 1.0 if n_cond else float("nan"),
         "error_rate": sum(r.errored for r in rows) / cfg.trials,
         "converse_factor": factor,
-        "p": p,
     }
     return rows, summary
 

@@ -188,8 +188,6 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
     identical to run_trial over trials start..start+trials-1."""
     if adversary not in BATCH_ADVERSARIES:
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
-    if start < 0:
-        raise ValueError("trial out of range")
     cap = cb.params.read_cap
     message = np.empty(trials, dtype=np.int64)
     kind = np.full(trials, VerdictKind.TRUNCATED.value, dtype=np.int8)

@@ -239,6 +239,26 @@ def test_strong_without_horizon_is_one_line(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+_HM_PAST_CAP = ["--hm", "500", "--read-cap", "400"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"] + _CONVERSE[1:] + ["--adversary", "uniform"],
+        _CONVERSE + ["--adversary", "weak", "--rprimem", "3"],
+    ],
+    ids=["simulate-uniform", "converse-weak"],
+)
+def test_h_m_past_read_cap_is_unread(capsys, argv):
+    # neither adversary reads h_m, so an h_m past read_cap changes nothing
+    assert main(argv) == 0
+    without = capsys.readouterr()
+    assert main(argv + _HM_PAST_CAP) == 0
+    assert capsys.readouterr() == without
+    assert without.out.startswith("# dnareads")
+
+
 _SWEEP_ADVERSARY = [
     "sweep-p", "--m", "10", "--k", "16", "--v", "2", "--delta", "0.2", "--theta", "0.7",
     "--read-cap", "400", "--trials", "60", "--seed", "3", "--p-list", "0.1,0.3",
@@ -457,6 +477,15 @@ _BAD_INPUTS = [
     ),
     ("hm-zero", _STRONG + ["--hm", "0"], None, "dnareads: h_m out of range"),
     ("hm-negative", _STRONG + ["--hm", "-3"], None, "dnareads: h_m out of range"),
+] + [
+    # the strong adversary alone reads h_m, and bounds it by read_cap
+    (
+        f"{command}-strong-hm-past-read-cap",
+        [command] + _CONVERSE[1:] + ["--adversary", "strong", "--rprimem", "3"] + _HM_PAST_CAP,
+        None,
+        "dnareads: h_m exceeds read_cap",
+    )
+    for command in ("simulate", "converse")
 ] + [
     (f"smembership-delta-{x}", _SMEMBERSHIP[:-1] + [x], None, "dnareads: delta out of range")
     for x in ("1.5", "nan")

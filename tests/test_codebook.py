@@ -272,6 +272,10 @@ def test_load_rejects_code_parameters_of_another_run(tmp_path, small_codebook):
     # the run parameters come from params, not from the file
     run = replace(params, p=0.2, dm=params.dm + 1, read_cap=7)
     assert load_codebook(str(path), run).params == run
+    # and are checked as params is built, before the file is read
+    for field, bad in (("dm", -1), ("dm", params.m + 1), ("p", 1.5), ("read_cap", 0)):
+        with pytest.raises(ValueError, match=f"^{field} out of range$"):
+            load_codebook(str(path), replace(params, **{field: bad}))
 
 
 def test_greedy_stopping_feasible(small_params):

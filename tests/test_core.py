@@ -21,7 +21,6 @@ from dnareads.core import (
     raw_words,
     trial_raws,
     trial_states,
-    validate,
 )
 from dnareads.harness import config_from_dict
 
@@ -71,7 +70,7 @@ def test_read_cap_defaults_to_50m():
 
 def test_validate_accepts_good_params():
     params = SimParams(m=10, k=4, v=4, p=0.1, dm=2, theta=0.5)
-    assert validate(params) is params
+    assert replace(params) == params
 
 
 @pytest.mark.parametrize(
@@ -92,7 +91,7 @@ def test_validate_accepts_good_params():
 def test_validate_rejects_bad_field(field, value):
     good = SimParams(m=10, k=4, v=4, p=0.1, dm=2, theta=0.5)
     with pytest.raises(ValueError, match=f"{field} out of range"):
-        validate(replace(good, **{field: value}))
+        replace(good, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -111,8 +110,35 @@ def test_validate_rejects_wrong_kind(field, value, kind):
     # a bool is not an int, and nothing is converted
     good = SimParams(m=10, k=4, v=4, p=0.1, dm=2, theta=0.5)
     with pytest.raises(ValueError) as exc:
-        validate(replace(good, **{field: value}))
+        replace(good, **{field: value})
     assert str(exc.value) == f"{field} must be {kind}, got {value!r}"
+
+
+_GOOD = dict(m=10, k=4, v=4, p=0.1, dm=2, theta=0.5)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("dm", 11, "dm out of range"),
+        ("dm", -1, "dm out of range"),
+        ("read_cap", 0, "read_cap out of range"),
+        ("p", "0.1", "p must be a number, got '0.1'"),
+        ("m", None, "m must be an integer, got None"),
+    ],
+)
+def test_every_way_of_building_params_checks_them(field, value, message):
+    # a SimParams built directly, by replace or from a config dict is checked
+    # as it is built, with the same one-line message
+    builds = (
+        lambda: SimParams(**{**_GOOD, field: value}),
+        lambda: replace(SimParams(**_GOOD), **{field: value}),
+        lambda: config_from_dict({**_GOOD, field: value}),
+    )
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_params_json_round_trip():

@@ -27,7 +27,6 @@ from dnareads.harness import (
     SIMULATE_HEADER,
     SweepRow,
     sweep_p,
-    validate_config,
     wilson_interval,
 )
 from dnareads import analysis, cli, harness, simulate
@@ -58,11 +57,36 @@ def test_wilson_contains_point_estimate():
 
 
 def test_validate_config(sweep_config):
-    assert validate_config(sweep_config) is sweep_config
+    assert replace(sweep_config) == sweep_config
     with pytest.raises(ValueError, match="adversary out of range"):
-        validate_config(replace(sweep_config, adversary="nope"))
+        replace(sweep_config, adversary="nope")
     with pytest.raises(ValueError, match="trials out of range"):
-        validate_config(replace(sweep_config, trials=0))
+        replace(sweep_config, trials=0)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("trials", 0, "trials out of range"),
+        ("adversary", "nope", "adversary out of range"),
+        ("h_m", -4, "h_m out of range"),
+        ("r_prime_m", 9, "r_prime_m out of range"),
+        ("trials", "5", "trials must be an integer, got '5'"),
+    ],
+)
+def test_every_way_of_building_a_config_checks_it(sweep_config, field, value, message):
+    # an ExperimentConfig built directly, by replace or from a config dict is
+    # checked as it is built, with the same one-line message
+    flat = {**asdict(sweep_config.params), "adversary": "uniform", field: value}
+    builds = (
+        lambda: ExperimentConfig(sweep_config.params, **{field: value}),
+        lambda: replace(sweep_config, **{field: value}),
+        lambda: config_from_dict(flat),
+    )
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_config_round_trip(tmp_path, sweep_config):

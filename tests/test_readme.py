@@ -52,3 +52,16 @@ def test_readme_commands_run(tmp_path, capsys):
             assert first == f"{args.m} {args.k} {args.v} {args.theta!r} {args.seed}"
         else:
             assert first == f"# {CSV_VERSION}", argv
+
+
+def test_readme_config_table_lists_every_rule():
+    # the "Config JSON" table has one row per checked key, so a rule added
+    # without a README row fails here
+    from dnareads.core import PARAM_RULES
+    from dnareads.harness import CONFIG_RULES
+
+    section = README.read_text().split("**Config JSON**", 1)[1]
+    table = re.search(r"(?:^  \|.*\n)+", section, flags=re.M).group()
+    cells = re.findall(r"^  \| (.*?) \|", table, flags=re.M)
+    keys = {k for cell in cells for k in re.findall(r"`(\w+)`", cell)}
+    assert keys == set(PARAM_RULES) | set(CONFIG_RULES)

@@ -273,7 +273,7 @@ def test_weak_premises_cannot_hold(data):
     m = data.draw(st.integers(2, 6))
     k = data.draw(st.integers(2, 6))
     v = data.draw(st.integers(2, 3))
-    dm = data.draw(st.integers(0, 3))
+    dm = data.draw(st.integers(0, min(3, m)))
     h = data.draw(st.integers(1, 12))
     matrix = np.array(
         data.draw(
