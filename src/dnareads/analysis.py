@@ -11,6 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codebook import intersection_threshold
+from .core import SimParams
+
 _BOUNDARY_EPS = 1e-12
 
 
@@ -66,6 +69,12 @@ def rprime_window(cpp: float, delta: float, r0: float) -> tuple[float, float] | 
     if lo >= r0:
         return None
     return (lo, r0)
+
+
+def ones_threshold(params: SimParams) -> int:
+    """Race threshold of the read-count and error bounds: the distinct clean
+    molecules that settle decoding, the intersection threshold plus dm."""
+    return intersection_threshold(params) + params.dm
 
 
 def expected_reads_upper_bound(m: int, p: float, threshold: int) -> float:

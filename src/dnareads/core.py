@@ -123,18 +123,30 @@ def raw_words(raws: np.ndarray) -> np.ndarray:
     return words
 
 
-def bounded(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def bounded(words: np.ndarray, n: int) -> np.ndarray:
     """Lemire's bounded integers in [0, n) from 32-bit words, as numpy's
-    integers(0, n) makes them for 1 < n < 2**32: value (w * n) >> 32, drawn
-    again when the low half of w * n is below (2**32 - n) % n.  Returns the
-    values and the mask of words numpy would have rejected; a rejected word
-    shifts every later draw of its stream."""
-    prod = words * np.uint64(n)
-    values = (prod >> np.uint64(32)).view(np.int64)
+    integers(0, n) makes them for 1 < n < 2**32: value (w * n) >> 32, for
+    the words rejected() passes."""
+    return ((words * np.uint64(n)) >> np.uint64(32)).view(np.int64)
+
+
+def rejected(raws: np.ndarray, n: int, first: int, count: int) -> np.ndarray:
+    """Mask of the rows where numpy's integers(0, n) would have drawn again on
+    one of the 32-bit words first..first+count-1 of the row's raws (in
+    raw_words order): the low half of w * n is below (2**32 - n) % n.  A
+    rejected word shifts every later draw of its stream.  Each half of the
+    raws is tested in place as a wrapping uint32 product, so no word or value
+    is built; a power of two n never rejects."""
+    bad = np.zeros(len(raws), dtype=bool)
     threshold = (2**32 - n) % n
     if threshold == 0:
-        return values, np.zeros(words.shape, dtype=bool)
-    return values, (prod & np.uint64(_MASK32)) < np.uint64(threshold)
+        return bad
+    n32, threshold = np.uint32(n), np.uint32(threshold)
+    low = raws[:, (first + 1) // 2 : (first + count + 1) // 2].astype(np.uint32)
+    high = (raws[:, first // 2 : (first + count) // 2] >> np.uint64(32)).astype(np.uint32)
+    for half in (low, high):
+        bad |= (half * n32 < threshold).any(axis=1)
+    return bad
 
 
 def derive_codebook_rng(seed: int) -> np.random.Generator:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import analysis, simulate
 from .channel import ADVERSARIES, StrongAdversaryPlan
-from .codebook import Codebook, construct_greedy, intersection_threshold
+from .codebook import Codebook, construct_greedy
 from .core import PARAM_RULES, SimParams, Verdict, VerdictKind, check_rules, derive_trial_rng
 
 CSV_VERSION = "dnareads 0.1.0"
@@ -215,12 +215,6 @@ def _checked_trials(cfg: ExperimentConfig, cb: Codebook):
         )
 
 
-def ones_threshold(params: SimParams) -> int:
-    """Race threshold used for the analytic columns of sweep_p: the distinct
-    clean molecules that settle decoding, the intersection threshold plus dm."""
-    return intersection_threshold(params) + params.dm
-
-
 def sweep_p(cfg: ExperimentConfig, p_list) -> list[SweepRow]:
     """One run per p with common random numbers.
 
@@ -231,7 +225,7 @@ def sweep_p(cfg: ExperimentConfig, p_list) -> list[SweepRow]:
     subs = [replace(cfg, params=replace(cfg.params, p=float(p))) for p in p_list]
     # the domain of the analytic columns, checked before any trial runs
     m, dm = cfg.params.m, cfg.params.dm
-    thr = ones_threshold(cfg.params)
+    thr = analysis.ones_threshold(cfg.params)
     if max(p_list) >= 1.0:
         raise ValueError(f"--p-list holds p = {max(p_list)!r}; the union bound needs p < 1")
     if thr >= m:

@@ -19,11 +19,11 @@ reference engine, run_trial, draws and observes a trial through
 _observe_trial.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
-random_raw block per trial, and decodes a block of trials at once.  Bounded
-draws (integers) read 32-bit words, the low half of a raw before its high
-half, and a high half left pending carries over to the next bounded draw;
-random() takes whole raws and leaves a pending half alone.  So a trial's
-block is laid out as
+random_raw block per trial and pass, and decodes a block of trials at once.
+Bounded draws (integers) read 32-bit words, the low half of a raw before its
+high half, and a high half left pending carries over to the next bounded
+draw; random() takes whole raws and leaves a pending half alone.  So a
+trial's stream is laid out as
 
   word 0                      message (none when k = 1)
   words 1..read_cap           f (none when m = 1)
@@ -31,22 +31,37 @@ block is laid out as
   following words             replacement indices, then payloads, the
                               first of them the pending high half, if any
 
-A range of size 1 reads no word.  Each value is Lemire's (w * n) >> 32; a
-row where numpy would have rejected a word and drawn again, a trial at or
-past core.COLUMNAR_TRIALS and a range over 2**32 - 1 go through
-_observe_trial instead.  The honest adversary, and any adversary at p = 0,
-observes the true row, so its block stops after f.
+A range of size 1 reads no word.  Each value is Lemire's (w * n) >> 32.  The
+honest adversary, and any adversary at p = 0, observes the true row, so its
+stream stops after f.
+
+Prefix first: a decoder stops after a few reads, so run_batch decodes only
+the first W read positions of each trial.  W is the smallest power of two
+at or above analysis.expected_reads_upper_bound(m, p, ones_threshold) at the
+p the layout observes (0 when honest), capped at read_cap, and read_cap where
+that bound is undefined (p = 1, or a threshold over m).
+Rows still undecided after W reads are drawn again and decoded over the full
+read_cap.  A block holds the raws up to the last draw's prefix.
+
+Rejections stay exact: where numpy would have rejected a word and drawn
+again, every later draw of the stream shifts.  Every draw is tested for
+rejection on the raws over its whole length, except the stream's last one
+(payloads, or f for a true row), whose later words shift nothing decoded and
+which is tested on its prefix alone.  A rejected row, a trial at or past
+core.COLUMNAR_TRIALS and a range over 2**32 - 1 go through _observe_trial
+instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import channel, core, decoder
-from .analysis import s_membership
+from .analysis import expected_reads_upper_bound, ones_threshold, s_membership
 from .codebook import Codebook
 from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind, derive_trial_rng
 
@@ -169,18 +184,28 @@ def _count_dtype(cb: Codebook) -> np.dtype:
     return np.min_scalar_type(cb.params.m * (cb.params.v - 1))
 
 
-def _row_bytes(cb: Codebook) -> int:
-    """Bytes run_batch holds per trial row: its stream state, observation
-    table, seen set and outside counts, plus one step's gathered counts,
-    mismatch rows and consistency flags."""
+def _row_bytes(cb: Codebook, width: int) -> int:
+    """Bytes run_batch holds per trial row decoded at this width: its stream
+    state, observation table, seen set and outside counts, plus one step's
+    gathered counts, mismatch rows and consistency flags."""
     p = cb.params
-    width = _count_dtype(cb).itemsize
-    ids = _id_dtype(cb).itemsize * p.read_cap
-    return 32 + ids + p.m * p.v + len(cb) * (2 * width + 2)
+    count = _count_dtype(cb).itemsize
+    return 32 + _id_dtype(cb).itemsize * width + p.m * p.v + len(cb) * (2 * count + 2)
 
 
-def _rows_per_batch(cb: Codebook, trials: int) -> int:
-    return max(1, min(trials, _BATCH_BYTES // _row_bytes(cb)))
+def _rows_per_batch(cb: Codebook, trials: int, width: int) -> int:
+    return max(1, min(trials, _BATCH_BYTES // _row_bytes(cb, width)))
+
+
+def _prefix_width(cb: Codebook, adversary: str) -> int:
+    """W, the read positions of the first pass (module docstring)."""
+    p = cb.params
+    p_obs = p.p if adversary != "honest" else 0.0
+    try:
+        bound = expected_reads_upper_bound(p.m, p_obs, ones_threshold(p))
+    except ValueError:
+        return p.read_cap
+    return min(p.read_cap, 1 << (max(1, math.ceil(bound)) - 1).bit_length())
 
 
 def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> BatchResult:
@@ -189,23 +214,40 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
     if adversary not in BATCH_ADVERSARIES:
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
     cap = cb.params.read_cap
-    message = np.empty(trials, dtype=np.int64)
-    kind = np.full(trials, VerdictKind.TRUNCATED.value, dtype=np.int8)
-    decoded = np.full(trials, -1, dtype=np.int64)
-    n_reads = np.full(trials, cap, dtype=np.int64)
-    rows_per_batch = _rows_per_batch(cb, trials)
-    id_dtype = _id_dtype(cb)
-    layout = _Layout(cb, adversary)
+    out = BatchResult(
+        message=np.empty(trials, dtype=np.int64),
+        kind=np.full(trials, VerdictKind.TRUNCATED.value, dtype=np.int8),
+        decoded=np.full(trials, -1, dtype=np.int64),
+        n_reads=np.full(trials, cap, dtype=np.int64),
+    )
+    width = _prefix_width(cb, adversary)
+    prefix, full = _Layout(cb, adversary, width), _Layout(cb, adversary, cap)
+    rows_per_batch = _rows_per_batch(cb, trials, width)
     for lo in range(0, trials, rows_per_batch):
-        b = min(rows_per_batch, trials - lo)
-        obs = np.empty((b, cap), dtype=id_dtype)
-        _draw_rows(cb, adversary, layout, start + lo, message[lo : lo + b], obs)
-        if lo == 0:
-            _check_first_row(cb, adversary, start, message[0], obs[0])
-        _decode_batch(
-            cb, obs, kind[lo : lo + b], decoded[lo : lo + b], n_reads[lo : lo + b]
-        )
-    return BatchResult(message=message, kind=kind, decoded=decoded, n_reads=n_reads)
+        rows = np.arange(lo, min(lo + rows_per_batch, trials))
+        n_col = max(0, min(len(rows), core.COLUMNAR_TRIALS - start - lo)) if prefix.columnar else 0
+        states = core.trial_states(cb.params.seed, start + lo, n_col)
+        _decode_rows(cb, adversary, prefix, start, rows, states, out, check=lo == 0)
+        if width == cap:
+            continue
+        live = np.flatnonzero(out.kind[rows] == VerdictKind.TRUNCATED.value)
+        step = _rows_per_batch(cb, len(live), cap)
+        for i in range(0, len(live), step):
+            part = live[i : i + step]
+            _decode_rows(cb, adversary, full, start, lo + part, states[part[part < n_col]], out)
+    return out
+
+
+def _decode_rows(cb, adversary, layout, start, rows, states, out, check=False) -> None:
+    """Draw trials start + rows at the layout's width and decode them into
+    out's rows; check compares the first with the per-trial engine."""
+    message, obs = _draw_rows(cb, adversary, layout, start + rows, states)
+    if check:
+        _check_first_row(cb, adversary, start + int(rows[0]), message[0], obs[0])
+    kind, decoded, n_reads = out.kind[rows], out.decoded[rows], out.n_reads[rows]
+    _decode_batch(cb, obs, kind, decoded, n_reads)
+    out.message[rows], out.kind[rows] = message, kind
+    out.decoded[rows], out.n_reads[rows] = decoded, n_reads
 
 
 # Bounded draws over a wider range take numpy's 64-bit path.
@@ -213,35 +255,53 @@ _MAX_RANGE = 2**32 - 1
 
 
 class _Layout:
-    """Where a trial's draws sit in its random_raw block (module docstring)."""
+    """Where the draws of a trial's first `width` read positions sit in its
+    random_raw block, and which words are tested for rejection (module
+    docstring)."""
 
-    def __init__(self, cb: Codebook, adversary: str):
+    def __init__(self, cb: Codebook, adversary: str, width: int):
         p = cb.params
         cap = p.read_cap
+        self.width = width
         self.noisy = adversary != "honest" and p.p > 0
-        self.head_raws = (int(p.k > 1) + cap * (p.m > 1) + 1) // 2
-        # words after the uniforms; the pending high half, if any, comes first
-        tail = cap * (adversary == "uniform" and p.m > 1) + cap * (p.v > 1)
-        pending = 2 * self.head_raws - int(p.k > 1) - cap * (p.m > 1)
-        tail_raws = (max(0, tail - pending) + 1) // 2
-        self.n_raw = self.head_raws + (cap + tail_raws if self.noisy else 0)
         self.columnar = max(p.k, p.m, p.v) <= _MAX_RANGE
-        # The raws plus, per 32-bit word, its uint64 copy, product, value and
-        # rejection flag, plus six int64 or float64 rows of read_cap (f, true
-        # ids, u, the replacement indices, payloads and ids).
-        words = 2 * self.head_raws + (pending + 2 * tail_raws if self.noisy else 0)
-        self.row_bytes = 8 * self.n_raw + 25 * words + 48 * cap
+        self.head_raws = (int(p.k > 1) + cap * (p.m > 1) + 1) // 2
+        # the bounded draws (name, range, size) in stream order
+        head = [("message", p.k, 1), ("f", p.m, cap)]
+        tail = [("rep_idx", p.m, cap)] * (adversary == "uniform") + [("rep_pay", p.v, cap)]
+        draws = head + tail if self.noisy else head
+        # the stream's last draw; in a noisy layout the uniforms follow f
+        reading = [name for name, n, _ in (tail if self.noisy else head) if n > 1]
+        last = reading[-1] if reading else None
+        # name -> (range, values, decoded spans, tested spans); a span is
+        # (first word, count) in the block
+        self.draws = {}
+        n_raw = self.head_raws + width if self.noisy else 0
+        word = tested = decoded = 0
+        for name, n, size in draws:
+            read = size if n > 1 else 0
+            test = min(read, width) if name == last else read
+            spans = (self._spans(word, min(read, width), cap), self._spans(word, test, cap))
+            self.draws[name] = (n, min(size, width)) + spans
+            for first, count in spans[0] + spans[1]:
+                n_raw = max(n_raw, (first + count + 1) // 2)
+            word += read
+            tested += test
+            decoded += min(read, width)
+        self.n_raw = n_raw
+        # The raws; per tested word its uint32 half, product and flag; per
+        # decoded word its uint64 copy, product and value; and six int64 or
+        # float64 rows of width (true ids, u, its flags, the replacement and
+        # observed ids).
+        self.row_bytes = 8 * n_raw + 9 * tested + 24 * decoded + 48 * width
 
-
-def _integers(words: np.ndarray, n: int, size: int, bad: np.ndarray):
-    """integers(0, n, size) for every row from its next words, and the words
-    left.  A range of size 1 reads none.  Marks in bad the rows where numpy
-    would have rejected a word."""
-    if n == 1:
-        return np.zeros((len(words), size), dtype=np.int64), words
-    values, rejected = core.bounded(words[:, :size], n)
-    bad |= rejected.any(axis=1)
-    return values, words[:, size:]
+    def _spans(self, first: int, count: int, cap: int) -> tuple:
+        """Block spans of the stream's words first..first+count-1: the stream
+        skips the uniforms' read_cap raws after the head raws."""
+        cut = 2 * self.head_raws
+        head = max(0, min(count, cut - first))
+        spans = ((first, head), (max(first, cut) + 2 * cap, count - head))
+        return tuple(span for span in spans if span[1] > 0)
 
 
 def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
@@ -249,40 +309,44 @@ def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
     random_raw block each.  Returns the mask of rows to redraw: those where
     numpy would have rejected a bounded draw, which shifts the rest."""
     p = cb.params
-    cap = p.read_cap
     raws = core.trial_raws(states, layout.n_raw)
     bad = np.zeros(len(states), dtype=bool)
-    words = core.raw_words(raws[:, : layout.head_raws])
-    msg, words = _integers(words, p.k, 1, bad)
-    f, words = _integers(words, p.m, cap, bad)
+    drawn = {}
+    for name, (n, size, decode, test) in layout.draws.items():
+        for first, count in test:
+            bad |= core.rejected(raws, n, first, count)
+        if n == 1:
+            drawn[name] = np.zeros((len(states), size), dtype=np.int64)
+            continue
+        words = [
+            core.raw_words(raws[:, a // 2 : (a + c + 1) // 2])[:, a % 2 : a % 2 + c]
+            for a, c in decode
+        ]
+        drawn[name] = core.bounded(np.concatenate(words, axis=1) if len(words) > 1 else words[0], n)
+    msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
     true_ids = cb.word_ids[msg, f]
     if not layout.noisy:
         obs[:] = true_ids
         return bad
-    u = raws[:, layout.head_raws : layout.head_raws + cap]
+    u = raws[:, layout.head_raws : layout.head_raws + layout.width]
     flags = (u >> 11) * 2.0**-53 < p.p
-    words = np.concatenate(
-        [words, core.raw_words(raws[:, layout.head_raws + cap :])], axis=1
-    )
-    if adversary == "uniform":
-        rep_idx, words = _integers(words, p.m, cap, bad)
-    else:
-        rep_idx = f
-    rep_pay, words = _integers(words, p.v, cap, bad)
-    obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + rep_pay)
+    rep_idx = drawn.get("rep_idx", f)
+    obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
     return bad
 
 
-def _draw_rows(cb, adversary, layout, first, message, obs) -> None:
-    """Draw and observe trials first..first+len(obs)-1 into message and obs.
+def _draw_rows(cb, adversary, layout, trials, states):
+    """Message and observation table (rows x layout.width) of these trials.
 
-    Trials below core.COLUMNAR_TRIALS are decoded from their raw blocks in
-    sub-blocks of rows whose temporaries fit in _BATCH_BYTES // 16; the
-    stream states are computed once for all of them."""
-    b = len(obs)
-    n_col = max(0, min(b, core.COLUMNAR_TRIALS - first)) if layout.columnar else 0
-    states = core.trial_states(cb.params.seed, first, n_col)
+    The first len(states) trials, whose stream states these are, are decoded
+    from their raw blocks in sub-blocks of rows whose temporaries fit in
+    _BATCH_BYTES // 16.  The others, and every row where numpy would have
+    rejected a word, go through _observe_trial."""
+    b = len(trials)
+    message = np.empty(b, dtype=np.int64)
+    obs = np.empty((b, layout.width), dtype=_id_dtype(cb))
+    n_col = len(states)
     step = max(1, _BATCH_BYTES // 16 // layout.row_bytes)
     redo = [np.arange(n_col, b)]
     for lo in range(0, n_col, step):
@@ -290,16 +354,18 @@ def _draw_rows(cb, adversary, layout, first, message, obs) -> None:
         bad = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
         redo.append(np.flatnonzero(bad) + lo)
     for r in np.concatenate(redo).tolist():
-        trial = _observe_trial(cb, adversary, first + r)
+        trial = _observe_trial(cb, adversary, int(trials[r]))
         message[r] = trial.message
-        obs[r] = trial.observed
+        obs[r] = trial.observed[: layout.width]
+    return message, obs
 
 
 def _check_first_row(cb, adversary, trial, message, observed) -> None:
-    """Compare one batch row with the reference engine's draws, so that a
-    numpy whose internals no longer match the decoding fails loudly."""
+    """Compare one batch row, a prefix of its read positions, with the
+    reference engine's draws, so that a numpy whose internals no longer match
+    the decoding fails loudly."""
     ref = _observe_trial(cb, adversary, trial)
-    if message != ref.message or not np.array_equal(observed, ref.observed):
+    if message != ref.message or not np.array_equal(observed, ref.observed[: len(observed)]):
         raise RuntimeError(
             f"batch draws of trial {trial} differ from the per-trial engine: "
             f"numpy {np.__version__} no longer matches the raw-word decoding"

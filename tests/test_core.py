@@ -19,6 +19,7 @@ from dnareads.core import (
     derive_codebook_rng,
     derive_trial_rng,
     raw_words,
+    rejected,
     trial_raws,
     trial_states,
 )
@@ -223,9 +224,9 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
     # shifts.  Rows whose decoded values differ from numpy's must be flagged.
     trials = 400
     states = trial_states(11, 0, trials)
-    words = raw_words(trial_raws(states, (size + 1) // 2))[:, :size]
-    values, rejected = bounded(words, n)
-    flagged = rejected.any(axis=1)
+    raws = trial_raws(states, (size + 1) // 2)
+    values = bounded(raw_words(raws)[:, :size], n)
+    flagged = rejected(raws, n, 0, size)
     for t in range(trials):
         want = derive_trial_rng(11, t).integers(0, n, size=size)
         assert flagged[t] or np.array_equal(values[t], want), t
@@ -233,6 +234,21 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
         assert not flagged.any()
     else:
         assert flagged.any() and not flagged.all()
+
+
+@pytest.mark.parametrize("n", [20, 2**31 + 1, 3 * 2**30 + 7])
+def test_rejected_tests_exactly_its_words(n):
+    # the raw-level test of words first..first+count-1 equals the rule
+    # applied to those words alone, whichever halves the span starts and ends on
+    raws = trial_raws(trial_states(4, 0, 300), 5)
+    words = raw_words(raws)
+    threshold = (2**32 - n) % n
+    for first, count in [(0, 10), (1, 9), (1, 8), (3, 4), (4, 1), (9, 1), (2, 0)]:
+        span = words[:, first : first + count]
+        want = ((span * np.uint64(n)) & np.uint64(2**32 - 1) < threshold).any(axis=1)
+        assert np.array_equal(rejected(raws, n, first, count), want)
+    # a power of two never rejects
+    assert not rejected(np.zeros((2, 3), dtype=np.uint64), 8, 0, 6).any()
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dnareads import SimParams
+from dnareads.analysis import ones_threshold
 from dnareads.harness import (
     CONFIG_KEYS,
     CSV_VERSION,
@@ -20,7 +21,6 @@ from dnareads.harness import (
     csv_text,
     emit_exponent_curves,
     format_cell,
-    ones_threshold,
     run_trials,
     s_membership_experiment,
     simulate_row,

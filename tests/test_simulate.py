@@ -62,8 +62,9 @@ def test_batched_engine_matches_serial_wide_code(wide_codebook, adversary):
 def test_batched_engine_chunking_is_invisible(wide_codebook, monkeypatch):
     trials = 300
     whole = run_batch(wide_codebook, "uniform", trials)
-    monkeypatch.setattr(simulate, "_BATCH_BYTES", simulate._row_bytes(wide_codebook) * 70)
-    assert simulate._rows_per_batch(wide_codebook, trials) == 70  # five chunks
+    width = simulate._prefix_width(wide_codebook, "uniform")
+    monkeypatch.setattr(simulate, "_BATCH_BYTES", simulate._row_bytes(wide_codebook, width) * 70)
+    assert simulate._rows_per_batch(wide_codebook, trials, width) == 70  # five chunks
     assert _same_batches(run_batch(wide_codebook, "uniform", trials), whole)
 
 
@@ -93,8 +94,10 @@ def test_batch_memory_stays_within_budget(monkeypatch):
     matrix = np.random.default_rng(1).integers(0, 2, size=(4096, 24))
     params = SimParams(m=24, k=4096, v=2, p=0.1, dm=1, theta=1.0, read_cap=200, seed=3)
     cb = Codebook(params, matrix)
-    rows = simulate._rows_per_batch(cb, 1000)
-    assert simulate._row_bytes(cb) * rows <= budget
+    # both passes: the prefix, and the full read cap for the rows it leaves live
+    for width in (simulate._prefix_width(cb, "uniform"), cb.params.read_cap):
+        rows = simulate._rows_per_batch(cb, 1000, width)
+        assert simulate._row_bytes(cb, width) * rows <= budget
     _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
     tracemalloc.start()
     try:
@@ -139,20 +142,23 @@ def test_columnar_rows_match_reference_draws(data):
     start = data.draw(st.integers(0, 10**6), label="start")
     seed = data.draw(st.integers(-(2**65), 2**65), label="seed")
     trials = data.draw(st.integers(1, 6), label="trials")
+    width = data.draw(st.just(cap) | st.integers(1, cap), label="width")
     # 1 byte puts every row in a sub-block of its own
     budget = data.draw(st.sampled_from([1, simulate._BATCH_BYTES]), label="budget")
     matrix = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, v, (k, m))
     params = SimParams(m=m, k=k, v=v, p=p, dm=0, theta=1.0, read_cap=cap, seed=seed)
     cb = Codebook(params, matrix)
-    message = np.empty(trials, dtype=np.int64)
-    obs = np.empty((trials, cap), dtype=simulate._id_dtype(cb))
-    layout = simulate._Layout(cb, adversary)
+    layout = simulate._Layout(cb, adversary, width)
+    states = core.trial_states(seed, start, trials)
     with mock.patch.object(simulate, "_BATCH_BYTES", budget):
-        simulate._draw_rows(cb, adversary, layout, start, message, obs)
+        message, obs = simulate._draw_rows(
+            cb, adversary, layout, np.arange(start, start + trials), states
+        )
+    assert obs.shape == (trials, width)
     for r in range(trials):
         ref = simulate._observe_trial(cb, adversary, start + r)
         assert message[r] == ref.message
-        assert np.array_equal(obs[r], ref.observed)
+        assert np.array_equal(obs[r], ref.observed[:width])
 
 
 def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
@@ -161,20 +167,86 @@ def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
     # exactly those rows through the per-trial engine.
     chosen = [0, 3, 17, 40]
     flagged = []
-    real = core.bounded
+    real_bounded, real_rejected = core.bounded, core.rejected
 
-    def flagging(words, n):
-        values, rejected = real(words, n)
+    def garbling(words, n):
+        values = real_bounded(words, n)
         rows = [r for r in chosen if r < len(words)]
         values[rows] = (values[rows] + 1) % n
-        rejected[rows, 0] = True
-        flagged.append(len(rows))
-        return values, rejected
+        return values
 
-    monkeypatch.setattr(core, "bounded", flagging)
+    def flagging(raws, n, first, count):
+        bad = real_rejected(raws, n, first, count)
+        rows = [r for r in chosen if r < len(raws)]
+        bad[rows] = True
+        flagged.append(len(rows))
+        return bad
+
+    monkeypatch.setattr(core, "bounded", garbling)
+    monkeypatch.setattr(core, "rejected", flagging)
     batch = run_batch(wide_codebook, "uniform", 150)
     assert sum(flagged) > 0
     _assert_matches_serial(wide_codebook, "uniform", batch)
+
+
+@pytest.fixture(scope="module")
+def slow_codebook():
+    # close random binary words decoded with slack: most rows outlive the
+    # 8-read prefix and some reach read_cap undecided
+    matrix = np.random.default_rng(2).integers(0, 2, (30, 12))
+    params = SimParams(m=12, k=30, v=2, p=0.1, dm=1, theta=0.25, read_cap=30, seed=8)
+    return Codebook(params, matrix)
+
+
+@pytest.mark.parametrize("budget", [1, simulate._BATCH_BYTES])
+@pytest.mark.parametrize("adversary", BATCH_ADVERSARIES)
+def test_rows_outliving_the_prefix_match_serial(slow_codebook, adversary, budget, monkeypatch):
+    # a 1-byte budget decodes every row, and redraws every live row, alone
+    monkeypatch.setattr(simulate, "_BATCH_BYTES", budget)
+    width = simulate._prefix_width(slow_codebook, adversary)
+    assert width == 8
+    batch = run_batch(slow_codebook, adversary, 200)
+    assert (batch.n_reads > width).sum() > 100
+    assert (batch.kind == VerdictKind.TRUNCATED.value).sum() > 0
+    _assert_matches_serial(slow_codebook, adversary, batch)
+
+
+@pytest.mark.parametrize(
+    "adversary,region", [("uniform", "f"), ("uniform-index", "f"), ("uniform", "rep_idx")]
+)
+def test_rejection_past_the_prefix_is_redrawn(slow_codebook, adversary, region, monkeypatch):
+    # Plant a word numpy rejects (0, for m = 12) as the last f or replacement
+    # index word of one trial's raw block, far past the prefix: the row's
+    # prefix values are untouched, yet every later draw shifts, so the row
+    # must still be redrawn through the per-trial engine.
+    params = slow_codebook.params
+    cap, target = params.read_cap, 5
+    f_last = 1 + cap - 1  # after the message word
+    # past the head raws, the uniforms' read_cap raws sit in between
+    word = f_last if region == "f" else f_last + cap + 2 * cap
+    assert simulate._prefix_width(slow_codebook, adversary) < cap - 1
+    mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
+    state = core.trial_states(params.seed, target, 1)[0]
+    real_raws, real_observe = core.trial_raws, simulate._observe_trial
+    planted, observed = [], []
+
+    def planting(states, n_raw):
+        raws = real_raws(states, n_raw)
+        hit = (states == state).all(axis=1)
+        if n_raw > word // 2 and hit.any():
+            raws[hit, word // 2] &= mask
+            planted.append(n_raw)
+        return raws
+
+    def observing(cb, adversary, trial, *args):
+        observed.append(trial)
+        return real_observe(cb, adversary, trial, *args)
+
+    monkeypatch.setattr(core, "trial_raws", planting)
+    monkeypatch.setattr(simulate, "_observe_trial", observing)
+    batch = run_batch(slow_codebook, adversary, 20)
+    assert planted and target in observed
+    _assert_matches_serial(slow_codebook, adversary, batch)
 
 
 def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
