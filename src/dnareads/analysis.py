@@ -260,20 +260,6 @@ def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
     return SPartition(in_s=bool(stats.in_s), t1=removed[head])
 
 
-def rate_region(c: float, c_in: float, beta: float) -> float:
-    """Net information rate (1 - e^{-c}) (c_in - 1/beta) of the concatenated
-    system at coverage c, inner capacity c_in, and molecule length factor beta."""
-    if not c > 0.0:
-        raise ValueError("c out of range")
-    if not beta > 0.0:
-        raise ValueError("beta out of range")
-    if not c_in > 0.0:
-        raise ValueError("c_in out of range")
-    if not c_in > 1.0 / beta:
-        raise ValueError("capacity nonpositive")
-    return (1.0 - math.exp(-c)) * (c_in - 1.0 / beta)
-
-
 def strong_converse_factor(p: float, dm: int) -> float:
     """Probability scale p^{dm+1} at which the clairvoyant adversary forces errors."""
     if not 0.0 <= p <= 1.0:

@@ -124,11 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = [f for f in _FLAGS if f != "p"]
     sp = _subcommand(sub, "sweep-p", "error rate and bounds across p values", sweep)
     sp.add_argument(
-        "--p-list", dest="p_list", type=_list(float), required=True,
+        "--p-list", dest="p_list", type=_list(_finite), required=True,
         help="comma-separated p values",
     )
     sp = _subcommand(sub, "curves", "exponent/coverage trade-off table", ("out", "config"))
-    sp.add_argument("--r0-list", dest="r0_list", type=_list(float), required=True)
+    sp.add_argument("--r0-list", dest="r0_list", type=_list(_finite), required=True)
     sp.add_argument("--c-min", dest="c_min", type=_finite, required=True)
     sp.add_argument("--c-max", dest="c_max", type=_finite, required=True)
     sp.add_argument("--c-points", dest="c_points", type=int, default=100)

@@ -113,40 +113,30 @@ def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
     return out
 
 
-def raw_words(raws: np.ndarray) -> np.ndarray:
-    """The 32-bit words bounded integer draws read from raws, in order: the
-    low half of each raw, then its high half.  Shifts, not a byte view, so
-    the order holds on any host."""
-    words = np.empty(raws.shape[:-1] + (2 * raws.shape[-1],), dtype=np.uint64)
-    words[..., 0::2] = raws & np.uint64(_MASK32)
-    words[..., 1::2] = raws >> np.uint64(32)
-    return words
+def stream_words(raws: np.ndarray) -> np.ndarray:
+    """The 32-bit words bounded integer draws read from raws, in stream
+    order: the low half of each raw, then its high half.  The view is of
+    explicitly little-endian raws, so the low half comes first on any host,
+    and on a little-endian host it copies nothing."""
+    return raws.astype("<u8", copy=False).view("<u4")
 
 
 def bounded(words: np.ndarray, n: int) -> np.ndarray:
-    """Lemire's bounded integers in [0, n) from 32-bit words, as numpy's
+    """Lemire's bounded integers in [0, n) from uint32 words, as numpy's
     integers(0, n) makes them for 1 < n < 2**32: value (w * n) >> 32, for
     the words rejected() passes."""
-    return ((words * np.uint64(n)) >> np.uint64(32)).view(np.int64)
+    return ((words.astype(np.uint64) * np.uint64(n)) >> np.uint64(32)).view(np.int64)
 
 
-def rejected(raws: np.ndarray, n: int, first: int, count: int) -> np.ndarray:
+def rejected(words: np.ndarray, n: int, columns: np.ndarray) -> np.ndarray:
     """Mask of the rows where numpy's integers(0, n) would have drawn again on
-    one of the 32-bit words first..first+count-1 of the row's raws (in
-    raw_words order): the low half of w * n is below (2**32 - n) % n.  A
-    rejected word shifts every later draw of its stream.  Each half of the
-    raws is tested in place as a wrapping uint32 product, so no word or value
-    is built; a power of two n never rejects."""
-    bad = np.zeros(len(raws), dtype=bool)
+    one of the given word columns: the low half of w * n, a wrapping uint32
+    product, is below (2**32 - n) % n.  A rejected word shifts every later
+    draw of its stream.  A power of two n never rejects, and gathers nothing."""
     threshold = (2**32 - n) % n
     if threshold == 0:
-        return bad
-    n32, threshold = np.uint32(n), np.uint32(threshold)
-    low = raws[:, (first + 1) // 2 : (first + count + 1) // 2].astype(np.uint32)
-    high = (raws[:, first // 2 : (first + count) // 2] >> np.uint64(32)).astype(np.uint32)
-    for half in (low, high):
-        bad |= (half * n32 < threshold).any(axis=1)
-    return bad
+        return np.zeros(len(words), dtype=bool)
+    return (words[:, columns] * np.uint32(n) < np.uint32(threshold)).any(axis=1)
 
 
 def derive_codebook_rng(seed: int) -> np.random.Generator:

@@ -20,10 +20,11 @@ _observe_trial.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
 random_raw block per trial and pass, and decodes a block of trials at once.
-Bounded draws (integers) read 32-bit words, the low half of a raw before its
-high half, and a high half left pending carries over to the next bounded
-draw; random() takes whole raws and leaves a pending half alone.  So a
-trial's stream is laid out as
+It reads the block as core.stream_words, its 32-bit words in stream order:
+the low half of a raw before its high half.  Each bounded draw (integers)
+reads a range of consecutive words, and a high half left pending carries
+over to the next bounded draw; random() takes whole raws, which the words
+skip.  So a trial's stream is laid out as
 
   word 0                      message (none when k = 1)
   words 1..read_cap           f (none when m = 1)
@@ -31,9 +32,11 @@ trial's stream is laid out as
   following words             replacement indices, then payloads, the
                               first of them the pending high half, if any
 
-A range of size 1 reads no word.  Each value is Lemire's (w * n) >> 32.  The
-honest adversary, and any adversary at p = 0, observes the true row, so its
-stream stops after f.
+and a draw is a fixed array of word columns: with head_raws the raws the
+message and f take, a word from 2 * head_raws on sits 2 * read_cap columns
+further right, past the uniforms.  A range of size 1 reads no word.  Each
+value is Lemire's (w * n) >> 32.  The honest adversary, and any adversary at
+p = 0, observes the true row, so its stream stops after f.
 
 Prefix first: a decoder stops after a few reads, so run_batch decodes only
 the first W read positions of each trial.  W is the smallest power of two
@@ -45,9 +48,9 @@ read_cap.  A block holds the raws up to the last draw's prefix.
 
 Rejections stay exact: where numpy would have rejected a word and drawn
 again, every later draw of the stream shifts.  Every draw is tested for
-rejection on the raws over its whole length, except the stream's last one
-(payloads, or f for a true row), whose later words shift nothing decoded and
-which is tested on its prefix alone.  A rejected row, a trial at or past
+rejection over its whole length, except the stream's last one (payloads, or
+f for a true row), whose later words shift nothing decoded and which is
+tested on its prefix alone.  A rejected row, a trial at or past
 core.COLUMNAR_TRIALS and a range over 2**32 - 1 go through _observe_trial
 instead.
 """
@@ -256,8 +259,8 @@ _MAX_RANGE = 2**32 - 1
 
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
-    random_raw block, and which words are tested for rejection (module
-    docstring)."""
+    random_raw block, as columns of its stream_words view, and which words
+    are tested for rejection (module docstring)."""
 
     def __init__(self, cb: Codebook, adversary: str, width: int):
         p = cb.params
@@ -273,35 +276,29 @@ class _Layout:
         # the stream's last draw; in a noisy layout the uniforms follow f
         reading = [name for name, n, _ in (tail if self.noisy else head) if n > 1]
         last = reading[-1] if reading else None
-        # name -> (range, values, decoded spans, tested spans); a span is
-        # (first word, count) in the block
+        # name -> (range, values, decoded columns, tested columns).  A draw's
+        # words are consecutive in the stream; a stream word from
+        # 2 * head_raws on sits past the uniforms' read_cap raws.
         self.draws = {}
         n_raw = self.head_raws + width if self.noisy else 0
         word = tested = decoded = 0
         for name, n, size in draws:
             read = size if n > 1 else 0
             test = min(read, width) if name == last else read
-            spans = (self._spans(word, min(read, width), cap), self._spans(word, test, cap))
-            self.draws[name] = (n, min(size, width)) + spans
-            for first, count in spans[0] + spans[1]:
-                n_raw = max(n_raw, (first + count + 1) // 2)
+            columns = np.arange(word, word + test)
+            columns[columns >= 2 * self.head_raws] += 2 * cap
+            self.draws[name] = (n, min(size, width), columns[: min(read, width)], columns)
+            if test:
+                n_raw = max(n_raw, int(columns[-1]) // 2 + 1)
             word += read
             tested += test
             decoded += min(read, width)
         self.n_raw = n_raw
-        # The raws; per tested word its uint32 half, product and flag; per
-        # decoded word its uint64 copy, product and value; and six int64 or
+        # The raws; per tested word its gathered copy, product and flag; per
+        # decoded word its copy, uint64 copy and product; and six int64 or
         # float64 rows of width (true ids, u, its flags, the replacement and
         # observed ids).
-        self.row_bytes = 8 * n_raw + 9 * tested + 24 * decoded + 48 * width
-
-    def _spans(self, first: int, count: int, cap: int) -> tuple:
-        """Block spans of the stream's words first..first+count-1: the stream
-        skips the uniforms' read_cap raws after the head raws."""
-        cut = 2 * self.head_raws
-        head = max(0, min(count, cut - first))
-        spans = ((first, head), (max(first, cut) + 2 * cap, count - head))
-        return tuple(span for span in spans if span[1] > 0)
+        self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 48 * width
 
 
 def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
@@ -310,19 +307,15 @@ def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
     numpy would have rejected a bounded draw, which shifts the rest."""
     p = cb.params
     raws = core.trial_raws(states, layout.n_raw)
+    words = core.stream_words(raws)
     bad = np.zeros(len(states), dtype=bool)
     drawn = {}
     for name, (n, size, decode, test) in layout.draws.items():
-        for first, count in test:
-            bad |= core.rejected(raws, n, first, count)
+        bad |= core.rejected(words, n, test)
         if n == 1:
             drawn[name] = np.zeros((len(states), size), dtype=np.int64)
-            continue
-        words = [
-            core.raw_words(raws[:, a // 2 : (a + c + 1) // 2])[:, a % 2 : a % 2 + c]
-            for a, c in decode
-        ]
-        drawn[name] = core.bounded(np.concatenate(words, axis=1) if len(words) > 1 else words[0], n)
+        else:
+            drawn[name] = core.bounded(words[:, decode], n)
     msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
     true_ids = cb.word_ids[msg, f]

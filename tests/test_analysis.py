@@ -20,7 +20,6 @@ from dnareads.analysis import (
     partition_stats,
     race_dp,
     race_step_odds,
-    rate_region,
     rprime_window,
     s_membership,
     strong_converse_factor,
@@ -87,11 +86,9 @@ _NAN = float("nan")
         (rprime_window, (_NAN, 0.05, 0.3), "cpp"),
         (rprime_window, (0.4, _NAN, 0.3), "delta"),
         (achievable_exponent, (_NAN, 0.3), "c"),
-        (rate_region, (_NAN, 1.5, 2.0), "c"),
-        (rate_region, (1.0, _NAN, 2.0), "c_in"),
     ],
     ids=["converse_valid-c", "rprime_window-cpp", "rprime_window-delta",
-         "achievable_exponent-c", "rate_region-c", "rate_region-c_in"],
+         "achievable_exponent-c"],
 )
 def test_nan_argument_is_out_of_range(call, args, named):
     # each guard is written so that NaN fails it, not passes it
@@ -281,14 +278,6 @@ def test_greedy_removals_is_optimal(block, dm):
     got = greedy_removals(np.array(block), dm)
     assert got.shape == (len(block),)
     assert got.tolist() == [_best_removals(row, dm) for row in block]
-
-
-def test_rate_region_value():
-    assert rate_region(math.log(2.0), 1.0, 2.0) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError, match="capacity nonpositive"):
-        rate_region(1.0, 0.5, 2.0)
-    with pytest.raises(ValueError, match="beta out of range"):
-        rate_region(1.0, 1.0, 0.0)
 
 
 def test_converse_factors():

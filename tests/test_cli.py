@@ -547,10 +547,12 @@ def test_bad_input_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, config,
         (["curves", "--r0-list", "0.3", "--c-min", "0.5", "--c-max", "inf"], "--c-max"),
         (["smembership", "--m-list", "50", "--coverage", "nan", "--delta", "0.05"], "--coverage"),
         (["smembership", "--m-list", "50", "--coverage", "inf", "--delta", "0.05"], "--coverage"),
+        (["sweep-p", "--m", "8", "--k", "8", "--v", "4", "--p-list", "0.1,nan"], "--p-list"),
+        (["curves", "--r0-list", "nan", "--c-min", "0.5", "--c-max", "1"], "--r0-list"),
     ],
     ids=[
         "p-list", "m-list", "r0-list", "m-list-empty", "c-min-nan", "c-max-inf",
-        "coverage-nan", "coverage-inf",
+        "coverage-nan", "coverage-inf", "p-list-nan", "r0-list-nan",
     ],
 )
 def test_bad_list_element_names_its_flag(capsys, argv, flag):

@@ -18,8 +18,8 @@ from dnareads.core import (
     bounded,
     derive_codebook_rng,
     derive_trial_rng,
-    raw_words,
     rejected,
+    stream_words,
     trial_raws,
     trial_states,
 )
@@ -208,13 +208,13 @@ def test_trial_states_refuse_trials_past_one_word():
         trial_states(0, -1, 1)
 
 
-def test_raw_words_take_low_half_first():
+def test_stream_words_take_low_half_first():
     raws = np.array([[0x0123456789ABCDEF, 0xFEDCBA9876543210]], dtype=np.uint64)
-    assert raw_words(raws).tolist() == [[0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]]
+    assert stream_words(raws).tolist() == [[0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]]
     # numpy's full-range 32-bit draws read the same words
     raw = derive_trial_rng(5, 3).bit_generator.random_raw(2)
     words = derive_trial_rng(5, 3).integers(0, 2**32, size=4, dtype=np.uint64)
-    assert np.array_equal(raw_words(raw[None])[0], words)
+    assert np.array_equal(stream_words(raw[None])[0], words)
 
 
 @pytest.mark.parametrize("n,size", [(3, 5), (2**31 + 1, 1), (2**31 + 1, 3)])
@@ -224,9 +224,9 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
     # shifts.  Rows whose decoded values differ from numpy's must be flagged.
     trials = 400
     states = trial_states(11, 0, trials)
-    raws = trial_raws(states, (size + 1) // 2)
-    values = bounded(raw_words(raws)[:, :size], n)
-    flagged = rejected(raws, n, 0, size)
+    words = stream_words(trial_raws(states, (size + 1) // 2))
+    values = bounded(words[:, :size], n)
+    flagged = rejected(words, n, np.arange(size))
     for t in range(trials):
         want = derive_trial_rng(11, t).integers(0, n, size=size)
         assert flagged[t] or np.array_equal(values[t], want), t
@@ -238,17 +238,18 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
 
 @pytest.mark.parametrize("n", [20, 2**31 + 1, 3 * 2**30 + 7])
 def test_rejected_tests_exactly_its_words(n):
-    # the raw-level test of words first..first+count-1 equals the rule
-    # applied to those words alone, whichever halves the span starts and ends on
-    raws = trial_raws(trial_states(4, 0, 300), 5)
-    words = raw_words(raws)
+    # the test of the given word columns equals the rule applied to those
+    # words alone, wherever in the raws they sit
+    words = stream_words(trial_raws(trial_states(4, 0, 300), 5))
     threshold = (2**32 - n) % n
-    for first, count in [(0, 10), (1, 9), (1, 8), (3, 4), (4, 1), (9, 1), (2, 0)]:
-        span = words[:, first : first + count]
-        want = ((span * np.uint64(n)) & np.uint64(2**32 - 1) < threshold).any(axis=1)
-        assert np.array_equal(rejected(raws, n, first, count), want)
-    # a power of two never rejects
-    assert not rejected(np.zeros((2, 3), dtype=np.uint64), 8, 0, 6).any()
+    for columns in [range(10), range(1, 10), range(1, 9), [3, 4, 5, 6], [4], [9], [0, 3, 8], []]:
+        columns = np.array(columns, dtype=np.intp)
+        wide = words[:, columns].astype(np.uint64)
+        want = ((wide * np.uint64(n)) & np.uint64(2**32 - 1) < threshold).any(axis=1)
+        assert np.array_equal(rejected(words, n, columns), want)
+    # a power of two never rejects, and gathers nothing: these columns are
+    # past the words
+    assert not rejected(np.zeros((2, 6), dtype=np.uint32), 8, np.arange(6, 12)).any()
 
 
 def test_import_leaves_numpy_random_unloaded():

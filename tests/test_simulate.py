@@ -135,7 +135,7 @@ def test_batched_engine_crosses_spawn_key_word(easy_codebook):
 def test_columnar_rows_match_reference_draws(data):
     m = data.draw(st.integers(1, 70), label="m")
     k = data.draw(st.integers(1, 40), label="k")
-    v = data.draw(st.integers(1, 9), label="v")
+    v = data.draw(st.integers(1, 9) | st.sampled_from([2**31 + 1, 2**32 - 1]), label="v")
     cap = data.draw(st.integers(1, 300), label="read_cap")
     p = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="p")
     adversary = data.draw(st.sampled_from(["honest", "uniform", "uniform-index"]))
@@ -161,6 +161,13 @@ def test_columnar_rows_match_reference_draws(data):
         assert np.array_equal(obs[r], ref.observed[:width])
 
 
+def test_layout_leaves_ranges_past_32_bits_to_numpy():
+    # numpy draws integers(0, 2**32) by another method than 32-bit words
+    params = SimParams(m=2, k=2, v=2**32, p=0.5, read_cap=4)
+    cb = Codebook(params, np.array([[0, 1], [1, 0]]))
+    assert not simulate._Layout(cb, "uniform", 4).columnar
+
+
 def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
     # Flag chosen rows of every sub-block as if numpy had rejected one of
     # their words, and garble all their decoded values: run_batch must redraw
@@ -175,9 +182,9 @@ def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
         values[rows] = (values[rows] + 1) % n
         return values
 
-    def flagging(raws, n, first, count):
-        bad = real_rejected(raws, n, first, count)
-        rows = [r for r in chosen if r < len(raws)]
+    def flagging(words, n, columns):
+        bad = real_rejected(words, n, columns)
+        rows = [r for r in chosen if r < len(words)]
         bad[rows] = True
         flagged.append(len(rows))
         return bad
@@ -251,13 +258,13 @@ def test_rejection_past_the_prefix_is_redrawn(slow_codebook, adversary, region, 
 
 def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
     # a numpy that read the high half of a raw first would shift every draw
-    real = core.raw_words
+    real = core.stream_words
 
     def high_first(raws):
         words = real(raws)
         return np.stack([words[..., 1::2], words[..., 0::2]], axis=-1).reshape(words.shape)
 
-    monkeypatch.setattr(core, "raw_words", high_first)
+    monkeypatch.setattr(core, "stream_words", high_first)
     with pytest.raises(RuntimeError, match=r"trial 5 .* numpy \d"):
         run_batch(easy_codebook, "uniform", 3, start=5)
 
