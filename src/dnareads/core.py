@@ -21,23 +21,17 @@ def derive_trial_rng(seed: int, trial: int) -> np.random.Generator:
     Streams for distinct (seed, trial) pairs never collide, and the stream
     for a given pair is identical across runs, platforms, and batch layouts.
     """
-    if trial < 0:
+    if not 0 <= trial <= _MASK64:
         raise ValueError("trial out of range")
     ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(_TRIAL_DOMAIN, trial))
     return np.random.default_rng(ss)
 
 
-# Trials below this have a one-word spawn-key trial entry; trial_states
-# covers exactly them.
-COLUMNAR_TRIALS = 1 << 32
-
-# SeedSequence's hash constants and PCG64's multiplier, as numpy defines them.
+# SeedSequence's hash constants, as numpy defines them.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def _hashmix(value: np.ndarray, const: list) -> np.ndarray:
@@ -56,29 +50,30 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def trial_states(seed: int, start: int, count: int) -> np.ndarray:
     """(count, 4) uint64 rows, row r equal to the generate_state(4, uint64)
-    of trial start+r's SeedSequence in derive_trial_rng, for trials below
-    COLUMNAR_TRIALS.
+    of trial start+r's SeedSequence in derive_trial_rng.
 
     The entropy is the run entropy (seed & _MASK64 as two 32-bit words,
-    padded with zeros to the pool size of 4) followed by the spawn key
-    (0, trial).  Only the last word depends on the trial, so the pool is
-    mixed as in SeedSequence with the trial word as a column."""
-    if start < 0 or start + count > COLUMNAR_TRIALS:
+    padded with zeros to the pool size of 4), then the spawn key (0, trial):
+    the trial's low word, and last its high word if not zero.  The pool is
+    mixed as in SeedSequence, with the trial words as columns."""
+    if start < 0 or start + count > _MASK64 + 1:
         raise ValueError("trial out of range")
     s = seed & _MASK64
     # one-element columns for the words every trial shares
     run = np.array([[s & _MASK32], [s >> 32], [0], [0]], dtype=np.uint32)
-    trial = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
-    spawn = (np.array([_TRIAL_DOMAIN], dtype=np.uint32), trial)
+    trial = np.arange(start, start + count, dtype=np.uint64)
+    high = (trial >> np.uint64(32)).astype(np.uint32)
     const = [_INIT_A]
     pool = [_hashmix(word, const) for word in run]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
-    for word in spawn:
+    for word in (np.array([_TRIAL_DOMAIN], dtype=np.uint32), trial.astype(np.uint32)):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], _hashmix(word, const))
+    for dst in range(4):
+        pool[dst] = np.where(high != 0, _mix(pool[dst], _hashmix(high, const)), pool[dst])
     # 8 words from the cycled pool, paired little-endian into 4 uint64s
     out = np.zeros((count, 4), dtype=np.uint64)
     const = _INIT_B
@@ -91,25 +86,25 @@ def trial_states(seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
+class _StateRow:
+    """An ISeedSequence whose state is one trial_states row, registered on
+    first use so that importing this module leaves numpy.random unloaded."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words: int, dtype=None) -> np.ndarray:
+        return self.row
+
+
 def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
     """(len(states), n_raw) uint64: row r is the first n_raw random_raw
-    outputs of the PCG64 that derive_trial_rng seeds from states[r].
-
-    PCG64 seeds its 128-bit LCG from a state row as inc = (s2:s3) << 1 | 1,
-    state = (inc + (s0:s1)) * MULT + inc; one bit generator is set to each
-    row's state in turn."""
+    outputs of the PCG64 that derive_trial_rng seeds, which PCG64 seeds
+    itself from states[r]."""
     out = np.empty((len(states), n_raw), dtype=np.uint64)
-    if n_raw == 0:
-        return out
-    bg = np.random.PCG64(0)
-    lcg = {}
-    full = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-    for r, (s0, s1, s2, s3) in enumerate(states.tolist()):
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        lcg["inc"] = inc
-        lcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        bg.state = full
-        out[r] = bg.random_raw(n_raw)
+    np.random.bit_generator.ISeedSequence.register(_StateRow)
+    for r, row in enumerate(states):
+        out[r] = np.random.PCG64(_StateRow(row)).random_raw(n_raw)
     return out
 
 

@@ -139,14 +139,17 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(params=SimParams(**d), **extras)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+_Z95 = 1.96  # the standard normal quantile of a two-sided 95% interval
+
+
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval; valid at zero and small counts."""
     if n <= 0:
         raise ValueError("n out of range")
     phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / n + z * z / (4 * n * n))
+    denom = 1.0 + _Z95 * _Z95 / n
+    center = (phat + _Z95 * _Z95 / (2 * n)) / denom
+    half = (_Z95 / denom) * math.sqrt(phat * (1.0 - phat) / n + _Z95 * _Z95 / (4 * n * n))
     return (max(0.0, center - half), min(1.0, center + half))
 
 

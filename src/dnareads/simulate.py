@@ -20,6 +20,7 @@ _observe_trial.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
 random_raw block per trial and pass, and decodes a block of trials at once.
+Each trial's PCG64 seeds itself from its row of core.trial_states.
 It reads the block as core.stream_words, its 32-bit words in stream order:
 the low half of a raw before its high half.  Each bounded draw (integers)
 reads a range of consecutive words, and a high half left pending carries
@@ -50,9 +51,8 @@ Rejections stay exact: where numpy would have rejected a word and drawn
 again, every later draw of the stream shifts.  Every draw is tested for
 rejection over its whole length, except the stream's last one (payloads, or
 f for a true row), whose later words shift nothing decoded and which is
-tested on its prefix alone.  A rejected row, a trial at or past
-core.COLUMNAR_TRIALS and a range over 2**32 - 1 go through _observe_trial
-instead.
+tested on its prefix alone.  A rejected row, and every row when a range is
+over 2**32 - 1, go through _observe_trial instead.
 """
 
 from __future__ import annotations
@@ -228,8 +228,7 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
     rows_per_batch = _rows_per_batch(cb, trials, width)
     for lo in range(0, trials, rows_per_batch):
         rows = np.arange(lo, min(lo + rows_per_batch, trials))
-        n_col = max(0, min(len(rows), core.COLUMNAR_TRIALS - start - lo)) if prefix.columnar else 0
-        states = core.trial_states(cb.params.seed, start + lo, n_col)
+        states = core.trial_states(cb.params.seed, start + lo, len(rows))
         _decode_rows(cb, adversary, prefix, start, rows, states, out, check=lo == 0)
         if width == cap:
             continue
@@ -237,14 +236,14 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         step = _rows_per_batch(cb, len(live), cap)
         for i in range(0, len(live), step):
             part = live[i : i + step]
-            _decode_rows(cb, adversary, full, start, lo + part, states[part[part < n_col]], out)
+            _decode_rows(cb, adversary, full, start, lo + part, states[part], out)
     return out
 
 
 def _decode_rows(cb, adversary, layout, start, rows, states, out, check=False) -> None:
     """Draw trials start + rows at the layout's width and decode them into
     out's rows; check compares the first with the per-trial engine."""
-    message, obs = _draw_rows(cb, adversary, layout, start + rows, states)
+    message, obs = _draw_rows(cb, adversary, layout, start, rows, states)
     if check:
         _check_first_row(cb, adversary, start + int(rows[0]), message[0], obs[0])
     kind, decoded, n_reads = out.kind[rows], out.decoded[rows], out.n_reads[rows]
@@ -329,17 +328,18 @@ def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
     return bad
 
 
-def _draw_rows(cb, adversary, layout, trials, states):
-    """Message and observation table (rows x layout.width) of these trials.
+def _draw_rows(cb, adversary, layout, start, rows, states):
+    """Message and observation table (rows x layout.width) of trials
+    start + rows, whose stream states these are.
 
-    The first len(states) trials, whose stream states these are, are decoded
-    from their raw blocks in sub-blocks of rows whose temporaries fit in
-    _BATCH_BYTES // 16.  The others, and every row where numpy would have
-    rejected a word, go through _observe_trial."""
-    b = len(trials)
+    The rows are decoded from their raw blocks in sub-blocks whose
+    temporaries fit in _BATCH_BYTES // 16.  Every row where numpy would have
+    rejected a word, and every row of a layout with a range over 2**32 - 1,
+    goes through _observe_trial instead."""
+    b = len(rows)
     message = np.empty(b, dtype=np.int64)
     obs = np.empty((b, layout.width), dtype=_id_dtype(cb))
-    n_col = len(states)
+    n_col = b if layout.columnar else 0
     step = max(1, _BATCH_BYTES // 16 // layout.row_bytes)
     redo = [np.arange(n_col, b)]
     for lo in range(0, n_col, step):
@@ -347,7 +347,7 @@ def _draw_rows(cb, adversary, layout, trials, states):
         bad = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
         redo.append(np.flatnonzero(bad) + lo)
     for r in np.concatenate(redo).tolist():
-        trial = _observe_trial(cb, adversary, int(trials[r]))
+        trial = _observe_trial(cb, adversary, start + int(rows[r]))
         message[r] = trial.message
         obs[r] = trial.observed[: layout.width]
     return message, obs

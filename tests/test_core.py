@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dnareads.core import (
-    COLUMNAR_TRIALS,
     Molecule,
     SimParams,
     Verdict,
@@ -177,7 +176,7 @@ def test_verdict_constructors():
 
 
 _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, -3, 2**64 + 3]
-_TRIALS = [0, 1, 12345, COLUMNAR_TRIALS - 1]
+_TRIALS = [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -201,9 +200,12 @@ def test_trial_raws_match_trial_stream(seed):
     assert trial_raws(states, 0).shape == (len(_TRIALS), 0)
 
 
-def test_trial_states_refuse_trials_past_one_word():
+def test_trial_states_refuse_trials_past_64_bits():
+    # both engines address the trials in [0, 2**64)
     with pytest.raises(ValueError, match="trial out of range"):
-        trial_states(0, COLUMNAR_TRIALS - 1, 2)
+        trial_states(0, 2**64 - 1, 2)
+    with pytest.raises(ValueError, match="trial out of range"):
+        derive_trial_rng(0, 2**64)
     with pytest.raises(ValueError, match="trial out of range"):
         trial_states(0, -1, 1)
 

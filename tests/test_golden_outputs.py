@@ -1,0 +1,145 @@
+"""Byte-identity of the program's outputs against a committed digest manifest.
+
+Each run below is a small `cli.main` call (or one saved trace).  The manifest,
+tests/golden_outputs.json, holds the sha256 of every run's output file,
+stdout and stderr, its exit status, and the numpy version that made them.
+Any byte that changes fails the test, and so does a numpy other than the
+manifest's, since numpy's internals fix every random draw.
+
+After a change that is meant to alter outputs, regenerate the manifest and
+commit it with the change:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --regenerate
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dnareads.cli import main
+from dnareads.codebook import construct_greedy
+from dnareads.core import SimParams
+from dnareads.decoder import save_trace
+from dnareads.simulate import run_trial
+
+MANIFEST = Path(__file__).with_name("golden_outputs.json")
+
+_BOOK = ["--m", "20", "--k", "16", "--v", "8", "--delta", "0.1", "--theta", "0.5"]
+_SIM = ["simulate", *_BOOK, "--read-cap", "200", "--trials", "2000", "--seed", "5"]
+# criterion 8's converse config
+_CONV = ["--m", "10", "--k", "16", "--v", "2", "--p", "0.3", "--delta", "0.2", "--theta", "0.7"]
+_CONV_RUN = [*_CONV, "--read-cap", "400", "--hm", "20", "--rprimem", "5", "--trials", "300"]
+
+# name -> argv; "{out}" stands for the run's output file
+RUNS = {
+    **{
+        f"simulate-{adv}-p{p}": [*_SIM, "--adversary", adv, "--p", p, "--out", "{out}"]
+        for adv in ("honest", "uniform", "uniform-index")
+        for p in ("0", "0.15", "1")
+    },
+    # odd ranges, whose words numpy can reject
+    "simulate-m7-uniform-p0.15": [
+        "simulate", "--m", "7", "--k", "11", "--v", "5", "--delta", "0.15", "--theta", "0.6",
+        "--p", "0.15", "--adversary", "uniform", "--trials", "2000", "--seed", "7",
+    ],
+    **{
+        f"simulate-{adv}": ["simulate", *_CONV_RUN, "--adversary", adv, "--seed", "3"]
+        for adv in ("strong", "weak")
+    },
+    "sweep-p": [
+        "sweep-p", *_BOOK, "--read-cap", "200", "--adversary", "uniform",
+        "--trials", "3000", "--seed", "11", "--p-list", "0.05,0.1,0.2",
+    ],
+    "curves": [
+        "curves", "--r0-list", "0.2,0.3,0.5", "--c-min", "0.05", "--c-max", "5",
+        "--c-points", "40", "--out", "{out}",
+    ],
+    "smembership": [
+        "smembership", "--m-list", "50,100,200", "--coverage", "0.430783",
+        "--delta", "0.05", "--trials", "500", "--seed", "0",
+    ],
+    **{
+        f"converse-{adv}-seed{seed}": [
+            "converse", *_CONV_RUN, "--adversary", adv, "--seed", seed, "--out", "{out}",
+        ]
+        for adv in ("strong", "weak")
+        for seed in ("0", "3", "7")
+    },
+    "codebook": ["codebook", "--m", "20", "--k", "64", "--v", "8", "--theta", "0.25",
+                 "--seed", "11", "--out", "{out}"],
+    "simulate-bad-p": [*_SIM, "--p", "1.5"],
+}
+TRACE = "save-trace"
+
+
+def _digest(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _run(argv: list[str]) -> dict:
+    """Digests of one cli.main call: its output file (None when it writes
+    none), stdout, stderr and exit status, as the process would show them."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main([a.replace("{out}", str(path)) for a in argv])
+            except SystemExit as exc:
+                # a string code is printed to stderr by the interpreter
+                if isinstance(exc.code, str):
+                    print(exc.code, file=sys.stderr)
+                    status = 1
+                else:
+                    status = exc.code
+        file = _digest(path.read_bytes()) if path.exists() else None
+    return {"file": file, "stdout": _digest(out.getvalue()),
+            "stderr": _digest(err.getvalue()), "status": status}
+
+
+def _trace() -> dict:
+    """Digest of the save_trace file of one uniform-adversary trial."""
+    params = SimParams(m=8, k=8, v=8, p=0.1, dm=1, theta=0.5, read_cap=200, seed=1)
+    _, trace = run_trial(construct_greedy(params), "uniform", 7, collect_trace=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.txt"
+        save_trace(trace, str(path))
+        return {"file": _digest(path.read_bytes())}
+
+
+def _outputs(name: str) -> dict:
+    return _trace() if name == TRACE else _run(RUNS[name])
+
+
+def _manifest() -> dict:
+    return json.loads(MANIFEST.read_text())
+
+
+def test_manifest_lists_every_run():
+    assert sorted(_manifest()["runs"]) == sorted([*RUNS, TRACE])
+
+
+@pytest.mark.parametrize("name", [*RUNS, TRACE])
+def test_outputs_match_manifest(name):
+    manifest = _manifest()
+    made, running = manifest["numpy"], np.__version__
+    versions = f"manifest made with numpy {made}, running numpy {running}"
+    assert made == running, f"numpy version differs: {versions}"
+    assert _outputs(name) == manifest["runs"][name], f"{name}: outputs differ ({versions})"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    runs = {name: _outputs(name) for name in [*RUNS, TRACE]}
+    MANIFEST.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=1) + "\n")
+    print(f"wrote {len(runs)} runs to {MANIFEST}")

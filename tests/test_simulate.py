@@ -122,12 +122,23 @@ def test_batched_engine_rejects_negative_start(easy_codebook):
         run_batch(easy_codebook, "uniform", 3, start=-1)
 
 
-def test_batched_engine_crosses_spawn_key_word(easy_codebook):
-    # trials from 2**32 on have a two-word spawn-key entry and are drawn by
-    # the per-trial engine; the two before it are decoded from raw words
-    start = 2**32 - 2
-    batch = run_batch(easy_codebook, "uniform", 4, start=start)
-    _assert_matches_serial(easy_codebook, "uniform", batch, start=start)
+def test_batched_engine_crosses_spawn_key_word(easy_codebook, monkeypatch):
+    # trials from 2**32 on have a two-word spawn-key entry; they are decoded
+    # from raw words like the others, up to the last trial, 2**64 - 1, and
+    # only the first-row check reaches the per-trial engine
+    real_observe, observed = simulate._observe_trial, []
+
+    def observing(cb, adversary, trial, *args):
+        observed.append(trial)
+        return real_observe(cb, adversary, trial, *args)
+
+    for start in (2**32 - 2, 2**64 - 4):
+        observed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_observe_trial", observing)
+            batch = run_batch(easy_codebook, "uniform", 4, start=start)
+        assert observed == [start]
+        _assert_matches_serial(easy_codebook, "uniform", batch, start=start)
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,7 +163,7 @@ def test_columnar_rows_match_reference_draws(data):
     states = core.trial_states(seed, start, trials)
     with mock.patch.object(simulate, "_BATCH_BYTES", budget):
         message, obs = simulate._draw_rows(
-            cb, adversary, layout, np.arange(start, start + trials), states
+            cb, adversary, layout, start, np.arange(trials), states
         )
     assert obs.shape == (trials, width)
     for r in range(trials):
