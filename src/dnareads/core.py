@@ -48,34 +48,32 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def trial_states(seed: int, start: int, count: int) -> np.ndarray:
-    """(count, 4) uint64 rows, row r equal to the generate_state(4, uint64)
-    of trial start+r's SeedSequence in derive_trial_rng.
+def trial_states(seed: int, trials: np.ndarray) -> np.ndarray:
+    """(len(trials), 4) uint64 rows, row r equal to the generate_state(4,
+    uint64) of the SeedSequence derive_trial_rng makes for trial trials[r],
+    where trials is a uint64 array of trial indices.
 
     The entropy is the run entropy (seed & _MASK64 as two 32-bit words,
     padded with zeros to the pool size of 4), then the spawn key (0, trial):
     the trial's low word, and last its high word if not zero.  The pool is
     mixed as in SeedSequence, with the trial words as columns."""
-    if start < 0 or start + count > _MASK64 + 1:
-        raise ValueError("trial out of range")
     s = seed & _MASK64
     # one-element columns for the words every trial shares
     run = np.array([[s & _MASK32], [s >> 32], [0], [0]], dtype=np.uint32)
-    trial = np.arange(start, start + count, dtype=np.uint64)
-    high = (trial >> np.uint64(32)).astype(np.uint32)
+    high = (trials >> np.uint64(32)).astype(np.uint32)
     const = [_INIT_A]
     pool = [_hashmix(word, const) for word in run]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
-    for word in (np.array([_TRIAL_DOMAIN], dtype=np.uint32), trial.astype(np.uint32)):
+    for word in (np.array([_TRIAL_DOMAIN], dtype=np.uint32), trials.astype(np.uint32)):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], _hashmix(word, const))
     for dst in range(4):
         pool[dst] = np.where(high != 0, _mix(pool[dst], _hashmix(high, const)), pool[dst])
     # 8 words from the cycled pool, paired little-endian into 4 uint64s
-    out = np.zeros((count, 4), dtype=np.uint64)
+    out = np.zeros((len(trials), 4), dtype=np.uint64)
     const = _INIT_B
     for i in range(8):
         value = pool[i % 4] ^ np.uint32(const)
@@ -188,11 +186,12 @@ _KINDS = {
 
 # field: (kind, range test on the value and the whole record); the tests are
 # written so that NaN fails them.  read_cap may be null in a config file,
-# where it means its default.
+# where it means its default.  m, k and v are ranges of bounded draws, which
+# the batch engine reads as 32-bit words.
 PARAM_RULES = {
-    "m": ("an integer", lambda x, r: x >= 1),
-    "k": ("an integer", lambda x, r: x >= 1),
-    "v": ("an integer", lambda x, r: x >= 1),
+    "m": ("an integer", lambda x, r: 1 <= x <= _MASK32),
+    "k": ("an integer", lambda x, r: 1 <= x <= _MASK32),
+    "v": ("an integer", lambda x, r: 1 <= x <= _MASK32),
     "p": ("a number", lambda x, r: 0.0 <= x <= 1.0),
     "dm": ("an integer", lambda x, r: 0 <= x <= r["m"]),
     "theta": ("a number", lambda x, r: 0.0 < x <= 1.0),

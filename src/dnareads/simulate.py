@@ -45,14 +45,15 @@ at or above analysis.expected_reads_upper_bound(m, p, ones_threshold) at the
 p the layout observes (0 when honest), capped at read_cap, and read_cap where
 that bound is undefined (p = 1, or a threshold over m).
 Rows still undecided after W reads are drawn again and decoded over the full
-read_cap.  A block holds the raws up to the last draw's prefix.
+read_cap.  A block holds the raws up to the last draw's prefix.  The first
+row of every decode block, in both passes, is checked against _observe_trial.
 
 Rejections stay exact: where numpy would have rejected a word and drawn
 again, every later draw of the stream shifts.  Every draw is tested for
 rejection over its whole length, except the stream's last one (payloads, or
 f for a true row), whose later words shift nothing decoded and which is
-tested on its prefix alone.  A rejected row, and every row when a range is
-over 2**32 - 1, go through _observe_trial instead.
+tested on its prefix alone.  A rejected row goes through _observe_trial
+instead.
 """
 
 from __future__ import annotations
@@ -216,6 +217,8 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
     identical to run_trial over trials start..start+trials-1."""
     if adversary not in BATCH_ADVERSARIES:
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
+    if start < 0 or start + trials > 2**64:
+        raise ValueError("trial out of range")
     cap = cb.params.read_cap
     out = BatchResult(
         message=np.empty(trials, dtype=np.int64),
@@ -223,37 +226,22 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         decoded=np.full(trials, -1, dtype=np.int64),
         n_reads=np.full(trials, cap, dtype=np.int64),
     )
-    width = _prefix_width(cb, adversary)
-    prefix, full = _Layout(cb, adversary, width), _Layout(cb, adversary, cap)
-    rows_per_batch = _rows_per_batch(cb, trials, width)
-    for lo in range(0, trials, rows_per_batch):
-        rows = np.arange(lo, min(lo + rows_per_batch, trials))
-        states = core.trial_states(cb.params.seed, start + lo, len(rows))
-        _decode_rows(cb, adversary, prefix, start, rows, states, out, check=lo == 0)
-        if width == cap:
-            continue
-        live = np.flatnonzero(out.kind[rows] == VerdictKind.TRUNCATED.value)
-        step = _rows_per_batch(cb, len(live), cap)
-        for i in range(0, len(live), step):
-            part = live[i : i + step]
-            _decode_rows(cb, adversary, full, start, lo + part, states[part], out)
+    # the prefix pass over every row, then the full pass over those it left
+    # undecided
+    rows = np.arange(trials)
+    for width in sorted({_prefix_width(cb, adversary), cap}):
+        layout = _Layout(cb, adversary, width)
+        step = _rows_per_batch(cb, len(rows), width)
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            message, obs = _draw_rows(cb, adversary, layout, start, block)
+            _check_first_row(cb, adversary, start + int(block[0]), message[0], obs[0])
+            kind, decoded, n_reads = out.kind[block], out.decoded[block], out.n_reads[block]
+            _decode_batch(cb, obs, kind, decoded, n_reads)
+            out.message[block], out.kind[block] = message, kind
+            out.decoded[block], out.n_reads[block] = decoded, n_reads
+        rows = rows[out.kind[rows] == VerdictKind.TRUNCATED.value]
     return out
-
-
-def _decode_rows(cb, adversary, layout, start, rows, states, out, check=False) -> None:
-    """Draw trials start + rows at the layout's width and decode them into
-    out's rows; check compares the first with the per-trial engine."""
-    message, obs = _draw_rows(cb, adversary, layout, start, rows, states)
-    if check:
-        _check_first_row(cb, adversary, start + int(rows[0]), message[0], obs[0])
-    kind, decoded, n_reads = out.kind[rows], out.decoded[rows], out.n_reads[rows]
-    _decode_batch(cb, obs, kind, decoded, n_reads)
-    out.message[rows], out.kind[rows] = message, kind
-    out.decoded[rows], out.n_reads[rows] = decoded, n_reads
-
-
-# Bounded draws over a wider range take numpy's 64-bit path.
-_MAX_RANGE = 2**32 - 1
 
 
 class _Layout:
@@ -266,7 +254,6 @@ class _Layout:
         cap = p.read_cap
         self.width = width
         self.noisy = adversary != "honest" and p.p > 0
-        self.columnar = max(p.k, p.m, p.v) <= _MAX_RANGE
         self.head_raws = (int(p.k > 1) + cap * (p.m > 1) + 1) // 2
         # the bounded draws (name, range, size) in stream order
         head = [("message", p.k, 1), ("f", p.m, cap)]
@@ -328,28 +315,25 @@ def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
     return bad
 
 
-def _draw_rows(cb, adversary, layout, start, rows, states):
+def _draw_rows(cb, adversary, layout, start, rows):
     """Message and observation table (rows x layout.width) of trials
-    start + rows, whose stream states these are.
+    start + rows.
 
     The rows are decoded from their raw blocks in sub-blocks whose
     temporaries fit in _BATCH_BYTES // 16.  Every row where numpy would have
-    rejected a word, and every row of a layout with a range over 2**32 - 1,
-    goes through _observe_trial instead."""
+    rejected a word goes through _observe_trial instead."""
     b = len(rows)
+    states = core.trial_states(cb.params.seed, rows.astype(np.uint64) + np.uint64(start))
     message = np.empty(b, dtype=np.int64)
     obs = np.empty((b, layout.width), dtype=_id_dtype(cb))
-    n_col = b if layout.columnar else 0
     step = max(1, _BATCH_BYTES // 16 // layout.row_bytes)
-    redo = [np.arange(n_col, b)]
-    for lo in range(0, n_col, step):
-        hi = min(lo + step, n_col)
+    for lo in range(0, b, step):
+        hi = lo + step
         bad = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
-        redo.append(np.flatnonzero(bad) + lo)
-    for r in np.concatenate(redo).tolist():
-        trial = _observe_trial(cb, adversary, start + int(rows[r]))
-        message[r] = trial.message
-        obs[r] = trial.observed[: layout.width]
+        for r in (np.flatnonzero(bad) + lo).tolist():
+            trial = _observe_trial(cb, adversary, start + int(rows[r]))
+            message[r] = trial.message
+            obs[r] = trial.observed[: layout.width]
     return message, obs
 
 

@@ -370,6 +370,8 @@ def test_smembership_rejects_empty_horizon(tmp_path, capsys):
         # at most 4 binary words of length 6 lie at distance >= 4 from each other
         (["codebook", "--m", "6", "--k", "5", "--v", "2"], "codebook budget exhausted"),
         (["simulate", "--m", "8", "--k", "8", "--v", "4", "--p", "1.5"], "p out of range"),
+        # bounded draws read 32-bit words, so no range exceeds 2**32 - 1
+        (["simulate", "--m", "8", "--k", "8", "--v", "4294967296"], "v out of range"),
         (
             [
                 "converse",
@@ -391,8 +393,8 @@ def test_smembership_rejects_empty_horizon(tmp_path, capsys):
         ),
     ],
     ids=[
-        "codebook-budget", "simulate-p", "converse-adversary", "curves-r0", "curves-c-points",
-        "sweep-p-m0", "smembership-m0",
+        "codebook-budget", "simulate-p", "simulate-v", "converse-adversary", "curves-r0",
+        "curves-c-points", "sweep-p-m0", "smembership-m0",
     ],
 )
 def test_library_errors_are_one_line(argv, message):

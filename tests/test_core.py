@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dnareads.codebook import Codebook
 from dnareads.core import (
     Molecule,
     SimParams,
@@ -23,6 +24,7 @@ from dnareads.core import (
     trial_states,
 )
 from dnareads.harness import config_from_dict
+from dnareads.simulate import run_batch
 
 
 def test_trial_rng_reproducible():
@@ -79,6 +81,9 @@ def test_validate_accepts_good_params():
         ("m", 0),
         ("k", 0),
         ("v", 0),
+        ("m", 2**32),
+        ("k", 2**32),
+        ("v", 2**32),
         ("p", -0.1),
         ("p", 1.5),
         ("dm", -1),
@@ -179,21 +184,25 @@ _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, -3, 2**64 + 3]
 _TRIALS = [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
 
 
+def _states(seed, trials):
+    return trial_states(seed, np.array(trials, dtype=np.uint64))
+
+
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_trial_states_match_seed_sequence(seed):
     for trial in _TRIALS:
         ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(0, trial))
-        assert np.array_equal(trial_states(seed, trial, 1)[0], ss.generate_state(4, np.uint64))
+        assert np.array_equal(_states(seed, [trial])[0], ss.generate_state(4, np.uint64))
     # a column of trials equals the trials one at a time
-    block = trial_states(seed, 1000, 50)
+    block = _states(seed, range(1000, 1050))
     assert block.shape == (50, 4) and block.dtype == np.uint64
     for r in (0, 17, 49):
-        assert np.array_equal(block[r], trial_states(seed, 1000 + r, 1)[0])
+        assert np.array_equal(block[r], _states(seed, [1000 + r])[0])
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_trial_raws_match_trial_stream(seed):
-    states = np.concatenate([trial_states(seed, t, 1) for t in _TRIALS])
+    states = _states(seed, _TRIALS)
     raws = trial_raws(states, 9)
     for row, trial in zip(raws, _TRIALS):
         assert np.array_equal(row, derive_trial_rng(seed, trial).bit_generator.random_raw(9))
@@ -202,12 +211,11 @@ def test_trial_raws_match_trial_stream(seed):
 
 def test_trial_states_refuse_trials_past_64_bits():
     # both engines address the trials in [0, 2**64)
+    cb = Codebook(SimParams(m=2, k=2, v=2, read_cap=4), np.array([[0, 1], [1, 0]]))
     with pytest.raises(ValueError, match="trial out of range"):
-        trial_states(0, 2**64 - 1, 2)
+        run_batch(cb, "honest", 2, start=2**64 - 1)
     with pytest.raises(ValueError, match="trial out of range"):
         derive_trial_rng(0, 2**64)
-    with pytest.raises(ValueError, match="trial out of range"):
-        trial_states(0, -1, 1)
 
 
 def test_stream_words_take_low_half_first():
@@ -225,7 +233,7 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
     # threshold; numpy then draws again and every later value of the row
     # shifts.  Rows whose decoded values differ from numpy's must be flagged.
     trials = 400
-    states = trial_states(11, 0, trials)
+    states = _states(11, range(trials))
     words = stream_words(trial_raws(states, (size + 1) // 2))
     values = bounded(words[:, :size], n)
     flagged = rejected(words, n, np.arange(size))
@@ -242,7 +250,7 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
 def test_rejected_tests_exactly_its_words(n):
     # the test of the given word columns equals the rule applied to those
     # words alone, wherever in the raws they sit
-    words = stream_words(trial_raws(trial_states(4, 0, 300), 5))
+    words = stream_words(trial_raws(_states(4, range(300)), 5))
     threshold = (2**32 - n) % n
     for columns in [range(10), range(1, 10), range(1, 9), [3, 4, 5, 6], [4], [9], [0, 3, 8], []]:
         columns = np.array(columns, dtype=np.intp)

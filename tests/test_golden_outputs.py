@@ -34,7 +34,12 @@ from dnareads.simulate import run_trial
 MANIFEST = Path(__file__).with_name("golden_outputs.json")
 
 _BOOK = ["--m", "20", "--k", "16", "--v", "8", "--delta", "0.1", "--theta", "0.5"]
-_SIM = ["simulate", *_BOOK, "--read-cap", "200", "--trials", "2000", "--seed", "5"]
+_SIM = ["simulate", *_BOOK, "--read-cap", "200", "--trials", "2000"]
+_SWEEP = [*_BOOK, "--read-cap", "200", "--adversary", "uniform", "--trials", "3000",
+          "--p-list", "0.05,0.1,0.2"]
+_MEMBERSHIP = ["--m-list", "50,100,200", "--coverage", "0.430783", "--delta", "0.05",
+               "--trials", "500"]
+_SEEDS = ("0", "3", "7")
 # criterion 8's converse config
 _CONV = ["--m", "10", "--k", "16", "--v", "2", "--p", "0.3", "--delta", "0.2", "--theta", "0.7"]
 _CONV_RUN = [*_CONV, "--read-cap", "400", "--hm", "20", "--rprimem", "5", "--trials", "300"]
@@ -42,9 +47,16 @@ _CONV_RUN = [*_CONV, "--read-cap", "400", "--hm", "20", "--rprimem", "5", "--tri
 # name -> argv; "{out}" stands for the run's output file
 RUNS = {
     **{
-        f"simulate-{adv}-p{p}": [*_SIM, "--adversary", adv, "--p", p, "--out", "{out}"]
+        f"simulate-{adv}-p{p}": [*_SIM, "--seed", "5", "--adversary", adv, "--p", p,
+                                 "--out", "{out}"]
         for adv in ("honest", "uniform", "uniform-index")
         for p in ("0", "0.15", "1")
+    },
+    **{
+        f"simulate-uniform-p0.15-seed{seed}": [
+            *_SIM, "--seed", seed, "--adversary", "uniform", "--p", "0.15", "--out", "{out}",
+        ]
+        for seed in _SEEDS
     },
     # odd ranges, whose words numpy can reject
     "simulate-m7-uniform-p0.15": [
@@ -55,24 +67,30 @@ RUNS = {
         f"simulate-{adv}": ["simulate", *_CONV_RUN, "--adversary", adv, "--seed", "3"]
         for adv in ("strong", "weak")
     },
-    "sweep-p": [
-        "sweep-p", *_BOOK, "--read-cap", "200", "--adversary", "uniform",
-        "--trials", "3000", "--seed", "11", "--p-list", "0.05,0.1,0.2",
+    # close words and a short read_cap: rows outlive the 8-read prefix, and
+    # some reach read_cap, so the full-width pass decodes rows
+    "simulate-outliving-prefix": [
+        "simulate", "--m", "8", "--k", "16", "--v", "3", "--delta", "0.2", "--theta", "0.4",
+        "--p", "0.1", "--adversary", "uniform", "--read-cap", "10", "--trials", "2000",
+        "--seed", "3",
     ],
+    "sweep-p": ["sweep-p", *_SWEEP, "--seed", "11"],
+    **{f"sweep-p-seed{seed}": ["sweep-p", *_SWEEP, "--seed", seed] for seed in _SEEDS},
     "curves": [
         "curves", "--r0-list", "0.2,0.3,0.5", "--c-min", "0.05", "--c-max", "5",
         "--c-points", "40", "--out", "{out}",
     ],
-    "smembership": [
-        "smembership", "--m-list", "50,100,200", "--coverage", "0.430783",
-        "--delta", "0.05", "--trials", "500", "--seed", "0",
-    ],
+    "smembership": ["smembership", *_MEMBERSHIP, "--seed", "0"],
+    **{
+        f"smembership-seed{seed}": ["smembership", *_MEMBERSHIP, "--seed", seed]
+        for seed in _SEEDS[1:]
+    },
     **{
         f"converse-{adv}-seed{seed}": [
             "converse", *_CONV_RUN, "--adversary", adv, "--seed", seed, "--out", "{out}",
         ]
         for adv in ("strong", "weak")
-        for seed in ("0", "3", "7")
+        for seed in _SEEDS
     },
     "codebook": ["codebook", "--m", "20", "--k", "64", "--v", "8", "--theta", "0.25",
                  "--seed", "11", "--out", "{out}"],

@@ -122,23 +122,27 @@ def test_batched_engine_rejects_negative_start(easy_codebook):
         run_batch(easy_codebook, "uniform", 3, start=-1)
 
 
-def test_batched_engine_crosses_spawn_key_word(easy_codebook, monkeypatch):
+def test_batched_engine_crosses_spawn_key_word(slow_codebook, monkeypatch):
     # trials from 2**32 on have a two-word spawn-key entry; they are decoded
-    # from raw words like the others, up to the last trial, 2**64 - 1, and
-    # only the first-row check reaches the per-trial engine
+    # from raw words like the others, up to the last trial, 2**64 - 1, in
+    # both passes, and only the first-row checks (one per decode block of
+    # each pass) reach the per-trial engine
     real_observe, observed = simulate._observe_trial, []
 
     def observing(cb, adversary, trial, *args):
         observed.append(trial)
         return real_observe(cb, adversary, trial, *args)
 
+    width = simulate._prefix_width(slow_codebook, "uniform")
     for start in (2**32 - 2, 2**64 - 4):
         observed.clear()
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_observe_trial", observing)
-            batch = run_batch(easy_codebook, "uniform", 4, start=start)
-        assert observed == [start]
-        _assert_matches_serial(easy_codebook, "uniform", batch, start=start)
+            batch = run_batch(slow_codebook, "uniform", 4, start=start)
+        live = np.flatnonzero(batch.n_reads > width)
+        assert live.size > 0
+        assert observed == [start, start + int(live[0])]
+        _assert_matches_serial(slow_codebook, "uniform", batch, start=start)
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,23 +164,13 @@ def test_columnar_rows_match_reference_draws(data):
     params = SimParams(m=m, k=k, v=v, p=p, dm=0, theta=1.0, read_cap=cap, seed=seed)
     cb = Codebook(params, matrix)
     layout = simulate._Layout(cb, adversary, width)
-    states = core.trial_states(seed, start, trials)
     with mock.patch.object(simulate, "_BATCH_BYTES", budget):
-        message, obs = simulate._draw_rows(
-            cb, adversary, layout, start, np.arange(trials), states
-        )
+        message, obs = simulate._draw_rows(cb, adversary, layout, start, np.arange(trials))
     assert obs.shape == (trials, width)
     for r in range(trials):
         ref = simulate._observe_trial(cb, adversary, start + r)
         assert message[r] == ref.message
         assert np.array_equal(obs[r], ref.observed[:width])
-
-
-def test_layout_leaves_ranges_past_32_bits_to_numpy():
-    # numpy draws integers(0, 2**32) by another method than 32-bit words
-    params = SimParams(m=2, k=2, v=2**32, p=0.5, read_cap=4)
-    cb = Codebook(params, np.array([[0, 1], [1, 0]]))
-    assert not simulate._Layout(cb, "uniform", 4).columnar
 
 
 def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
@@ -244,7 +238,7 @@ def test_rejection_past_the_prefix_is_redrawn(slow_codebook, adversary, region, 
     word = f_last if region == "f" else f_last + cap + 2 * cap
     assert simulate._prefix_width(slow_codebook, adversary) < cap - 1
     mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
-    state = core.trial_states(params.seed, target, 1)[0]
+    state = core.trial_states(params.seed, np.array([target], dtype=np.uint64))[0]
     real_raws, real_observe = core.trial_raws, simulate._observe_trial
     planted, observed = [], []
 
@@ -278,6 +272,24 @@ def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
     monkeypatch.setattr(core, "stream_words", high_first)
     with pytest.raises(RuntimeError, match=r"trial 5 .* numpy \d"):
         run_batch(easy_codebook, "uniform", 3, start=5)
+
+
+def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
+    # a numpy change that shifted only draws past the prefix would alter
+    # only the rows the full-width pass decodes; its first-row checks must
+    # catch it
+    params = slow_codebook.params
+    real = simulate._draw_columnar
+
+    def drifting(cb, adversary, layout, states, message, obs):
+        bad = real(cb, adversary, layout, states, message, obs)
+        if layout.width == params.read_cap:
+            obs[:, -1] = (obs[:, -1] + 1) % (params.m * params.v)
+        return bad
+
+    monkeypatch.setattr(simulate, "_draw_columnar", drifting)
+    with pytest.raises(RuntimeError, match=r"differ from the per-trial engine: numpy \d"):
+        run_batch(slow_codebook, "uniform", 50)
 
 
 def test_batched_engine_rejects_planning_adversaries(easy_codebook):
