@@ -45,8 +45,9 @@ at or above analysis.expected_reads_upper_bound(m, p, ones_threshold) at the
 p the layout observes (0 when honest), capped at read_cap, and read_cap where
 that bound is undefined (p = 1, or a threshold over m).
 Rows still undecided after W reads are drawn again and decoded over the full
-read_cap.  A block holds the raws up to the last draw's prefix.  The first
-row of every decode block, in both passes, is checked against _observe_trial.
+read_cap.  A block holds the raws up to the last draw's prefix.  _draw_rows
+checks the first row of every block it returns against _observe_trial, and
+run_batch draws one block per decode block, in both passes.
 
 Rejections stay exact: where numpy would have rejected a word and drawn
 again, every later draw of the stream shifts.  Every draw is tested for
@@ -197,10 +198,6 @@ def _row_bytes(cb: Codebook, width: int) -> int:
     return 32 + _id_dtype(cb).itemsize * width + p.m * p.v + len(cb) * (2 * count + 2)
 
 
-def _rows_per_batch(cb: Codebook, trials: int, width: int) -> int:
-    return max(1, min(trials, _BATCH_BYTES // _row_bytes(cb, width)))
-
-
 def _prefix_width(cb: Codebook, adversary: str) -> int:
     """W, the read positions of the first pass (module docstring)."""
     p = cb.params
@@ -219,27 +216,22 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
     if start < 0 or start + trials > 2**64:
         raise ValueError("trial out of range")
-    cap = cb.params.read_cap
     out = BatchResult(
         message=np.empty(trials, dtype=np.int64),
-        kind=np.full(trials, VerdictKind.TRUNCATED.value, dtype=np.int8),
-        decoded=np.full(trials, -1, dtype=np.int64),
-        n_reads=np.full(trials, cap, dtype=np.int64),
+        kind=np.empty(trials, dtype=np.int8),
+        decoded=np.empty(trials, dtype=np.int64),
+        n_reads=np.empty(trials, dtype=np.int64),
     )
-    # the prefix pass over every row, then the full pass over those it left
-    # undecided
+    # the prefix pass writes every row, then the full pass redoes those it
+    # left undecided
     rows = np.arange(trials)
-    for width in sorted({_prefix_width(cb, adversary), cap}):
+    for width in sorted({_prefix_width(cb, adversary), cb.params.read_cap}):
         layout = _Layout(cb, adversary, width)
-        step = _rows_per_batch(cb, len(rows), width)
+        step = max(1, _BATCH_BYTES // _row_bytes(cb, width))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            message, obs = _draw_rows(cb, adversary, layout, start, block)
-            _check_first_row(cb, adversary, start + int(block[0]), message[0], obs[0])
-            kind, decoded, n_reads = out.kind[block], out.decoded[block], out.n_reads[block]
-            _decode_batch(cb, obs, kind, decoded, n_reads)
-            out.message[block], out.kind[block] = message, kind
-            out.decoded[block], out.n_reads[block] = decoded, n_reads
+            out.message[block], obs = _draw_rows(cb, adversary, layout, start, block)
+            out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
         rows = rows[out.kind[rows] == VerdictKind.TRUNCATED.value]
     return out
 
@@ -321,7 +313,9 @@ def _draw_rows(cb, adversary, layout, start, rows):
 
     The rows are decoded from their raw blocks in sub-blocks whose
     temporaries fit in _BATCH_BYTES // 16.  Every row where numpy would have
-    rejected a word goes through _observe_trial instead."""
+    rejected a word goes through _observe_trial instead.  The first row is
+    compared with _observe_trial, so that a numpy whose internals no longer
+    match the decoding fails loudly."""
     b = len(rows)
     states = core.trial_states(cb.params.seed, rows.astype(np.uint64) + np.uint64(start))
     message = np.empty(b, dtype=np.int64)
@@ -334,24 +328,25 @@ def _draw_rows(cb, adversary, layout, start, rows):
             trial = _observe_trial(cb, adversary, start + int(rows[r]))
             message[r] = trial.message
             obs[r] = trial.observed[: layout.width]
+    first = start + int(rows[0])
+    ref = _observe_trial(cb, adversary, first)
+    if message[0] != ref.message or not np.array_equal(obs[0], ref.observed[: layout.width]):
+        raise RuntimeError(
+            f"batch draws of trial {first} differ from the per-trial engine: "
+            f"numpy {np.__version__} no longer matches the raw-word decoding"
+        )
     return message, obs
 
 
-def _check_first_row(cb, adversary, trial, message, observed) -> None:
-    """Compare one batch row, a prefix of its read positions, with the
-    reference engine's draws, so that a numpy whose internals no longer match
-    the decoding fails loudly."""
-    ref = _observe_trial(cb, adversary, trial)
-    if message != ref.message or not np.array_equal(observed, ref.observed[: len(observed)]):
-        raise RuntimeError(
-            f"batch draws of trial {trial} differ from the per-trial engine: "
-            f"numpy {np.__version__} no longer matches the raw-word decoding"
-        )
-
-
-def _decode_batch(cb, obs, kind, decoded, n_reads):
-    b, cap = obs.shape
+def _decode_batch(cb, obs):
+    """Verdicts (kind, decoded, n_reads) of the rows of an observation table,
+    as decoder.run gives them.  A row still undecided after the table's last
+    column is TRUNCATED at read_cap."""
+    b, width = obs.shape
     params = cb.params
+    kind = np.full(b, VerdictKind.TRUNCATED.value, dtype=np.int8)
+    decoded = np.full(b, -1, dtype=np.int64)
+    n_reads = np.full(b, params.read_cap, dtype=np.int64)
     dm = params.dm
     # Bools are added and summed as 0/1 bytes: numpy's bool-to-integer loops
     # are slower, and a narrow accumulator that holds k suffices for counts.
@@ -360,7 +355,7 @@ def _decode_batch(cb, obs, kind, decoded, n_reads):
     seen = np.zeros((b, params.m * params.v), dtype=bool)
     outside = np.zeros((b, len(cb)), dtype=_count_dtype(cb))
     alive = np.ones(b, dtype=bool)
-    for t in range(cap):
+    for t in range(width):
         rows = np.flatnonzero(alive)
         if rows.size == 0:
             break
@@ -389,3 +384,4 @@ def _decode_batch(cb, obs, kind, decoded, n_reads):
             kind[rr] = VerdictKind.FAILED.value
             n_reads[rr] = t + 1
             alive[rr] = False
+    return kind, decoded, n_reads

@@ -58,7 +58,8 @@ RUNS = {
         ]
         for seed in _SEEDS
     },
-    # odd ranges, whose words numpy can reject
+    # odd ranges; at m = 7, k = 11, v = 5 a word is rejected with probability
+    # about 1e-9, so no row of these trials is rejected
     "simulate-m7-uniform-p0.15": [
         "simulate", "--m", "7", "--k", "11", "--v", "5", "--delta", "0.15", "--theta", "0.6",
         "--p", "0.15", "--adversary", "uniform", "--trials", "2000", "--seed", "7",
@@ -72,6 +73,14 @@ RUNS = {
     "simulate-outliving-prefix": [
         "simulate", "--m", "8", "--k", "16", "--v", "3", "--delta", "0.2", "--theta", "0.4",
         "--p", "0.1", "--adversary", "uniform", "--read-cap", "10", "--trials", "2000",
+        "--seed", "3",
+    ],
+    # m = 70001: numpy rejects a word of f or of the replacement indices in
+    # 12 of these trials; the ones threshold (42001) is past the bound's
+    # domain, so W is read_cap and those rows are redrawn in the one pass
+    "simulate-rejected-words": [
+        "simulate", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
+        "--p", "0.1", "--read-cap", "200", "--adversary", "uniform", "--trials", "2000",
         "--seed", "3",
     ],
     "sweep-p": ["sweep-p", *_SWEEP, "--seed", "11"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnareads import SimParams, core, simulate
+from dnareads import SimParams, core, decoder, simulate
 from dnareads.codebook import Codebook, construct_greedy
 from dnareads.analysis import s_membership
 from dnareads.channel import StrongAdversaryPlan, WeakAdversaryPlan, strong_prepare
@@ -27,6 +27,18 @@ def _assert_matches_serial(cb, adversary, batch, collect_trace=False, start=0):
             assert batch.decoded[t] == outcome.verdict.decoded
         traces.append(trace)
     return traces
+
+
+def _decoded_shapes(monkeypatch):
+    """Record the shape of every observation table _decode_batch receives."""
+    real, shapes = simulate._decode_batch, []
+
+    def spying(cb, obs):
+        shapes.append(obs.shape)
+        return real(cb, obs)
+
+    monkeypatch.setattr(simulate, "_decode_batch", spying)
+    return shapes
 
 
 def _same_batches(a, b):
@@ -64,8 +76,10 @@ def test_batched_engine_chunking_is_invisible(wide_codebook, monkeypatch):
     whole = run_batch(wide_codebook, "uniform", trials)
     width = simulate._prefix_width(wide_codebook, "uniform")
     monkeypatch.setattr(simulate, "_BATCH_BYTES", simulate._row_bytes(wide_codebook, width) * 70)
-    assert simulate._rows_per_batch(wide_codebook, trials, width) == 70  # five chunks
+    shapes = _decoded_shapes(monkeypatch)
     assert _same_batches(run_batch(wide_codebook, "uniform", trials), whole)
+    # the prefix pass decodes its 300 rows in five blocks
+    assert [s for s in shapes if s[1] == width] == [(70, width)] * 4 + [(20, width)]
 
 
 def test_batched_counts_do_not_wrap_past_255():
@@ -94,11 +108,8 @@ def test_batch_memory_stays_within_budget(monkeypatch):
     matrix = np.random.default_rng(1).integers(0, 2, size=(4096, 24))
     params = SimParams(m=24, k=4096, v=2, p=0.1, dm=1, theta=1.0, read_cap=200, seed=3)
     cb = Codebook(params, matrix)
-    # both passes: the prefix, and the full read cap for the rows it leaves live
-    for width in (simulate._prefix_width(cb, "uniform"), cb.params.read_cap):
-        rows = simulate._rows_per_batch(cb, 1000, width)
-        assert simulate._row_bytes(cb, width) * rows <= budget
     _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
+    shapes = _decoded_shapes(monkeypatch)
     tracemalloc.start()
     try:
         run_batch(cb, "uniform", 1000)
@@ -106,6 +117,12 @@ def test_batch_memory_stays_within_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * budget
+    # both passes: the prefix, and the full read cap for the rows it leaves live
+    assert {width for _, width in shapes} == {
+        simulate._prefix_width(cb, "uniform"), cb.params.read_cap
+    }
+    for rows, width in shapes:
+        assert simulate._row_bytes(cb, width) * rows <= budget
 
 
 def test_batched_engine_offset_start(easy_codebook):
@@ -171,6 +188,31 @@ def test_columnar_rows_match_reference_draws(data):
         ref = simulate._observe_trial(cb, adversary, start + r)
         assert message[r] == ref.message
         assert np.array_equal(obs[r], ref.observed[:width])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decode_kernel_matches_decoder_run(data):
+    # random id tables, duplicates and all; a table narrower than read_cap
+    # leaves its undecided rows TRUNCATED at read_cap, as a short stream does
+    m = data.draw(st.integers(1, 8), label="m")
+    k = data.draw(st.integers(1, 12), label="k")
+    v = data.draw(st.integers(1, 4), label="v")
+    dm = data.draw(st.integers(0, m), label="dm")
+    cap = data.draw(st.integers(1, 40), label="read_cap")
+    width = data.draw(st.just(cap) | st.integers(0, cap), label="width")
+    rows = data.draw(st.integers(1, 8), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="rng"))
+    params = SimParams(m=m, k=k, v=v, p=0.0, dm=dm, theta=1.0, read_cap=cap, seed=0)
+    cb = Codebook(params, rng.integers(0, v, (k, m)))
+    obs = rng.integers(0, m * v, (rows, width)).astype(simulate._id_dtype(cb))
+    kind, decoded, n_reads = simulate._decode_batch(cb, obs)
+    for r in range(rows):
+        verdict = decoder.run(cb, obs[r].tolist(), cap)
+        assert kind[r] == verdict.kind.value
+        assert n_reads[r] == verdict.n_reads
+        if verdict.kind is VerdictKind.DECIDED:
+            assert decoded[r] == verdict.decoded
 
 
 def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
@@ -276,8 +318,8 @@ def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
 
 def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
     # a numpy change that shifted only draws past the prefix would alter
-    # only the rows the full-width pass decodes; its first-row checks must
-    # catch it
+    # only the rows the full-width pass decodes; the first-row check of its
+    # draws must catch it
     params = slow_codebook.params
     real = simulate._draw_columnar
 
@@ -290,6 +332,10 @@ def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
     monkeypatch.setattr(simulate, "_draw_columnar", drifting)
     with pytest.raises(RuntimeError, match=r"differ from the per-trial engine: numpy \d"):
         run_batch(slow_codebook, "uniform", 50)
+    # the draw checks its own blocks, whoever asks for them
+    layout = simulate._Layout(slow_codebook, "uniform", params.read_cap)
+    with pytest.raises(RuntimeError, match=r"trial 0 .* numpy \d"):
+        simulate._draw_rows(slow_codebook, "uniform", layout, 0, np.arange(50))
 
 
 def test_batched_engine_rejects_planning_adversaries(easy_codebook):
