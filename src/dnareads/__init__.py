@@ -8,8 +8,6 @@ been seen up to a slack of dm foreign molecules.
 """
 
 from .core import (
-    Molecule,
-    ReadRecord,
     SimParams,
     Trace,
     Verdict,
@@ -21,8 +19,6 @@ from .codebook import Codebook, construct_greedy, load_codebook, save_codebook
 from .harness import ExperimentConfig, RunSummary, run_trials
 
 __all__ = [
-    "Molecule",
-    "ReadRecord",
     "SimParams",
     "Trace",
     "Verdict",

@@ -224,18 +224,6 @@ def parse_field(text: str, where: str, field: str, kind=int):
         raise ValueError(f"{where}: {field} {text!r} is not {noun}") from None
 
 
-@dataclass(frozen=True)
-class Molecule:
-    """One stored or observed molecule: an (index, payload) pair."""
-
-    index: int
-    payload: int
-
-    def id(self, v: int) -> int:
-        """Flat id in [0, m*v): index * v + payload."""
-        return self.index * v + self.payload
-
-
 class VerdictKind(Enum):
     """The values are the kind codes of the batch engine and the CSVs."""
 
@@ -270,19 +258,13 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class ReadRecord:
-    """One read event: what was drawn, whether it was hit, what came out."""
-
-    time: int  # 1-based read position
-    sampled: Molecule
-    error: bool
-    observed: Molecule
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Complete record of one trial, sufficient for bit-exact replay."""
+    """Complete record of one trial, sufficient for bit-exact replay: the
+    consumed reads in read order, as the sampled and observed molecule ids
+    (index*v + payload) and the error flags."""
 
     true_message: int
-    records: tuple[ReadRecord, ...]
+    sampled: tuple[int, ...]
+    errors: tuple[bool, ...]
+    observed: tuple[int, ...]
     verdict: Verdict

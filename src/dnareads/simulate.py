@@ -68,7 +68,7 @@ import numpy as np
 from . import channel, core, decoder
 from .analysis import expected_reads_upper_bound, ones_threshold, s_membership
 from .codebook import Codebook
-from .core import Molecule, ReadRecord, Trace, Verdict, VerdictKind, derive_trial_rng
+from .core import Trace, Verdict, VerdictKind, derive_trial_rng
 
 
 @dataclass(frozen=True)
@@ -144,20 +144,15 @@ def run_trial(
             raise ValueError("strong adversary needs h_m and r_prime_m")
         if h_m > cb.params.read_cap:
             raise ValueError("h_m exceeds read_cap")
-    v, cap = cb.params.v, cb.params.read_cap
     obs = _observe_trial(cb, adversary, trial, h_m, r_prime_m)
     ids = obs.observed.tolist()
-    verdict = decoder.run(cb, ids, cap)
+    verdict = decoder.run(cb, ids, cb.params.read_cap)
     outcome = TrialOutcome(obs.message, verdict, obs.plan)
     if not collect_trace:
         return outcome, None
     n = verdict.n_reads
-    reads = zip(obs.true_ids[:n].tolist(), obs.flags[:n].tolist(), ids)
-    records = tuple(
-        ReadRecord(t + 1, Molecule(*divmod(sampled, v)), error, Molecule(*divmod(seen, v)))
-        for t, (sampled, error, seen) in enumerate(reads)
-    )
-    return outcome, Trace(obs.message, records, verdict)
+    sampled, errors = tuple(obs.true_ids[:n].tolist()), tuple(obs.flags[:n].tolist())
+    return outcome, Trace(obs.message, sampled, errors, tuple(ids[:n]), verdict)
 
 
 @dataclass

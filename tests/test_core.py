@@ -7,11 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from dnareads.codebook import Codebook
 from dnareads.core import (
-    Molecule,
     SimParams,
     Verdict,
     VerdictKind,
@@ -163,12 +161,6 @@ def test_params_json_is_flat():
     params = SimParams(m=2, k=2, v=2, p=0.0, dm=0, theta=1.0)
     d = json.loads(json.dumps(asdict(params)))
     assert d["m"] == 2 and d["read_cap"] == 100
-
-
-@given(st.integers(0, 99), st.integers(0, 9))
-def test_molecule_id_round_trip(index, payload):
-    v = 10
-    assert divmod(Molecule(index, payload).id(v), v) == (index, payload)
 
 
 def test_verdict_constructors():

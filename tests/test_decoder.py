@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dnareads import SimParams
 from dnareads.codebook import construct_greedy
-from dnareads.core import Molecule, ReadRecord, Trace, Verdict, VerdictKind
+from dnareads.core import Trace, Verdict, VerdictKind
 from dnareads.decoder import (
     load_trace,
     new_state,
@@ -23,20 +23,20 @@ def error_free_run(cb, msg, f, horizon):
     """decoder.run on message msg's error-free stream of molecule ids along f."""
     v = cb.params.v
     truth = cb.matrix[msg]
-    return run(cb, (Molecule(int(i), int(truth[i])).id(v) for i in f[:horizon]), horizon)
+    return run(cb, (int(i) * v + int(truth[i]) for i in f[:horizon]), horizon)
 
 
 def outside_count(seen, payloads: tuple[int, ...]) -> int:
-    """From-scratch oracle: molecules in seen lying outside the codeword whose
-    payload at index j is payloads[j]."""
-    return sum(payloads[mol.index] != mol.payload for mol in seen)
+    """From-scratch oracle: (index, payload) pairs in seen lying outside the
+    codeword whose payload at index j is payloads[j]."""
+    return sum(payloads[index] != payload for index, payload in seen)
 
 
 def test_outside_count_examples():
     w = (0, 1, 0, 1)
-    assert outside_count([Molecule(0, 0), Molecule(1, 1)], w) == 0
-    assert outside_count([Molecule(0, 1)], w) == 1
-    seen = [Molecule(i, 0) for i in range(4)] + [Molecule(0, 1), Molecule(1, 1)]
+    assert outside_count([(0, 0), (1, 1)], w) == 0
+    assert outside_count([(0, 1)], w) == 1
+    seen = [(i, 0) for i in range(4)] + [(0, 1), (1, 1)]
     # w matches four of the six distinct molecules
     assert outside_count(seen, (0, 0, 0, 0)) == 2
 
@@ -46,9 +46,9 @@ def test_step_hand_trace(literal_codebook):
     # mismatch settles it
     cb = literal_codebook([[0, 0, 0, 0], [0, 0, 1, 1]], dm=1)
     state = new_state(cb)
-    assert step(state, cb, Molecule(0, 0).id(2)) is None
-    assert step(state, cb, Molecule(2, 1).id(2)) is None
-    assert step(state, cb, Molecule(3, 1).id(2)) == Verdict.decided(1, 3)
+    assert step(state, cb, 0 * 2 + 0) is None
+    assert step(state, cb, 2 * 2 + 1) is None
+    assert step(state, cb, 3 * 2 + 1) == Verdict.decided(1, 3)
     assert state.reads == 3
 
 
@@ -76,8 +76,8 @@ def test_step_fail_when_no_consistent_word(literal_codebook):
     # payload 2 at index 1 lies outside both codewords
     cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=3)
     state = new_state(cb)
-    assert step(state, cb, Molecule(0, 0).id(3)) is None
-    assert step(state, cb, Molecule(1, 2).id(3)) == Verdict.failed(2)
+    assert step(state, cb, 0 * 3 + 0) is None
+    assert step(state, cb, 1 * 3 + 2) == Verdict.failed(2)
     assert state.reads == 2
 
 
@@ -232,9 +232,9 @@ def test_incremental_outside_matches_scratch(data):
     words = [tuple(row) for row in matrix.tolist()]
     state = new_state(cb)
     for _ in range(n_reads):
-        mol = Molecule(data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, v - 1)))
-        res = step(state, cb, mol.id(v))
-        seen = [Molecule(*divmod(i, v)) for i in state.seen]
+        index, payload = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, v - 1))
+        res = step(state, cb, index * v + payload)
+        seen = [divmod(i, v) for i in state.seen]
         for msg in range(k):
             assert state.outside[msg] == outside_count(seen, words[msg])
         if res is not None:
@@ -246,36 +246,43 @@ def test_trace_round_trip(tmp_path, easy_codebook):
 
     outcome, trace = simulate.run_trial(easy_codebook, "uniform", 3, collect_trace=True)
     path = tmp_path / "trace.txt"
-    save_trace(trace, str(path))
-    back = load_trace(str(path))
+    save_trace(easy_codebook, trace, str(path))
+    back = load_trace(str(path), easy_codebook)
     assert back == trace
     assert replay(easy_codebook, back) == trace.verdict
 
 
 def test_trace_round_trip_truncated(tmp_path, literal_codebook):
     cb = literal_codebook([[0, 0, 1], [0, 1, 0]], dm=0, read_cap=3)
-    records = tuple(
-        ReadRecord(t + 1, Molecule(0, 0), False, Molecule(0, 0)) for t in range(3)
-    )
-    trace = Trace(0, records, Verdict.truncated(3))
+    trace = Trace(0, (0, 0, 0), (False, False, False), (0, 0, 0), Verdict.truncated(3))
     path = tmp_path / "trace.txt"
-    save_trace(trace, str(path))
-    back = load_trace(str(path))
+    save_trace(cb, trace, str(path))
+    back = load_trace(str(path), cb)
     assert back == trace
     assert replay(cb, back) == trace.verdict
 
 
-def test_load_trace_rejects_malformed(tmp_path):
+def test_load_trace_maps_pairs_to_ids(tmp_path, literal_codebook):
+    # on v = 2, molecule (1, 0) is id 2 and molecule (2, 1) is id 5
+    cb = literal_codebook([[0, 0, 0], [0, 1, 1]], dm=0, v=2)
+    path = tmp_path / "trace.txt"
+    path.write_text("message 0\n1 1 0 0 2 1\nverdict truncated 1\n")
+    trace = load_trace(str(path), cb)
+    assert (trace.sampled, trace.errors, trace.observed) == ((2,), (False,), (5,))
+
+
+def test_load_trace_rejects_malformed(tmp_path, literal_codebook):
+    cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0 0 0 0 0\n")
     with pytest.raises(ValueError, match="malformed trace header"):
-        load_trace(str(bad))
+        load_trace(str(bad), cb)
     bad.write_text("message 0\n1 0 0 0 0 0\n")
     with pytest.raises(ValueError, match="missing verdict trailer"):
-        load_trace(str(bad))
+        load_trace(str(bad), cb)
     bad.write_text("message 0\nverdict maybe 1\n")
     with pytest.raises(ValueError, match="unknown verdict kind"):
-        load_trace(str(bad))
+        load_trace(str(bad), cb)
 
 
 @pytest.mark.parametrize(
@@ -300,23 +307,36 @@ def test_load_trace_rejects_malformed(tmp_path):
         ("message 0\nverdict decided 1 n\n", "trace line 2: n_reads 'n' is not an integer"),
         ("message 0\nverdict decided 0\n", "trace line 2: malformed verdict trailer"),
         ("message 0\n1 0 0 0 0\nverdict failed 1\n", "trace line 2: malformed read line"),
+        # an error flag is 0 or 1, and message ids lie in [0, k)
+        ("message 0\n1 0 0 7 0 0\nverdict failed 1\n", "trace line 2: error '7' is not 0 or 1"),
+        ("message 0\n1 0 0 -1 0 0\nverdict failed 1\n",
+         "trace line 2: error '-1' is not 0 or 1"),
+        ("message -5\nverdict failed 0\n", "trace line 1: message -5 outside [0, 2)"),
+        ("message 0\n1 0 0 0 0 0\nverdict decided 99 1\n",
+         "trace line 3: decoded 99 outside [0, 2)"),
     ],
 )
-def test_load_trace_rejects_inconsistent_trace(tmp_path, text, error):
+def test_load_trace_rejects_inconsistent_trace(tmp_path, literal_codebook, text, error):
+    # a k = 2 book of two molecules per word over a binary alphabet
+    cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
     path = tmp_path / "trace.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
-        load_trace(str(path))
+        load_trace(str(path), cb)
 
 
-def test_replay_rejects_molecule_outside_code_space(tmp_path, literal_codebook):
+def test_load_trace_rejects_molecule_outside_code_space(tmp_path, literal_codebook):
     # payload 2 does not exist when v=2; read as an id it would be molecule
-    # (1, 0), so replay must refuse the trace instead
+    # (1, 0), so load_trace must refuse the line instead
     cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
     path = tmp_path / "trace.txt"
     path.write_text("message 0\n1 0 0 0 0 2\nverdict truncated 1\n")
-    with pytest.raises(ValueError, match=r"trace read 1: .* outside the 2 x 2 code space"):
-        replay(cb, load_trace(str(path)))
-    path.write_text("message 0\n1 2 0 0 0 0\nverdict truncated 1\n")
-    with pytest.raises(ValueError, match="outside the 2 x 2 code space"):
-        replay(cb, load_trace(str(path)))
+    with pytest.raises(ValueError, match=r"^trace line 2: .* outside the 2 x 2 code space"):
+        load_trace(str(path), cb)
+    path.write_text("message 0\n1 0 0 1 1 0\n2 2 0 0 0 0\nverdict truncated 2\n")
+    with pytest.raises(ValueError, match=r"^trace line 3: .* outside the 2 x 2 code space"):
+        load_trace(str(path), cb)
+    # an in-memory trace never passes load_trace, and step checks its ids
+    trace = Trace(0, (0,), (False,), (4,), Verdict.truncated(1))
+    with pytest.raises(ValueError, match="out of range"):
+        replay(cb, trace)

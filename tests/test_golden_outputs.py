@@ -136,10 +136,11 @@ def _run(argv: list[str]) -> dict:
 def _trace() -> dict:
     """Digest of the save_trace file of one uniform-adversary trial."""
     params = SimParams(m=8, k=8, v=8, p=0.1, dm=1, theta=0.5, read_cap=200, seed=1)
-    _, trace = run_trial(construct_greedy(params), "uniform", 7, collect_trace=True)
+    cb = construct_greedy(params)
+    _, trace = run_trial(cb, "uniform", 7, collect_trace=True)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.txt"
-        save_trace(trace, str(path))
+        save_trace(cb, trace, str(path))
         return {"file": _digest(path.read_bytes())}
 
 

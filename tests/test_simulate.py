@@ -95,7 +95,7 @@ def test_batched_counts_do_not_wrap_past_255():
     cb = Codebook(params, np.stack([a, b, 1 - a]))
     batch = run_batch(cb, "honest", 12)
     traces = _assert_matches_serial(cb, "honest", batch, collect_trace=True)
-    distinct = [len({r.observed for r in tr.records}) for tr in traces]
+    distinct = [len(set(tr.observed)) for tr in traces]
     assert max(distinct) > 255
     assert (batch.kind == 0).all() and (batch.decoded == batch.message).all()
 
@@ -354,11 +354,11 @@ def test_trace_matches_outcome(easy_codebook):
     outcome, trace = run_trial(easy_codebook, "uniform", 2, collect_trace=True)
     assert trace.true_message == outcome.message
     assert trace.verdict == outcome.verdict
-    assert len(trace.records) == outcome.verdict.n_reads
-    for t, rec in enumerate(trace.records):
-        assert rec.time == t + 1
-        if not rec.error:
-            assert rec.observed == rec.sampled
+    n = outcome.verdict.n_reads
+    assert len(trace.sampled) == len(trace.errors) == len(trace.observed) == n
+    for sampled, error, observed in zip(trace.sampled, trace.errors, trace.observed):
+        if not error:
+            assert observed == sampled
 
 
 def test_honest_error_flags_irrelevant():
@@ -470,5 +470,6 @@ def test_blind_adversaries_have_no_plan(easy_codebook, adversary):
 
 def test_uniform_index_preserves_index(easy_codebook):
     _, trace = run_trial(easy_codebook, "uniform-index", 7, collect_trace=True)
-    for rec in trace.records:
-        assert rec.observed.index == rec.sampled.index
+    v = easy_codebook.params.v
+    for sampled, observed in zip(trace.sampled, trace.observed):
+        assert observed // v == sampled // v
