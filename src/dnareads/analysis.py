@@ -86,7 +86,8 @@ def expected_reads_upper_bound(m: int, p: float, threshold: int) -> float:
         raise ValueError("p out of range")
     if not 0 <= threshold <= m:
         raise ValueError("threshold out of range")
-    return sum(1.0 / ((1.0 - p) * (1.0 - k / m)) for k in range(threshold))
+    k = np.arange(threshold)
+    return float(np.sum(1.0 / ((1.0 - p) * (1.0 - k / m))))
 
 
 def error_prob_upper_bound(m: int, p: float, dm: int, ones_threshold: int) -> float:
@@ -179,6 +180,23 @@ def index_counts(draws, m: int) -> np.ndarray:
     rows = len(draws)
     flat = draws + (m * np.arange(rows))[:, None]
     return np.bincount(flat.ravel(), minlength=rows * m).reshape(rows, m)
+
+
+def group_counts(draws) -> np.ndarray:
+    """Per-row multiplicity table of a (rows, h) block of indices, one column
+    per draw: each distinct index's multiplicity sits at its first draw in
+    sorted order, and the other columns are zero.  Its nonzero entries are
+    those of index_counts, whatever m, in O(h) memory per row."""
+    s = np.sort(draws, axis=1)
+    rows, h = s.shape
+    first = np.ones((rows, h), dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    pos = np.arange(h)
+    # a group ends where the next one starts, or at h
+    starts = np.where(first, pos, h)
+    end = np.minimum.accumulate(starts[:, :0:-1], axis=1)[:, ::-1]
+    end = np.concatenate([end, np.full((rows, 1), h)], axis=1)
+    return np.where(first, end - pos, 0)
 
 
 def greedy_removals(counts, dm: int):

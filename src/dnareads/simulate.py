@@ -16,7 +16,8 @@ Every trial consumes its private random stream in one fixed order:
 Replacement tables are drawn for every read position and consulted only on
 erroneous reads, so sweeps over p reuse common random numbers.  The
 reference engine, run_trial, draws and observes a trial through
-_observe_trial.
+_observe_trial, and so does the converse loop (harness._checked_trials) for
+the strong and weak rows it decodes a block at a time with _decode_batch.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
 random_raw block per trial and pass, and decodes a block of trials at once.
@@ -55,6 +56,12 @@ rejection over its whole length, except the stream's last one (payloads, or
 f for a true row), whose later words shift nothing decoded and which is
 tested on its prefix alone.  A rejected row goes through _observe_trial
 instead.
+
+The strong adversary's stream is message, f, the read_cap uniforms, then
+psi.  _strong_screen reads psi and the h_m head of f for a block of trials
+and marks those in S with psi, the only ones whose plan can activate, and
+those with a rejected word of message or f.  Every other strong trial
+observes its true row, so its verdict is the honest batch engine's.
 """
 
 from __future__ import annotations
@@ -66,7 +73,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel, core, decoder
-from .analysis import expected_reads_upper_bound, ones_threshold, s_membership
+from .analysis import (
+    expected_reads_upper_bound, group_counts, ones_threshold, partition_stats, s_membership,
+)
 from .codebook import Codebook
 from .core import Trace, Verdict, VerdictKind, derive_trial_rng
 
@@ -268,10 +277,11 @@ class _Layout:
             decoded += min(read, width)
         self.n_raw = n_raw
         # The raws; per tested word its gathered copy, product and flag; per
-        # decoded word its copy, uint64 copy and product; and six int64 or
-        # float64 rows of width (true ids, u, its flags, the replacement and
-        # observed ids).
-        self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 48 * width
+        # decoded word its copy, uint64 copy and product; and the int64 or
+        # float64 rows of width: six in a noisy layout (true ids, u, its
+        # flags, the replacement and observed ids), only the true ids otherwise.
+        rows = 6 if self.noisy else 1
+        self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 8 * rows * width
 
 
 def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
@@ -331,6 +341,55 @@ def _draw_rows(cb, adversary, layout, start, rows):
             f"numpy {np.__version__} no longer matches the raw-word decoding"
         )
     return message, obs
+
+
+def _strong_screen(cb, h_m: int, r_prime_m: int, start: int, trials: int):
+    """(adversarial, psi) of the strong adversary's trials start..
+    start+trials-1 (module docstring): psi is each trial's psi draw, and
+    adversarial marks the trials in S with psi and those where numpy would
+    have rejected a word of message or f.  f is not the stream's last draw,
+    so every word of message and f is tested, as the honest layout over
+    read_cap tests them; only the h_m words of f's head are decoded.  The
+    first trial is compared with _observe_trial, as _draw_rows compares its
+    first row."""
+    p = cb.params
+    layout = _Layout(cb, "honest", p.read_cap)
+    states = core.trial_states(p.seed, np.arange(start, start + trials, dtype=np.uint64))
+    raws = core.trial_raws(states, layout.head_raws + p.read_cap + 1)
+    words = core.stream_words(raws)
+    bad = np.zeros(trials, dtype=bool)
+    for n, _, _, test in layout.draws.values():
+        bad |= core.rejected(words, n, test)
+    if p.m > 1:
+        head = core.bounded(words[:, layout.draws["f"][2][:h_m]], p.m)
+    else:
+        head = np.zeros((trials, h_m), dtype=np.int64)
+    psi = (raws[:, -1] >> 11) * 2.0**-53 < p.p
+    in_s = partition_stats(group_counts(head), p.dm, r_prime_m).in_s
+    adversarial = bad | (in_s & psi)
+    ref = _observe_trial(cb, "strong", start, h_m, r_prime_m)
+    if not bad[0] and (
+        ref.plan.psi != psi[0]
+        or not np.array_equal(ref.true_ids[:h_m] // p.v, head[0])
+        or (ref.plan.active and not adversarial[0])
+    ):
+        raise RuntimeError(
+            f"strong screen of trial {start} differs from the per-trial engine: "
+            f"numpy {np.__version__} no longer matches the raw-word decoding"
+        )
+    return adversarial, psi
+
+
+def _screen_row_bytes(cb, h_m: int) -> int:
+    """Bytes _strong_screen holds per trial: its raws; per tested word its
+    gathered copy, product and flag; per decoded word of f's head its copy,
+    uint64 copy and product, group_counts' six int64 rows and mask, and
+    three bool masks over its table; and psi's temporaries, the partition
+    counters and the row masks."""
+    p = cb.params
+    layout = _Layout(cb, "honest", p.read_cap)
+    tested = sum(len(test) for *_, test in layout.draws.values())
+    return 8 * (layout.head_raws + p.read_cap + 1) + 9 * tested + 72 * h_m + 64
 
 
 def _decode_batch(cb, obs):

@@ -16,6 +16,7 @@ from dnareads.analysis import (
     expected_z,
     expected_z1,
     greedy_removals,
+    group_counts,
     index_counts,
     partition_stats,
     race_dp,
@@ -105,6 +106,9 @@ def test_expected_reads_bound_against_rational_oracle():
         7.173721340388006, abs=1e-12
     )
     assert expected_reads_upper_bound(10, 0.0, 0) == 0.0
+    # summed in numpy's order: the loop it replaced, to a float64 tolerance
+    loop = sum(1.0 / (0.9 * (1.0 - k / 70001)) for k in range(42001))
+    assert expected_reads_upper_bound(70001, 0.1, 42001) == pytest.approx(loop, rel=1e-12)
     with pytest.raises(ValueError, match="threshold out of range"):
         expected_reads_upper_bound(10, 0.0, 11)
     with pytest.raises(ValueError, match="p out of range"):
@@ -212,6 +216,30 @@ def test_partition_stats_z_examples():
     assert stats.removed.tolist() == [1, 0]
     assert stats.in_s.tolist() == [True, True]
     assert stats.sufficient.tolist() == [True, True]
+
+
+def test_group_counts_example():
+    # multiplicities at each distinct index's first draw in sorted order
+    assert group_counts(np.array([[5, 1, 5, 5, 1, 2], [0, 0, 0, 0, 0, 0]])).tolist() == [
+        [2, 0, 1, 3, 0, 0],
+        [6, 0, 0, 0, 0, 0],
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    h=st.integers(1, 16),
+    dm=st.integers(0, 5),
+    rpm=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_counts_partition_like_index_counts(m, h, dm, rpm, seed):
+    draws = np.random.default_rng(seed).integers(0, m, size=(20, h))
+    by_group = partition_stats(group_counts(draws), dm, rpm)
+    by_index = partition_stats(index_counts(draws, m), dm, rpm)
+    for got, want in zip(by_group, by_index):
+        assert np.array_equal(got, want)
 
 
 def test_s_membership_witness_example():

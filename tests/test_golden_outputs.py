@@ -83,6 +83,13 @@ RUNS = {
         "--p", "0.1", "--read-cap", "200", "--adversary", "uniform", "--trials", "2000",
         "--seed", "3",
     ],
+    # the same code under the strong adversary: numpy rejects a word of f in
+    # 5 of these trials, which the strong screen leaves to the per-trial draw
+    "converse-strong-rejected-words": [
+        "converse", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
+        "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "19",
+        "--adversary", "strong", "--trials", "2000", "--seed", "3", "--out", "{out}",
+    ],
     "sweep-p": ["sweep-p", *_SWEEP, "--seed", "11"],
     **{f"sweep-p-seed{seed}": ["sweep-p", *_SWEEP, "--seed", seed] for seed in _SEEDS},
     "curves": [

@@ -31,7 +31,8 @@ from dnareads.harness import (
 )
 from dnareads import analysis, cli, harness, simulate
 from dnareads.channel import StrongAdversaryPlan
-from dnareads.core import Verdict, derive_trial_rng
+from dnareads.codebook import construct_greedy
+from dnareads.core import Verdict, VerdictKind, derive_trial_rng
 
 
 @pytest.fixture
@@ -270,6 +271,92 @@ def test_converse_experiment_requires_budgets(small_codebook):
     )
     with pytest.raises(ValueError, match="strong or weak"):
         converse_experiment(cfg)
+
+
+def _per_trial_rows(cfg, cb, trials=None):
+    """ConverseRows of trials (all of cfg's by default) built trial by trial
+    from run_trial, the oracle of the block path."""
+    rows = []
+    for t in range(cfg.trials) if trials is None else trials:
+        outcome, _ = simulate.run_trial(cb, cfg.adversary, t, cfg.h_m, cfg.r_prime_m)
+        plan, v = outcome.plan, outcome.verdict
+        decoded = -1 if v.decoded is None else v.decoded
+        rows.append(ConverseRow(
+            t, outcome.message, -1 if plan.m_prime is None else plan.m_prime, plan.psi,
+            plan.active, isinstance(plan, StrongAdversaryPlan) and plan.active,
+            v.kind.value, decoded, v.n_reads,
+            v.kind is not VerdictKind.DECIDED or decoded != outcome.message,
+        ))
+    return rows
+
+
+# (params, h_m, r_prime_m, the share of strong rows the screen sends down the
+# adversary path): criterion 8's code, a code where psi holds on half the
+# rows and every head is in S, and codes with one index and one message
+_ORACLE_CODES = [
+    (SimParams(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400, seed=3), 20, 5, 0.007),
+    (SimParams(m=8, k=16, v=2, p=0.5, dm=2, theta=0.8, read_cap=100, seed=1), 12, 6, 0.537),
+    (SimParams(m=1, k=2, v=4, p=0.4, dm=0, theta=1.0, read_cap=30, seed=2), 5, 1, 0.453),
+    (SimParams(m=6, k=1, v=3, p=0.4, dm=2, theta=0.5, read_cap=50, seed=2), 10, 4, 0.4),
+]
+
+
+@pytest.mark.parametrize("adversary", ["strong", "weak"])
+@pytest.mark.parametrize("params,h_m,r_prime_m,share", _ORACLE_CODES)
+def test_converse_blocks_match_per_trial_rows(
+    monkeypatch, adversary, params, h_m, r_prime_m, share
+):
+    # blocks of 70 rows: 300 trials cross four block boundaries
+    cb = construct_greedy(params)
+    cfg = ExperimentConfig(
+        params=params, adversary=adversary, trials=300, h_m=h_m, r_prime_m=r_prime_m
+    )
+    monkeypatch.setattr(harness, "_CONVERSE_BYTES", 70 * harness._block_row_bytes(cfg, cb))
+    assert list(harness._checked_trials(cfg, cb)) == _per_trial_rows(cfg, cb)
+    if adversary == "strong":
+        adversarial, _ = simulate._strong_screen(cb, h_m, r_prime_m, 0, cfg.trials)
+        assert adversarial.mean() == pytest.approx(share, abs=0.0005)
+
+
+def test_strong_rows_with_rejected_words_match_per_trial_rows():
+    # m = 70001: numpy rejects a word of f in trials 11, 539 and 909.  At
+    # k = 2 and read_cap 199 the message and f fill whole raws, so the extra
+    # word moves the uniforms and psi one raw on, and only the adversary path
+    # sees the psi those trials draw.
+    params = SimParams(m=70001, k=2, v=2, p=0.5, dm=0, theta=0.6, read_cap=199, seed=3)
+    cb = construct_greedy(params)
+    cfg = ExperimentConfig(params=params, adversary="strong", trials=1000, h_m=20, r_prime_m=19)
+    rejected = [11, 539, 909]
+    adversarial, _ = simulate._strong_screen(cb, cfg.h_m, cfg.r_prime_m, 0, cfg.trials)
+    assert set(rejected) <= set(np.flatnonzero(adversarial).tolist())
+    rows = list(harness._checked_trials(cfg, cb))
+    assert [rows[t] for t in rejected] == _per_trial_rows(cfg, cb, rejected)
+    assert rows[:10] == _per_trial_rows(cfg, cb, range(10))
+
+
+@pytest.mark.parametrize("adversary,r_prime_m", [("strong", 5), ("weak", 3)])
+def test_converse_memory_stays_within_budget(small_codebook, adversary, r_prime_m):
+    # the rows stream out a block at a time: the peak is one block's, under
+    # the budget, and does not grow with trials
+    cb = small_codebook
+    _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
+    peaks = []
+    for trials in (2000, 4000):
+        cfg = ExperimentConfig(
+            params=cb.params, adversary=adversary, trials=trials, h_m=20, r_prime_m=r_prime_m
+        )
+        # so that both runs hold at least one full block
+        assert harness._CONVERSE_BYTES // harness._block_row_bytes(cfg, cb) < 2000
+        tracemalloc.start()
+        try:
+            for _ in harness._checked_trials(cfg, cb):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * harness._CONVERSE_BYTES
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("adversary", ["strong", "weak"])
