@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,30 +49,46 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def trial_states(seed: int, trials: np.ndarray) -> np.ndarray:
-    """(len(trials), 4) uint64 rows, row r equal to the generate_state(4,
-    uint64) of the SeedSequence derive_trial_rng makes for trial trials[r],
-    where trials is a uint64 array of trial indices.
-
-    The entropy is the run entropy (seed & _MASK64 as two 32-bit words,
-    padded with zeros to the pool size of 4), then the spawn key (0, trial):
-    the trial's low word, and last its high word if not zero.  The pool is
-    mixed as in SeedSequence, with the trial words as columns."""
-    s = seed & _MASK64
-    # one-element columns for the words every trial shares
-    run = np.array([[s & _MASK32], [s >> 32], [0], [0]], dtype=np.uint32)
-    high = (trials >> np.uint64(32)).astype(np.uint32)
+@functools.lru_cache(maxsize=8)
+def _seed_pool(entropy: int) -> tuple[tuple, int]:
+    """The pool every trial_states row of this run entropy starts from, and
+    the running hash constant after it: the run entropy's words (two, padded
+    with zeros to the pool size of 4) mixed as in SeedSequence, then the
+    spawn key's first word, _TRIAL_DOMAIN.  Its words are one-element
+    columns."""
+    run = np.array([[entropy & _MASK32], [entropy >> 32], [0], [0]], dtype=np.uint32)
     const = [_INIT_A]
     pool = [_hashmix(word, const) for word in run]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
-    for word in (np.array([_TRIAL_DOMAIN], dtype=np.uint32), trials.astype(np.uint32)):
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, const))
+    domain = np.array([_TRIAL_DOMAIN], dtype=np.uint32)
     for dst in range(4):
-        pool[dst] = np.where(high != 0, _mix(pool[dst], _hashmix(high, const)), pool[dst])
+        pool[dst] = _mix(pool[dst], _hashmix(domain, const))
+    for word in pool:
+        word.setflags(write=False)
+    return tuple(pool), const[0]
+
+
+def trial_states(seed: int, trials: np.ndarray) -> np.ndarray:
+    """(len(trials), 4) uint64 rows, row r equal to the generate_state(4,
+    uint64) of the SeedSequence derive_trial_rng makes for trial trials[r],
+    where trials is a uint64 array of trial indices.
+
+    The entropy is the run entropy (seed & _MASK64), then the spawn key
+    (0, trial): the trial's low word, and last its high word if not zero.
+    The pool is mixed as in SeedSequence, from _seed_pool's words, with the
+    trial words as columns."""
+    pool, c = _seed_pool(seed & _MASK64)
+    pool, const = list(pool), [c]
+    low = trials.astype(np.uint32)
+    for dst in range(4):
+        pool[dst] = _mix(pool[dst], _hashmix(low, const))
+    high = (trials >> np.uint64(32)).astype(np.uint32)
+    if high.any():
+        for dst in range(4):
+            pool[dst] = np.where(high != 0, _mix(pool[dst], _hashmix(high, const)), pool[dst])
     # 8 words from the cycled pool, paired little-endian into 4 uint64s
     out = np.zeros((len(trials), 4), dtype=np.uint64)
     const = _INIT_B
@@ -114,20 +131,28 @@ def stream_words(raws: np.ndarray) -> np.ndarray:
     return raws.astype("<u8", copy=False).view("<u4")
 
 
-def bounded(words: np.ndarray, n: int) -> np.ndarray:
+def bounded(words: np.ndarray, n) -> np.ndarray:
     """Lemire's bounded integers in [0, n) from uint32 words, as numpy's
     integers(0, n) makes them for 1 < n < 2**32: value (w * n) >> 32, for
-    the words rejected() passes."""
-    return ((words.astype(np.uint64) * np.uint64(n)) >> np.uint64(32)).view(np.int64)
+    the words rejected() passes.  n is one range, or an array of ranges
+    that broadcasts against words, one per word column say.  (A range of 1
+    reads no word: numpy draws nothing for it.)"""
+    value = words.astype(np.uint64)
+    value *= np.uint64(n)
+    value >>= np.uint64(32)
+    return value.view(np.int64)
 
 
-def rejected(words: np.ndarray, n: int, columns: np.ndarray) -> np.ndarray:
+def rejected(words: np.ndarray, n, columns: np.ndarray) -> np.ndarray:
     """Mask of the rows where numpy's integers(0, n) would have drawn again on
     one of the given word columns: the low half of w * n, a wrapping uint32
     product, is below (2**32 - n) % n.  A rejected word shifts every later
-    draw of its stream.  A power of two n never rejects, and gathers nothing."""
-    threshold = (2**32 - n) % n
-    if threshold == 0:
+    draw of its stream.  n is one range, or an array of ranges that
+    broadcasts against words[:, columns]: one per column, or one per row as
+    a column vector.  A power of two or 1 never rejects, and when no range
+    can, nothing is gathered."""
+    threshold = (2**32 - np.asarray(n, dtype=np.int64)) % n
+    if not threshold.any():
         return np.zeros(len(words), dtype=bool)
     return (words[:, columns] * np.uint32(n) < np.uint32(threshold)).any(axis=1)
 

@@ -4,10 +4,13 @@ The strong and weak adversaries, under `converse` and `simulate` alike, run
 through one converse loop, _checked_trials.  It runs trial 0 through
 simulate.run_trial as the reference row, then yields rows a block of
 consecutive trials at a time.  A strong row that simulate._strong_screen
-passes cannot activate, so it is the honest batch engine's row; every other
-row is drawn per trial and decoded with its block in one call of the batch
-decode kernel.  The guaranteed-error implication is checked on every row
-whose strong plan is active.
+passes cannot activate, so it is the honest batch engine's row; the other
+strong rows are drawn per trial.  Weak rows are drawn and observed from
+their raw words by simulate._draw_rows, which sends only its rejected rows,
+and numpy's tail-shuffle regime, to the per-trial draw.  Each block's
+observed rows are decoded in one call of the batch decode kernel.  The
+guaranteed-error implication is checked on every row whose strong plan is
+active.
 """
 
 from __future__ import annotations
@@ -209,11 +212,12 @@ _CONVERSE_BYTES = 1_000_000
 
 def _block_row_bytes(cfg: ExperimentConfig, cb: Codebook) -> int:
     """Bytes _checked_trials holds per row of a block: 1 KiB of Python
-    objects (the ConverseRow and, on the adversary path, the plan and the
+    objects (the ConverseRow and, on the per-trial path, the plan and the
     tuple that carries it to the decode), plus the largest temporaries of the
-    block's stages, which run one after another: the adversary path's
-    observed ids and decode state and, for the strong adversary, the honest
-    batch's draws and decode at read_cap, and the screen's."""
+    block's stages, which run one after another: the observed ids and decode
+    state and, for the strong adversary, the honest batch's draws and decode
+    at read_cap, and the screen's.  simulate._draw_rows holds the weak
+    draws' temporaries under its own sub-block budget."""
     cap = cb.params.read_cap
     stages = [simulate._row_bytes(cb, cap)]
     if cfg.adversary == "strong":
@@ -239,7 +243,7 @@ def _checked_trials(cfg: ExperimentConfig, cb: Codebook):
         if cfg.adversary == "strong":
             rows = _strong_rows(cfg, cb, lo, hi)
         else:
-            rows = _observed_rows(cfg, cb, range(lo, hi))
+            rows = _weak_rows(cfg, cb, lo, hi)
         if lo == 0 and rows[0] != first:
             raise RuntimeError(
                 f"batch converse row of trial 0 differs from the per-trial engine: "
@@ -265,9 +269,25 @@ def _strong_rows(cfg: ExperimentConfig, cb: Codebook, lo: int, hi: int) -> list[
     return rows
 
 
+def _weak_rows(cfg: ExperimentConfig, cb: Codebook, lo: int, hi: int) -> list[ConverseRow]:
+    """Rows lo..hi-1 of the weak adversary, drawn and observed from their raw
+    words by simulate._draw_rows and decoded in one _decode_batch call.  A
+    weak plan's premises never hold, so no row is checked."""
+    layout = simulate._Layout(cb, "weak", cb.params.read_cap, cfg.r_prime_m)
+    plan = (np.empty(hi - lo, dtype=np.int64), np.empty(hi - lo, dtype=bool))
+    message, obs = simulate._draw_rows(cb, "weak", layout, lo, np.arange(hi - lo), plan)
+    columns = (message, *plan, *simulate._decode_batch(cb, obs))
+    decided = VerdictKind.DECIDED.value
+    return [
+        ConverseRow(t, msg, mp, ps, ps and mp >= 0, False, kind, dec, n,
+                    kind != decided or dec != msg)
+        for t, (msg, mp, ps, kind, dec, n) in enumerate(zip(*(c.tolist() for c in columns)), lo)
+    ]
+
+
 def _observed_rows(cfg: ExperimentConfig, cb: Codebook, trials) -> list[ConverseRow]:
-    """Rows of these trials, each drawn and observed by _observe_trial, and
-    all decoded in one _decode_batch call."""
+    """Rows of these strong trials, each drawn and observed by
+    _observe_trial, and all decoded in one _decode_batch call."""
     obs = np.empty((len(trials), cb.params.read_cap), dtype=simulate._id_dtype(cb))
     drawn = []
     for i, t in enumerate(trials):

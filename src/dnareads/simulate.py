@@ -17,7 +17,8 @@ Replacement tables are drawn for every read position and consulted only on
 erroneous reads, so sweeps over p reuse common random numbers.  The
 reference engine, run_trial, draws and observes a trial through
 _observe_trial, and so does the converse loop (harness._checked_trials) for
-the strong and weak rows it decodes a block at a time with _decode_batch.
+the strong rows it decodes a block at a time with _decode_batch; its weak
+rows come from _draw_rows, as the batch engine's do.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
 random_raw block per trial and pass, and decodes a block of trials at once.
@@ -32,13 +33,19 @@ skip.  So a trial's stream is laid out as
   words 1..read_cap           f (none when m = 1)
   next read_cap whole raws    u, value (raw >> 11) * 2**-53
   following words             replacement indices, then payloads, the
-                              first of them the pending high half, if any
+                              first of them the pending high half, if any;
+                              or the weak plan: Floyd's words, of ranges
+                              j + 1 for j = m - r', ..., m - 1 (none for
+                              j = 0), the shuffle's, of ranges r', ..., 2,
+                              and the m' pick, of range len(cands), read
+                              only when that is more than 1
+  next whole raw              the weak plan's psi
 
 and a draw is a fixed array of word columns: with head_raws the raws the
 message and f take, a word from 2 * head_raws on sits 2 * read_cap columns
 further right, past the uniforms.  A range of size 1 reads no word.  Each
-value is Lemire's (w * n) >> 32.  The honest adversary, and any adversary at
-p = 0, observes the true row, so its stream stops after f.
+value is Lemire's (w * n) >> 32.  The honest adversary, and the uniform ones
+at p = 0, observe the true row, so their streams stop after f.
 
 Prefix first: a decoder stops after a few reads, so run_batch decodes only
 the first W read positions of each trial.  W is the smallest power of two
@@ -56,6 +63,14 @@ rejection over its whole length, except the stream's last one (payloads, or
 f for a true row), whose later words shift nothing decoded and which is
 tested on its prefix alone.  A rejected row goes through _observe_trial
 instead.
+
+The weak plan is numpy's choice(m, r', replace=False) in its Floyd
+regime: each Floyd value is taken unless already in the sample, and then j
+itself is.  _weak_plan replays it on a rows x m mask.  The shuffle only
+orders the sample, which weak_prepare sorts, but its words are consumed and
+tested like the others.  Past m > 10000 and r' > m // 50 numpy shuffles a
+tail of arange(m) instead, and that layout sends every row through
+_observe_trial.
 
 The strong adversary's stream is message, f, the read_cap uniforms, then
 psi.  _strong_screen reads psi and the h_m head of f for a block of trials
@@ -243,78 +258,161 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
     random_raw block, as columns of its stream_words view, and which words
-    are tested for rejection (module docstring)."""
+    are tested for rejection (module docstring).  The weak adversary's
+    layout, at width read_cap, also holds its plan's draws for an index set
+    of r_prime_m."""
 
-    def __init__(self, cb: Codebook, adversary: str, width: int):
+    def __init__(self, cb: Codebook, adversary: str, width: int, r_prime_m: int | None = None):
         p = cb.params
         cap = p.read_cap
         self.width = width
         self.noisy = adversary != "honest" and p.p > 0
         self.head_raws = (int(p.k > 1) + cap * (p.m > 1) + 1) // 2
-        # the bounded draws (name, range, size) in stream order
+        self.r_prime = r_prime_m
+        # numpy's tail-shuffle regime (module docstring)
+        self.per_trial = adversary == "weak" and p.m > 10000 and r_prime_m > p.m // 50
+        # the bounded draws (name, range, size) in stream order; a range is
+        # one number or one per value
         head = [("message", p.k, 1), ("f", p.m, cap)]
-        tail = [("rep_idx", p.m, cap)] * (adversary == "uniform") + [("rep_pay", p.v, cap)]
-        draws = head + tail if self.noisy else head
-        # the stream's last draw; in a noisy layout the uniforms follow f
-        reading = [name for name, n, _ in (tail if self.noisy else head) if n > 1]
-        last = reading[-1] if reading else None
+        if adversary == "weak":
+            # the plan follows the uniforms whatever p (module docstring);
+            # the pick's range is the row's candidate count, at most k - 1
+            r = r_prime_m
+            floyd = np.arange(max(p.m - r, 1), p.m) + 1
+            tail = [("floyd", floyd, len(floyd)), ("shuffle", np.arange(r, 1, -1), max(r - 1, 0)),
+                    ("pick", p.k - 1, 1)]
+            draws, last = head + tail, None
+        else:
+            tail = [("rep_idx", p.m, cap)] * (adversary == "uniform") + [("rep_pay", p.v, cap)]
+            draws = head + tail if self.noisy else head
+            # the stream's last draw; in a noisy layout the uniforms follow f
+            reading = [name for name, n, _ in (tail if self.noisy else head) if n > 1]
+            last = reading[-1] if reading else None
         # name -> (range, values, decoded columns, tested columns).  A draw's
         # words are consecutive in the stream; a stream word from
-        # 2 * head_raws on sits past the uniforms' read_cap raws.
+        # 2 * head_raws on sits past the uniforms' read_cap raws.  A prefix
+        # pass decodes the first width values of each draw.
         self.draws = {}
         n_raw = self.head_raws + width if self.noisy else 0
         word = tested = decoded = 0
         for name, n, size in draws:
-            read = size if n > 1 else 0
-            test = min(read, width) if name == last else read
+            read = size if np.all(np.greater(n, 1)) else 0
+            shown = min(read, width) if width < cap else read
+            test = shown if name == last else read
             columns = np.arange(word, word + test)
             columns[columns >= 2 * self.head_raws] += 2 * cap
-            self.draws[name] = (n, min(size, width), columns[: min(read, width)], columns)
+            self.draws[name] = (n, min(size, width), columns[:shown], columns)
             if test:
                 n_raw = max(n_raw, int(columns[-1]) // 2 + 1)
             word += read
             tested += test
-            decoded += min(read, width)
+            decoded += shown
+        extra = 0
+        if adversary == "weak":
+            # psi's raw follows the plan's last word: one raw further on
+            # where the row reads its pick word
+            self.plan_words = word - len(self.draws["pick"][3])
+            n_raw = cap + (word + 1) // 2 + 1
+            # Floyd's seen mask, the index set, and per message the gathered
+            # payloads and flags of the candidate test, its mask and its sum
+            extra = p.m + 8 * r + (9 * r + 9) * p.k
         self.n_raw = n_raw
         # The raws; per tested word its gathered copy, product and flag; per
         # decoded word its copy, uint64 copy and product; and the int64 or
         # float64 rows of width: six in a noisy layout (true ids, u, its
         # flags, the replacement and observed ids), only the true ids otherwise.
         rows = 6 if self.noisy else 1
-        self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 8 * rows * width
+        self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 8 * rows * width + extra
 
 
-def _draw_columnar(cb, adversary, layout, states, message, obs) -> np.ndarray:
+def _draw_columnar(cb, adversary, layout, states, message, obs):
     """Fill message and obs for the trials with these stream states from one
-    random_raw block each.  Returns the mask of rows to redraw: those where
-    numpy would have rejected a bounded draw, which shifts the rest."""
+    random_raw block each.  Returns (bad, plan): bad masks the rows to
+    redraw, those where numpy would have rejected a bounded draw, which
+    shifts the rest, and every row of a per-trial layout; plan is the weak
+    adversary's (m_prime, psi) columns, None for the others."""
     p = cb.params
+    if layout.per_trial:
+        return np.ones(len(states), dtype=bool), None
     raws = core.trial_raws(states, layout.n_raw)
     words = core.stream_words(raws)
     bad = np.zeros(len(states), dtype=bool)
     drawn = {}
     for name, (n, size, decode, test) in layout.draws.items():
+        if name == "pick":
+            continue  # its range is per row (_weak_plan)
         bad |= core.rejected(words, n, test)
-        if n == 1:
-            drawn[name] = np.zeros((len(states), size), dtype=np.int64)
-        else:
+        if len(decode):
             drawn[name] = core.bounded(words[:, decode], n)
+        else:
+            drawn[name] = np.zeros((len(states), size), dtype=np.int64)
     msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
+    if adversary == "weak":
+        # channel.observe_weak on the rows whose plan is active
+        obs[:] = cb.word_ids[msg, f]
+        _, m_prime, psi, picked_bad = _weak_plan(cb, layout, raws, words, drawn)
+        active = np.flatnonzero(psi & (m_prime >= 0))
+        if active.size:
+            flags = _below(raws[active, layout.head_raws : layout.head_raws + layout.width], p.p)
+            swap = cb.word_ids[m_prime[active, None], f[active]]
+            obs[active] = np.where(flags, swap, obs[active])
+        return bad | picked_bad, (m_prime, psi)
     true_ids = cb.word_ids[msg, f]
     if not layout.noisy:
         obs[:] = true_ids
-        return bad
-    u = raws[:, layout.head_raws : layout.head_raws + layout.width]
-    flags = (u >> 11) * 2.0**-53 < p.p
+        return bad, None
+    flags = _below(raws[:, layout.head_raws : layout.head_raws + layout.width], p.p)
     rep_idx = drawn.get("rep_idx", f)
     obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
-    return bad
+    return bad, None
 
 
-def _draw_rows(cb, adversary, layout, start, rows):
+def _weak_plan(cb, layout, raws, words, drawn):
+    """(index_set, m_prime, psi, rejected) of the rows of one raw block, as
+    channel.weak_prepare draws them from its Generator (module docstring):
+    index_set a rows x r_prime_m sorted array, m_prime -1 where there is no
+    candidate, and rejected the rows whose pick word numpy would have drawn
+    again.  drawn holds the message and the Floyd values."""
+    p = cb.params
+    b, r = len(raws), layout.r_prime
+    rows = np.arange(b)
+    # Floyd's sample: j itself where the value of range j + 1 is already
+    # picked, and 0 for j = 0, which draws nothing
+    seen = np.zeros((b, p.m), dtype=bool)
+    seen[:, 0] = r == p.m
+    for j, value in zip(range(max(p.m - r, 1), p.m), drawn["floyd"].T):
+        value = np.where(seen[rows, value], j, value)
+        seen[rows, value] = True
+    # the shuffle only orders the sample, which weak_prepare sorts
+    index_set = np.nonzero(seen)[1].reshape(b, r)
+    w, msg = cb.matrix, drawn["message"][:, 0]
+    agree = (w.T[index_set] == w[msg[:, None], index_set][..., None]).all(axis=1)
+    agree[rows, msg] = False
+    n_cands = agree.sum(axis=1)
+    many = n_cands > 1
+    pick = np.zeros(b, dtype=np.int64)
+    bad = np.zeros(b, dtype=bool)
+    if many.any():
+        # one word of range n_cands, read only where that is more than 1
+        n, column = np.maximum(n_cands, 1), layout.draws["pick"][3]
+        bad = core.rejected(words, n[:, None], column)
+        pick = core.bounded(words[:, column[0]], n)
+    m_prime = np.where(n_cands > 0, (np.cumsum(agree, axis=1) <= pick[:, None]).sum(axis=1), -1)
+    psi = _below(raws[rows, p.read_cap + (layout.plan_words + many + 1) // 2], p.p)
+    return index_set, m_prime, psi, bad
+
+
+def _below(raws: np.ndarray, p: float) -> np.ndarray:
+    """random() < p for the whole raws random() reads: its value is
+    (raw >> 11) * 2**-53."""
+    return (raws >> 11) * 2.0**-53 < p
+
+
+def _draw_rows(cb, adversary, layout, start, rows, plan=None):
     """Message and observation table (rows x layout.width) of trials
-    start + rows.
+    start + rows; for the weak adversary, plan is a pair of columns for the
+    rows, m_prime (-1 when none) and psi, which are filled too.
 
     The rows are decoded from their raw blocks in sub-blocks whose
     temporaries fit in _BATCH_BYTES // 16.  Every row where numpy would have
@@ -328,19 +426,32 @@ def _draw_rows(cb, adversary, layout, start, rows):
     step = max(1, _BATCH_BYTES // 16 // layout.row_bytes)
     for lo in range(0, b, step):
         hi = lo + step
-        bad = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
+        bad, sub = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
+        if sub:
+            plan[0][lo:hi], plan[1][lo:hi] = sub
         for r in (np.flatnonzero(bad) + lo).tolist():
-            trial = _observe_trial(cb, adversary, start + int(rows[r]))
+            trial = _observe_trial(cb, adversary, start + int(rows[r]), None, layout.r_prime)
             message[r] = trial.message
             obs[r] = trial.observed[: layout.width]
+            if plan:
+                plan[0][r], plan[1][r] = _plan_columns(trial.plan)
     first = start + int(rows[0])
-    ref = _observe_trial(cb, adversary, first)
-    if message[0] != ref.message or not np.array_equal(obs[0], ref.observed[: layout.width]):
+    ref = _observe_trial(cb, adversary, first, None, layout.r_prime)
+    if (
+        message[0] != ref.message
+        or not np.array_equal(obs[0], ref.observed[: layout.width])
+        or (plan and (plan[0][0], plan[1][0]) != _plan_columns(ref.plan))
+    ):
         raise RuntimeError(
             f"batch draws of trial {first} differ from the per-trial engine: "
             f"numpy {np.__version__} no longer matches the raw-word decoding"
         )
     return message, obs
+
+
+def _plan_columns(plan: channel.WeakAdversaryPlan) -> tuple[int, bool]:
+    """(m_prime, psi) of a weak plan, m_prime -1 when none."""
+    return (-1 if plan.m_prime is None else plan.m_prime), plan.psi
 
 
 def _strong_screen(cb, h_m: int, r_prime_m: int, start: int, trials: int):
@@ -364,7 +475,7 @@ def _strong_screen(cb, h_m: int, r_prime_m: int, start: int, trials: int):
         head = core.bounded(words[:, layout.draws["f"][2][:h_m]], p.m)
     else:
         head = np.zeros((trials, h_m), dtype=np.int64)
-    psi = (raws[:, -1] >> 11) * 2.0**-53 < p.p
+    psi = _below(raws[:, -1], p.p)
     in_s = partition_stats(group_counts(head), p.dm, r_prime_m).in_s
     adversarial = bad | (in_s & psi)
     ref = _observe_trial(cb, "strong", start, h_m, r_prime_m)

@@ -192,6 +192,17 @@ def test_trial_states_match_seed_sequence(seed):
         assert np.array_equal(block[r], _states(seed, [1000 + r])[0])
 
 
+@pytest.mark.parametrize("start", [0, 2**32 - 10, 2**40])
+def test_trial_state_blocks_match_one_trial_at_a_time(start):
+    # each call starts from the seed's cached pool, and a block that
+    # straddles 2**32 mixes the high word into its upper rows alone
+    for seed in (5, 2**40 + 9, 5):
+        block = _states(seed, range(start, start + 20))
+        for r in range(20):
+            ss = np.random.SeedSequence(seed, spawn_key=(0, start + r))
+            assert np.array_equal(block[r], ss.generate_state(4, np.uint64))
+
+
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_trial_raws_match_trial_stream(seed):
     states = _states(seed, _TRIALS)
@@ -252,6 +263,44 @@ def test_rejected_tests_exactly_its_words(n):
     # a power of two never rejects, and gathers nothing: these columns are
     # past the words
     assert not rejected(np.zeros((2, 6), dtype=np.uint32), 8, np.arange(6, 12)).any()
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        [5, 1, 8, 3, 2**31 + 1, 1, 1, 6, 2**32 - 1, 7],  # odd and even word counts
+        [1, 1, 2, 16, 2**31, 1],  # powers of two: thresholds of 0
+        [1, 3 * 2**30 + 7, 2**31 + 1, 2**31 + 1, 1, 9],
+    ],
+)
+def test_bounded_and_rejected_take_a_range_per_column(ranges):
+    # a sequence of integers(0, n) calls, one range per value: a range of 1
+    # reads no word, each other range the next word of the stream
+    ranges = np.array(ranges)
+    reads = ranges > 1
+    columns = np.arange(reads.sum())
+    trials = 400
+    words = stream_words(trial_raws(_states(12, range(trials)), 8))
+    values = np.zeros((trials, len(ranges)), dtype=np.int64)
+    values[:, reads] = bounded(words[:, columns], ranges[reads])
+    flagged = rejected(words, ranges[reads], columns)
+    # a row's ranges as a column vector, with a row's range of 1 testing nothing
+    per_row = np.where(np.arange(trials) % 2, ranges[reads][0], 1)
+    assert np.array_equal(
+        rejected(words, per_row[:, None], columns[:1]),
+        rejected(words, ranges[reads][0], columns[:1]) & (per_row > 1),
+    )
+    for t in range(trials):
+        rng = derive_trial_rng(12, t)
+        want = [rng.integers(0, n) for n in ranges.tolist()]
+        assert flagged[t] or values[t].tolist() == want, t
+    if (ranges > 2**31).any():
+        # numpy draws again on about half the words of range 2**31 + 1
+        assert flagged.any() and not flagged.all()
+    else:
+        # nothing rejects, and nothing is gathered: these columns are past the words
+        assert not flagged.any()
+        assert not rejected(words, ranges[reads], columns + 100).any()
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -90,6 +90,20 @@ RUNS = {
         "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "19",
         "--adversary", "strong", "--trials", "2000", "--seed", "3", "--out", "{out}",
     ],
+    # and under the weak adversary: besides those f words, numpy rejects a
+    # word of trial 785's own plan, a Floyd draw of its index set
+    "converse-weak-rejected-words": [
+        "converse", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
+        "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "19",
+        "--adversary", "weak", "--trials", "2000", "--seed", "3", "--out", "{out}",
+    ],
+    # r' = 500 > m // 50: numpy draws the index set by shuffling a tail of
+    # arange(m), not by Floyd's sample
+    "converse-weak-tail-shuffle": [
+        "converse", "--m", "20000", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
+        "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "500",
+        "--adversary", "weak", "--trials", "300", "--seed", "3", "--out", "{out}",
+    ],
     "sweep-p": ["sweep-p", *_SWEEP, "--seed", "11"],
     **{f"sweep-p-seed{seed}": ["sweep-p", *_SWEEP, "--seed", seed] for seed in _SEEDS},
     "curves": [

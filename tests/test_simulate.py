@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnareads import SimParams, core, decoder, simulate
-from dnareads.codebook import Codebook, construct_greedy
+from dnareads.codebook import Codebook, agreeing, construct_greedy
 from dnareads.analysis import s_membership
 from dnareads.channel import StrongAdversaryPlan, WeakAdversaryPlan, strong_prepare
 from dnareads.core import VerdictKind
@@ -336,6 +336,177 @@ def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
     layout = simulate._Layout(slow_codebook, "uniform", params.read_cap)
     with pytest.raises(RuntimeError, match=r"trial 0 .* numpy \d"):
         simulate._draw_rows(slow_codebook, "uniform", layout, 0, np.arange(50))
+
+
+def _spied_weak_rows(cb, r_prime_m, start, trials, patch):
+    """The weak rows _draw_rows gives for trials start..start+trials-1:
+    (message, obs, m_prime, psi, index_set, bad, observed), where index_set
+    and bad are what _weak_plan and _draw_columnar computed for every row
+    (None for a per-trial layout) and observed lists the trials drawn by
+    _observe_trial."""
+    real_plan, real_draw = simulate._weak_plan, simulate._draw_columnar
+    real_observe = simulate._observe_trial
+    index_sets, bad, observed = [], [], []
+
+    def planning(*args):
+        out = real_plan(*args)
+        index_sets.append(out[0])
+        return out
+
+    def drawing(*args):
+        out = real_draw(*args)
+        bad.append(out[0])
+        return out
+
+    def observing(cb, adversary, trial, *args):
+        observed.append(trial)
+        return real_observe(cb, adversary, trial, *args)
+
+    patch.setattr(simulate, "_weak_plan", planning)
+    patch.setattr(simulate, "_draw_columnar", drawing)
+    patch.setattr(simulate, "_observe_trial", observing)
+    layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
+    m_prime, psi = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=bool)
+    message, obs = simulate._draw_rows(cb, "weak", layout, start, np.arange(trials), (m_prime, psi))
+    index_set = np.concatenate(index_sets) if index_sets else None
+    return message, obs, m_prime, psi, index_set, np.concatenate(bad), observed
+
+
+def _check_weak_rows(cb, r_prime_m, start, trials, budget=None) -> set:
+    """Assert that the weak rows of trials start.. equal _observe_trial's,
+    index sets included; returns the (candidate count, head word count
+    parity) pairs seen, the count capped at 2."""
+    with mock.patch.object(simulate, "_BATCH_BYTES", budget or simulate._BATCH_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            message, obs, m_prime, psi, index_set, bad, _ = _spied_weak_rows(
+                cb, r_prime_m, start, trials, patch
+            )
+    p = cb.params
+    head_words = int(p.k > 1) + p.read_cap * (p.m > 1)
+    seen = set()
+    for r in range(trials):
+        ref = simulate._observe_trial(cb, "weak", start + r, None, r_prime_m)
+        plan = ref.plan
+        assert message[r] == ref.message
+        assert np.array_equal(obs[r], ref.observed)
+        assert m_prime[r] == (-1 if plan.m_prime is None else plan.m_prime)
+        assert psi[r] == plan.psi
+        if not bad[r]:
+            assert np.array_equal(index_set[r], plan.index_set)
+        cands = agreeing(cb, ref.message, plan.index_set)
+        seen.add((min(len(cands), 2), head_words % 2))
+    return seen
+
+
+# (m, k, v, r', read_cap, p): one index, r' = 0 and r' = m, head word counts
+# of both parities, and codes with no, one and many candidates
+_WEAK_CODES = [
+    (1, 5, 2, 1, 7, 0.5),
+    (1, 5, 2, 0, 7, 0.5),
+    (6, 12, 2, 2, 9, 0.5),
+    (6, 12, 2, 2, 10, 0.5),
+    (6, 12, 2, 6, 10, 0.7),
+    (10, 16, 2, 3, 400, 0.3),
+    (7, 3, 2, 2, 8, 1.0),
+    (5, 1, 3, 2, 6, 0.5),
+    (8, 40, 1, 4, 5, 0.5),
+]
+
+
+def test_weak_columns_cover_every_plan_shape():
+    seen = set()
+    for m, k, v, r_prime_m, cap, p in _WEAK_CODES:
+        params = SimParams(m=m, k=k, v=v, p=p, dm=0, theta=1.0, read_cap=cap, seed=m + k)
+        cb = Codebook(params, np.random.default_rng(k).integers(0, v, (k, m)))
+        seen |= _check_weak_rows(cb, r_prime_m, 0, 60)
+    assert seen == {(n, parity) for n in range(3) for parity in range(2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_weak_columns_match_reference_plans(data):
+    m = data.draw(st.integers(1, 40), label="m")
+    k = data.draw(st.integers(1, 30), label="k")
+    v = data.draw(st.integers(1, 3), label="v")
+    r_prime_m = data.draw(st.integers(0, m) | st.sampled_from([0, m]), label="r_prime_m")
+    cap = data.draw(st.integers(1, 40), label="read_cap")
+    p = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="p")
+    start = data.draw(st.integers(0, 10**6) | st.just(2**32 - 3), label="start")
+    seed = data.draw(st.integers(-(2**65), 2**65), label="seed")
+    trials = data.draw(st.integers(1, 6), label="trials")
+    budget = data.draw(st.sampled_from([1, simulate._BATCH_BYTES]), label="budget")
+    matrix = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, v, (k, m))
+    params = SimParams(m=m, k=k, v=v, p=p, dm=0, theta=1.0, read_cap=cap, seed=seed)
+    _check_weak_rows(Codebook(params, matrix), r_prime_m, start, trials, budget)
+
+
+@pytest.mark.parametrize("r_prime_m,per_trial", [(201, False), (202, True)])
+def test_weak_tail_shuffle_rows_are_drawn_per_trial(r_prime_m, per_trial, monkeypatch):
+    # m > 10000: numpy's choice takes Floyd's sample up to r' = m // 50 and
+    # shuffles a tail of arange(m) past it, which only the per-trial engine
+    # replays
+    params = SimParams(m=10050, k=3, v=2, p=0.5, dm=0, theta=1.0, read_cap=12, seed=4)
+    cb = Codebook(params, np.random.default_rng(4).integers(0, 2, (3, 10050)))
+    *_, index_set, bad, observed = _spied_weak_rows(cb, r_prime_m, 7, 5, monkeypatch)
+    assert bad.all() == per_trial
+    assert (index_set is None) == per_trial
+    assert observed == [7, 8, 9, 10, 11, 7] if per_trial else observed == [7]
+    monkeypatch.undo()
+    _check_weak_rows(cb, r_prime_m, 7, 5)
+
+
+@pytest.fixture(scope="module")
+def picking_codebook():
+    # m = 6, k = 12, v = 2 and r' = 3: the Floyd ranges are 4, 5, 6 and the
+    # shuffle's 3, 2, and a third of the rows have several candidates
+    params = SimParams(m=6, k=12, v=2, p=0.5, dm=0, theta=1.0, read_cap=9, seed=2)
+    return Codebook(params, np.random.default_rng(6).integers(0, 2, (12, 6)))
+
+
+@pytest.mark.parametrize("draw,column", [("floyd", 1), ("shuffle", 0), ("pick", 0)])
+def test_weak_rejected_plan_words_are_redrawn(picking_codebook, draw, column, monkeypatch):
+    # Plant a word numpy rejects (0, for a range that is no power of two) in
+    # one trial's plan: the Floyd draw of range 5, the shuffle draw of range
+    # 3, or the pick among 3 candidates.  The row must be redrawn through the
+    # per-trial engine.
+    cb, r_prime_m = picking_codebook, 3
+    refs = [simulate._observe_trial(cb, "weak", t, None, r_prime_m) for t in range(100)]
+    target = next(
+        t for t, ref in enumerate(refs) if len(agreeing(cb, ref.message, ref.plan.index_set)) == 3
+    )
+    layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
+    word = int(layout.draws[draw][3][column])
+    mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
+    state = core.trial_states(cb.params.seed, np.array([target], dtype=np.uint64))[0]
+    real_raws = core.trial_raws
+
+    def planting(states, n_raw):
+        raws = real_raws(states, n_raw)
+        raws[(states == state).all(axis=1), word // 2] &= mask
+        return raws
+
+    monkeypatch.setattr(core, "trial_raws", planting)
+    *_, bad, observed = _spied_weak_rows(cb, r_prime_m, 0, 40, monkeypatch)
+    assert np.flatnonzero(bad).tolist() == [target]
+    assert observed == [target, 0]
+    # the planted word is still there: the redrawn row is the stream's own
+    _check_weak_rows(cb, r_prime_m, 0, 40)
+
+
+def test_weak_plan_drift_fails_loudly(picking_codebook, monkeypatch):
+    # a numpy whose psi draw moved would alter the plans; the first-row
+    # check of the draw must catch it
+    real = simulate._weak_plan
+
+    def drifting(*args):
+        index_set, m_prime, psi, bad = real(*args)
+        return index_set, m_prime, ~psi, bad
+
+    monkeypatch.setattr(simulate, "_weak_plan", drifting)
+    params = picking_codebook.params
+    cfg = ExperimentConfig(params=params, adversary="weak", trials=30, h_m=5, r_prime_m=3)
+    with pytest.raises(RuntimeError, match=r"trial 0 .* numpy \d"):
+        converse_experiment(cfg)
 
 
 def test_batched_engine_rejects_planning_adversaries(easy_codebook):
