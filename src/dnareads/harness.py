@@ -1,17 +1,4 @@
-"""Experiment configuration, Monte Carlo aggregation, sweeps, and CSV output.
-
-The strong and weak adversaries, under `converse` and `simulate` alike, run
-through one converse loop, _checked_trials.  It runs trial 0 through
-simulate.run_trial as the reference row, then yields rows a block of
-consecutive trials at a time.  A strong row that simulate._strong_screen
-passes cannot activate, so it is the honest batch engine's row; the other
-strong rows are drawn per trial.  Weak rows are drawn and observed from
-their raw words by simulate._draw_rows, which sends only its rejected rows,
-and numpy's tail-shuffle regime, to the per-trial draw.  Each block's
-observed rows are decoded in one call of the batch decode kernel.  The
-guaranteed-error implication is checked on every row whose strong plan is
-active.
-"""
+"""Experiment configuration, Monte Carlo aggregation, sweeps, and CSV output."""
 
 from __future__ import annotations
 
@@ -22,9 +9,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, simulate
-from .channel import ADVERSARIES, StrongAdversaryPlan
+from .channel import ADVERSARIES
 from .codebook import Codebook, construct_greedy
-from .core import PARAM_RULES, SimParams, Verdict, VerdictKind, check_rules, derive_trial_rng
+from .core import PARAM_RULES, SimParams, VerdictKind, check_rules, derive_trial_rng
 
 CSV_VERSION = "dnareads 0.1.0"
 
@@ -184,10 +171,9 @@ def _summarize(batch: simulate.BatchResult) -> RunSummary:
 def run_trials(cfg: ExperimentConfig) -> RunSummary:
     """Construct the codebook from cfg.params.seed and run cfg.trials trials.
 
-    Message-blind adversaries go through the vectorized engine; the
-    clairvoyant and causal ones through _checked_trials, the converse loop.
-    Both consume identical random streams, so the summary is
-    engine-independent.
+    Message-blind adversaries go through simulate.run_batch; the clairvoyant
+    and causal ones through simulate.run_converse.  Both consume identical
+    random streams, so the summary is engine-independent.
     """
     return _run_on(cfg, construct_greedy(cfg.params))
 
@@ -196,129 +182,7 @@ def _run_on(cfg: ExperimentConfig, cb: Codebook) -> RunSummary:
     """cfg.trials trials of cfg.adversary on a codebook built for cfg.params."""
     if cfg.adversary in simulate.BATCH_ADVERSARIES:
         return _summarize(simulate.run_batch(cb, cfg.adversary, cfg.trials))
-    rows = _checked_trials(cfg, cb)
-    columns = zip(*((r.message, r.kind, r.decoded, r.n_reads) for r in rows))
-    return _summarize(simulate.BatchResult(*map(np.array, columns)))
-
-
-def _id(x: int | None) -> int:
-    """A message id for a CSV cell: -1 when absent."""
-    return -1 if x is None else x
-
-
-# Bytes a converse block may hold; _block_row_bytes sizes its rows.
-_CONVERSE_BYTES = 1_000_000
-
-
-def _block_row_bytes(cfg: ExperimentConfig, cb: Codebook) -> int:
-    """Bytes _checked_trials holds per row of a block: 1 KiB of Python
-    objects (the ConverseRow and, on the per-trial path, the plan and the
-    tuple that carries it to the decode), plus the largest temporaries of the
-    block's stages, which run one after another: the observed ids and decode
-    state and, for the strong adversary, the honest batch's draws and decode
-    at read_cap, and the screen's.  simulate._draw_rows holds the weak
-    draws' temporaries under its own sub-block budget."""
-    cap = cb.params.read_cap
-    stages = [simulate._row_bytes(cb, cap)]
-    if cfg.adversary == "strong":
-        honest = simulate._Layout(cb, "honest", cap).row_bytes + simulate._row_bytes(cb, cap)
-        stages += [honest, simulate._screen_row_bytes(cb, cfg.h_m)]
-    return 1024 + max(stages)
-
-
-def _checked_trials(cfg: ExperimentConfig, cb: Codebook):
-    """The ConverseRow of each of cfg.trials trials, in order, yielded a block
-    of consecutive trials at a time (module docstring).  Raises when a trial
-    whose guaranteed-error premises hold does not decode to m_prime, the
-    wrong message, at its error-free stopping time by the horizon, and when
-    trial 0's row differs from the one simulate.run_trial gives, so that a
-    numpy whose internals drift fails loudly.  run_trial goes first, and
-    checks the arguments."""
-    ref, _ = simulate.run_trial(cb, cfg.adversary, 0, cfg.h_m, cfg.r_prime_m)
-    v = ref.verdict
-    first = _converse_row(cfg, 0, ref.message, ref.plan, v.kind.value, _id(v.decoded), v.n_reads)
-    step = max(1, _CONVERSE_BYTES // _block_row_bytes(cfg, cb))
-    for lo in range(0, cfg.trials, step):
-        hi = min(lo + step, cfg.trials)
-        if cfg.adversary == "strong":
-            rows = _strong_rows(cfg, cb, lo, hi)
-        else:
-            rows = _weak_rows(cfg, cb, lo, hi)
-        if lo == 0 and rows[0] != first:
-            raise RuntimeError(
-                f"batch converse row of trial 0 differs from the per-trial engine: "
-                f"numpy {np.__version__} no longer matches the raw-word decoding"
-            )
-        yield from rows
-        del rows  # the next block is built without this one
-
-
-def _strong_rows(cfg: ExperimentConfig, cb: Codebook, lo: int, hi: int) -> list[ConverseRow]:
-    """Rows lo..hi-1 of the strong adversary: honest rows, whose plan is
-    inactive, wherever the screen passes the trial, _observed_rows elsewhere."""
-    honest = simulate.run_batch(cb, "honest", hi - lo, start=lo)
-    adversarial, psi = simulate._strong_screen(cb, cfg.h_m, cfg.r_prime_m, lo, hi - lo)
-    columns = (honest.message, honest.kind, honest.decoded, honest.n_reads, psi)
-    decided = VerdictKind.DECIDED.value
-    rows = [
-        ConverseRow(t, msg, -1, ps, False, False, kind, dec, n, kind != decided or dec != msg)
-        for t, (msg, kind, dec, n, ps) in enumerate(zip(*(c.tolist() for c in columns)), lo)
-    ]
-    for row in _observed_rows(cfg, cb, (lo + np.flatnonzero(adversarial)).tolist()):
-        rows[row.trial - lo] = row
-    return rows
-
-
-def _weak_rows(cfg: ExperimentConfig, cb: Codebook, lo: int, hi: int) -> list[ConverseRow]:
-    """Rows lo..hi-1 of the weak adversary, drawn and observed from their raw
-    words by simulate._draw_rows and decoded in one _decode_batch call.  A
-    weak plan's premises never hold, so no row is checked."""
-    layout = simulate._Layout(cb, "weak", cb.params.read_cap, cfg.r_prime_m)
-    plan = (np.empty(hi - lo, dtype=np.int64), np.empty(hi - lo, dtype=bool))
-    message, obs = simulate._draw_rows(cb, "weak", layout, lo, np.arange(hi - lo), plan)
-    columns = (message, *plan, *simulate._decode_batch(cb, obs))
-    decided = VerdictKind.DECIDED.value
-    return [
-        ConverseRow(t, msg, mp, ps, ps and mp >= 0, False, kind, dec, n,
-                    kind != decided or dec != msg)
-        for t, (msg, mp, ps, kind, dec, n) in enumerate(zip(*(c.tolist() for c in columns)), lo)
-    ]
-
-
-def _observed_rows(cfg: ExperimentConfig, cb: Codebook, trials) -> list[ConverseRow]:
-    """Rows of these strong trials, each drawn and observed by
-    _observe_trial, and all decoded in one _decode_batch call."""
-    obs = np.empty((len(trials), cb.params.read_cap), dtype=simulate._id_dtype(cb))
-    drawn = []
-    for i, t in enumerate(trials):
-        trial = simulate._observe_trial(cb, cfg.adversary, t, cfg.h_m, cfg.r_prime_m)
-        obs[i] = trial.observed
-        drawn.append((t, trial.message, trial.plan))
-    verdicts = zip(*(a.tolist() for a in simulate._decode_batch(cb, obs)))
-    return [_converse_row(cfg, *d, *v) for d, v in zip(drawn, verdicts)]
-
-
-def _converse_row(cfg: ExperimentConfig, t, message, plan, kind, decoded, n_reads) -> ConverseRow:
-    """Trial t's row from its message, plan and verdict (kind, decoded -1
-    when absent, n_reads).  Raises when the guaranteed-error implication
-    fails on it."""
-    # only an active strong plan's premises can hold (README "Tests")
-    conditions = isinstance(plan, StrongAdversaryPlan) and plan.active
-    if conditions:
-        v = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
-        if not (
-            v == Verdict.decided(plan.m_prime, plan.stop)
-            and v.decoded != message
-            and v.n_reads <= cfg.h_m
-        ):
-            raise RuntimeError(
-                f"guaranteed-error implication violated on trial {t}: "
-                f"expected Decided({plan.m_prime}, {plan.stop}), got {v}"
-            )
-    return ConverseRow(
-        t, message, _id(plan.m_prime), plan.psi, plan.active, conditions,
-        kind, decoded, n_reads, kind != VerdictKind.DECIDED.value or decoded != message,
-    )
+    return _summarize(simulate.run_converse(cb, cfg.adversary, cfg.trials, cfg.h_m, cfg.r_prime_m))
 
 
 def sweep_p(cfg: ExperimentConfig, p_list) -> list[SweepRow]:
@@ -434,9 +298,15 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
     """
     if cfg.adversary not in ("strong", "weak"):
         raise ValueError("converse experiment needs the strong or weak adversary")
-    rows = list(_checked_trials(cfg, construct_greedy(cfg.params)))
-    n_active = sum(r.active for r in rows)
-    n_cond = sum(r.conditions for r in rows)
+    res = simulate.run_converse(
+        construct_greedy(cfg.params), cfg.adversary, cfg.trials, cfg.h_m, cfg.r_prime_m
+    )
+    errored = (res.kind != VerdictKind.DECIDED.value) | (res.decoded != res.message)
+    columns = (res.message, res.m_prime, res.psi, res.active, res.conditions, res.kind,
+               res.decoded, res.n_reads, errored)
+    rows = [ConverseRow(t, *r) for t, r in enumerate(zip(*(c.tolist() for c in columns)))]
+    n_active = int(res.active.sum())
+    n_cond = int(res.conditions.sum())
     p, dm, m = cfg.params.p, cfg.params.dm, cfg.params.m
     factor = (
         analysis.strong_converse_factor(p, dm)
@@ -449,9 +319,9 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
         "n_active": n_active,
         "activation_rate": n_active / cfg.trials,
         "n_conditions": n_cond,
-        # every trial whose premises hold errs, or _checked_trials has raised
+        # every trial whose premises hold errs, or run_converse has raised
         "conditional_error_rate": 1.0 if n_cond else float("nan"),
-        "error_rate": sum(r.errored for r in rows) / cfg.trials,
+        "error_rate": int(errored.sum()) / cfg.trials,
         "converse_factor": factor,
     }
     return rows, summary

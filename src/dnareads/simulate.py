@@ -16,9 +16,9 @@ Every trial consumes its private random stream in one fixed order:
 Replacement tables are drawn for every read position and consulted only on
 erroneous reads, so sweeps over p reuse common random numbers.  The
 reference engine, run_trial, draws and observes a trial through
-_observe_trial, and so does the converse loop (harness._checked_trials) for
-the strong rows it decodes a block at a time with _decode_batch; its weak
-rows come from _draw_rows, as the batch engine's do.
+_observe_trial.  The batch engine, run_batch, and the converse engine,
+run_converse, draw their rows from the raw words (below); a row goes through
+_observe_trial only where they cannot give it.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
 random_raw block per trial and pass, and decodes a block of trials at once.
@@ -77,6 +77,15 @@ psi.  _strong_screen reads psi and the h_m head of f for a block of trials
 and marks those in S with psi, the only ones whose plan can activate, and
 those with a rejected word of message or f.  Every other strong trial
 observes its true row, so its verdict is the honest batch engine's.
+
+run_converse runs the strong or weak adversary into columns.  It runs trial
+0 through run_trial first, as the reference row, then fills the columns a
+block of consecutive trials at a time, each block sized under
+_CONVERSE_BYTES.  A strong block takes run_batch's honest rows, and draws
+the trials the screen marks through _observe_trial; a weak block is drawn by
+_draw_rows.  Each block's observed rows are decoded in one _decode_batch
+call.  The guaranteed-error implication is checked on the reference row and
+on every block row whose strong plan is active.
 """
 
 from __future__ import annotations
@@ -253,6 +262,114 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
             out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
         rows = rows[out.kind[rows] == VerdictKind.TRUNCATED.value]
     return out
+
+
+@dataclass
+class ConverseResult(BatchResult):
+    """BatchResult's columns plus the adversary's plan: m_prime (-1 when
+    none), psi, active, and conditions, the rows whose guaranteed-error
+    premises hold."""
+
+    m_prime: np.ndarray
+    psi: np.ndarray
+    active: np.ndarray
+    conditions: np.ndarray
+
+
+# Bytes a converse block holds at once; _converse_row_bytes sizes its rows.
+_CONVERSE_BYTES = 1_000_000
+
+
+def _converse_row_bytes(cb: Codebook, adversary: str, h_m: int | None) -> int:
+    """Bytes run_converse holds per row of a block, the most of its stages:
+    the observation row of a row it decodes and _decode_batch's state beside
+    it, and for the strong adversary the screen's row.  The honest rows keep
+    to run_batch's own budget, and _draw_rows' sub-blocks to theirs."""
+    cap = cb.params.read_cap
+    decoded = _id_dtype(cb).itemsize * cap + _row_bytes(cb, cap)
+    return max(decoded, _screen_row_bytes(cb, h_m)) if adversary == "strong" else decoded
+
+
+def run_converse(
+    cb: Codebook, adversary: str, trials: int, h_m: int | None = None, r_prime_m: int | None = None
+) -> ConverseResult:
+    """The strong or weak adversary's trials 0..trials-1, draw-for-draw
+    identical to run_trial, a block of consecutive trials at a time (module
+    docstring).  run_trial runs trial 0 first, which checks the arguments.
+    Raises when a row whose guaranteed-error premises hold does not decode to
+    m_prime, the wrong message, at its error-free stopping time by the
+    horizon, and when trial 0's row differs from run_trial's, so that a numpy
+    whose internals drift fails loudly."""
+    if adversary not in ("strong", "weak"):
+        raise ValueError(f"converse engine does not support adversary {adversary!r}")
+    ref, _ = run_trial(cb, adversary, 0, h_m, r_prime_m)
+    v = ref.verdict
+    first = (ref.message, v.kind.value, -1 if v.decoded is None else v.decoded, v.n_reads,
+             *_plan_columns(ref.plan), ref.plan.active,
+             _conditions(0, ref.message, ref.plan, v, h_m))
+    dtypes = (np.int64, np.int8, np.int64, np.int64, np.int64, bool, bool, bool)
+    out = ConverseResult(*(np.empty(trials, dtype=d) for d in dtypes))
+    layout = _Layout(cb, "weak", cb.params.read_cap, r_prime_m) if adversary == "weak" else None
+    step = max(1, _CONVERSE_BYTES // _converse_row_bytes(cb, adversary, h_m))
+    for lo in range(0, trials, step):
+        hi = min(lo + step, trials)
+        block = slice(lo, hi)
+        if adversary == "strong":
+            honest = run_batch(cb, "honest", hi - lo, start=lo)
+            adversarial, out.psi[block] = _strong_screen(cb, h_m, r_prime_m, lo, hi - lo)
+            out.message[block], out.kind[block] = honest.message, honest.kind
+            out.decoded[block], out.n_reads[block] = honest.decoded, honest.n_reads
+            out.m_prime[block], out.active[block], out.conditions[block] = -1, False, False
+            _strong_rows(cb, h_m, r_prime_m, (lo + np.flatnonzero(adversarial)).tolist(), out)
+        else:
+            plan = (out.m_prime[block], out.psi[block])
+            out.message[block], obs = _draw_rows(cb, "weak", layout, lo, np.arange(hi - lo), plan)
+            out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
+            del obs  # the next block is drawn without this one
+            # a weak plan's premises never hold
+            out.active[block], out.conditions[block] = plan[1] & (plan[0] >= 0), False
+        if lo == 0 and tuple(c[0] for c in vars(out).values()) != first:
+            raise RuntimeError(
+                f"batch converse row of trial 0 differs from the per-trial engine: "
+                f"numpy {np.__version__} no longer matches the raw-word decoding"
+            )
+    return out
+
+
+def _strong_rows(cb, h_m, r_prime_m, trials, out):
+    """Fill out's rows of these strong trials, each drawn and observed by
+    _observe_trial, and all decoded in one _decode_batch call."""
+    obs = np.empty((len(trials), cb.params.read_cap), dtype=_id_dtype(cb))
+    plans = []
+    for i, t in enumerate(trials):
+        trial = _observe_trial(cb, "strong", t, h_m, r_prime_m)
+        obs[i] = trial.observed
+        out.message[t] = trial.message
+        plans.append(trial.plan)
+    verdicts = zip(*(a.tolist() for a in _decode_batch(cb, obs)))
+    for t, plan, (kind, decoded, n_reads) in zip(trials, plans, verdicts):
+        verdict = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
+        out.conditions[t] = _conditions(t, int(out.message[t]), plan, verdict, h_m)
+        out.kind[t], out.decoded[t], out.n_reads[t] = kind, decoded, n_reads
+        out.m_prime[t], out.psi[t] = _plan_columns(plan)
+        out.active[t] = plan.active
+
+
+def _conditions(t: int, message: int, plan, verdict: Verdict, h_m: int | None) -> bool:
+    """Whether trial t's guaranteed-error premises hold: only an active strong
+    plan's can (README "Tests").  Raises when they hold and the verdict is not
+    Decided(m_prime, stop), a wrong message, by the horizon h_m."""
+    held = isinstance(plan, channel.StrongAdversaryPlan) and plan.active
+    if held and not (
+        verdict == Verdict.decided(plan.m_prime, plan.stop)
+        and verdict.decoded != message
+        and verdict.n_reads <= h_m
+    ):
+        raise RuntimeError(
+            f"guaranteed-error implication violated on trial {t}: "
+            f"expected Decided({plan.m_prime}, {plan.stop}), got {verdict}"
+        )
+    return held
 
 
 class _Layout:
@@ -449,8 +566,8 @@ def _draw_rows(cb, adversary, layout, start, rows, plan=None):
     return message, obs
 
 
-def _plan_columns(plan: channel.WeakAdversaryPlan) -> tuple[int, bool]:
-    """(m_prime, psi) of a weak plan, m_prime -1 when none."""
+def _plan_columns(plan) -> tuple[int, bool]:
+    """(m_prime, psi) of a strong or weak plan, m_prime -1 when none."""
     return (-1 if plan.m_prime is None else plan.m_prime), plan.psi
 
 

@@ -104,6 +104,15 @@ RUNS = {
         "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "500",
         "--adversary", "weak", "--trials", "300", "--seed", "3", "--out", "{out}",
     ],
+    # the benchmark's converse runs at 2500 strong and 5000 weak trials, long
+    # enough to span several converse blocks
+    **{
+        f"converse-{adv}-blocks": [
+            "converse", *_CONV, "--read-cap", "400", "--hm", "20", "--rprimem", rpm,
+            "--adversary", adv, "--trials", trials, "--seed", "3", "--out", "{out}",
+        ]
+        for adv, rpm, trials in (("strong", "5", "2500"), ("weak", "3", "5000"))
+    },
     "sweep-p": ["sweep-p", *_SWEEP, "--seed", "11"],
     **{f"sweep-p-seed{seed}": ["sweep-p", *_SWEEP, "--seed", seed] for seed in _SEEDS},
     "curves": [

@@ -301,6 +301,15 @@ _ORACLE_CODES = [
 ]
 
 
+def _engine_rows(cfg, cb):
+    """ConverseRows of simulate.run_converse's columns, trial by trial."""
+    res = simulate.run_converse(cb, cfg.adversary, cfg.trials, cfg.h_m, cfg.r_prime_m)
+    errored = (res.kind != VerdictKind.DECIDED.value) | (res.decoded != res.message)
+    columns = (res.message, res.m_prime, res.psi, res.active, res.conditions, res.kind,
+               res.decoded, res.n_reads, errored)
+    return [ConverseRow(t, *r) for t, r in enumerate(zip(*(c.tolist() for c in columns)))]
+
+
 @pytest.mark.parametrize("adversary", ["strong", "weak"])
 @pytest.mark.parametrize("params,h_m,r_prime_m,share", _ORACLE_CODES)
 def test_converse_blocks_match_per_trial_rows(
@@ -311,8 +320,9 @@ def test_converse_blocks_match_per_trial_rows(
     cfg = ExperimentConfig(
         params=params, adversary=adversary, trials=300, h_m=h_m, r_prime_m=r_prime_m
     )
-    monkeypatch.setattr(harness, "_CONVERSE_BYTES", 70 * harness._block_row_bytes(cfg, cb))
-    assert list(harness._checked_trials(cfg, cb)) == _per_trial_rows(cfg, cb)
+    row_bytes = simulate._converse_row_bytes(cb, adversary, h_m)
+    monkeypatch.setattr(simulate, "_CONVERSE_BYTES", 70 * row_bytes)
+    assert _engine_rows(cfg, cb) == _per_trial_rows(cfg, cb)
     if adversary == "strong":
         adversarial, _ = simulate._strong_screen(cb, h_m, r_prime_m, 0, cfg.trials)
         assert adversarial.mean() == pytest.approx(share, abs=0.0005)
@@ -329,34 +339,60 @@ def test_strong_rows_with_rejected_words_match_per_trial_rows():
     rejected = [11, 539, 909]
     adversarial, _ = simulate._strong_screen(cb, cfg.h_m, cfg.r_prime_m, 0, cfg.trials)
     assert set(rejected) <= set(np.flatnonzero(adversarial).tolist())
-    rows = list(harness._checked_trials(cfg, cb))
+    rows = _engine_rows(cfg, cb)
     assert [rows[t] for t in rejected] == _per_trial_rows(cfg, cb, rejected)
     assert rows[:10] == _per_trial_rows(cfg, cb, range(10))
 
 
 @pytest.mark.parametrize("adversary,r_prime_m", [("strong", 5), ("weak", 3)])
 def test_converse_memory_stays_within_budget(small_codebook, adversary, r_prime_m):
-    # the rows stream out a block at a time: the peak is one block's, under
-    # the budget, and does not grow with trials
+    # the rows are decoded a block at a time: the working memory beside the
+    # returned columns is one block's, under the budget, and does not grow
+    # with trials
     cb = small_codebook
     _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
+    budget = simulate._CONVERSE_BYTES
+    # so that both runs hold at least one full block
+    assert budget // simulate._converse_row_bytes(cb, adversary, 20) < 2000
     peaks = []
     for trials in (2000, 4000):
-        cfg = ExperimentConfig(
-            params=cb.params, adversary=adversary, trials=trials, h_m=20, r_prime_m=r_prime_m
-        )
-        # so that both runs hold at least one full block
-        assert harness._CONVERSE_BYTES // harness._block_row_bytes(cfg, cb) < 2000
         tracemalloc.start()
         try:
-            for _ in harness._checked_trials(cfg, cb):
-                pass
+            res = simulate.run_converse(cb, adversary, trials, 20, r_prime_m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        peaks.append(peak)
-    assert peaks[1] <= 1.25 * harness._CONVERSE_BYTES
+        peaks.append(peak - sum(c.nbytes for c in vars(res).values()))
+    assert peaks[1] <= 1.25 * budget
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_implication_checked_on_block_rows(monkeypatch, small_codebook):
+    # a row inside a block, past trial 0, whose strong plan is active but
+    # whose verdict is not Decided(m_prime, stop): the run must name it
+    cb = small_codebook
+    adversarial, _ = simulate._strong_screen(cb, 20, 5, 0, 300)
+    trial = int(np.flatnonzero(adversarial)[0])
+    assert trial > 0
+    observe = simulate._observe_trial
+
+    def observe_trial(cb, adversary, t, h_m=None, r_prime_m=None):
+        obs = observe(cb, adversary, t, h_m, r_prime_m)
+        if t != trial:
+            return obs
+        plan = StrongAdversaryPlan(
+            m_prime=(obs.message + 1) % cb.params.k, stop=1, t1=np.ones(20, dtype=bool), psi=True
+        )
+        return obs._replace(plan=plan)
+
+    monkeypatch.setattr(simulate, "_observe_trial", observe_trial)
+    # blocks of 70 rows: the row sits inside a block, not at its start
+    row_bytes = simulate._converse_row_bytes(cb, "strong", 20)
+    monkeypatch.setattr(simulate, "_CONVERSE_BYTES", 70 * row_bytes)
+    assert trial % 70
+    expected = f"guaranteed-error implication violated on trial {trial}: expected Decided("
+    with pytest.raises(RuntimeError, match=re.escape(expected)):
+        simulate.run_converse(cb, "strong", 300, 20, 5)
 
 
 @pytest.mark.parametrize("adversary", ["strong", "weak"])
