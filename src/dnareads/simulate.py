@@ -39,7 +39,7 @@ skip.  So a trial's stream is laid out as
                               j = 0), the shuffle's, of ranges r', ..., 2,
                               and the m' pick, of range len(cands), read
                               only when that is more than 1
-  next whole raw              the weak plan's psi
+  next whole raw              psi, of the strong or weak plan
 
 and a draw is a fixed array of word columns: with head_raws the raws the
 message and f take, a word from 2 * head_raws on sits 2 * read_cap columns
@@ -60,9 +60,9 @@ run_batch draws one block per decode block, in both passes.
 Rejections stay exact: where numpy would have rejected a word and drawn
 again, every later draw of the stream shifts.  Every draw is tested for
 rejection over its whole length, except the stream's last one (payloads, or
-f for a true row), whose later words shift nothing decoded and which is
-tested on its prefix alone.  A rejected row goes through _observe_trial
-instead.
+f where no uniforms follow), whose later words shift nothing decoded and
+which is tested on its prefix alone.  A rejected row goes through
+_observe_trial instead.
 
 The weak plan is numpy's choice(m, r', replace=False) in its Floyd
 regime: each Floyd value is taken unless already in the sample, and then j
@@ -72,20 +72,19 @@ tested like the others.  Past m > 10000 and r' > m // 50 numpy shuffles a
 tail of arange(m) instead, and that layout sends every row through
 _observe_trial.
 
-The strong adversary's stream is message, f, the read_cap uniforms, then
-psi.  _strong_screen reads psi and the h_m head of f for a block of trials
-and marks those in S with psi, the only ones whose plan can activate, and
-those with a rejected word of message or f.  Every other strong trial
-observes its true row, so its verdict is the honest batch engine's.
+The strong plan finds no candidate unless the trial is in S and psi holds,
+and with no candidate every read stays true.  So the strong layout screens
+its rows: it reads psi and the S test of f's h_m head, and sends a row in S
+with psi through _observe_trial, as it sends a rejected row.  Every other
+strong row observes its true row, with no m'.
 
 run_converse runs the strong or weak adversary into columns.  It runs trial
 0 through run_trial first, as the reference row, then fills the columns a
 block of consecutive trials at a time, each block sized under
-_CONVERSE_BYTES.  A strong block takes run_batch's honest rows, and draws
-the trials the screen marks through _observe_trial; a weak block is drawn by
-_draw_rows.  Each block's observed rows are decoded in one _decode_batch
-call.  The guaranteed-error implication is checked on the reference row and
-on every block row whose strong plan is active.
+_CONVERSE_BYTES, drawn by one _draw_rows call, plan columns included, and
+decoded in one _decode_batch call.  The guaranteed-error implication is
+checked on the reference row and on every active plan of a row drawn
+through _observe_trial, the only rows whose strong plan can be active.
 """
 
 from __future__ import annotations
@@ -258,7 +257,7 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         step = max(1, _BATCH_BYTES // _row_bytes(cb, width))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            out.message[block], obs = _draw_rows(cb, adversary, layout, start, block)
+            out.message[block], obs, _ = _draw_rows(cb, adversary, layout, start, block)
             out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
         rows = rows[out.kind[rows] == VerdictKind.TRUNCATED.value]
     return out
@@ -280,14 +279,12 @@ class ConverseResult(BatchResult):
 _CONVERSE_BYTES = 1_000_000
 
 
-def _converse_row_bytes(cb: Codebook, adversary: str, h_m: int | None) -> int:
-    """Bytes run_converse holds per row of a block, the most of its stages:
-    the observation row of a row it decodes and _decode_batch's state beside
-    it, and for the strong adversary the screen's row.  The honest rows keep
-    to run_batch's own budget, and _draw_rows' sub-blocks to theirs."""
+def _converse_row_bytes(cb: Codebook) -> int:
+    """Bytes run_converse holds per row of a block: its observation row and
+    _decode_batch's state beside it.  _draw_rows' sub-blocks keep to their
+    own budget."""
     cap = cb.params.read_cap
-    decoded = _id_dtype(cb).itemsize * cap + _row_bytes(cb, cap)
-    return max(decoded, _screen_row_bytes(cb, h_m)) if adversary == "strong" else decoded
+    return _id_dtype(cb).itemsize * cap + _row_bytes(cb, cap)
 
 
 def run_converse(
@@ -309,50 +306,28 @@ def run_converse(
              _conditions(0, ref.message, ref.plan, v, h_m))
     dtypes = (np.int64, np.int8, np.int64, np.int64, np.int64, bool, bool, bool)
     out = ConverseResult(*(np.empty(trials, dtype=d) for d in dtypes))
-    layout = _Layout(cb, "weak", cb.params.read_cap, r_prime_m) if adversary == "weak" else None
-    step = max(1, _CONVERSE_BYTES // _converse_row_bytes(cb, adversary, h_m))
+    layout = _Layout(cb, adversary, cb.params.read_cap, r_prime_m, h_m)
+    step = max(1, _CONVERSE_BYTES // _converse_row_bytes(cb))
     for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        block = slice(lo, hi)
-        if adversary == "strong":
-            honest = run_batch(cb, "honest", hi - lo, start=lo)
-            adversarial, out.psi[block] = _strong_screen(cb, h_m, r_prime_m, lo, hi - lo)
-            out.message[block], out.kind[block] = honest.message, honest.kind
-            out.decoded[block], out.n_reads[block] = honest.decoded, honest.n_reads
-            out.m_prime[block], out.active[block], out.conditions[block] = -1, False, False
-            _strong_rows(cb, h_m, r_prime_m, (lo + np.flatnonzero(adversarial)).tolist(), out)
-        else:
-            plan = (out.m_prime[block], out.psi[block])
-            out.message[block], obs = _draw_rows(cb, "weak", layout, lo, np.arange(hi - lo), plan)
-            out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
-            del obs  # the next block is drawn without this one
-            # a weak plan's premises never hold
-            out.active[block], out.conditions[block] = plan[1] & (plan[0] >= 0), False
+        block = slice(lo, min(lo + step, trials))
+        plan = (out.m_prime[block], out.psi[block])
+        rows = np.arange(block.stop - lo)
+        out.message[block], obs, active = _draw_rows(cb, adversary, layout, lo, rows, plan)
+        out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
+        del obs  # the next block is drawn without this one
+        out.active[block], out.conditions[block] = plan[1] & (plan[0] >= 0), False
+        # only a row drawn per trial can hold an active strong plan
+        for r, row_plan in active.items():
+            t = lo + r
+            kind, decoded, n_reads = (int(c[t]) for c in (out.kind, out.decoded, out.n_reads))
+            verdict = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
+            out.conditions[t] = _conditions(t, int(out.message[t]), row_plan, verdict, h_m)
         if lo == 0 and tuple(c[0] for c in vars(out).values()) != first:
             raise RuntimeError(
                 f"batch converse row of trial 0 differs from the per-trial engine: "
                 f"numpy {np.__version__} no longer matches the raw-word decoding"
             )
     return out
-
-
-def _strong_rows(cb, h_m, r_prime_m, trials, out):
-    """Fill out's rows of these strong trials, each drawn and observed by
-    _observe_trial, and all decoded in one _decode_batch call."""
-    obs = np.empty((len(trials), cb.params.read_cap), dtype=_id_dtype(cb))
-    plans = []
-    for i, t in enumerate(trials):
-        trial = _observe_trial(cb, "strong", t, h_m, r_prime_m)
-        obs[i] = trial.observed
-        out.message[t] = trial.message
-        plans.append(trial.plan)
-    verdicts = zip(*(a.tolist() for a in _decode_batch(cb, obs)))
-    for t, plan, (kind, decoded, n_reads) in zip(trials, plans, verdicts):
-        verdict = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
-        out.conditions[t] = _conditions(t, int(out.message[t]), plan, verdict, h_m)
-        out.kind[t], out.decoded[t], out.n_reads[t] = kind, decoded, n_reads
-        out.m_prime[t], out.psi[t] = _plan_columns(plan)
-        out.active[t] = plan.active
 
 
 def _conditions(t: int, message: int, plan, verdict: Verdict, h_m: int | None) -> bool:
@@ -377,15 +352,18 @@ class _Layout:
     random_raw block, as columns of its stream_words view, and which words
     are tested for rejection (module docstring).  The weak adversary's
     layout, at width read_cap, also holds its plan's draws for an index set
-    of r_prime_m."""
+    of r_prime_m; the strong adversary's, its screen's h_m and r_prime_m."""
 
-    def __init__(self, cb: Codebook, adversary: str, width: int, r_prime_m: int | None = None):
+    def __init__(
+        self, cb: Codebook, adversary: str, width: int,
+        r_prime_m: int | None = None, h_m: int | None = None,
+    ):
         p = cb.params
         cap = p.read_cap
         self.width = width
         self.noisy = adversary != "honest" and p.p > 0
         self.head_raws = (int(p.k > 1) + cap * (p.m > 1) + 1) // 2
-        self.r_prime = r_prime_m
+        self.r_prime, self.h_m = r_prime_m, h_m
         # numpy's tail-shuffle regime (module docstring)
         self.per_trial = adversary == "weak" and p.m > 10000 and r_prime_m > p.m // 50
         # the bounded draws (name, range, size) in stream order; a range is
@@ -399,6 +377,9 @@ class _Layout:
             tail = [("floyd", floyd, len(floyd)), ("shuffle", np.arange(r, 1, -1), max(r - 1, 0)),
                     ("pick", p.k - 1, 1)]
             draws, last = head + tail, None
+        elif adversary == "strong":
+            # the uniforms and psi follow f
+            draws, last = head, None
         else:
             tail = [("rep_idx", p.m, cap)] * (adversary == "uniform") + [("rep_pay", p.v, cap)]
             draws = head + tail if self.noisy else head
@@ -433,11 +414,18 @@ class _Layout:
             # Floyd's seen mask, the index set, and per message the gathered
             # payloads and flags of the candidate test, its mask and its sum
             extra = p.m + 8 * r + (9 * r + 9) * p.k
+        elif adversary == "strong":
+            # psi is the whole raw after the uniforms
+            n_raw = self.head_raws + cap + 1
+            # group_counts' six int64 rows and mask and partition_stats' three
+            # bool masks over f's head, and psi's and the row masks' bytes
+            extra = 52 * h_m + 64
         self.n_raw = n_raw
         # The raws; per tested word its gathered copy, product and flag; per
         # decoded word its copy, uint64 copy and product; and the int64 or
         # float64 rows of width: six in a noisy layout (true ids, u, its
-        # flags, the replacement and observed ids), only the true ids otherwise.
+        # flags, the replacement and observed ids), which bound the strong
+        # and weak plans' rows too, and only the true ids otherwise.
         rows = 6 if self.noisy else 1
         self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 8 * rows * width + extra
 
@@ -446,8 +434,9 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     """Fill message and obs for the trials with these stream states from one
     random_raw block each.  Returns (bad, plan): bad masks the rows to
     redraw, those where numpy would have rejected a bounded draw, which
-    shifts the rest, and every row of a per-trial layout; plan is the weak
-    adversary's (m_prime, psi) columns, None for the others."""
+    shifts the rest, every row of a per-trial layout, and the strong rows the
+    screen sends (module docstring); plan is the strong or weak adversary's
+    (m_prime, psi) columns, None for the others."""
     p = cb.params
     if layout.per_trial:
         return np.ones(len(states), dtype=bool), None
@@ -465,6 +454,12 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
             drawn[name] = np.zeros((len(states), size), dtype=np.int64)
     msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
+    if adversary == "strong":
+        # a row the screen passes has no candidate, so it observes its true row
+        obs[:] = cb.word_ids[msg, f]
+        psi = _below(raws[:, -1], p.p)
+        in_s = partition_stats(group_counts(f[:, : layout.h_m]), p.dm, layout.r_prime).in_s
+        return bad | (in_s & psi), (np.full(len(psi), -1), psi)
     if adversary == "weak":
         # channel.observe_weak on the rows whose plan is active
         obs[:] = cb.word_ids[msg, f]
@@ -527,16 +522,18 @@ def _below(raws: np.ndarray, p: float) -> np.ndarray:
 
 
 def _draw_rows(cb, adversary, layout, start, rows, plan=None):
-    """Message and observation table (rows x layout.width) of trials
-    start + rows; for the weak adversary, plan is a pair of columns for the
-    rows, m_prime (-1 when none) and psi, which are filled too.
+    """Message, observation table (rows x layout.width) and active plans of
+    trials start + rows: the plans map each row drawn through _observe_trial
+    whose plan is active to that plan.  For the strong and weak adversaries,
+    plan is a pair of columns for the rows, m_prime (-1 when none) and psi,
+    which are filled too.
 
     The rows are decoded from their raw blocks in sub-blocks whose
     temporaries fit in _BATCH_BYTES // 16.  Every row where numpy would have
     rejected a word goes through _observe_trial instead.  The first row is
     compared with _observe_trial, so that a numpy whose internals no longer
     match the decoding fails loudly."""
-    b = len(rows)
+    b, active = len(rows), {}
     states = core.trial_states(cb.params.seed, rows.astype(np.uint64) + np.uint64(start))
     message = np.empty(b, dtype=np.int64)
     obs = np.empty((b, layout.width), dtype=_id_dtype(cb))
@@ -547,13 +544,15 @@ def _draw_rows(cb, adversary, layout, start, rows, plan=None):
         if sub:
             plan[0][lo:hi], plan[1][lo:hi] = sub
         for r in (np.flatnonzero(bad) + lo).tolist():
-            trial = _observe_trial(cb, adversary, start + int(rows[r]), None, layout.r_prime)
+            trial = _observe_trial(cb, adversary, start + int(rows[r]), layout.h_m, layout.r_prime)
             message[r] = trial.message
             obs[r] = trial.observed[: layout.width]
             if plan:
                 plan[0][r], plan[1][r] = _plan_columns(trial.plan)
+                if trial.plan.active:
+                    active[r] = trial.plan
     first = start + int(rows[0])
-    ref = _observe_trial(cb, adversary, first, None, layout.r_prime)
+    ref = _observe_trial(cb, adversary, first, layout.h_m, layout.r_prime)
     if (
         message[0] != ref.message
         or not np.array_equal(obs[0], ref.observed[: layout.width])
@@ -563,61 +562,12 @@ def _draw_rows(cb, adversary, layout, start, rows, plan=None):
             f"batch draws of trial {first} differ from the per-trial engine: "
             f"numpy {np.__version__} no longer matches the raw-word decoding"
         )
-    return message, obs
+    return message, obs, active
 
 
 def _plan_columns(plan) -> tuple[int, bool]:
     """(m_prime, psi) of a strong or weak plan, m_prime -1 when none."""
     return (-1 if plan.m_prime is None else plan.m_prime), plan.psi
-
-
-def _strong_screen(cb, h_m: int, r_prime_m: int, start: int, trials: int):
-    """(adversarial, psi) of the strong adversary's trials start..
-    start+trials-1 (module docstring): psi is each trial's psi draw, and
-    adversarial marks the trials in S with psi and those where numpy would
-    have rejected a word of message or f.  f is not the stream's last draw,
-    so every word of message and f is tested, as the honest layout over
-    read_cap tests them; only the h_m words of f's head are decoded.  The
-    first trial is compared with _observe_trial, as _draw_rows compares its
-    first row."""
-    p = cb.params
-    layout = _Layout(cb, "honest", p.read_cap)
-    states = core.trial_states(p.seed, np.arange(start, start + trials, dtype=np.uint64))
-    raws = core.trial_raws(states, layout.head_raws + p.read_cap + 1)
-    words = core.stream_words(raws)
-    bad = np.zeros(trials, dtype=bool)
-    for n, _, _, test in layout.draws.values():
-        bad |= core.rejected(words, n, test)
-    if p.m > 1:
-        head = core.bounded(words[:, layout.draws["f"][2][:h_m]], p.m)
-    else:
-        head = np.zeros((trials, h_m), dtype=np.int64)
-    psi = _below(raws[:, -1], p.p)
-    in_s = partition_stats(group_counts(head), p.dm, r_prime_m).in_s
-    adversarial = bad | (in_s & psi)
-    ref = _observe_trial(cb, "strong", start, h_m, r_prime_m)
-    if not bad[0] and (
-        ref.plan.psi != psi[0]
-        or not np.array_equal(ref.true_ids[:h_m] // p.v, head[0])
-        or (ref.plan.active and not adversarial[0])
-    ):
-        raise RuntimeError(
-            f"strong screen of trial {start} differs from the per-trial engine: "
-            f"numpy {np.__version__} no longer matches the raw-word decoding"
-        )
-    return adversarial, psi
-
-
-def _screen_row_bytes(cb, h_m: int) -> int:
-    """Bytes _strong_screen holds per trial: its raws; per tested word its
-    gathered copy, product and flag; per decoded word of f's head its copy,
-    uint64 copy and product, group_counts' six int64 rows and mask, and
-    three bool masks over its table; and psi's temporaries, the partition
-    counters and the row masks."""
-    p = cb.params
-    layout = _Layout(cb, "honest", p.read_cap)
-    tested = sum(len(test) for *_, test in layout.draws.values())
-    return 8 * (layout.head_raws + p.read_cap + 1) + 9 * tested + 72 * h_m + 64
 
 
 def _decode_batch(cb, obs):

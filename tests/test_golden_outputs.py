@@ -113,6 +113,14 @@ RUNS = {
         ]
         for adv, rpm, trials in (("strong", "5", "2500"), ("weak", "3", "5000"))
     },
+    # a code where psi holds on half the rows and every head is in S, so the
+    # strong screen sends half the rows to the per-trial draw; 4000 trials
+    # span two converse blocks
+    "converse-strong-screened": [
+        "converse", "--m", "8", "--k", "16", "--v", "2", "--p", "0.5", "--delta", "0.25",
+        "--theta", "0.8", "--read-cap", "100", "--hm", "12", "--rprimem", "6",
+        "--adversary", "strong", "--trials", "4000", "--seed", "1", "--out", "{out}",
+    ],
     "sweep-p": ["sweep-p", *_SWEEP, "--seed", "11"],
     **{f"sweep-p-seed{seed}": ["sweep-p", *_SWEEP, "--seed", seed] for seed in _SEEDS},
     "curves": [

@@ -29,7 +29,7 @@ from dnareads.harness import (
     sweep_p,
     wilson_interval,
 )
-from dnareads import analysis, cli, harness, simulate
+from dnareads import analysis, cli, core, harness, simulate
 from dnareads.channel import StrongAdversaryPlan
 from dnareads.codebook import construct_greedy
 from dnareads.core import Verdict, VerdictKind, derive_trial_rng
@@ -301,6 +301,17 @@ _ORACLE_CODES = [
 ]
 
 
+def _screened(cb, h_m, r_prime_m, trials):
+    """Mask of the strong trials 0..trials-1 that the screen in
+    simulate._draw_columnar sends to the per-trial draw."""
+    layout = simulate._Layout(cb, "strong", cb.params.read_cap, r_prime_m, h_m)
+    states = core.trial_states(cb.params.seed, np.arange(trials, dtype=np.uint64))
+    message = np.empty(trials, dtype=np.int64)
+    obs = np.empty((trials, layout.width), dtype=simulate._id_dtype(cb))
+    bad, _ = simulate._draw_columnar(cb, "strong", layout, states, message, obs)
+    return bad
+
+
 def _engine_rows(cfg, cb):
     """ConverseRows of simulate.run_converse's columns, trial by trial."""
     res = simulate.run_converse(cb, cfg.adversary, cfg.trials, cfg.h_m, cfg.r_prime_m)
@@ -320,12 +331,12 @@ def test_converse_blocks_match_per_trial_rows(
     cfg = ExperimentConfig(
         params=params, adversary=adversary, trials=300, h_m=h_m, r_prime_m=r_prime_m
     )
-    row_bytes = simulate._converse_row_bytes(cb, adversary, h_m)
+    row_bytes = simulate._converse_row_bytes(cb)
     monkeypatch.setattr(simulate, "_CONVERSE_BYTES", 70 * row_bytes)
     assert _engine_rows(cfg, cb) == _per_trial_rows(cfg, cb)
     if adversary == "strong":
-        adversarial, _ = simulate._strong_screen(cb, h_m, r_prime_m, 0, cfg.trials)
-        assert adversarial.mean() == pytest.approx(share, abs=0.0005)
+        screened = _screened(cb, h_m, r_prime_m, cfg.trials)
+        assert screened.mean() == pytest.approx(share, abs=0.0005)
 
 
 def test_strong_rows_with_rejected_words_match_per_trial_rows():
@@ -337,8 +348,8 @@ def test_strong_rows_with_rejected_words_match_per_trial_rows():
     cb = construct_greedy(params)
     cfg = ExperimentConfig(params=params, adversary="strong", trials=1000, h_m=20, r_prime_m=19)
     rejected = [11, 539, 909]
-    adversarial, _ = simulate._strong_screen(cb, cfg.h_m, cfg.r_prime_m, 0, cfg.trials)
-    assert set(rejected) <= set(np.flatnonzero(adversarial).tolist())
+    screened = _screened(cb, cfg.h_m, cfg.r_prime_m, cfg.trials)
+    assert set(rejected) <= set(np.flatnonzero(screened).tolist())
     rows = _engine_rows(cfg, cb)
     assert [rows[t] for t in rejected] == _per_trial_rows(cfg, cb, rejected)
     assert rows[:10] == _per_trial_rows(cfg, cb, range(10))
@@ -353,7 +364,7 @@ def test_converse_memory_stays_within_budget(small_codebook, adversary, r_prime_
     _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
     budget = simulate._CONVERSE_BYTES
     # so that both runs hold at least one full block
-    assert budget // simulate._converse_row_bytes(cb, adversary, 20) < 2000
+    assert budget // simulate._converse_row_bytes(cb) < 2000
     peaks = []
     for trials in (2000, 4000):
         tracemalloc.start()
@@ -371,8 +382,7 @@ def test_implication_checked_on_block_rows(monkeypatch, small_codebook):
     # a row inside a block, past trial 0, whose strong plan is active but
     # whose verdict is not Decided(m_prime, stop): the run must name it
     cb = small_codebook
-    adversarial, _ = simulate._strong_screen(cb, 20, 5, 0, 300)
-    trial = int(np.flatnonzero(adversarial)[0])
+    trial = int(np.flatnonzero(_screened(cb, 20, 5, 300))[0])
     assert trial > 0
     observe = simulate._observe_trial
 
@@ -387,7 +397,7 @@ def test_implication_checked_on_block_rows(monkeypatch, small_codebook):
 
     monkeypatch.setattr(simulate, "_observe_trial", observe_trial)
     # blocks of 70 rows: the row sits inside a block, not at its start
-    row_bytes = simulate._converse_row_bytes(cb, "strong", 20)
+    row_bytes = simulate._converse_row_bytes(cb)
     monkeypatch.setattr(simulate, "_CONVERSE_BYTES", 70 * row_bytes)
     assert trial % 70
     expected = f"guaranteed-error implication violated on trial {trial}: expected Decided("

@@ -182,7 +182,7 @@ def test_columnar_rows_match_reference_draws(data):
     cb = Codebook(params, matrix)
     layout = simulate._Layout(cb, adversary, width)
     with mock.patch.object(simulate, "_BATCH_BYTES", budget):
-        message, obs = simulate._draw_rows(cb, adversary, layout, start, np.arange(trials))
+        message, obs, _ = simulate._draw_rows(cb, adversary, layout, start, np.arange(trials))
     assert obs.shape == (trials, width)
     for r in range(trials):
         ref = simulate._observe_trial(cb, adversary, start + r)
@@ -338,6 +338,23 @@ def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
         simulate._draw_rows(slow_codebook, "uniform", layout, 0, np.arange(50))
 
 
+def test_strong_psi_drift_fails_loudly(small_codebook, monkeypatch):
+    # a numpy whose psi draw moved would alter the strong plan columns of the
+    # rows the screen passes; the first-row check of the draw must catch it.
+    # Trial 0's psi does not hold, so the screen passes its row.
+    assert not run_trial(small_codebook, "strong", 0, 20, 5)[0].plan.psi
+    real = simulate._draw_columnar
+
+    def drifting(cb, adversary, layout, states, message, obs):
+        bad, (m_prime, psi) = real(cb, adversary, layout, states, message, obs)
+        psi[0] = ~psi[0]
+        return bad, (m_prime, psi)
+
+    monkeypatch.setattr(simulate, "_draw_columnar", drifting)
+    with pytest.raises(RuntimeError, match=r"draws of trial 0 .* numpy \d"):
+        simulate.run_converse(small_codebook, "strong", 30, 20, 5)
+
+
 def _spied_weak_rows(cb, r_prime_m, start, trials, patch):
     """The weak rows _draw_rows gives for trials start..start+trials-1:
     (message, obs, m_prime, psi, index_set, bad, observed), where index_set
@@ -367,7 +384,8 @@ def _spied_weak_rows(cb, r_prime_m, start, trials, patch):
     patch.setattr(simulate, "_observe_trial", observing)
     layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
     m_prime, psi = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=bool)
-    message, obs = simulate._draw_rows(cb, "weak", layout, start, np.arange(trials), (m_prime, psi))
+    plan = (m_prime, psi)
+    message, obs, _ = simulate._draw_rows(cb, "weak", layout, start, np.arange(trials), plan)
     index_set = np.concatenate(index_sets) if index_sets else None
     return message, obs, m_prime, psi, index_set, np.concatenate(bad), observed
 

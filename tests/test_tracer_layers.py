@@ -82,7 +82,7 @@ def test_traced_cli_counts_reads_and_keeps_csvs(tmp_path):
     assert metrics["channel.values_drawn"] > 0
     assert 0.0 < metrics["simulate.read_use_ratio"] <= 1.0
     assert metrics["decoder.step.calls"] > 0
-    # one reference trial per strong or weak call; the uniform run, and the
-    # strong converse's honest rows, are one batch each
+    # one reference trial per strong or weak call; the uniform run is one
+    # batch, and converse draws its rows without run_batch
     assert metrics["simulate.run_trial.calls"] == 3
-    assert metrics["simulate.run_batch.calls"] == 2
+    assert metrics["simulate.run_batch.calls"] == 1
