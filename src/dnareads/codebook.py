@@ -36,16 +36,26 @@ class Codebook:
 
     @cached_property
     def mismatch(self) -> np.ndarray:
-        """(m*v, k) read-only contradiction table, built on first use.
-
+        """(m*v, k) read-only bools of packed_mismatch, built on first use:
         mismatch[id, c] is True when codeword c contradicts the molecule with
-        id index*v + payload, i.e. stores another payload at that index.  It
-        is the one statement of the decoder's outside-count rule; it costs
-        m*v*k bytes.
-        """
+        id index*v + payload.  The per-read decoder reads it, at m*v*k bytes."""
+        packed = self.packed_mismatch.astype("<u8", copy=False).view(np.uint8)
+        table = np.unpackbits(packed, axis=1, count=len(self), bitorder="little").view(bool)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def packed_mismatch(self) -> np.ndarray:
+        """(m*v, ceil(k/64)) read-only contradiction bits, built on first use an
+        index at a time: bit c % 64 of word c // 64 of row index*v + payload
+        is set when codeword c stores another payload at that index.  The one
+        statement of the decoder's outside-count rule; m*v*ceil(k/64)*8 bytes."""
         p = self.params
-        table = self.matrix.T[:, None, :] != np.arange(p.v)[:, None]
-        table = table.reshape(p.m * p.v, len(self))
+        packed = np.zeros((p.m, p.v, -(-len(self) // 64) * 8), dtype=np.uint8)
+        for i, column in enumerate(self.matrix.T):
+            bits = np.packbits(column != np.arange(p.v)[:, None], axis=1, bitorder="little")
+            packed[i, :, : bits.shape[1]] = bits
+        table = packed.reshape(p.m * p.v, -1).view("<u8").astype(np.uint64, copy=False)
         table.setflags(write=False)
         return table
 

@@ -337,10 +337,17 @@ def format_cell(x) -> str:
     return str(x)
 
 
+# format_cell's text for a column whose cells all have one of these types
+_COLUMN_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".format}
+
+
 def csv_text(header: list[str], rows) -> str:
-    lines = [f"# {CSV_VERSION}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(x) for x in row))
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(map(fmt or format_cell, column))
+    lines = [f"# {CSV_VERSION}", ",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 

@@ -208,21 +208,15 @@ def _id_dtype(cb: Codebook) -> np.dtype:
     return np.min_scalar_type(cb.params.m * cb.params.v - 1)
 
 
-def _count_dtype(cb: Codebook) -> np.dtype:
-    """Narrowest dtype for an outside count.  A codeword contradicts at most
-    the m*(v-1) molecules it does not store, and the uniform adversary can
-    show every one of them, so m alone is too small: a count that wraps reads
-    as consistent again."""
-    return np.min_scalar_type(cb.params.m * (cb.params.v - 1))
-
-
 def _row_bytes(cb: Codebook, width: int) -> int:
     """Bytes run_batch holds per trial row decoded at this width: its stream
-    state, observation table, seen set and outside counts, plus one step's
-    gathered counts, mismatch rows and consistency flags."""
+    state, observation table, seen set, and _decode_batch's bit planes, plus
+    one step's carry, overflow, gathered plane and live words, and the live
+    words' bit counts."""
     p = cb.params
-    count = _count_dtype(cb).itemsize
-    return 32 + _id_dtype(cb).itemsize * width + p.m * p.v + len(cb) * (2 * count + 2)
+    words = -(-len(cb) // 64)
+    planes = p.dm.bit_length() + 1
+    return 32 + _id_dtype(cb).itemsize * width + p.m * p.v + words * (8 * (planes + 4) + 1)
 
 
 def _prefix_width(cb: Codebook, adversary: str) -> int:
@@ -573,19 +567,29 @@ def _plan_columns(plan) -> tuple[int, bool]:
 def _decode_batch(cb, obs):
     """Verdicts (kind, decoded, n_reads) of the rows of an observation table,
     as decoder.run gives them.  A row still undecided after the table's last
-    column is TRUNCATED at read_cap."""
+    column is TRUNCATED at read_cap.
+
+    Bit-sliced (README "Determinism"): the outside counts are nb =
+    dm.bit_length() bit planes of cb.packed_mismatch's layout from
+    2**nb - (dm + 1), so a fresh read's packed row, rippled through as a
+    carry, carries out at dm + 1 into a sticky dead plane; padding starts dead."""
     b, width = obs.shape
     params = cb.params
     kind = np.full(b, VerdictKind.TRUNCATED.value, dtype=np.int8)
     decoded = np.full(b, -1, dtype=np.int64)
     n_reads = np.full(b, params.read_cap, dtype=np.int64)
-    dm = params.dm
-    # Bools are added and summed as 0/1 bytes: numpy's bool-to-integer loops
-    # are slower, and a narrow accumulator that holds k suffices for counts.
-    mismatch = cb.mismatch.view(np.uint8)
-    count_acc = np.min_scalar_type(len(cb))
+    words = cb.packed_mismatch.shape[1]
+    nb = params.dm.bit_length()
+    start = (1 << nb) - (params.dm + 1)
+    planes = np.zeros((nb + 1, b, words), dtype=np.uint64)
+    for j in range(nb):
+        planes[j] = 2**64 - 1 if start >> j & 1 else 0
+    planes[nb, :, -1] = 2**64 - (1 << (len(cb) - 64 * (words - 1)))
+    # rows as single void items, which numpy indexes far faster than short rows
+    void = np.dtype((np.void, 8 * words))
+    packed, items = cb.packed_mismatch.view(void)[:, 0], [p.view(void)[:, 0] for p in planes]
+    count_acc = np.min_scalar_type(len(cb))  # holds every live count
     seen = np.zeros((b, params.m * params.v), dtype=bool)
-    outside = np.zeros((b, len(cb)), dtype=_count_dtype(cb))
     alive = np.ones(b, dtype=bool)
     for t in range(width):
         rows = np.flatnonzero(alive)
@@ -593,27 +597,31 @@ def _decode_batch(cb, obs):
             break
         ids = obs[rows, t]
         fresh = ~seen[rows, ids]
-        rows = rows[fresh]
+        rows, ids = rows[fresh], ids[fresh]
         if rows.size == 0:
             continue
-        ids = ids[fresh]
         seen[rows, ids] = True
-        o = outside[rows]
-        o += mismatch[ids]
-        outside[rows] = o
-        consistent = o <= dm
-        counts = consistent.view(np.uint8).sum(axis=1, dtype=count_acc)
-        stopped = counts == 1
-        if stopped.any():
-            rr = rows[stopped]
-            kind[rr] = VerdictKind.DECIDED.value
-            decoded[rr] = np.argmax(consistent[stopped], axis=1)
-            n_reads[rr] = t + 1
-            alive[rr] = False
-        failed = counts == 0
-        if failed.any():
-            rr = rows[failed]
-            kind[rr] = VerdictKind.FAILED.value
-            n_reads[rr] = t + 1
-            alive[rr] = False
+        carry = packed[ids].view(np.uint64)
+        for plane in items[:nb]:
+            bits = plane[rows].view(np.uint64)
+            overflow = bits & carry
+            bits ^= carry
+            plane[rows] = bits.view(void)
+            carry = overflow
+        bits = items[nb][rows].view(np.uint64)
+        bits |= carry
+        items[nb][rows] = bits.view(void)
+        # a row stops when at most one codeword is live
+        done = np.bitwise_count(~bits).reshape(-1, words).sum(axis=1, dtype=count_acc) <= 1
+        n_reads[rows[done]] = t + 1
+        alive[rows[done]] = False
+    # a stopped row keeps the planes it stopped with: its one live codeword,
+    # if any, is the set bit of its first nonzero live word
+    stopped = np.flatnonzero(~alive)
+    live = ~planes[nb, stopped]
+    first = np.argmax(live != 0, axis=1)
+    word = live[np.arange(len(stopped)), first]
+    kind[stopped] = np.where(word != 0, VerdictKind.DECIDED.value, VerdictKind.FAILED.value)
+    bit = np.bitwise_count(word - np.uint64(1))
+    decoded[stopped] = np.where(word != 0, 64 * first + bit, -1)
     return kind, decoded, n_reads

@@ -86,7 +86,8 @@ def test_batched_counts_do_not_wrap_past_255():
     # A and B differ at dm + 1 indices and C is A's complement.  While the
     # truth is A or B, both stay consistent until every differing index has
     # been read, by which time C contradicts more than 255 distinct molecules.
-    # A uint8 counter would wrap and let C back in, delaying the decision.
+    # A counter that wrapped, in a byte or in its bit planes, instead of
+    # sticking in the dead plane would let C back in, delaying the decision.
     m, dm = 300, 60
     a = np.random.default_rng(0).integers(0, 2, size=m)
     b = a.copy()
@@ -100,9 +101,35 @@ def test_batched_counts_do_not_wrap_past_255():
     assert (batch.kind == 0).all() and (batch.decoded == batch.message).all()
 
 
+@pytest.mark.parametrize("dm", [0, 1, 2, 3, 4, 7, 8])
+@pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 130])
+def test_bit_planes_match_serial_at_their_edges(k, dm):
+    # k at the 64-bit word edges and dm at the plane-count edges (dm + 1 a
+    # power of two, or one past one).  Heavy errors fail rows, clean reads
+    # decode every message, the last word's among them, and a read cap of
+    # dm + 1 truncates rows.  A single codeword stops at its first fresh
+    # read: it fails only at dm = 0 and is never truncated.
+    matrix = np.random.default_rng([k, dm]).integers(0, 8, size=(k, 16))
+    kinds, last_word = set(), False
+    for p, read_cap, trials in ((0.6, 40, 100), (0.0, 40, 200), (0.1, dm + 1, 100)):
+        params = SimParams(
+            m=16, k=k, v=8, p=p, dm=dm, theta=1.0, read_cap=read_cap, seed=10 * k + dm
+        )
+        cb = Codebook(params, matrix)
+        batch = run_batch(cb, "uniform", trials)
+        _assert_matches_serial(cb, "uniform", batch)
+        kinds |= set(batch.kind.tolist())
+        decided = batch.decoded[batch.kind == VerdictKind.DECIDED.value]
+        last_word |= bool((decided >= 64 * ((k - 1) // 64)).any())
+    assert last_word
+    assert (VerdictKind.FAILED.value in kinds) == (k > 1 or dm == 0)
+    assert (VerdictKind.TRUNCATED.value in kinds) == (k > 1)
+
+
 def test_batch_memory_stays_within_budget(monkeypatch):
-    # k = 4096 codewords: the outside counts, not the observation table,
-    # dominate each row, and every per-row array counts against the budget.
+    # k = 4096 codewords: the bit planes of the outside counts and their step
+    # temporaries, not the observation table, dominate each row, and every
+    # per-row array counts against the budget.
     budget = 2_000_000
     monkeypatch.setattr(simulate, "_BATCH_BYTES", budget)
     matrix = np.random.default_rng(1).integers(0, 2, size=(4096, 24))
