@@ -46,16 +46,16 @@ class Codebook:
 
     @cached_property
     def packed_mismatch(self) -> np.ndarray:
-        """(m*v, ceil(k/64)) read-only contradiction bits, built on first use an
-        index at a time: bit c % 64 of word c // 64 of row index*v + payload
-        is set when codeword c stores another payload at that index.  The one
-        statement of the decoder's outside-count rule; m*v*ceil(k/64)*8 bytes."""
+        """(m*v, ceil(k/64)) read-only contradiction bits, built on first use:
+        bit c % 64 of word c // 64 of row index*v + payload is set when
+        codeword c stores another payload at that index.  The one statement of
+        the decoder's outside-count rule; m*v*ceil(k/64)*8 bytes."""
         p = self.params
-        packed = np.zeros((p.m, p.v, -(-len(self) // 64) * 8), dtype=np.uint8)
-        for i, column in enumerate(self.matrix.T):
-            bits = np.packbits(column != np.arange(p.v)[:, None], axis=1, bitorder="little")
-            packed[i, :, : bits.shape[1]] = bits
-        table = packed.reshape(p.m * p.v, -1).view("<u8").astype(np.uint64, copy=False)
+        table = self.matrix.T[:, None, :] != np.arange(p.v)[:, None]
+        bits = np.packbits(table, axis=-1, bitorder="little").reshape(p.m * p.v, -1)
+        packed = np.zeros((p.m * p.v, -(-len(self) // 64) * 8), dtype=np.uint8)
+        packed[:, : bits.shape[1]] = bits
+        table = packed.view("<u8").astype(np.uint64, copy=False)
         table.setflags(write=False)
         return table
 

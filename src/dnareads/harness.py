@@ -327,25 +327,24 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
     return rows, summary
 
 
+# CSV cell text by type; bool comes before int, its base class
+_CELL_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".format}
+
+
 def format_cell(x) -> str:
-    if isinstance(x, bool) or isinstance(x, np.bool_):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.9g}"
+    if isinstance(x, (np.bool_, np.integer, np.floating)):
+        x = x.item()
+    for kind, fmt in _CELL_FORMATS.items():
+        if isinstance(x, kind):
+            return fmt(kind(x))
     return str(x)
-
-
-# format_cell's text for a column whose cells all have one of these types
-_COLUMN_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".format}
 
 
 def csv_text(header: list[str], rows) -> str:
     columns = []
     for column in zip(*rows):
         kinds = set(map(type, column))
-        fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+        fmt = _CELL_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
         columns.append(map(fmt or format_cell, column))
     lines = [f"# {CSV_VERSION}", ",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
