@@ -10,6 +10,8 @@ After a change that is meant to alter outputs, regenerate the manifest and
 commit it with the change:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --regenerate
+
+It prints the names of the runs whose digests it adds, changes or removes.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ RUNS = {
     # m = 70001: numpy rejects a word of f or of the replacement indices in
     # 12 of these trials; the ones threshold (42001) is past the bound's
     # domain, so W is read_cap and those rows are redrawn in the one pass
+    # at v = 200003 numpy rejects a replacement payload word of trial 1410
+    # inside the 8-read prefix, so the prefix pass redraws that row
+    "simulate-prefix-rejected-words": [
+        "simulate", "--m", "8", "--k", "16", "--v", "200003", "--delta", "0.125",
+        "--theta", "0.5", "--p", "0.1", "--read-cap", "200", "--adversary", "uniform",
+        "--trials", "4000", "--seed", "3",
+    ],
     "simulate-rejected-words": [
         "simulate", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--adversary", "uniform", "--trials", "2000",
@@ -206,6 +215,14 @@ def test_outputs_match_manifest(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    before = _manifest()["runs"] if MANIFEST.exists() else {}
     runs = {name: _outputs(name) for name in [*RUNS, TRACE]}
     MANIFEST.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=1) + "\n")
     print(f"wrote {len(runs)} runs to {MANIFEST}")
+    for change, names in (
+        ("added", runs.keys() - before.keys()),
+        ("changed", [n for n in runs.keys() & before.keys() if runs[n] != before[n]]),
+        ("removed", before.keys() - runs.keys()),
+    ):
+        for name in sorted(names):
+            print(f"{change}: {name}")
