@@ -1,51 +1,28 @@
 """Trial execution.
 
-Every trial consumes its private random stream in one fixed order:
-
-  1. message: one integers(k) draw
-  2. index sequence f: integers(0, m, size=read_cap)
-  3. error uniforms u: random(read_cap), flags = u < p
-  4. adversary draws:
-       honest        none
-       uniform       replacement indices integers(0, m, size=read_cap),
-                     then replacement payloads integers(0, v, size=read_cap)
-       uniform-index replacement payloads integers(0, v, size=read_cap)
-       weak          weak_prepare's draws (index set, m' pick, psi)
-       strong        one random() for psi
-
-Replacement tables are drawn for every read position and consulted only on
-erroneous reads, so sweeps over p reuse common random numbers.  The
-reference engine, run_trial, draws and observes a trial through
-_observe_trial.  The batch engine, run_batch, and the converse engine,
-run_converse, draw their rows from the raw words (below); a row goes through
-_observe_trial only where they cannot give it.
+Every trial consumes its private random stream in the order _schedule
+lists: the message, the index sequence f, the error uniforms u (flags
+u < p), then its adversary's draws.  Replacement tables are drawn
+for every read position and consulted only on erroneous reads, so sweeps
+over p reuse common random numbers.  The reference engine, run_trial, draws
+and observes a trial through _observe_trial, with numpy's Generator calls.
+The batch engine, run_batch, and the converse engine, run_converse, draw
+their rows from the raw words (below); a row goes through _observe_trial
+only where they cannot give it.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
 random_raw block per trial and pass, and decodes a block of trials at once.
 Each trial's PCG64 seeds itself from its row of core.trial_states.
 It reads the block as core.stream_words, its 32-bit words in stream order:
-the low half of a raw before its high half.  Each bounded draw (integers)
-reads a range of consecutive words, and a high half left pending carries
-over to the next bounded draw; random() takes whole raws, which the words
-skip.  So a trial's stream is laid out as
-
-  word 0                      message (none when k = 1)
-  words 1..read_cap           f (none when m = 1)
-  next read_cap whole raws    u, value (raw >> 11) * 2**-53
-  following words             replacement indices, then payloads, the
-                              first of them the pending high half, if any;
-                              or the weak plan: Floyd's words, of ranges
-                              j + 1 for j = m - r', ..., m - 1 (none for
-                              j = 0), the shuffle's, of ranges r', ..., 2,
-                              and the m' pick, of range len(cands), read
-                              only when that is more than 1
-  next whole raw              psi, of the strong or weak plan
-
-and a draw is a fixed array of word columns: with head_raws the raws the
-message and f take, a word from 2 * head_raws on sits 2 * read_cap columns
-further right, past the uniforms.  A range of size 1 reads no word.  Each
-value is Lemire's (w * n) >> 32.  The honest adversary, and the uniform ones
-at p = 0, observe the true row, so their streams stop after f.
+the low half of a raw before its high half.  _walk gives every draw of the
+schedule its columns by one rule, numpy's: a bounded value (integers) of
+range over 1 reads the pending high half if there is one, or else the low
+half of the next raw, whose high half is left pending; a value of range 1
+reads nothing; random() reads the next whole raw, and leaves a pending half
+pending.  A bounded value is Lemire's (w * n) >> 32, and random()'s is
+(raw >> 11) * 2**-53.  A row that observes its true row (the honest
+adversary, and the uniform ones at p = 0) needs only the message and f, so
+its layout stops there.
 
 Prefix first: a decoder stops after a few reads, so run_batch decodes only
 the first W read positions of each trial.  W is the smallest power of two
@@ -58,19 +35,19 @@ checks the first row of every block it returns against _observe_trial, and
 run_batch draws one block per decode block, in both passes.
 
 Rejections stay exact: where numpy would have rejected a word and drawn
-again, every later draw of the stream shifts.  Every draw is tested for
-rejection over its whole length, except the stream's last one (payloads, or
-f where no uniforms follow), whose later words shift nothing decoded and
-which is tested on its prefix alone.  A rejected row goes through
-_observe_trial instead.
+again, every later draw of the stream shifts.  Every bounded draw is tested
+for rejection over its whole length, except the layout's last draw, unless a
+whole raw follows it: its later words shift nothing decoded, so it is tested
+on its prefix alone.  A rejected row goes through _observe_trial instead.
 
 The weak plan is numpy's choice(m, r', replace=False) in its Floyd
 regime: each Floyd value is taken unless already in the sample, and then j
 itself is.  _weak_plan replays it on a rows x m mask.  The shuffle only
 orders the sample, which weak_prepare sorts, but its words are consumed and
-tested like the others.  Past m > 10000 and r' > m // 50 numpy shuffles a
-tail of arange(m) instead, and that layout sends every row through
-_observe_trial.
+tested like the others.  The m' pick reads a word only where the row has
+more than one candidate, so the layout walks the schedule with and without
+it for psi's raw.  Past m > 10000 and r' > m // 50 numpy shuffles a tail of
+arange(m) instead, and that layout sends every row through _observe_trial.
 
 The strong plan finds no candidate unless the trial is in S and psi holds,
 and with no candidate every read stays true.  So the strong layout screens
@@ -127,9 +104,9 @@ class _Observed(NamedTuple):
 
 
 def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m=None):
-    """Draw one trial in the stream order above and apply its adversary: the
-    one draw-and-observe path of both engines.  plan is the strong or weak
-    adversary's plan, None for the others."""
+    """Draw one trial in _schedule's order with numpy's Generator calls, and
+    apply its adversary: the one draw-and-observe path of both engines.  plan
+    is the strong or weak adversary's plan, None for the others."""
     params = cb.params
     rng = derive_trial_rng(params.seed, trial)
     message = int(rng.integers(params.k))
@@ -274,9 +251,11 @@ _CONVERSE_BYTES = 1_000_000
 
 
 def _converse_row_bytes(cb: Codebook) -> int:
-    """Bytes run_converse holds per row of a block: its observation row and
-    _decode_batch's state beside it.  _draw_rows' sub-blocks keep to their
-    own budget."""
+    """Bytes run_converse charges per row of a block: its observation row and
+    _decode_batch's state beside it.  _row_bytes already counts the
+    observation row, so each row charges it twice; block sizes stay as they
+    are until _draw_rows' sub-blocks, which keep to their own budget, are
+    charged inside _CONVERSE_BYTES (ROADMAP, the converse sub-block budget)."""
     cap = cb.params.read_cap
     return _id_dtype(cb).itemsize * cap + _row_bytes(cb, cap)
 
@@ -341,80 +320,92 @@ def _conditions(t: int, message: int, plan, verdict: Verdict, h_m: int | None) -
     return held
 
 
+def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None) -> list:
+    """A trial's draws in stream order, as (name, range, size): a range is
+    one number, one per value, or None for random()'s whole raws.  The weak
+    pick's range is the row's candidate count, at most k - 1."""
+    p = cb.params
+    cap = p.read_cap
+    draws = [("message", p.k, 1), ("f", p.m, cap), ("u", None, cap)]
+    if adversary in ("uniform", "uniform-index"):
+        draws += [("rep_idx", p.m, cap)] * (adversary == "uniform") + [("rep_pay", p.v, cap)]
+    elif adversary == "weak":
+        r = r_prime_m
+        floyd = np.arange(max(p.m - r, 1), p.m) + 1
+        draws += [("floyd", floyd, len(floyd)), ("shuffle", np.arange(r, 1, -1), max(r - 1, 0)),
+                  ("pick", p.k - 1, 1), ("psi", None, 1)]
+    elif adversary == "strong":
+        draws += [("psi", None, 1)]
+    return draws
+
+
+def _walk(schedule) -> dict:
+    """name -> the columns each draw of the schedule reads, by the walk rule
+    (module docstring): stream_words columns for a bounded draw, raw columns
+    for random()'s."""
+    columns, pending, raw = {}, np.empty(0, dtype=np.intp), 0
+    for name, n, size in schedule:
+        if n is None:
+            cols = np.arange(raw, raw + size)
+            raw += size
+        elif size and np.all(np.greater(n, 1)):
+            cols = np.concatenate((pending, 2 * raw + np.arange(size - len(pending))))
+            raw = max(raw, int(cols[-1]) // 2 + 1)
+            pending = cols[-1:] + 1 if cols[-1] % 2 == 0 else cols[:0]
+        else:
+            cols = pending[:0]
+        columns[name] = cols
+    return columns
+
+
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
-    random_raw block, as columns of its stream_words view, and which words
-    are tested for rejection (module docstring).  The weak adversary's
-    layout, at width read_cap, also holds its plan's draws for an index set
-    of r_prime_m; the strong adversary's, its screen's h_m and r_prime_m."""
+    random_raw block, as _walk places them, and which words are tested for
+    rejection (module docstring).  The weak adversary's layout, at width
+    read_cap, also holds its plan's draws for an index set of r_prime_m; the
+    strong adversary's, its screen's h_m and r_prime_m."""
 
     def __init__(
         self, cb: Codebook, adversary: str, width: int,
         r_prime_m: int | None = None, h_m: int | None = None,
     ):
         p = cb.params
-        cap = p.read_cap
         self.width = width
         self.noisy = adversary != "honest" and p.p > 0
-        self.head_raws = (int(p.k > 1) + cap * (p.m > 1) + 1) // 2
         self.r_prime, self.h_m = r_prime_m, h_m
         # numpy's tail-shuffle regime (module docstring)
         self.per_trial = adversary == "weak" and p.m > 10000 and r_prime_m > p.m // 50
-        # the bounded draws (name, range, size) in stream order; a range is
-        # one number or one per value
-        head = [("message", p.k, 1), ("f", p.m, cap)]
+        schedule = _schedule(cb, adversary, r_prime_m)
+        if adversary in BATCH_ADVERSARIES and not self.noisy:
+            schedule = schedule[:2]  # its rows observe their true rows
+        columns = _walk(schedule)
         if adversary == "weak":
-            # the plan follows the uniforms whatever p (module docstring);
-            # the pick's range is the row's candidate count, at most k - 1
-            r = r_prime_m
-            floyd = np.arange(max(p.m - r, 1), p.m) + 1
-            tail = [("floyd", floyd, len(floyd)), ("shuffle", np.arange(r, 1, -1), max(r - 1, 0)),
-                    ("pick", p.k - 1, 1)]
-            draws, last = head + tail, None
-        elif adversary == "strong":
-            # the uniforms and psi follow f
-            draws, last = head, None
-        else:
-            tail = [("rep_idx", p.m, cap)] * (adversary == "uniform") + [("rep_pay", p.v, cap)]
-            draws = head + tail if self.noisy else head
-            # the stream's last draw; in a noisy layout the uniforms follow f
-            reading = [name for name, n, _ in (tail if self.noisy else head) if n > 1]
-            last = reading[-1] if reading else None
-        # name -> (range, values, decoded columns, tested columns).  A draw's
-        # words are consecutive in the stream; a stream word from
-        # 2 * head_raws on sits past the uniforms' read_cap raws.  A prefix
+            # psi's raw where the row reads no pick word, and where it does
+            unpicked = _walk([draw for draw in schedule if draw[0] != "pick"])
+            self.psi_raws = (unpicked["psi"][0], columns["psi"][0])
+        # the last draw that reads; a bounded one is tested on its prefix alone
+        last = [name for name, _, _ in schedule if len(columns[name])][-1:]
+        # name -> (range, values, decoded columns, tested columns).  A prefix
         # pass decodes the first width values of each draw.
-        self.draws = {}
-        n_raw = self.head_raws + width if self.noisy else 0
-        word = tested = decoded = 0
-        for name, n, size in draws:
-            read = size if np.all(np.greater(n, 1)) else 0
-            shown = min(read, width) if width < cap else read
-            test = shown if name == last else read
-            columns = np.arange(word, word + test)
-            columns[columns >= 2 * self.head_raws] += 2 * cap
-            self.draws[name] = (n, min(size, width), columns[:shown], columns)
-            if test:
-                n_raw = max(n_raw, int(columns[-1]) // 2 + 1)
-            word += read
-            tested += test
-            decoded += shown
+        self.draws, needed = {}, []
+        for name, n, size in schedule:
+            cols = columns[name]
+            shown = cols if width == p.read_cap else cols[:width]
+            test = cols[:0] if n is None else shown if name in last else cols
+            self.draws[name] = (n, min(size, width), shown, test)
+            needed.append(shown if n is None else test // 2)
+        self.n_raw = n_raw = int(np.concatenate(needed).max(initial=-1)) + 1
+        tested = sum(len(test) for *_, test in self.draws.values())
+        decoded = sum(len(shown) for n, _, shown, _ in self.draws.values() if n is not None)
         extra = 0
         if adversary == "weak":
-            # psi's raw follows the plan's last word: one raw further on
-            # where the row reads its pick word
-            self.plan_words = word - len(self.draws["pick"][3])
-            n_raw = cap + (word + 1) // 2 + 1
             # Floyd's seen mask, the index set, and per message the gathered
             # payloads and flags of the candidate test, its mask and its sum
-            extra = p.m + 8 * r + (9 * r + 9) * p.k
+            extra = p.m + 8 * r_prime_m + (9 * r_prime_m + 9) * p.k
         elif adversary == "strong":
-            # psi is the whole raw after the uniforms
-            n_raw = self.head_raws + cap + 1
             # group_counts' six int64 rows and mask and partition_stats' three
             # bool masks over f's head, and psi's and the row masks' bytes
             extra = 52 * h_m + 64
-        self.n_raw = n_raw
         # The raws; per tested word its gathered copy, product and flag; per
         # decoded word its copy, uint64 copy and product; and the int64 or
         # float64 rows of width: six in a noisy layout (true ids, u, its
@@ -439,8 +430,8 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     bad = np.zeros(len(states), dtype=bool)
     drawn = {}
     for name, (n, size, decode, test) in layout.draws.items():
-        if name == "pick":
-            continue  # its range is per row (_weak_plan)
+        if n is None or name == "pick":
+            continue  # random()'s raws, and the pick, whose range is per row (_weak_plan)
         bad |= core.rejected(words, n, test)
         if len(decode):
             drawn[name] = core.bounded(words[:, decode], n)
@@ -451,7 +442,7 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     if adversary == "strong":
         # a row the screen passes has no candidate, so it observes its true row
         obs[:] = cb.word_ids[msg, f]
-        psi = _below(raws[:, -1], p.p)
+        psi = _below(raws[:, layout.draws["psi"][2][0]], p.p)
         in_s = partition_stats(group_counts(f[:, : layout.h_m]), p.dm, layout.r_prime).in_s
         return bad | (in_s & psi), (np.full(len(psi), -1), psi)
     if adversary == "weak":
@@ -460,7 +451,7 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
         _, m_prime, psi, picked_bad = _weak_plan(cb, layout, raws, words, drawn)
         active = np.flatnonzero(psi & (m_prime >= 0))
         if active.size:
-            flags = _below(raws[active, layout.head_raws : layout.head_raws + layout.width], p.p)
+            flags = _below(raws[active[:, None], layout.draws["u"][2]], p.p)
             swap = cb.word_ids[m_prime[active, None], f[active]]
             obs[active] = np.where(flags, swap, obs[active])
         return bad | picked_bad, (m_prime, psi)
@@ -468,7 +459,7 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     if not layout.noisy:
         obs[:] = true_ids
         return bad, None
-    flags = _below(raws[:, layout.head_raws : layout.head_raws + layout.width], p.p)
+    flags = _below(raws[:, layout.draws["u"][2]], p.p)
     rep_idx = drawn.get("rep_idx", f)
     obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
     return bad, None
@@ -505,7 +496,8 @@ def _weak_plan(cb, layout, raws, words, drawn):
         bad = core.rejected(words, n[:, None], column)
         pick = core.bounded(words[:, column[0]], n)
     m_prime = np.where(n_cands > 0, (np.cumsum(agree, axis=1) <= pick[:, None]).sum(axis=1), -1)
-    psi = _below(raws[rows, p.read_cap + (layout.plan_words + many + 1) // 2], p.p)
+    unread, read = layout.psi_raws
+    psi = _below(raws[rows, np.where(many, read, unread)], p.p)
     return index_set, m_prime, psi, bad
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dnareads import SimParams, core, decoder, simulate
 from dnareads.codebook import Codebook, agreeing, construct_greedy
 from dnareads.analysis import s_membership
-from dnareads.channel import StrongAdversaryPlan, WeakAdversaryPlan, strong_prepare
+from dnareads.channel import ADVERSARIES, StrongAdversaryPlan, WeakAdversaryPlan, strong_prepare
 from dnareads.core import VerdictKind
 from dnareads.decoder import stopping_time_no_errors
 from dnareads.harness import ExperimentConfig, converse_experiment
@@ -552,6 +552,62 @@ def test_weak_plan_drift_fails_loudly(picking_codebook, monkeypatch):
     cfg = ExperimentConfig(params=params, adversary="weak", trials=30, h_m=5, r_prime_m=3)
     with pytest.raises(RuntimeError, match=r"trial 0 .* numpy \d"):
         converse_experiment(cfg)
+
+
+# (params, h_m, r_prime_m): the picking code, whose weak rows can read a pick
+# word; an odd count of head words, which leaves a high half pending past the
+# uniforms; and codes with one index and with one message
+_WALK_CODES = [
+    (SimParams(m=6, k=12, v=2, p=0.5, dm=0, theta=1.0, read_cap=9, seed=2), 4, 3),
+    (SimParams(m=7, k=11, v=5, p=0.3, dm=1, theta=1.0, read_cap=10, seed=5), 6, 2),
+    (SimParams(m=1, k=3, v=3, p=0.4, dm=0, theta=1.0, read_cap=5, seed=1), 3, 1),
+    (SimParams(m=5, k=1, v=1, p=0.4, dm=0, theta=1.0, read_cap=4, seed=3), 2, 2),
+]
+
+
+@pytest.mark.parametrize("adversary", ADVERSARIES)
+def test_walk_leaves_the_stream_where_numpy_does(adversary, monkeypatch):
+    # numpy itself is the reference: after _observe_trial's Generator calls,
+    # the stream has read the walk's raws and holds the walk's pending high
+    # half, on every row where no word was rejected
+    real, made = simulate.derive_trial_rng, []
+
+    def capturing(seed, trial):
+        made.append(real(seed, trial))
+        return made[-1]
+
+    monkeypatch.setattr(simulate, "derive_trial_rng", capturing)
+    checked = picked = 0
+    weak = adversary == "weak"
+    for params, h_m, r_prime_m in _WALK_CODES:
+        matrix = np.random.default_rng(params.seed).integers(0, params.v, (params.k, params.m))
+        cb = Codebook(params, matrix)
+        schedule = simulate._schedule(cb, adversary, r_prime_m)
+        for t in range(40):
+            obs = simulate._observe_trial(cb, adversary, t, h_m, r_prime_m)
+            # the pick's range is the row's own candidate count
+            n_cands = len(agreeing(cb, obs.message, obs.plan.index_set)) if weak else 0
+            draws = [(name, n_cands if name == "pick" else n, size) for name, n, size in schedule]
+            columns = simulate._walk(draws)
+            bounded = [(n, columns[name]) for name, n, _ in draws if n is not None]
+            last_word = max((int(c[-1]) for _, c in bounded if len(c)), default=-1)
+            n_raw = max(last_word // 2 + 1, *(int(columns[name][-1]) + 1
+                                              for name, n, _ in draws if n is None))
+            words = core.stream_words(real(params.seed, t).bit_generator.random_raw((1, n_raw)))
+            if any(core.rejected(words, n, c)[0] for n, c in bounded if len(c)):
+                continue
+            fresh = real(params.seed, t).bit_generator
+            fresh.advance(n_raw)
+            state = made[-1].bit_generator.state
+            assert state["state"] == fresh.state["state"]
+            pending = last_word % 2 == 0
+            assert state["has_uint32"] == pending
+            if pending:
+                assert state["uinteger"] == words[0, last_word + 1]
+            checked += 1
+            picked += n_cands > 1
+    assert checked > 150
+    assert picked > 0 or not weak
 
 
 def test_batched_engine_rejects_planning_adversaries(easy_codebook):
