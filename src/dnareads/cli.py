@@ -81,11 +81,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {**d, **flags}
 
 
-def _emit(out: str | None, header: tuple[str, ...], rows) -> None:
+def _emit(out: str | None, header: tuple[str, ...], columns) -> None:
     if out:
-        harness.write_csv(out, header, rows)
+        harness.write_csv(out, header, columns)
     else:
-        sys.stdout.write(harness.csv_text(header, rows))
+        sys.stdout.write(harness.csv_text(header, columns))
 
 
 def _list(kind):
@@ -171,12 +171,12 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         summary = harness.run_trials(cfg)
-        _emit(cfg.out, harness.SIMULATE_HEADER, [harness.simulate_row(cfg, summary)])
+        _emit(cfg.out, harness.SIMULATE_HEADER, zip(harness.simulate_row(cfg, summary)))
         return 0
 
     if args.command == "sweep-p":
         rows = harness.sweep_p(cfg, args.p_list)
-        _emit(cfg.out, harness.SweepRow._fields, rows)
+        _emit(cfg.out, harness.SweepRow._fields, zip(*rows))
         # least-squares slope of log pe_hat on log p; p = 0 has no logarithm
         fit = [(r.p, r.pe_hat) for r in rows if r.p > 0]
         if len({p for p, _ in fit}) >= 2:
@@ -193,7 +193,7 @@ def _run(args: argparse.Namespace) -> int:
             raise ValueError("--c-points out of range")
         grid = np.linspace(args.c_min, args.c_max, args.c_points)
         rows = harness.emit_exponent_curves(args.r0_list, grid)
-        _emit(d.get("out"), harness.CurveRow._fields, rows)
+        _emit(d.get("out"), harness.CurveRow._fields, zip(*rows))
         for r0 in args.r0_list:
             sub = sorted((r for r in rows if r.R0 == r0), key=lambda r: r.c)
             best = max((r.delta for r in sub), default=0.0)
@@ -217,12 +217,12 @@ def _run(args: argparse.Namespace) -> int:
             d.get("trials", harness.ExperimentConfig.trials),
             d.get("seed", SimParams.seed),
         )
-        _emit(d.get("out"), harness.MembershipRow._fields, rows)
+        _emit(d.get("out"), harness.MembershipRow._fields, zip(*rows))
         return 0
 
     if args.command == "converse":
-        rows, summary = harness.converse_experiment(cfg)
-        _emit(cfg.out, harness.ConverseRow._fields, rows)
+        columns, summary = harness.converse_experiment(cfg)
+        _emit(cfg.out, harness.ConverseRow._fields, columns)
         print(
             "converse adversary={adversary} trials={trials} "
             "activation_rate={activation_rate:.6g} n_conditions={n_conditions} "

@@ -67,7 +67,7 @@ class MembershipRow(NamedTuple):
 
 class ConverseRow(NamedTuple):
     """One trial of a strong or weak adversary; absent ids are -1 and kind
-    is a VerdictKind value."""
+    is a VerdictKind value.  converse_experiment returns its columns."""
 
     trial: int
     message: int
@@ -289,12 +289,12 @@ def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[Mem
     return rows
 
 
-def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]:
+def converse_experiment(cfg: ExperimentConfig) -> tuple[tuple[np.ndarray, ...], dict]:
     """Per-trial adversary diagnostics with the guaranteed-error implication
     checked on every trial.
 
-    Returns (rows, summary).  Raises if any trial whose premises hold fails
-    to decode to m_prime by the horizon.
+    Returns (columns, summary), an array per ConverseRow field.  Raises if
+    any trial whose premises hold fails to decode to m_prime by the horizon.
     """
     if cfg.adversary not in ("strong", "weak"):
         raise ValueError("converse experiment needs the strong or weak adversary")
@@ -302,9 +302,8 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
         construct_greedy(cfg.params), cfg.adversary, cfg.trials, cfg.h_m, cfg.r_prime_m
     )
     errored = (res.kind != VerdictKind.DECIDED.value) | (res.decoded != res.message)
-    columns = (res.message, res.m_prime, res.psi, res.active, res.conditions, res.kind,
-               res.decoded, res.n_reads, errored)
-    rows = [ConverseRow(t, *r) for t, r in enumerate(zip(*(c.tolist() for c in columns)))]
+    columns = (np.arange(cfg.trials), res.message, res.m_prime, res.psi, res.active,
+               res.conditions, res.kind, res.decoded, res.n_reads, errored)
     n_active = int(res.active.sum())
     n_cond = int(res.conditions.sum())
     p, dm, m = cfg.params.p, cfg.params.dm, cfg.params.m
@@ -324,7 +323,7 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[list[ConverseRow], dict]
         "error_rate": int(errored.sum()) / cfg.trials,
         "converse_factor": factor,
     }
-    return rows, summary
+    return columns, summary
 
 
 # CSV cell text by type; bool comes before int, its base class
@@ -340,19 +339,21 @@ def format_cell(x) -> str:
     return str(x)
 
 
-def csv_text(header: list[str], rows) -> str:
-    columns = []
-    for column in zip(*rows):
+def csv_text(header: list[str], columns) -> str:
+    """The CSV of these columns (sequences or arrays); rows pass as zip(*rows)."""
+    cells = []
+    for column in columns:
+        column = column.tolist() if isinstance(column, np.ndarray) else column
         kinds = set(map(type, column))
         fmt = _CELL_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-        columns.append(map(fmt or format_cell, column))
-    lines = [f"# {CSV_VERSION}", ",".join(header), *map(",".join, zip(*columns))]
+        cells.append(map(fmt or format_cell, column))
+    lines = [f"# {CSV_VERSION}", ",".join(header), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], columns) -> None:
     with open(path, "w") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(csv_text(header, columns))
 
 
 SIMULATE_HEADER = ("adversary", *(f.name for f in fields(SimParams)), *RunSummary._fields)

@@ -24,15 +24,17 @@ pending.  A bounded value is Lemire's (w * n) >> 32, and random()'s is
 adversary, and the uniform ones at p = 0) needs only the message and f, so
 its layout stops there.
 
-Prefix first: a decoder stops after a few reads, so run_batch decodes only
-the first W read positions of each trial.  W is the smallest power of two
-at or above analysis.expected_reads_upper_bound(m, p, ones_threshold) at the
-p the layout observes (0 when honest), capped at read_cap, and read_cap where
-that bound is undefined (p = 1, or a threshold over m).
-Rows still undecided after W reads are drawn again and decoded over the full
-read_cap.  A block holds the raws up to the last draw's prefix.  _draw_rows
-checks the first row of every block it returns against _observe_trial, and
-run_batch draws one block per decode block, in both passes.
+Prefix first: a decoder stops after a few reads, so both engines decode
+only the first W read positions of each trial in a first pass (_passes).  W
+is the smallest power of two at or above
+analysis.expected_reads_upper_bound(m, p, ones_threshold) at the p the
+layout observes (0 when honest), and at least the strong screen's h_m,
+capped at read_cap, and read_cap where that bound is undefined (p = 1, or a
+threshold over m).  The rows still undecided after W reads are drawn again
+and decoded over read_cap.  _draw_rows checks the first row of every block
+it returns against _observe_trial, and _passes draws one block per decode
+block, sized by _row_bytes, whose sub-blocks are sized by the layout's
+row_bytes, each under its share of the engine's budget.
 
 Rejections stay exact: where numpy would have rejected a word and drawn
 again, every later draw of the stream shifts.  Every bounded draw is tested
@@ -54,14 +56,6 @@ and with no candidate every read stays true.  So the strong layout screens
 its rows: it reads psi and the S test of f's h_m head, and sends a row in S
 with psi through _observe_trial, as it sends a rejected row.  Every other
 strong row observes its true row, with no m'.
-
-run_converse runs the strong or weak adversary into columns.  It runs trial
-0 through run_trial first, as the reference row, then fills the columns a
-block of consecutive trials at a time, each block sized under
-_CONVERSE_BYTES, drawn by one _draw_rows call, plan columns included, and
-decoded in one _decode_batch call.  The guaranteed-error implication is
-checked on the reference row and on every active plan of a row drawn
-through _observe_trial, the only rows whose strong plan can be active.
 """
 
 from __future__ import annotations
@@ -174,6 +168,9 @@ class BatchResult:
     n_reads: np.ndarray
 
 
+# BatchResult's column dtypes, in field order.
+_BATCH_DTYPES = (np.int64, np.int8, np.int64, np.int64)
+
 # The message-blind adversaries, which run_batch runs.
 BATCH_ADVERSARIES = ("honest", "uniform", "uniform-index")
 
@@ -186,25 +183,27 @@ def _id_dtype(cb: Codebook) -> np.dtype:
 
 
 def _row_bytes(cb: Codebook, width: int) -> int:
-    """Bytes run_batch holds per trial row decoded at this width: its stream
-    state, observation table, seen set, and _decode_batch's bit planes, plus
-    one step's carry, overflow, gathered plane and live words, and the live
-    words' bit counts."""
+    """Bytes a decode block holds per trial row decoded at this width: its
+    stream state, observation table, seen set, and _decode_batch's bit
+    planes, plus one step's carry, overflow, gathered plane and live words,
+    and the live words' bit counts."""
     p = cb.params
     words = -(-len(cb) // 64)
     planes = p.dm.bit_length() + 1
     return 32 + _id_dtype(cb).itemsize * width + p.m * p.v + words * (8 * (planes + 4) + 1)
 
 
-def _prefix_width(cb: Codebook, adversary: str) -> int:
-    """W, the read positions of the first pass (module docstring)."""
+def _prefix_width(cb: Codebook, adversary: str, h_m: int | None = None) -> int:
+    """W, the read positions of the first pass (module docstring), and at
+    least h_m, the head the strong screen reads."""
     p = cb.params
     p_obs = p.p if adversary != "honest" else 0.0
     try:
         bound = expected_reads_upper_bound(p.m, p_obs, ones_threshold(p))
     except ValueError:
         return p.read_cap
-    return min(p.read_cap, 1 << (max(1, math.ceil(bound)) - 1).bit_length())
+    width = 1 << (max(1, math.ceil(bound)) - 1).bit_length()
+    return min(p.read_cap, max(width, h_m or 0))
 
 
 def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> BatchResult:
@@ -214,24 +213,32 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
         raise ValueError(f"batched engine does not support adversary {adversary!r}")
     if start < 0 or start + trials > 2**64:
         raise ValueError("trial out of range")
-    out = BatchResult(
-        message=np.empty(trials, dtype=np.int64),
-        kind=np.empty(trials, dtype=np.int8),
-        decoded=np.empty(trials, dtype=np.int64),
-        n_reads=np.empty(trials, dtype=np.int64),
-    )
-    # the prefix pass writes every row, then the full pass redoes those it
-    # left undecided
-    rows = np.arange(trials)
-    for width in sorted({_prefix_width(cb, adversary), cb.params.read_cap}):
-        layout = _Layout(cb, adversary, width)
-        step = max(1, _BATCH_BYTES // _row_bytes(cb, width))
+    out = BatchResult(*(np.empty(trials, dtype=d) for d in _BATCH_DTYPES))
+    _passes(cb, adversary, out, start, (_BATCH_BYTES, _BATCH_BYTES // 16))
+    return out
+
+
+def _passes(cb, adversary, out, start, budgets, r_prime_m=None, h_m=None) -> dict:
+    """Fill out's columns for trials start.. in the two passes (module
+    docstring), a decode block of budgets[0] // _row_bytes rows at a time,
+    drawn in sub-blocks of budgets[1] // layout.row_bytes rows.  Returns the
+    active plans of the rows drawn through _observe_trial, by row."""
+    rows, plans = np.arange(len(out.message)), {}
+    for width in sorted({_prefix_width(cb, adversary, h_m), cb.params.read_cap}):
+        layout = _Layout(cb, adversary, width, r_prime_m, h_m)
+        step = max(1, budgets[0] // _row_bytes(cb, width))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            out.message[block], obs, _ = _draw_rows(cb, adversary, layout, start, block)
+            out.message[block], obs, plan, active = _draw_rows(
+                cb, adversary, layout, start, block, budgets[1]
+            )
+            if plan:
+                out.m_prime[block], out.psi[block] = plan
+            plans.update(active)
             out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
+            del obs  # the next block is drawn without this one
         rows = rows[out.kind[rows] == VerdictKind.TRUNCATED.value]
-    return out
+    return plans
 
 
 @dataclass
@@ -246,30 +253,22 @@ class ConverseResult(BatchResult):
     conditions: np.ndarray
 
 
-# Bytes a converse block holds at once; _converse_row_bytes sizes its rows.
+# Bytes a converse run holds beside its columns; a fifth is the decode block's.
 _CONVERSE_BYTES = 1_000_000
-
-
-def _converse_row_bytes(cb: Codebook) -> int:
-    """Bytes run_converse charges per row of a block: its observation row and
-    _decode_batch's state beside it.  _row_bytes already counts the
-    observation row, so each row charges it twice; block sizes stay as they
-    are until _draw_rows' sub-blocks, which keep to their own budget, are
-    charged inside _CONVERSE_BYTES (ROADMAP, the converse sub-block budget)."""
-    cap = cb.params.read_cap
-    return _id_dtype(cb).itemsize * cap + _row_bytes(cb, cap)
 
 
 def run_converse(
     cb: Codebook, adversary: str, trials: int, h_m: int | None = None, r_prime_m: int | None = None
 ) -> ConverseResult:
-    """The strong or weak adversary's trials 0..trials-1, draw-for-draw
-    identical to run_trial, a block of consecutive trials at a time (module
-    docstring).  run_trial runs trial 0 first, which checks the arguments.
-    Raises when a row whose guaranteed-error premises hold does not decode to
-    m_prime, the wrong message, at its error-free stopping time by the
-    horizon, and when trial 0's row differs from run_trial's, so that a numpy
-    whose internals drift fails loudly."""
+    """The strong or weak adversary's trials 0..trials-1 as columns,
+    draw-for-draw identical to run_trial, in run_batch's two passes (module
+    docstring), plan columns included.  run_trial runs trial 0 first, which
+    checks the arguments.  After both passes, raises when a row whose
+    guaranteed-error premises hold does not decode to m_prime, the wrong
+    message, at its error-free stopping time by the horizon, and when trial
+    0's row differs from run_trial's, so that a numpy whose internals drift
+    fails loudly.  Only run_trial's row and a row drawn through
+    _observe_trial can hold an active strong plan."""
     if adversary not in ("strong", "weak"):
         raise ValueError(f"converse engine does not support adversary {adversary!r}")
     ref, _ = run_trial(cb, adversary, 0, h_m, r_prime_m)
@@ -277,29 +276,21 @@ def run_converse(
     first = (ref.message, v.kind.value, -1 if v.decoded is None else v.decoded, v.n_reads,
              *_plan_columns(ref.plan), ref.plan.active,
              _conditions(0, ref.message, ref.plan, v, h_m))
-    dtypes = (np.int64, np.int8, np.int64, np.int64, np.int64, bool, bool, bool)
+    dtypes = (*_BATCH_DTYPES, np.int64, bool, bool, bool)
     out = ConverseResult(*(np.empty(trials, dtype=d) for d in dtypes))
-    layout = _Layout(cb, adversary, cb.params.read_cap, r_prime_m, h_m)
-    step = max(1, _CONVERSE_BYTES // _converse_row_bytes(cb))
-    for lo in range(0, trials, step):
-        block = slice(lo, min(lo + step, trials))
-        plan = (out.m_prime[block], out.psi[block])
-        rows = np.arange(block.stop - lo)
-        out.message[block], obs, active = _draw_rows(cb, adversary, layout, lo, rows, plan)
-        out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
-        del obs  # the next block is drawn without this one
-        out.active[block], out.conditions[block] = plan[1] & (plan[0] >= 0), False
-        # only a row drawn per trial can hold an active strong plan
-        for r, row_plan in active.items():
-            t = lo + r
-            kind, decoded, n_reads = (int(c[t]) for c in (out.kind, out.decoded, out.n_reads))
-            verdict = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
-            out.conditions[t] = _conditions(t, int(out.message[t]), row_plan, verdict, h_m)
-        if lo == 0 and tuple(c[0] for c in vars(out).values()) != first:
-            raise RuntimeError(
-                f"batch converse row of trial 0 differs from the per-trial engine: "
-                f"numpy {np.__version__} no longer matches the raw-word decoding"
-            )
+    block_bytes = _CONVERSE_BYTES // 5
+    plans = _passes(cb, adversary, out, 0, (block_bytes, _CONVERSE_BYTES - block_bytes),
+                    r_prime_m, h_m)
+    out.active[:], out.conditions[:] = out.psi & (out.m_prime >= 0), False
+    for t, plan in sorted(plans.items()):
+        kind, decoded, n_reads = (int(c[t]) for c in (out.kind, out.decoded, out.n_reads))
+        verdict = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
+        out.conditions[t] = _conditions(t, int(out.message[t]), plan, verdict, h_m)
+    if trials and tuple(c[0] for c in vars(out).values()) != first:
+        raise RuntimeError(
+            f"batch converse row of trial 0 differs from the per-trial engine: "
+            f"numpy {np.__version__} no longer matches the raw-word decoding"
+        )
     return out
 
 
@@ -318,6 +309,10 @@ def _conditions(t: int, message: int, plan, verdict: Verdict, h_m: int | None) -
             f"expected Decided({plan.m_prime}, {plan.stop}), got {verdict}"
         )
     return held
+
+
+# The draws made once per read position, which a prefix pass cuts to its width.
+_READ_DRAWS = ("f", "u", "rep_idx", "rep_pay")
 
 
 def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None) -> list:
@@ -361,8 +356,8 @@ def _walk(schedule) -> dict:
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
     random_raw block, as _walk places them, and which words are tested for
-    rejection (module docstring).  The weak adversary's layout, at width
-    read_cap, also holds its plan's draws for an index set of r_prime_m; the
+    rejection (module docstring).  The weak adversary's layout also holds its
+    plan's draws, whole at any width, for an index set of r_prime_m; the
     strong adversary's, its screen's h_m and r_prime_m."""
 
     def __init__(
@@ -386,13 +381,14 @@ class _Layout:
         # the last draw that reads; a bounded one is tested on its prefix alone
         last = [name for name, _, _ in schedule if len(columns[name])][-1:]
         # name -> (range, values, decoded columns, tested columns).  A prefix
-        # pass decodes the first width values of each draw.
+        # pass decodes the first width values of each per-read draw.
         self.draws, needed = {}, []
         for name, n, size in schedule:
-            cols = columns[name]
-            shown = cols if width == p.read_cap else cols[:width]
+            cols = shown = columns[name]
+            if name in _READ_DRAWS:
+                shown, size = cols[:width], min(size, width)
             test = cols[:0] if n is None else shown if name in last else cols
-            self.draws[name] = (n, min(size, width), shown, test)
+            self.draws[name] = (n, size, shown, test)
             needed.append(shown if n is None else test // 2)
         self.n_raw = n_raw = int(np.concatenate(needed).max(initial=-1)) + 1
         tested = sum(len(test) for *_, test in self.draws.values())
@@ -409,9 +405,10 @@ class _Layout:
         # The raws; per tested word its gathered copy, product and flag; per
         # decoded word its copy, uint64 copy and product; and the int64 or
         # float64 rows of width: six in a noisy layout (true ids, u, its
-        # flags, the replacement and observed ids), which bound the strong
-        # and weak plans' rows too, and only the true ids otherwise.
-        rows = 6 if self.noisy else 1
+        # flags, the replacement and observed ids), which bound the weak
+        # plan's rows too, and only the true ids otherwise, and in the strong
+        # layout, whose draw builds no other.
+        rows = 6 if self.noisy and adversary != "strong" else 1
         self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 8 * rows * width + extra
 
 
@@ -439,15 +436,15 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
             drawn[name] = np.zeros((len(states), size), dtype=np.int64)
     msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
+    # the true rows, which the adversary then changes where it errs
+    obs[:] = true_ids = cb.word_ids[msg, f]
     if adversary == "strong":
         # a row the screen passes has no candidate, so it observes its true row
-        obs[:] = cb.word_ids[msg, f]
         psi = _below(raws[:, layout.draws["psi"][2][0]], p.p)
         in_s = partition_stats(group_counts(f[:, : layout.h_m]), p.dm, layout.r_prime).in_s
         return bad | (in_s & psi), (np.full(len(psi), -1), psi)
     if adversary == "weak":
         # channel.observe_weak on the rows whose plan is active
-        obs[:] = cb.word_ids[msg, f]
         _, m_prime, psi, picked_bad = _weak_plan(cb, layout, raws, words, drawn)
         active = np.flatnonzero(psi & (m_prime >= 0))
         if active.size:
@@ -455,13 +452,10 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
             swap = cb.word_ids[m_prime[active, None], f[active]]
             obs[active] = np.where(flags, swap, obs[active])
         return bad | picked_bad, (m_prime, psi)
-    true_ids = cb.word_ids[msg, f]
-    if not layout.noisy:
-        obs[:] = true_ids
-        return bad, None
-    flags = _below(raws[:, layout.draws["u"][2]], p.p)
-    rep_idx = drawn.get("rep_idx", f)
-    obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
+    if layout.noisy:
+        flags = _below(raws[:, layout.draws["u"][2]], p.p)
+        rep_idx = drawn.get("rep_idx", f)
+        obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
     return bad, None
 
 
@@ -507,23 +501,26 @@ def _below(raws: np.ndarray, p: float) -> np.ndarray:
     return (raws >> 11) * 2.0**-53 < p
 
 
-def _draw_rows(cb, adversary, layout, start, rows, plan=None):
-    """Message, observation table (rows x layout.width) and active plans of
-    trials start + rows: the plans map each row drawn through _observe_trial
-    whose plan is active to that plan.  For the strong and weak adversaries,
-    plan is a pair of columns for the rows, m_prime (-1 when none) and psi,
-    which are filled too.
+def _draw_rows(cb, adversary, layout, start, rows, budget):
+    """Message, observation table (rows x layout.width), plan and active plans
+    of trials start + rows.  plan is the strong or weak adversary's pair of
+    columns, m_prime (-1 when none) and psi, None for the others.  The active
+    plans map each entry of rows that was drawn through _observe_trial and
+    whose plan is active to that plan.
 
     The rows are decoded from their raw blocks in sub-blocks whose
-    temporaries fit in _BATCH_BYTES // 16.  Every row where numpy would have
-    rejected a word goes through _observe_trial instead.  The first row is
+    temporaries fit in budget bytes.  Every row where numpy would have rejected a word goes through
+    _observe_trial instead.  The first row is
     compared with _observe_trial, so that a numpy whose internals no longer
     match the decoding fails loudly."""
     b, active = len(rows), {}
     states = core.trial_states(cb.params.seed, rows.astype(np.uint64) + np.uint64(start))
     message = np.empty(b, dtype=np.int64)
     obs = np.empty((b, layout.width), dtype=_id_dtype(cb))
-    step = max(1, _BATCH_BYTES // 16 // layout.row_bytes)
+    plan = None
+    if adversary not in BATCH_ADVERSARIES:
+        plan = (np.empty(b, dtype=np.int64), np.empty(b, dtype=bool))
+    step = max(1, budget // layout.row_bytes)
     for lo in range(0, b, step):
         hi = lo + step
         bad, sub = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
@@ -536,7 +533,7 @@ def _draw_rows(cb, adversary, layout, start, rows, plan=None):
             if plan:
                 plan[0][r], plan[1][r] = _plan_columns(trial.plan)
                 if trial.plan.active:
-                    active[r] = trial.plan
+                    active[int(rows[r])] = trial.plan
     first = start + int(rows[0])
     ref = _observe_trial(cb, adversary, first, layout.h_m, layout.r_prime)
     if (
@@ -548,7 +545,7 @@ def _draw_rows(cb, adversary, layout, start, rows, plan=None):
             f"batch draws of trial {first} differ from the per-trial engine: "
             f"numpy {np.__version__} no longer matches the raw-word decoding"
         )
-    return message, obs, active
+    return message, obs, plan, active
 
 
 def _plan_columns(plan) -> tuple[int, bool]:

@@ -310,8 +310,8 @@ def test_criterion_10_exponent_formulas():
 def test_criterion_11_deterministic_output(tmp_path):
     params = SimParams(m=8, k=8, v=4, p=0.05, dm=1, theta=0.5, read_cap=120, seed=6)
     cfg = ExperimentConfig(params=params, adversary="uniform", trials=500)
-    text_a = csv_text(SweepRow._fields, sweep_p(cfg, [0.05, 0.1]))
-    text_b = csv_text(SweepRow._fields, sweep_p(cfg, [0.05, 0.1]))
+    text_a = csv_text(SweepRow._fields, zip(*sweep_p(cfg, [0.05, 0.1])))
+    text_b = csv_text(SweepRow._fields, zip(*sweep_p(cfg, [0.05, 0.1])))
     api_ok = text_a == text_b
 
     from dnareads.cli import main

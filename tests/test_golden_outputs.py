@@ -114,7 +114,8 @@ RUNS = {
         "--adversary", "weak", "--trials", "300", "--seed", "3", "--out", "{out}",
     ],
     # the benchmark's converse runs at 2500 strong and 5000 weak trials, long
-    # enough to span several converse blocks
+    # enough to span several converse blocks; 57 strong and 115 weak rows
+    # outlive the 32-read prefix, so the full-width pass decodes rows
     **{
         f"converse-{adv}-blocks": [
             "converse", *_CONV, "--read-cap", "400", "--hm", "20", "--rprimem", rpm,

@@ -213,7 +213,8 @@ def test_s_membership_experiment_matches_row_loop(seed):
     args = ([20, 50, 120], 0.430783, 0.05, 700)
     got = s_membership_experiment(*args, seed=seed)
     want = _membership_rows_per_row_loop(*args, seed=seed)
-    assert csv_text(MembershipRow._fields, got) == csv_text(MembershipRow._fields, want)
+    header = MembershipRow._fields
+    assert csv_text(header, zip(*got)) == csv_text(header, zip(*want))
 
 
 def test_s_membership_chunks_match_one_block(monkeypatch):
@@ -245,15 +246,15 @@ def test_converse_experiment_weak(small_codebook):
     cfg = ExperimentConfig(
         params=small_codebook.params, adversary="weak", trials=300, h_m=20, r_prime_m=3
     )
-    rows, summary = converse_experiment(cfg)
-    assert len(rows) == 300
+    columns, summary = converse_experiment(cfg)
+    assert columns[0].tolist() == list(range(300))
     assert summary["n_active"] > 0
     p = cfg.params.p
     sigma = math.sqrt(p * (1 - p) / cfg.trials)
     assert summary["activation_rate"] <= p + 3 * sigma
     assert summary["converse_factor"] == analysis.weak_converse_factor(10, p, 2)
-    # row shape matches the header
-    assert len(rows[0]) == len(ConverseRow._fields)
+    # one column per header field
+    assert len(columns) == len(ConverseRow._fields)
 
 
 def test_converse_experiment_requires_budgets(small_codebook):
@@ -262,8 +263,9 @@ def test_converse_experiment_requires_budgets(small_codebook):
     cfg = ExperimentConfig(params=small_codebook.params, adversary="weak", trials=10)
     with pytest.raises(ValueError, match="weak adversary needs r_prime_m"):
         converse_experiment(cfg)
-    rows, _ = converse_experiment(replace(cfg, r_prime_m=3))
-    assert rows == converse_experiment(replace(cfg, r_prime_m=3, h_m=20))[0]
+    columns, _ = converse_experiment(replace(cfg, r_prime_m=3))
+    with_h_m, _ = converse_experiment(replace(cfg, r_prime_m=3, h_m=20))
+    assert all(map(np.array_equal, columns, with_h_m))
     with pytest.raises(ValueError, match="strong adversary needs h_m and r_prime_m"):
         converse_experiment(replace(cfg, adversary="strong", r_prime_m=3))
     cfg = ExperimentConfig(
@@ -312,6 +314,12 @@ def _screened(cb, h_m, r_prime_m, trials):
     return bad
 
 
+# Rows of the 300 oracle trials that outlive the prefix width, which the
+# full-width pass decodes: at the other codes every row stops within W, or W
+# is read_cap, where the bound is undefined.
+_PAST_PREFIX = {_ORACLE_CODES[0][0]: 5}
+
+
 def _engine_rows(cfg, cb):
     """ConverseRows of simulate.run_converse's columns, trial by trial."""
     res = simulate.run_converse(cb, cfg.adversary, cfg.trials, cfg.h_m, cfg.r_prime_m)
@@ -319,6 +327,23 @@ def _engine_rows(cfg, cb):
     columns = (res.message, res.m_prime, res.psi, res.active, res.conditions, res.kind,
                res.decoded, res.n_reads, errored)
     return [ConverseRow(t, *r) for t, r in enumerate(zip(*(c.tolist() for c in columns)))]
+
+
+def _converse_blocks(monkeypatch, cb, adversary, h_m, rows):
+    """Patch _CONVERSE_BYTES so that run_converse's prefix pass decodes
+    blocks of `rows` rows: a fifth of the budget goes to the decode block,
+    which _row_bytes charges per row at the prefix width.  Returns that
+    width and the shapes of the observation tables decoded from then on."""
+    width = simulate._prefix_width(cb, adversary, h_m)
+    monkeypatch.setattr(simulate, "_CONVERSE_BYTES", 5 * rows * simulate._row_bytes(cb, width))
+    real, shapes = simulate._decode_batch, []
+
+    def spying(cb, obs):
+        shapes.append(obs.shape)
+        return real(cb, obs)
+
+    monkeypatch.setattr(simulate, "_decode_batch", spying)
+    return width, shapes
 
 
 @pytest.mark.parametrize("adversary", ["strong", "weak"])
@@ -331,9 +356,14 @@ def test_converse_blocks_match_per_trial_rows(
     cfg = ExperimentConfig(
         params=params, adversary=adversary, trials=300, h_m=h_m, r_prime_m=r_prime_m
     )
-    row_bytes = simulate._converse_row_bytes(cb)
-    monkeypatch.setattr(simulate, "_CONVERSE_BYTES", 70 * row_bytes)
-    assert _engine_rows(cfg, cb) == _per_trial_rows(cfg, cb)
+    width, shapes = _converse_blocks(monkeypatch, cb, adversary, h_m, 70)
+    rows = _engine_rows(cfg, cb)
+    assert rows == _per_trial_rows(cfg, cb)
+    assert [s for s in shapes if s[1] == width] == [(70, width)] * 4 + [(20, width)]
+    # the full-width pass decodes exactly the rows that outlive the prefix
+    live = [row for row in rows if row.n_reads > width]
+    assert len(live) == _PAST_PREFIX.get(params, 0)
+    assert sum(n for n, w in shapes if w != width) == len(live)
     if adversary == "strong":
         screened = _screened(cb, h_m, r_prime_m, cfg.trials)
         assert screened.mean() == pytest.approx(share, abs=0.0005)
@@ -363,8 +393,10 @@ def test_converse_memory_stays_within_budget(small_codebook, adversary, r_prime_
     cb = small_codebook
     _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
     budget = simulate._CONVERSE_BYTES
-    # so that both runs hold at least one full block
-    assert budget // simulate._converse_row_bytes(cb) < 2000
+    # so that both runs hold at least one full block: a fifth of the budget
+    # goes to the decode block, charged _row_bytes a row at the prefix width
+    width = simulate._prefix_width(cb, adversary, 20)
+    assert budget // 5 // simulate._row_bytes(cb, width) < 2000
     peaks = []
     for trials in (2000, 4000):
         tracemalloc.start()
@@ -397,12 +429,12 @@ def test_implication_checked_on_block_rows(monkeypatch, small_codebook):
 
     monkeypatch.setattr(simulate, "_observe_trial", observe_trial)
     # blocks of 70 rows: the row sits inside a block, not at its start
-    row_bytes = simulate._converse_row_bytes(cb)
-    monkeypatch.setattr(simulate, "_CONVERSE_BYTES", 70 * row_bytes)
+    _, shapes = _converse_blocks(monkeypatch, cb, "strong", 20, 70)
     assert trial % 70
     expected = f"guaranteed-error implication violated on trial {trial}: expected Decided("
     with pytest.raises(RuntimeError, match=re.escape(expected)):
         simulate.run_converse(cb, "strong", 300, 20, 5)
+    assert len(shapes) > 4  # checked after the passes, which crossed the blocks
 
 
 @pytest.mark.parametrize("adversary", ["strong", "weak"])
@@ -443,7 +475,7 @@ def test_format_cell():
 
 
 def test_csv_text_layout():
-    text = csv_text(["a", "b"], [(1, True), (0.5, False)])
+    text = csv_text(["a", "b"], [(1, 0.5), (True, False)])
     lines = text.split("\n")
     assert lines[0] == f"# {CSV_VERSION}"
     assert lines[1] == "a,b"

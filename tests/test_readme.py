@@ -65,3 +65,16 @@ def test_readme_config_table_lists_every_rule():
     cells = re.findall(r"^  \| (.*?) \|", table, flags=re.M)
     keys = {k for cell in cells for k in re.findall(r"`(\w+)`", cell)}
     assert keys == set(PARAM_RULES) | set(CONFIG_RULES)
+
+
+def test_readme_golden_run_count():
+    # the "Tests" section states how many CLI runs the golden manifest pins,
+    # beside its one saved trace
+    import json
+
+    runs = json.loads((README.parent / "tests" / "golden_outputs.json").read_text())["runs"]
+    stated = re.search(r"reruns\s+(\d+)\s+small\s+CLI\s+calls\s+and\s+one\s+saved\s+trace",
+                       README.read_text())
+    assert stated, "README no longer states the golden run count"
+    assert "save-trace" in runs
+    assert int(stated[1]) == len(runs) - 1

@@ -1,6 +1,5 @@
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from dnareads.analysis import s_membership
 from dnareads.channel import ADVERSARIES, StrongAdversaryPlan, WeakAdversaryPlan, strong_prepare
 from dnareads.core import VerdictKind
 from dnareads.decoder import stopping_time_no_errors
-from dnareads.harness import ExperimentConfig, converse_experiment
+from dnareads.harness import ConverseRow, ExperimentConfig, converse_experiment
 from dnareads.simulate import BATCH_ADVERSARIES, run_batch, run_trial
 
 def _assert_matches_serial(cb, adversary, batch, collect_trace=False, start=0):
@@ -203,13 +202,14 @@ def test_columnar_rows_match_reference_draws(data):
     trials = data.draw(st.integers(1, 6), label="trials")
     width = data.draw(st.just(cap) | st.integers(1, cap), label="width")
     # 1 byte puts every row in a sub-block of its own
-    budget = data.draw(st.sampled_from([1, simulate._BATCH_BYTES]), label="budget")
+    budget = data.draw(st.sampled_from([1, simulate._BATCH_BYTES // 16]), label="budget")
     matrix = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, v, (k, m))
     params = SimParams(m=m, k=k, v=v, p=p, dm=0, theta=1.0, read_cap=cap, seed=seed)
     cb = Codebook(params, matrix)
     layout = simulate._Layout(cb, adversary, width)
-    with mock.patch.object(simulate, "_BATCH_BYTES", budget):
-        message, obs, _ = simulate._draw_rows(cb, adversary, layout, start, np.arange(trials))
+    rows = np.arange(trials)
+    message, obs, plan, _ = simulate._draw_rows(cb, adversary, layout, start, rows, budget)
+    assert plan is None
     assert obs.shape == (trials, width)
     for r in range(trials):
         ref = simulate._observe_trial(cb, adversary, start + r)
@@ -362,7 +362,7 @@ def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
     # the draw checks its own blocks, whoever asks for them
     layout = simulate._Layout(slow_codebook, "uniform", params.read_cap)
     with pytest.raises(RuntimeError, match=r"trial 0 .* numpy \d"):
-        simulate._draw_rows(slow_codebook, "uniform", layout, 0, np.arange(50))
+        simulate._draw_rows(slow_codebook, "uniform", layout, 0, np.arange(50), 1)
 
 
 def test_strong_psi_drift_fails_loudly(small_codebook, monkeypatch):
@@ -382,8 +382,10 @@ def test_strong_psi_drift_fails_loudly(small_codebook, monkeypatch):
         simulate.run_converse(small_codebook, "strong", 30, 20, 5)
 
 
-def _spied_weak_rows(cb, r_prime_m, start, trials, patch):
-    """The weak rows _draw_rows gives for trials start..start+trials-1:
+def _spied_weak_rows(cb, r_prime_m, start, trials, patch, budget=None, width=None):
+    """The weak rows _draw_rows gives for trials start..start+trials-1, at
+    width (read_cap by default) and in sub-blocks of budget bytes (run_batch's
+    by default):
     (message, obs, m_prime, psi, index_set, bad, observed), where index_set
     and bad are what _weak_plan and _draw_columnar computed for every row
     (None for a per-trial layout) and observed lists the trials drawn by
@@ -409,23 +411,23 @@ def _spied_weak_rows(cb, r_prime_m, start, trials, patch):
     patch.setattr(simulate, "_weak_plan", planning)
     patch.setattr(simulate, "_draw_columnar", drawing)
     patch.setattr(simulate, "_observe_trial", observing)
-    layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
-    m_prime, psi = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=bool)
-    plan = (m_prime, psi)
-    message, obs, _ = simulate._draw_rows(cb, "weak", layout, start, np.arange(trials), plan)
+    layout = simulate._Layout(cb, "weak", width or cb.params.read_cap, r_prime_m)
+    message, obs, (m_prime, psi), _ = simulate._draw_rows(
+        cb, "weak", layout, start, np.arange(trials), budget or simulate._BATCH_BYTES // 16
+    )
     index_set = np.concatenate(index_sets) if index_sets else None
     return message, obs, m_prime, psi, index_set, np.concatenate(bad), observed
 
 
-def _check_weak_rows(cb, r_prime_m, start, trials, budget=None) -> set:
-    """Assert that the weak rows of trials start.. equal _observe_trial's,
-    index sets included; returns the (candidate count, head word count
-    parity) pairs seen, the count capped at 2."""
-    with mock.patch.object(simulate, "_BATCH_BYTES", budget or simulate._BATCH_BYTES):
-        with pytest.MonkeyPatch.context() as patch:
-            message, obs, m_prime, psi, index_set, bad, _ = _spied_weak_rows(
-                cb, r_prime_m, start, trials, patch
-            )
+def _check_weak_rows(cb, r_prime_m, start, trials, budget=None, width=None) -> set:
+    """Assert that the weak rows of trials start.. at width (read_cap by
+    default) equal _observe_trial's, index sets included; returns the
+    (candidate count, head word count parity) pairs seen, the count capped
+    at 2."""
+    with pytest.MonkeyPatch.context() as patch:
+        message, obs, m_prime, psi, index_set, bad, _ = _spied_weak_rows(
+            cb, r_prime_m, start, trials, patch, budget, width
+        )
     p = cb.params
     head_words = int(p.k > 1) + p.read_cap * (p.m > 1)
     seen = set()
@@ -433,7 +435,7 @@ def _check_weak_rows(cb, r_prime_m, start, trials, budget=None) -> set:
         ref = simulate._observe_trial(cb, "weak", start + r, None, r_prime_m)
         plan = ref.plan
         assert message[r] == ref.message
-        assert np.array_equal(obs[r], ref.observed)
+        assert np.array_equal(obs[r], ref.observed[: obs.shape[1]])
         assert m_prime[r] == (-1 if plan.m_prime is None else plan.m_prime)
         assert psi[r] == plan.psi
         if not bad[r]:
@@ -479,10 +481,12 @@ def test_weak_columns_match_reference_plans(data):
     start = data.draw(st.integers(0, 10**6) | st.just(2**32 - 3), label="start")
     seed = data.draw(st.integers(-(2**65), 2**65), label="seed")
     trials = data.draw(st.integers(1, 6), label="trials")
-    budget = data.draw(st.sampled_from([1, simulate._BATCH_BYTES]), label="budget")
+    budget = data.draw(st.sampled_from([1, simulate._BATCH_BYTES // 16]), label="budget")
+    # a prefix width cuts the per-read draws only, never the plan's
+    width = data.draw(st.just(cap) | st.integers(1, cap), label="width")
     matrix = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, v, (k, m))
     params = SimParams(m=m, k=k, v=v, p=p, dm=0, theta=1.0, read_cap=cap, seed=seed)
-    _check_weak_rows(Codebook(params, matrix), r_prime_m, start, trials, budget)
+    _check_weak_rows(Codebook(params, matrix), r_prime_m, start, trials, budget, width)
 
 
 @pytest.mark.parametrize("r_prime_m,per_trial", [(201, False), (202, True)])
@@ -675,9 +679,10 @@ def test_weak_trial_diagnostics(small_codebook):
     assert n_active > 0
     # the premises cannot hold (test_weak_premises_cannot_hold)
     cfg = ExperimentConfig(small_codebook.params, "weak", n, h_m=20, r_prime_m=3)
-    rows, _ = converse_experiment(cfg)
-    assert sum(r.active for r in rows) == n_active
-    assert not any(r.conditions for r in rows)
+    columns, _ = converse_experiment(cfg)
+    fields = dict(zip(ConverseRow._fields, columns))
+    assert fields["active"].sum() == n_active
+    assert not fields["conditions"].any()
 
 
 @settings(max_examples=300, deadline=None)
@@ -729,8 +734,9 @@ def test_strong_trial_diagnostics(small_codebook):
         if plan.active:
             assert plan.stop <= 20
     cfg = ExperimentConfig(small_codebook.params, "strong", 100, h_m=20, r_prime_m=5)
-    rows, _ = converse_experiment(cfg)
-    assert all(r.conditions == r.active for r in rows)
+    columns, _ = converse_experiment(cfg)
+    fields = dict(zip(ConverseRow._fields, columns))
+    assert np.array_equal(fields["conditions"], fields["active"])
 
 
 @pytest.mark.parametrize("adversary", BATCH_ADVERSARIES)
