@@ -35,21 +35,12 @@ class Codebook:
         return ids
 
     @cached_property
-    def mismatch(self) -> np.ndarray:
-        """(m*v, k) read-only bools of packed_mismatch, built on first use:
-        mismatch[id, c] is True when codeword c contradicts the molecule with
-        id index*v + payload.  The per-read decoder reads it, at m*v*k bytes."""
-        packed = self.packed_mismatch.astype("<u8", copy=False).view(np.uint8)
-        table = np.unpackbits(packed, axis=1, count=len(self), bitorder="little").view(bool)
-        table.setflags(write=False)
-        return table
-
-    @cached_property
     def packed_mismatch(self) -> np.ndarray:
         """(m*v, ceil(k/64)) read-only contradiction bits, built on first use:
         bit c % 64 of word c // 64 of row index*v + payload is set when
-        codeword c stores another payload at that index.  The one statement of
-        the decoder's outside-count rule; m*v*ceil(k/64)*8 bytes."""
+        codeword c stores another payload at that index.  The decode kernel's
+        contradiction table, at m*v*ceil(k/64)*8 bytes; the per-read decoder
+        reads the same rule from word_ids."""
         p = self.params
         table = self.matrix.T[:, None, :] != np.arange(p.v)[:, None]
         bits = np.packbits(table, axis=-1, bitorder="little").reshape(p.m * p.v, -1)

@@ -33,9 +33,10 @@ def step(state: DecoderState, cb: Codebook, observed: int) -> Verdict | None:
     """Consume one read, given as its molecule id index*v + payload (the ids
     of Codebook.word_ids and of every observe_* row).  Duplicates leave the
     state unchanged; a new distinct molecule bumps the outside count of every
-    codeword it contradicts.  Returns Decided when exactly one codeword has
-    outside <= dm, Failed when none does, and None to keep reading.  Raises
-    ValueError for an id outside [0, m*v)."""
+    codeword whose molecule at its index (word_ids) is another.  Returns
+    Decided when exactly one codeword has outside <= dm, Failed when none
+    does, and None to keep reading.  Raises ValueError for an id outside
+    [0, m*v)."""
     params = cb.params
     if not 0 <= observed < params.m * params.v:
         raise ValueError(f"observed id {observed} out of range [0, {params.m * params.v})")
@@ -43,7 +44,7 @@ def step(state: DecoderState, cb: Codebook, observed: int) -> Verdict | None:
     if observed in state.seen:
         return None
     state.seen.add(observed)
-    state.outside += cb.mismatch[observed]
+    state.outside += cb.word_ids[:, observed // params.v] != observed
     consistent = state.outside <= params.dm
     n = int(consistent.sum())
     if n == 1:

@@ -326,27 +326,17 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[tuple[np.ndarray, ...], 
     return columns, summary
 
 
-# CSV cell text by type; bool comes before int, its base class
-_CELL_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".format}
-
-
-def format_cell(x) -> str:
-    if isinstance(x, (np.bool_, np.integer, np.floating)):
-        x = x.item()
-    for kind, fmt in _CELL_FORMATS.items():
-        if isinstance(x, kind):
-            return fmt(kind(x))
-    return str(x)
+# CSV cell text by a column's dtype kind; any other kind (text, uint64 or
+# object) is str
+_CELL_FORMATS = {"b": ("false", "true").__getitem__, "i": str, "f": "{:.9g}".format}
 
 
 def csv_text(header: list[str], columns) -> str:
     """The CSV of these columns (sequences or arrays); rows pass as zip(*rows)."""
     cells = []
     for column in columns:
-        column = column.tolist() if isinstance(column, np.ndarray) else column
-        kinds = set(map(type, column))
-        fmt = _CELL_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-        cells.append(map(fmt or format_cell, column))
+        column = np.asarray(column)
+        cells.append(map(_CELL_FORMATS.get(column.dtype.kind, str), column.tolist()))
     lines = [f"# {CSV_VERSION}", ",".join(header), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 

@@ -28,9 +28,9 @@ Prefix first: a decoder stops after a few reads, so both engines decode
 only the first W read positions of each trial in a first pass (_passes).  W
 is the smallest power of two at or above
 analysis.expected_reads_upper_bound(m, p, ones_threshold) at the p the
-layout observes (0 when honest), and at least the strong screen's h_m,
-capped at read_cap, and read_cap where that bound is undefined (p = 1, or a
-threshold over m).  The rows still undecided after W reads are drawn again
+layout observes (0 when honest), and for the strong adversary at least
+its screen's h_m, capped at read_cap, and read_cap where that bound is
+undefined (p = 1, or a threshold over m).  The rows still undecided after W reads are drawn again
 and decoded over read_cap.  _draw_rows checks the first row of every block
 it returns against _observe_trial, and _passes draws one block per decode
 block, sized by _row_bytes, whose sub-blocks are sized by the layout's
@@ -194,8 +194,8 @@ def _row_bytes(cb: Codebook, width: int) -> int:
 
 
 def _prefix_width(cb: Codebook, adversary: str, h_m: int | None = None) -> int:
-    """W, the read positions of the first pass (module docstring), and at
-    least h_m, the head the strong screen reads."""
+    """W, the read positions of the first pass (module docstring); for the
+    strong adversary at least h_m, the head its screen reads."""
     p = cb.params
     p_obs = p.p if adversary != "honest" else 0.0
     try:
@@ -203,7 +203,9 @@ def _prefix_width(cb: Codebook, adversary: str, h_m: int | None = None) -> int:
     except ValueError:
         return p.read_cap
     width = 1 << (max(1, math.ceil(bound)) - 1).bit_length()
-    return min(p.read_cap, max(width, h_m or 0))
+    if adversary == "strong":
+        width = max(width, h_m or 0)
+    return min(p.read_cap, width)
 
 
 def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> BatchResult:

@@ -289,16 +289,15 @@ def test_greedy_stopping_feasible(small_params):
 
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
 def test_contradiction_tables_state_the_rule(k):
-    # row index*v + a of both tables marks the codewords that store another
-    # payload than a at that index; packed_mismatch holds codeword c at bit
-    # c % 64 of word c // 64, and no bit past k
+    # row index*v + a of packed_mismatch marks the codewords that store
+    # another payload than a at that index, codeword c at bit c % 64 of word
+    # c // 64, and no bit past k
     m, v = 5, 3
     matrix = np.random.default_rng(k).integers(0, v, size=(k, m))
     cb = Codebook(SimParams(m=m, k=k, v=v, theta=1.0), matrix)
     want = np.array([[matrix[c, i] != a for c in range(k)] for i in range(m) for a in range(v)])
-    assert np.array_equal(cb.mismatch, want)
     words = cb.packed_mismatch
     assert words.shape == (m * v, -(-k // 64)) and words.dtype == np.uint64
     bits = np.array([[int(w) >> b & 1 for w in row for b in range(64)] for row in words])
     assert np.array_equal(bits[:, :k], want) and not bits[:, k:].any()
-    assert not (cb.mismatch.flags.writeable or words.flags.writeable)
+    assert not words.flags.writeable

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnareads import SimParams
-from dnareads.codebook import construct_greedy
+from dnareads import SimParams, simulate
+from dnareads.codebook import Codebook, construct_greedy
 from dnareads.core import Trace, Verdict, VerdictKind
 from dnareads.decoder import (
     load_trace,
@@ -83,8 +83,7 @@ def test_step_fail_when_no_consistent_word(literal_codebook):
 
 def test_step_rejects_molecule_outside_code_space(literal_codebook):
     # ids live in [0, m*v) = [0, 4); id 4 would be molecule (2, 0) of a
-    # longer code, and a negative id would index the mismatch table from
-    # its end
+    # longer code, and a negative id would index word_ids from its end
     cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
     state = new_state(cb)
     with pytest.raises(ValueError, match="out of range"):
@@ -124,6 +123,29 @@ def test_run_consumes_exactly_decided_prefix(easy_codebook):
     verdict = run(easy_codebook, stream(), params.read_cap)
     assert verdict.kind is VerdictKind.DECIDED
     assert len(consumed) == verdict.n_reads
+
+
+def test_run_reads_no_packed_table(monkeypatch, small_codebook):
+    # the per-read decoder states the rule from word_ids, so it gives the
+    # kernel's verdicts with the kernel's packed table gone, and a fault in
+    # that table cannot pass as agreement between the two engines
+    cb, p = small_codebook, small_codebook.params
+    rng = np.random.default_rng(4)
+    f = rng.integers(0, p.m, size=(40, p.read_cap))
+    obs = cb.word_ids[np.arange(40)[:, None] % len(cb), f]
+    noisy = rng.random(obs.shape) < p.p
+    obs[noisy] = rng.integers(0, p.m * p.v, size=int(noisy.sum()))
+    want = list(zip(*(c.tolist() for c in simulate._decode_batch(cb, obs))))
+
+    def gone(self):
+        raise RuntimeError("no packed table")
+
+    monkeypatch.setattr(Codebook, "packed_mismatch", property(gone))
+    verdicts = [run(cb, row, p.read_cap) for row in obs.tolist()]
+    got = [(v.kind.value, -1 if v.decoded is None else v.decoded, v.n_reads) for v in verdicts]
+    assert got == want and len({v.kind for v in verdicts}) > 1
+    with pytest.raises(RuntimeError, match="no packed table"):
+        simulate._decode_batch(cb, obs)
 
 
 def test_stopping_time_hand_trace(literal_codebook):

@@ -20,7 +20,6 @@ from dnareads.harness import (
     converse_experiment,
     csv_text,
     emit_exponent_curves,
-    format_cell,
     run_trials,
     s_membership_experiment,
     simulate_row,
@@ -391,7 +390,7 @@ def test_converse_memory_stays_within_budget(small_codebook, adversary, r_prime_
     # returned columns is one block's, under the budget, and does not grow
     # with trials
     cb = small_codebook
-    _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
+    _ = cb.packed_mismatch, cb.word_ids  # per-codebook tables, built before tracing
     budget = simulate._CONVERSE_BYTES
     # so that both runs hold at least one full block: a fifth of the budget
     # goes to the decode block, charged _row_bytes a row at the prefix width
@@ -463,17 +462,6 @@ def test_simulate_checks_guaranteed_error_implication(monkeypatch, small_codeboo
     assert message.startswith("dnareads: " + expected) and "\n" not in message
 
 
-def test_format_cell():
-    assert format_cell(True) == "true"
-    assert format_cell(False) == "false"
-    assert format_cell(np.bool_(True)) == "true"
-    assert format_cell(7) == "7"
-    assert format_cell(np.int64(-1)) == "-1"
-    assert format_cell(0.25) == "0.25"
-    assert format_cell(1 / 3) == "0.333333333"
-    assert format_cell("label") == "label"
-
-
 def test_csv_text_layout():
     text = csv_text(["a", "b"], [(1, 0.5), (True, False)])
     lines = text.split("\n")
@@ -482,6 +470,19 @@ def test_csv_text_layout():
     assert lines[2] == "1,true"
     assert lines[3] == "0.5,false"
     assert text.endswith("\n")
+
+
+def test_csv_text_formats_by_column_dtype():
+    # each column's dtype picks its cell text: bools as true/false, integers
+    # and text as str, floats to 9 significant digits
+    columns = [
+        [True, False], np.array([True, False]), [7, 0], np.array([-1, 2], dtype=np.int64),
+        [0.25, 1 / 3], np.array([1 / 3, 0.25]), ["label", "x"],
+        np.array([2**64 - 1, 0], dtype=np.uint64),
+    ]
+    lines = csv_text(list("abcdefgh"), columns).split("\n")
+    assert lines[2] == "true,true,7,-1,0.25,0.333333333,label,18446744073709551615"
+    assert lines[3] == "false,false,0,2,0.333333333,0.25,x,0"
 
 
 def test_simulate_row_layout(sweep_config):

@@ -1,5 +1,7 @@
 """The README's Python examples run as written."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -78,3 +80,20 @@ def test_readme_golden_run_count():
     assert stated, "README no longer states the golden run count"
     assert "save-trace" in runs
     assert int(stated[1]) == len(runs) - 1
+
+
+def test_readme_names_resolve():
+    # every `module.name` of a dnareads module and every `Codebook.name` the
+    # README cites exists, so a doc that outlives a deletion fails here
+    import dnareads
+    from dnareads.codebook import Codebook
+
+    owners = {
+        mod.name: importlib.import_module(f"dnareads.{mod.name}")
+        for mod in pkgutil.iter_modules(dnareads.__path__)
+    }
+    owners |= {"dnareads": dnareads, "Codebook": Codebook}
+    cited = re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+    cited = [(owner, name) for owner, name in cited if owner in owners]
+    assert cited, "README cites no dnareads name"
+    assert [f"{o}.{n}" for o, n in cited if not hasattr(owners[o], n)] == []

@@ -134,7 +134,7 @@ def test_batch_memory_stays_within_budget(monkeypatch):
     matrix = np.random.default_rng(1).integers(0, 2, size=(4096, 24))
     params = SimParams(m=24, k=4096, v=2, p=0.1, dm=1, theta=1.0, read_cap=200, seed=3)
     cb = Codebook(params, matrix)
-    _ = cb.mismatch, cb.word_ids  # per-codebook tables, built before tracing
+    _ = cb.packed_mismatch, cb.word_ids  # per-codebook tables, built before tracing
     shapes = _decoded_shapes(monkeypatch)
     tracemalloc.start()
     try:
@@ -290,6 +290,14 @@ def test_rows_outliving_the_prefix_match_serial(slow_codebook, adversary, budget
     assert (batch.n_reads > width).sum() > 100
     assert (batch.kind == VerdictKind.TRUNCATED.value).sum() > 0
     _assert_matches_serial(slow_codebook, adversary, batch)
+
+
+def test_only_the_strong_screen_widens_the_prefix(small_codebook):
+    # h_m is the strong screen's head: the weak adversary never reads it, so
+    # its first pass keeps the width of its own bound
+    cb = small_codebook
+    assert simulate._prefix_width(cb, "weak", 100) == simulate._prefix_width(cb, "weak") < 100
+    assert simulate._prefix_width(cb, "strong", 100) >= 100
 
 
 @pytest.mark.parametrize(
