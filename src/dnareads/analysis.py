@@ -182,23 +182,6 @@ def index_counts(draws, m: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=rows * m).reshape(rows, m)
 
 
-def group_counts(draws) -> np.ndarray:
-    """Per-row multiplicity table of a (rows, h) block of indices, one column
-    per draw: each distinct index's multiplicity sits at its first draw in
-    sorted order, and the other columns are zero.  Its nonzero entries are
-    those of index_counts, whatever m, in O(h) memory per row."""
-    s = np.sort(draws, axis=1)
-    rows, h = s.shape
-    first = np.ones((rows, h), dtype=bool)
-    first[:, 1:] = s[:, 1:] != s[:, :-1]
-    pos = np.arange(h)
-    # a group ends where the next one starts, or at h
-    starts = np.where(first, pos, h)
-    end = np.minimum.accumulate(starts[:, :0:-1], axis=1)[:, ::-1]
-    end = np.concatenate([end, np.full((rows, 1), h)], axis=1)
-    return np.where(first, end - pos, 0)
-
-
 def greedy_removals(counts, dm: int):
     """Per row, the largest number of whole value-groups whose total
     multiplicity fits the dm-slot budget.  The last axis of counts lists the
@@ -255,27 +238,36 @@ class SPartition:
     leaves a t2 whose draws hit at most r_prime_m distinct indices.
     """
 
-    in_s: bool
+    in_s: bool | np.ndarray
     t1: np.ndarray
 
 
 def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
-    """Decide membership and exhibit a witness partition: the t1 mask marks
-    every draw of the removed value-groups, the lowest index first among
-    equal multiplicities; membership means the unmarked draws hit at most
-    r_prime_m distinct indices."""
-    head = np.asarray(f)[:h_m]
-    if len(head) != h_m:
+    """Decide membership and exhibit a witness partition of one index
+    sequence, or of each row of a (rows, h) block, in O(h_m) memory a row at
+    any m: the t1 mask marks every draw of the removed value-groups, the
+    lowest index first among equal multiplicities; membership means the
+    unmarked draws hit at most r_prime_m distinct indices."""
+    f = np.asarray(f)
+    head = np.atleast_2d(f[..., :h_m])
+    if head.shape[1] != h_m:
         raise ValueError("sequence shorter than h_m")
     if dm < 0 or r_prime_m < 0:
         raise ValueError("budget out of range")
-    counts = np.bincount(head)
+    rows = np.arange(len(head))[:, None]
+    order = np.argsort(head, axis=1, kind="stable")
+    # group g of a row holds the draws of its g-th smallest distinct index
+    group = np.cumsum(np.diff(head[rows, order], axis=1, prepend=-1) != 0, axis=1) - 1
+    counts = index_counts(group, h_m)
     stats = partition_stats(counts, dm, r_prime_m)
-    vals = np.flatnonzero(counts)
-    order = np.argsort(counts[vals], kind="stable")
-    removed = np.zeros(len(counts), dtype=bool)
-    removed[vals[order[: stats.removed]]] = True
-    return SPartition(in_s=bool(stats.in_s), t1=removed[head])
+    # each group's rank by multiplicity, then by index; empty groups go last
+    by_size = np.argsort(np.where(counts > 0, counts, h_m + 1), axis=1, kind="stable")
+    removed = np.argsort(by_size, axis=1) < stats.removed[:, None]
+    t1 = np.empty(head.shape, dtype=bool)
+    t1[rows, order] = removed[rows, group]
+    if f.ndim == 1:
+        return SPartition(in_s=bool(stats.in_s[0]), t1=t1[0])
+    return SPartition(in_s=stats.in_s, t1=t1)
 
 
 def strong_converse_factor(p: float, dm: int) -> float:

@@ -92,7 +92,8 @@ def strong_prepare(
     """
     candidates = []
     if part.in_s and psi and flags[:h_m][part.t1].all():
-        candidates = agreeing(cb, m, f[:h_m][~part.t1])
+        agree = agreeing(cb, np.array([m]), f[None, :h_m], part.t1[None])[0]
+        candidates = np.flatnonzero(agree).tolist()
     stops = decoder.stopping_times_all(cb, f, h_m, candidates)
     m_prime = min(stops, default=None)
     return StrongAdversaryPlan(m_prime, stops.get(m_prime), part.t1, psi)
@@ -139,7 +140,7 @@ def weak_prepare(
     if not 0 <= r_prime_m <= mm:
         raise ValueError("r_prime_m out of range")
     chosen = np.sort(rng.choice(mm, size=r_prime_m, replace=False))
-    cands = agreeing(cb, m, chosen)
+    cands = np.flatnonzero(agreeing(cb, np.array([m]), chosen[None])[0])
     m_prime = int(cands[rng.integers(len(cands))]) if len(cands) else None
     psi = bool(rng.random() < cb.params.p)
     return WeakAdversaryPlan(index_set=chosen, m_prime=m_prime, psi=psi)

@@ -39,8 +39,8 @@ class Codebook:
         """(m*v, ceil(k/64)) read-only contradiction bits, built on first use:
         bit c % 64 of word c // 64 of row index*v + payload is set when
         codeword c stores another payload at that index.  The decode kernel's
-        contradiction table, at m*v*ceil(k/64)*8 bytes; the per-read decoder
-        reads the same rule from word_ids."""
+        contradiction table, at m*v*ceil(k/64)*8 bytes, whose clear bits
+        agreeing reads; the per-read decoder reads the rule from word_ids."""
         p = self.params
         table = self.matrix.T[:, None, :] != np.arange(p.v)[:, None]
         bits = np.packbits(table, axis=-1, bitorder="little").reshape(p.m * p.v, -1)
@@ -155,14 +155,17 @@ def verify_intersections(cb: Codebook) -> int:
     return best
 
 
-def agreeing(cb: Codebook, m: int, indices) -> list[int]:
-    """Sorted ids of the messages other than m whose codewords store m's
-    payload at every index in indices (repeats are harmless): the messages
-    an impersonator can swap in for m without touching those indices."""
-    w = cb.matrix
-    agree = (w[:, indices] == w[m, indices]).all(axis=1)
-    agree[m] = False
-    return np.flatnonzero(agree).tolist()
+def agreeing(cb: Codebook, messages, indices, skip=None) -> np.ndarray:
+    """(rows, k) bool mask: entry [r, c] is set when c is not messages[r] and
+    codeword c stores messages[r]'s payload at every index of indices[r]
+    whose skip entry, if any, is False, as packed_mismatch's clear bits say."""
+    bits = cb.packed_mismatch[cb.word_ids[messages[:, None], indices]]
+    if skip is not None:
+        bits[skip] = 0
+    clash = np.bitwise_or.reduce(bits, axis=1).astype("<u8").view(np.uint8)
+    agree = np.unpackbits(clash, axis=1, count=len(cb), bitorder="little") == 0
+    agree[np.arange(len(messages)), messages] = False
+    return agree
 
 
 def save_codebook(cb: Codebook, path: str) -> None:

@@ -178,7 +178,8 @@ class SimParams:
 
     Building one, directly or by dataclasses.replace, checks every field
     against PARAM_RULES: a ValueError names the first one not of its kind
-    or out of its range.
+    or out of its range.  A numpy scalar is kept as a Python number, which
+    seeds the streams and saves as such.
     """
 
     m: int
@@ -191,8 +192,10 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
-        # the default follows from a checked m and is in range
         check_rules(vars(self), PARAM_RULES)
+        for name, x in vars(self).copy().items():
+            object.__setattr__(self, name, x if x is None else int(x) if _is_int(x) else float(x))
+        # the default follows from a checked m and is in range
         if self.read_cap is None:
             object.__setattr__(self, "read_cap", 50 * self.m)
 

@@ -51,11 +51,11 @@ more than one candidate, so the layout walks the schedule with and without
 it for psi's raw.  Past m > 10000 and r' > m // 50 numpy shuffles a tail of
 arange(m) instead, and that layout sends every row through _observe_trial.
 
-The strong plan finds no candidate unless the trial is in S and psi holds,
-and with no candidate every read stays true.  So the strong layout screens
-its rows: it reads psi and the S test of f's h_m head, and sends a row in S
-with psi through _observe_trial, as it sends a rejected row.  Every other
-strong row observes its true row, with no m'.
+The strong plan has a candidate only where the trial is in S, psi holds,
+every t1 read errs and another codeword agrees with the true one at every
+t2 index.  The strong layout tests all four on the block (s_membership,
+codebook.agreeing) and sends a row with a candidate through _observe_trial,
+as it sends a rejected row; every other row keeps its true row, m' -1.
 """
 
 from __future__ import annotations
@@ -67,10 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel, core, decoder
-from .analysis import (
-    expected_reads_upper_bound, group_counts, ones_threshold, partition_stats, s_membership,
-)
-from .codebook import Codebook
+from .analysis import expected_reads_upper_bound, ones_threshold, s_membership
+from .codebook import Codebook, agreeing
 from .core import Trace, Verdict, VerdictKind, derive_trial_rng
 
 
@@ -360,7 +358,7 @@ class _Layout:
     random_raw block, as _walk places them, and which words are tested for
     rejection (module docstring).  The weak adversary's layout also holds its
     plan's draws, whole at any width, for an index set of r_prime_m; the
-    strong adversary's, its screen's h_m and r_prime_m."""
+    strong one's, the h_m and r_prime_m of its screen's S test and witness."""
 
     def __init__(
         self, cb: Codebook, adversary: str, width: int,
@@ -395,15 +393,17 @@ class _Layout:
         self.n_raw = n_raw = int(np.concatenate(needed).max(initial=-1)) + 1
         tested = sum(len(test) for *_, test in self.draws.values())
         decoded = sum(len(shown) for n, _, shown, _ in self.draws.values() if n is not None)
-        extra = 0
+        extra, words = 0, -(-p.k // 64)  # words of a packed_mismatch row
         if adversary == "weak":
-            # Floyd's seen mask, the index set, and per message the gathered
-            # payloads and flags of the candidate test, its mask and its sum
-            extra = p.m + 8 * r_prime_m + (9 * r_prime_m + 9) * p.k
+            # Floyd's seen mask, the index set's two int64 copies, agreeing's
+            # ids and packed rows per index, and per message its bits and mask
+            # and the pick's int64 running count
+            extra = p.m + (16 + 8 * words) * r_prime_m + 17 * p.k + 64
         elif adversary == "strong":
-            # group_counts' six int64 rows and mask and partition_stats' three
-            # bool masks over f's head, and psi's and the row masks' bytes
-            extra = 52 * h_m + 64
+            # the screen's steps, one at a time over f's head: per read the
+            # larger of s_membership's rows and agreeing's copies and packed
+            # rows beside the witness; agreeing's bits and mask per message
+            extra = max(56, 27 + 8 * words) * h_m + 2 * p.k + 16 * words + 64
         # The raws; per tested word its gathered copy, product and flag; per
         # decoded word its copy, uint64 copy and product; and the int64 or
         # float64 rows of width: six in a noisy layout (true ids, u, its
@@ -418,9 +418,9 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     """Fill message and obs for the trials with these stream states from one
     random_raw block each.  Returns (bad, plan): bad masks the rows to
     redraw, those where numpy would have rejected a bounded draw, which
-    shifts the rest, every row of a per-trial layout, and the strong rows the
-    screen sends (module docstring); plan is the strong or weak adversary's
-    (m_prime, psi) columns, None for the others."""
+    shifts the rest, every row of a per-trial layout, and the strong rows
+    whose plan has a candidate (module docstring); plan is the strong or weak
+    adversary's (m_prime, psi) columns, None for the others."""
     p = cb.params
     if layout.per_trial:
         return np.ones(len(states), dtype=bool), None
@@ -441,10 +441,13 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     # the true rows, which the adversary then changes where it errs
     obs[:] = true_ids = cb.word_ids[msg, f]
     if adversary == "strong":
-        # a row the screen passes has no candidate, so it observes its true row
+        # the rows whose plan has a candidate (module docstring)
         psi = _below(raws[:, layout.draws["psi"][2][0]], p.p)
-        in_s = partition_stats(group_counts(f[:, : layout.h_m]), p.dm, layout.r_prime).in_s
-        return bad | (in_s & psi), (np.full(len(psi), -1), psi)
+        part = s_membership(f, layout.h_m, p.dm, layout.r_prime)
+        errs = _below(raws[:, layout.draws["u"][2][: layout.h_m]], p.p)
+        rows = np.flatnonzero(part.in_s & psi & (errs | ~part.t1).all(axis=1))
+        bad[rows] |= agreeing(cb, msg[rows, 0], f[rows, : layout.h_m], part.t1[rows]).any(axis=1)
+        return bad, (np.full(len(psi), -1), psi)
     if adversary == "weak":
         # channel.observe_weak on the rows whose plan is active
         _, m_prime, psi, picked_bad = _weak_plan(cb, layout, raws, words, drawn)
@@ -479,9 +482,7 @@ def _weak_plan(cb, layout, raws, words, drawn):
         seen[rows, value] = True
     # the shuffle only orders the sample, which weak_prepare sorts
     index_set = np.nonzero(seen)[1].reshape(b, r)
-    w, msg = cb.matrix, drawn["message"][:, 0]
-    agree = (w.T[index_set] == w[msg[:, None], index_set][..., None]).all(axis=1)
-    agree[rows, msg] = False
+    agree = agreeing(cb, drawn["message"][:, 0], index_set)
     n_cands = agree.sum(axis=1)
     many = n_cands > 1
     pick = np.zeros(b, dtype=np.int64)
@@ -511,8 +512,8 @@ def _draw_rows(cb, adversary, layout, start, rows, budget):
     whose plan is active to that plan.
 
     The rows are decoded from their raw blocks in sub-blocks whose
-    temporaries fit in budget bytes.  Every row where numpy would have rejected a word goes through
-    _observe_trial instead.  The first row is
+    temporaries fit in budget bytes.  Every row where numpy would have
+    rejected a word goes through _observe_trial instead.  The first row is
     compared with _observe_trial, so that a numpy whose internals no longer
     match the decoding fails loudly."""
     b, active = len(rows), {}

@@ -211,7 +211,8 @@ def test_criterion_07_exact_combinatorics():
         )
         size = int(rng.integers(0, m + 1))
         iset = rng.choice(m, size=size, replace=False)
-        got = {i for i in range(k) if not agreeing(cb, i, iset)}
+        mask = agreeing(cb, np.arange(k), np.tile(iset, (k, 1)))
+        got = {i for i in range(k) if not mask[i].any()}
         restr = [tuple(row[sorted(iset)]) for row in cb.matrix]
         brute = {
             i

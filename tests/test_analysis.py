@@ -16,7 +16,6 @@ from dnareads.analysis import (
     expected_z,
     expected_z1,
     greedy_removals,
-    group_counts,
     index_counts,
     partition_stats,
     race_dp,
@@ -218,12 +217,20 @@ def test_partition_stats_z_examples():
     assert stats.sufficient.tolist() == [True, True]
 
 
-def test_group_counts_example():
-    # multiplicities at each distinct index's first draw in sorted order
-    assert group_counts(np.array([[5, 1, 5, 5, 1, 2], [0, 0, 0, 0, 0, 0]])).tolist() == [
-        [2, 0, 1, 3, 0, 0],
-        [6, 0, 0, 0, 0, 0],
+def test_s_membership_block_witness_example():
+    # row 0 has groups {1: 2 draws, 2: 1, 5: 3}: at dm = 3 the greedy takes
+    # the single 2, then one group of two (index 1); the 5s stay in t2.
+    # Row 1 reads one index, whose group of 6 does not fit dm and is in t2.
+    part = s_membership(np.array([[5, 1, 5, 5, 1, 2], [0, 0, 0, 0, 0, 0]]), 6, 3, 1)
+    assert part.in_s.tolist() == [True, True]
+    assert part.t1.tolist() == [
+        [False, True, False, False, True, True],
+        [False] * 6,
     ]
+    # at dm = 2 only the single 2 fits, and two distinct indices stay in t2
+    part = s_membership(np.array([[5, 1, 5, 5, 1, 2]]), 6, 2, 1)
+    assert part.in_s.tolist() == [False]
+    assert part.t1.tolist() == [[False, False, False, False, False, True]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,12 +241,31 @@ def test_group_counts_example():
     rpm=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_group_counts_partition_like_index_counts(m, h, dm, rpm, seed):
+def test_s_membership_block_in_s_like_index_counts(m, h, dm, rpm, seed):
     draws = np.random.default_rng(seed).integers(0, m, size=(20, h))
-    by_group = partition_stats(group_counts(draws), dm, rpm)
-    by_index = partition_stats(index_counts(draws, m), dm, rpm)
-    for got, want in zip(by_group, by_index):
-        assert np.array_equal(got, want)
+    part = s_membership(draws, h, dm, rpm)
+    assert np.array_equal(part.in_s, partition_stats(index_counts(draws, m), dm, rpm).in_s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_s_membership_block_equals_row_calls(data):
+    # h_m at or below dm, heads of one repeated index and r' = 0 included
+    m = data.draw(st.integers(1, 8), label="m")
+    h_m = data.draw(st.integers(1, 12), label="h_m")
+    dm = data.draw(st.integers(0, 4) | st.just(h_m), label="dm")
+    rpm = data.draw(st.just(0) | st.integers(0, m), label="rpm")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    width = h_m + data.draw(st.integers(0, 3), label="past the head")
+    index = st.integers(0, m - 1)
+    row = st.lists(index, min_size=width, max_size=width) | index.map(lambda i: [i] * width)
+    f = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows), label="f"))
+    part = s_membership(f, h_m, dm, rpm)
+    assert part.in_s.shape == (rows,) and part.t1.shape == (rows, h_m)
+    for r in range(rows):
+        one = s_membership(f[r], h_m, dm, rpm)
+        assert one.in_s is bool(part.in_s[r])
+        assert np.array_equal(one.t1, part.t1[r])
 
 
 def test_s_membership_witness_example():

@@ -188,14 +188,23 @@ def test_words_match_matrix(small_codebook):
     assert np.array_equal(ids[3] % p.v, small_codebook.matrix[3])
 
 
+def _agreeing_ids(cb, messages, indices, skip=None) -> list[list[int]]:
+    """agreeing's mask as each row's sorted message ids."""
+    return [np.flatnonzero(row).tolist() for row in agreeing(cb, messages, indices, skip)]
+
+
 def test_agreeing_hand_instance(literal_codebook):
     cb = literal_codebook([[0, 0, 1], [0, 1, 1], [0, 0, 2]], dm=0)
+    rows = np.arange(3)
     # on index 0 all words agree; on {1,2} each is distinct
-    assert [agreeing(cb, i, [0]) for i in range(3)] == [[1, 2], [0, 2], [0, 1]]
-    assert [agreeing(cb, i, [2, 1]) for i in range(3)] == [[], [], []]
+    assert _agreeing_ids(cb, rows, np.zeros((3, 1), dtype=int)) == [[1, 2], [0, 2], [0, 1]]
+    assert _agreeing_ids(cb, rows, np.tile([2, 1], (3, 1))) == [[], [], []]
     # index 2 alone: word 0 and 1 share payload 1, word 2 is alone; repeats
     # change nothing
-    assert [agreeing(cb, i, np.array([2, 2])) for i in range(3)] == [[1], [0], []]
+    assert _agreeing_ids(cb, rows, np.full((3, 2), 2)) == [[1], [0], []]
+    # skipping index 2 leaves index 1, where words 0 and 2 share payload 0
+    skip = np.tile([True, False], (3, 1))
+    assert _agreeing_ids(cb, rows, np.tile([2, 1], (3, 1)), skip) == [[2], [], [0]]
 
 
 def test_agreeing_brute_force():
@@ -209,19 +218,66 @@ def test_agreeing_brute_force():
         size = int(rng.integers(0, m + 1))
         iset = rng.choice(m, size=size, replace=False)
         restr = [tuple(row[sorted(iset)]) for row in cb.matrix]
+        # one block: every message against the same index set
+        got = _agreeing_ids(cb, np.arange(k), np.tile(iset, (k, 1)))
         for i in range(k):
             brute = [j for j in range(k) if j != i and restr[j] == restr[i]]
-            assert agreeing(cb, i, iset) == brute
+            assert got[i] == brute
         # at most one message per restriction value agrees with no other
-        unique = [i for i in range(k) if not agreeing(cb, i, iset)]
+        unique = [i for i in range(k) if not got[i]]
         assert len(unique) <= v ** len(iset)
+
+
+def test_agreeing_skip_brute_force():
+    # each row its own message, index sequence (repeats and all) and skip
+    # mask: a skipped entry drops out of that row's test
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        k = int(rng.integers(2, 12))
+        m = int(rng.integers(2, 8))
+        v = int(rng.integers(2, 4))
+        n = int(rng.integers(0, 10))
+        params = SimParams(m=m, k=k, v=v, p=0.0, dm=0, theta=1.0, seed=0)
+        cb = Codebook(params, rng.integers(0, v, size=(k, m)))
+        rows = int(rng.integers(1, 8))
+        messages = rng.integers(0, k, size=rows)
+        indices = rng.integers(0, m, size=(rows, n))
+        skip = rng.random((rows, n)) < 0.4
+        got = _agreeing_ids(cb, messages, indices, skip)
+        for r, a in enumerate(messages):
+            kept = indices[r][~skip[r]]
+            restr = cb.matrix[:, kept]
+            brute = [j for j in range(k) if j != a and (restr[j] == restr[a]).all()]
+            assert got[r] == brute
+        # no skip is a skip mask of False everywhere
+        assert _agreeing_ids(cb, messages, indices) == _agreeing_ids(
+            cb, messages, indices, np.zeros((rows, n), dtype=bool)
+        )
 
 
 def test_empty_restriction_never_unique(small_codebook):
     # on no indices every other message agrees, so none is unique once k >= 2
     k = len(small_codebook)
-    for i in range(k):
-        assert agreeing(small_codebook, i, []) == [j for j in range(k) if j != i]
+    got = _agreeing_ids(small_codebook, np.arange(k), np.zeros((k, 0), dtype=int))
+    assert got == [[j for j in range(k) if j != i] for i in range(k)]
+
+
+def test_numpy_scalar_params_build_and_save_the_same_book(tmp_path):
+    # numpy scalars pass PARAM_RULES; SimParams keeps Python numbers, so the
+    # codebook stream seeds from them and the saved header reads back
+    plain = SimParams(m=8, k=4, v=4, p=0.25, dm=1, theta=0.5, read_cap=100, seed=3)
+    scalars = SimParams(
+        m=np.int64(8), k=np.int32(4), v=np.uint8(4), p=np.float64(0.25), dm=np.int16(1),
+        theta=np.float64(0.5), read_cap=np.uint64(100), seed=np.int64(3),
+    )
+    assert [type(x) for x in vars(scalars).values()] == [type(x) for x in vars(plain).values()]
+    cb = construct_greedy(scalars)
+    assert np.array_equal(cb.matrix, construct_greedy(plain).matrix)
+    paths = tmp_path / "scalars.txt", tmp_path / "plain.txt"
+    save_codebook(cb, str(paths[0]))
+    save_codebook(construct_greedy(plain), str(paths[1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert np.array_equal(load_codebook(str(paths[0]), scalars).matrix, cb.matrix)
 
 
 def test_save_load_round_trip(tmp_path, small_codebook):

@@ -124,8 +124,9 @@ RUNS = {
         for adv, rpm, trials in (("strong", "5", "2500"), ("weak", "3", "5000"))
     },
     # a code where psi holds on half the rows and every head is in S, so the
-    # strong screen sends half the rows to the per-trial draw; 4000 trials
-    # span two converse blocks
+    # strong screen's other two premises, the t1 errors and a t2-agreeing
+    # codeword, decide: it sends the 218 rows with a candidate to the
+    # per-trial draw; 4000 trials span five converse blocks
     "converse-strong-screened": [
         "converse", "--m", "8", "--k", "16", "--v", "2", "--p", "0.5", "--delta", "0.25",
         "--theta", "0.8", "--read-cap", "100", "--hm", "12", "--rprimem", "6",

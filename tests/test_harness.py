@@ -28,7 +28,7 @@ from dnareads.harness import (
     sweep_p,
     wilson_interval,
 )
-from dnareads import analysis, cli, core, harness, simulate
+from dnareads import analysis, cli, core, decoder, harness, simulate
 from dnareads.channel import StrongAdversaryPlan
 from dnareads.codebook import construct_greedy
 from dnareads.core import Verdict, VerdictKind, derive_trial_rng
@@ -291,26 +291,34 @@ def _per_trial_rows(cfg, cb, trials=None):
     return rows
 
 
-# (params, h_m, r_prime_m, the share of strong rows the screen sends down the
-# adversary path): criterion 8's code, a code where psi holds on half the
-# rows and every head is in S, and codes with one index and one message
+# (params, h_m, r_prime_m, the share of strong rows in S with psi, the first
+# two premises of the plan): criterion 8's code, a code where psi holds on
+# half the rows and every head is in S, and codes with one index and one
+# message
 _ORACLE_CODES = [
     (SimParams(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400, seed=3), 20, 5, 0.007),
     (SimParams(m=8, k=16, v=2, p=0.5, dm=2, theta=0.8, read_cap=100, seed=1), 12, 6, 0.537),
     (SimParams(m=1, k=2, v=4, p=0.4, dm=0, theta=1.0, read_cap=30, seed=2), 5, 1, 0.453),
     (SimParams(m=6, k=1, v=3, p=0.4, dm=2, theta=0.5, read_cap=50, seed=2), 10, 4, 0.4),
 ]
+# Of their 300 oracle trials, the rows the screen sends down the adversary
+# path, those whose plan has a candidate: at m = 1 no other word agrees at
+# index 0, and with k = 1 there is no other word.
+_SENT = {_ORACLE_CODES[1][0]: 19}
 
 
 def _screened(cb, h_m, r_prime_m, trials):
-    """Mask of the strong trials 0..trials-1 that the screen in
-    simulate._draw_columnar sends to the per-trial draw."""
+    """Masks of the strong trials 0..trials-1 that the screen in
+    simulate._draw_columnar sends to the per-trial draw, and of those in S
+    with psi."""
     layout = simulate._Layout(cb, "strong", cb.params.read_cap, r_prime_m, h_m)
     states = core.trial_states(cb.params.seed, np.arange(trials, dtype=np.uint64))
     message = np.empty(trials, dtype=np.int64)
     obs = np.empty((trials, layout.width), dtype=simulate._id_dtype(cb))
-    bad, _ = simulate._draw_columnar(cb, "strong", layout, states, message, obs)
-    return bad
+    bad, (_, psi) = simulate._draw_columnar(cb, "strong", layout, states, message, obs)
+    # the draw leaves every row's true ids in obs
+    part = analysis.s_membership(obs[:, :h_m] // cb.params.v, h_m, cb.params.dm, r_prime_m)
+    return bad, part.in_s & psi
 
 
 # Rows of the 300 oracle trials that outlive the prefix width, which the
@@ -364,8 +372,57 @@ def test_converse_blocks_match_per_trial_rows(
     assert len(live) == _PAST_PREFIX.get(params, 0)
     assert sum(n for n, w in shapes if w != width) == len(live)
     if adversary == "strong":
-        screened = _screened(cb, h_m, r_prime_m, cfg.trials)
-        assert screened.mean() == pytest.approx(share, abs=0.0005)
+        sent, premised = _screened(cb, h_m, r_prime_m, cfg.trials)
+        assert premised.mean() == pytest.approx(share, abs=0.0005)
+        assert sent.sum() == _SENT.get(params, 0)
+        assert not (sent & ~premised).any()
+
+
+# the screened golden run's code (tests/test_golden_outputs.py)
+_SCREENED_CODE = _ORACLE_CODES[1][:3]
+
+
+@pytest.mark.parametrize(
+    "params,h_m,r_prime_m,trials",
+    [(*code[:3], 300) for code in _ORACLE_CODES] + [(*_SCREENED_CODE, 4000)],
+)
+def test_strong_screen_sends_exactly_the_rows_with_candidates(
+    monkeypatch, params, h_m, r_prime_m, trials
+):
+    # the candidates channel.strong_prepare hands to stopping_times_all on
+    # the per-trial path: a row the screen keeps in the block has none, so
+    # its plan is inactive and its true row is its observed row; a row it
+    # sends has some (no word is rejected at these codes)
+    cb = construct_greedy(params)
+    sent, _ = _screened(cb, h_m, r_prime_m, trials)
+    real, candidates = decoder.stopping_times_all, []
+
+    def recording(cb, f, horizon, messages):
+        candidates.append(list(messages))
+        return real(cb, f, horizon, messages)
+
+    monkeypatch.setattr(decoder, "stopping_times_all", recording)
+    for t in range(trials):
+        simulate._observe_trial(cb, "strong", t, h_m, r_prime_m)
+    assert [bool(c) for c in candidates] == sent.tolist()
+
+
+def test_strong_screen_calls_at_the_screened_code(monkeypatch):
+    # 4000 trials: run_trial's trial 0, the first-row checks of the five
+    # drawn blocks and the 218 rows the screen sends.  A screen of S and psi
+    # alone sends the 2000 rows in S with psi, for 2006 calls.
+    params, h_m, r_prime_m = _SCREENED_CODE
+    cb = construct_greedy(params)
+    real, calls = simulate._observe_trial, []
+
+    def observing(cb, adversary, trial, *args):
+        calls.append(trial)
+        return real(cb, adversary, trial, *args)
+
+    monkeypatch.setattr(simulate, "_observe_trial", observing)
+    res = simulate.run_converse(cb, "strong", 4000, h_m, r_prime_m)
+    assert len(calls) == 224
+    assert not res.active.any()
 
 
 def test_strong_rows_with_rejected_words_match_per_trial_rows():
@@ -377,8 +434,8 @@ def test_strong_rows_with_rejected_words_match_per_trial_rows():
     cb = construct_greedy(params)
     cfg = ExperimentConfig(params=params, adversary="strong", trials=1000, h_m=20, r_prime_m=19)
     rejected = [11, 539, 909]
-    screened = _screened(cb, cfg.h_m, cfg.r_prime_m, cfg.trials)
-    assert set(rejected) <= set(np.flatnonzero(screened).tolist())
+    sent, _ = _screened(cb, cfg.h_m, cfg.r_prime_m, cfg.trials)
+    assert set(rejected) <= set(np.flatnonzero(sent).tolist())
     rows = _engine_rows(cfg, cb)
     assert [rows[t] for t in rejected] == _per_trial_rows(cfg, cb, rejected)
     assert rows[:10] == _per_trial_rows(cfg, cb, range(10))
@@ -409,12 +466,15 @@ def test_converse_memory_stays_within_budget(small_codebook, adversary, r_prime_
     assert peaks[1] <= 1.1 * peaks[0]
 
 
-def test_implication_checked_on_block_rows(monkeypatch, small_codebook):
+def test_implication_checked_on_block_rows(monkeypatch):
     # a row inside a block, past trial 0, whose strong plan is active but
-    # whose verdict is not Decided(m_prime, stop): the run must name it
-    cb = small_codebook
-    trial = int(np.flatnonzero(_screened(cb, 20, 5, 300))[0])
-    assert trial > 0
+    # whose verdict is not Decided(m_prime, stop): the run must name it.
+    # The screen sends only rows with a candidate to the per-trial draw,
+    # which the screened code has inside blocks.
+    params, h_m, r_prime_m = _SCREENED_CODE
+    cb = construct_greedy(params)
+    sent, _ = _screened(cb, h_m, r_prime_m, 300)
+    trial = next(t for t in np.flatnonzero(sent).tolist() if t % 70)
     observe = simulate._observe_trial
 
     def observe_trial(cb, adversary, t, h_m=None, r_prime_m=None):
@@ -422,17 +482,16 @@ def test_implication_checked_on_block_rows(monkeypatch, small_codebook):
         if t != trial:
             return obs
         plan = StrongAdversaryPlan(
-            m_prime=(obs.message + 1) % cb.params.k, stop=1, t1=np.ones(20, dtype=bool), psi=True
+            m_prime=(obs.message + 1) % cb.params.k, stop=1, t1=np.ones(h_m, dtype=bool), psi=True
         )
         return obs._replace(plan=plan)
 
     monkeypatch.setattr(simulate, "_observe_trial", observe_trial)
     # blocks of 70 rows: the row sits inside a block, not at its start
-    _, shapes = _converse_blocks(monkeypatch, cb, "strong", 20, 70)
-    assert trial % 70
+    _, shapes = _converse_blocks(monkeypatch, cb, "strong", h_m, 70)
     expected = f"guaranteed-error implication violated on trial {trial}: expected Decided("
     with pytest.raises(RuntimeError, match=re.escape(expected)):
-        simulate.run_converse(cb, "strong", 300, 20, 5)
+        simulate.run_converse(cb, "strong", 300, h_m, r_prime_m)
     assert len(shapes) > 4  # checked after the passes, which crossed the blocks
 
 

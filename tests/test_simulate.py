@@ -448,9 +448,13 @@ def _check_weak_rows(cb, r_prime_m, start, trials, budget=None, width=None) -> s
         assert psi[r] == plan.psi
         if not bad[r]:
             assert np.array_equal(index_set[r], plan.index_set)
-        cands = agreeing(cb, ref.message, plan.index_set)
-        seen.add((min(len(cands), 2), head_words % 2))
+        seen.add((min(_n_cands(cb, ref.plan, ref.message), 2), head_words % 2))
     return seen
+
+
+def _n_cands(cb, plan, message) -> int:
+    """The candidate count of a weak plan's index set."""
+    return int(agreeing(cb, np.array([message]), plan.index_set[None]).sum())
 
 
 # (m, k, v, r', read_cap, p): one index, r' = 0 and r' = m, head word counts
@@ -529,7 +533,7 @@ def test_weak_rejected_plan_words_are_redrawn(picking_codebook, draw, column, mo
     cb, r_prime_m = picking_codebook, 3
     refs = [simulate._observe_trial(cb, "weak", t, None, r_prime_m) for t in range(100)]
     target = next(
-        t for t, ref in enumerate(refs) if len(agreeing(cb, ref.message, ref.plan.index_set)) == 3
+        t for t, ref in enumerate(refs) if _n_cands(cb, ref.plan, ref.message) == 3
     )
     layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
     word = int(layout.draws[draw][3][column])
@@ -598,7 +602,7 @@ def test_walk_leaves_the_stream_where_numpy_does(adversary, monkeypatch):
         for t in range(40):
             obs = simulate._observe_trial(cb, adversary, t, h_m, r_prime_m)
             # the pick's range is the row's own candidate count
-            n_cands = len(agreeing(cb, obs.message, obs.plan.index_set)) if weak else 0
+            n_cands = _n_cands(cb, obs.plan, obs.message) if weak else 0
             draws = [(name, n_cands if name == "pick" else n, size) for name, n, size in schedule]
             columns = simulate._walk(draws)
             bounded = [(n, columns[name]) for name, n, _ in draws if n is not None]
