@@ -74,6 +74,13 @@ class StrongAdversaryPlan:
         return self.m_prime is not None
 
 
+def strong_premise(part: SPartition, psi, errs: np.ndarray):
+    """Whether the strong plan may have a candidate: the h_m head is in S,
+    psi holds and every t1 read errs, errs being the head's error flags.
+    For one row (part, psi and errs of one trial) or a block of rows."""
+    return part.in_s & psi & (errs | ~part.t1).all(axis=-1)
+
+
 def strong_prepare(
     cb: Codebook,
     m: int,
@@ -91,7 +98,7 @@ def strong_prepare(
     behavior; legitimate only for this adversary model.
     """
     candidates = []
-    if part.in_s and psi and flags[:h_m][part.t1].all():
+    if strong_premise(part, psi, flags[:h_m]):
         agree = agreeing(cb, np.array([m]), f[None, :h_m], part.t1[None])[0]
         candidates = np.flatnonzero(agree).tolist()
     stops = decoder.stopping_times_all(cb, f, h_m, candidates)

@@ -64,30 +64,75 @@ def intersection_threshold(params: SimParams) -> int:
 _GREEDY_RUNS = 3
 
 # Byte budget of construct_greedy: the words plus one block of candidates and
-# every per-candidate temporary (see _greedy_row_bytes).
+# every temporary of its filter and walk (see _greedy_bytes).
 _GREEDY_BYTES = 1_000_000
 
 
-def _greedy_dtypes(m: int, v: int) -> tuple[np.dtype, np.dtype]:
-    """Narrowest dtypes of a payload and of an intersection count."""
-    return np.min_scalar_type(v - 1), np.min_scalar_type(m)
+def _greedy_layout(m: int, v: int) -> tuple[np.dtype, int, np.dtype]:
+    """(unit dtype, units a word, count dtype): how construct_greedy holds a
+    word, for v <= 2 one bit an index in ceil(m/64) uint64 units, else one
+    unit an index, the narrowest that holds a payload; and the dtype of an
+    agreement count."""
+    if v <= 2:
+        return np.dtype(np.uint64), -(-m // 64), np.min_scalar_type(m)
+    return np.min_scalar_type(v - 1), m, np.min_scalar_type(m)
 
 
-def _greedy_row_bytes(m: int, k: int, v: int) -> int:
-    """Bytes construct_greedy holds per candidate of a block: the int64 draw,
-    its narrow copy and narrow transpose (m each), the counts against the
-    accepted words and one bool compare row (k each) with their max and
-    survivor mask, and the walk's narrow survivor row, its bool compare (m),
-    count, filter flag and alive flag."""
-    pay, cnt = (t.itemsize for t in _greedy_dtypes(m, v))
-    return 8 * m + 3 * pay * m + (cnt + 1) * k + m + 2 * cnt + 3
+def _held(cand: np.ndarray, v: int) -> np.ndarray:
+    """The (n, m) payload rows as construct_greedy holds them, one word a
+    column of _greedy_layout's units, with a bit string's padding clear."""
+    unit, units, _ = _greedy_layout(cand.shape[1], v)
+    if v > 2:
+        return np.ascontiguousarray(cand.astype(unit).T)
+    bits = np.packbits(cand, axis=1, bitorder="little")
+    padded = np.zeros((len(cand), 8 * units), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.ascontiguousarray(padded.view(np.uint64).T)
+
+
+def _agreements(rows: np.ndarray, cols: np.ndarray, m: int, v: int) -> np.ndarray:
+    """(n, a) counts of the indices where each of the n held words rows
+    agrees with each of the a held words cols: the payloads compared, or for
+    v <= 2 m less the popcount of the words' XOR, a unit at a time or a
+    column at a time, whichever takes fewer steps."""
+    # per unit: whether the payloads agree, or how many bits differ
+    per_unit = np.equal if v > 2 else lambda x, y: np.bitwise_count(x ^ y)
+    counts = np.zeros((rows.shape[1], cols.shape[1]), dtype=_greedy_layout(m, v)[2])
+    if len(rows) <= cols.shape[1]:
+        for x, y in zip(rows, cols):
+            counts += per_unit(x[:, None], y)
+    else:
+        for j, y in enumerate(cols.T):
+            counts[:, j] = per_unit(rows, y[:, None]).sum(axis=0, dtype=counts.dtype)
+    return counts if v > 2 else np.subtract(m, counts, out=counts)
+
+
+def _greedy_bytes(m: int, k: int, v: int) -> tuple[int, int, int]:
+    """(fixed, per candidate, per pair) bytes construct_greedy holds, a pair
+    being a candidate of a block and one of the chunk of words, accepted or
+    surviving, it is counted against.
+    Fixed: the int64 words, the held ones, and numpy's buffers of a broadcast
+    compare, 8192 units of each operand.  Per candidate: the int64 draw and
+    as much again for packbits' copy of it, its survivor copy or a column
+    step's compare; the held row, its transpose and survivor copy; a chunk's
+    highest count and its compare; and the filter and alive flags.  Per
+    pair: a count and its compare's temporary, a bool or for v <= 2 an XOR
+    and its popcount, or at least the clash matrix with triu's mask and
+    copy."""
+    unit, units, cnt = _greedy_layout(m, v)
+    held = unit.itemsize * units
+    fixed = 8 * m * k + held * k + 2 * 8192 * unit.itemsize
+    row = 17 * m + 3 * held + 2 * cnt.itemsize + 2
+    return fixed, row, max(cnt.itemsize + (9 if v <= 2 else 1), 3)
 
 
 def _greedy_block(m: int, k: int, v: int) -> int:
-    """Candidates per block under _GREEDY_BYTES after the int64 words and
-    their narrow transpose; at least one."""
-    fixed = (8 + _greedy_dtypes(m, v)[0].itemsize) * k * m
-    return max(1, (_GREEDY_BYTES - fixed) // _greedy_row_bytes(m, k, v))
+    """The most candidates per block under _GREEDY_BYTES, at least one, with
+    chunks of as many words, or of k if fewer."""
+    fixed, row, pair = _greedy_bytes(m, k, v)
+    room = max(0, _GREEDY_BYTES - fixed)
+    square = (math.isqrt(row * row + 4 * pair * room) - row) // (2 * pair)
+    return max(1, square if square <= k else room // (row + k * pair))
 
 
 def construct_greedy(params: SimParams) -> Codebook:
@@ -101,41 +146,47 @@ def construct_greedy(params: SimParams) -> Codebook:
 
     Candidates are drawn in blocks, which equal the one-at-a-time draws: k
     rows first, doubling up to _greedy_block rows, so a small code draws
-    little more than it uses.  Each block's intersections with the words
-    accepted before it are counted in one pass over the m index positions.
-    The survivors are then walked in order: the first is accepted and the
-    later ones are filtered against it alone.
+    little more than it uses.  Words are held as _held gives them, and
+    _agreements counts a block's intersections with the words accepted before
+    it, and then the pairwise ones of the block's survivors: its clash matrix.
+    Both are counted a chunk of min(_greedy_block, k) words at a time.  The walk
+    visits, in order, only the survivors that clash with a later one: each
+    still alive removes the later ones it clashes with, and the survivors
+    left alive are accepted.
     """
     m, k, v = params.m, params.k, params.v
-    pay, cnt = _greedy_dtypes(m, v)
     rng = derive_codebook_rng(params.seed)
     thr = intersection_threshold(params)
     words = np.empty((k, m), dtype=np.int64)
-    words_t = np.empty((m, k), dtype=pay)
+    unit, units, _ = _greedy_layout(m, v)
+    held = np.empty((units, k), dtype=unit)
     budget = 1000 * k
     cap = _greedy_block(m, k, v)
+    chunk = min(cap, k)
     for _ in range(_GREEDY_RUNS):
         accepted = drawn = 0
         b = min(k, cap)
         while drawn < budget:
             b = min(b, budget - drawn)
             drawn += b
-            cand = rng.integers(0, v, size=(b, m)).astype(pay)
-            if accepted:
-                cols = np.ascontiguousarray(cand.T)
-                counts = np.zeros((b, accepted), dtype=cnt)
-                for i in range(m):
-                    counts += cols[i][:, None] == words_t[i, :accepted]
-                cand = cand[counts.max(axis=1) < thr]
+            cand = rng.integers(0, v, size=(b, m))
+            rows = _held(cand, v)
+            seen, keep = held[:, :accepted], np.ones(b, dtype=bool)
+            for lo in range(0, accepted, chunk):
+                keep &= _agreements(rows, seen[:, lo : lo + chunk], m, v).max(axis=1) < thr
+            cand, rows = cand[keep], rows[:, keep]
             alive = np.ones(len(cand), dtype=bool)
-            for i in range(len(cand)):
-                if not alive[i]:
-                    continue
-                words[accepted] = words_t[:, accepted] = cand[i]
-                accepted += 1
-                if accepted == k:
-                    return Codebook(params, words)
-                alive[i + 1 :] &= (cand[i + 1 :] == cand[i]).sum(axis=1, dtype=cnt) < thr
+            for lo in range(0, len(cand), chunk):
+                clash = np.triu(_agreements(rows[:, lo : lo + chunk], rows[:, lo:], m, v) >= thr, 1)
+                for i in np.flatnonzero(clash.any(axis=1)):
+                    if alive[lo + i]:
+                        alive[lo:] &= ~clash[i]
+            new = np.flatnonzero(alive)[: k - accepted]
+            words[accepted : accepted + len(new)] = cand[new]
+            held[:, accepted : accepted + len(new)] = rows[:, new]
+            accepted += len(new)
+            if accepted == k:
+                return Codebook(params, words)
             b = min(2 * b, cap)
     raise RuntimeError(
         f"codebook budget exhausted: accepted {accepted} of {k} words "

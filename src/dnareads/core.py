@@ -101,15 +101,21 @@ def trial_states(seed: int, trials: np.ndarray) -> np.ndarray:
     return out
 
 
-class _StateRow:
-    """An ISeedSequence whose state is one trial_states row, registered on
-    first use so that importing this module leaves numpy.random unloaded."""
+@functools.cache
+def _state_row() -> type:
+    """An ISeedSequence whose state is one trial_states row, made on first use
+    so that importing this module leaves numpy.random unloaded."""
 
-    def __init__(self, row: np.ndarray):
-        self.row = row
+    class StateRow(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("row",)
 
-    def generate_state(self, n_words: int, dtype=None) -> np.ndarray:
-        return self.row
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words: int, dtype=None) -> np.ndarray:
+            return self.row
+
+    return StateRow
 
 
 def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
@@ -117,9 +123,9 @@ def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
     outputs of the PCG64 that derive_trial_rng seeds, which PCG64 seeds
     itself from states[r]."""
     out = np.empty((len(states), n_raw), dtype=np.uint64)
-    np.random.bit_generator.ISeedSequence.register(_StateRow)
+    state_row, pcg64 = _state_row(), np.random.PCG64
     for r, row in enumerate(states):
-        out[r] = np.random.PCG64(_StateRow(row)).random_raw(n_raw)
+        out[r] = pcg64(state_row(row)).random_raw(n_raw)
     return out
 
 

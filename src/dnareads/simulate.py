@@ -54,8 +54,9 @@ arange(m) instead, and that layout sends every row through _observe_trial.
 The strong plan has a candidate only where the trial is in S, psi holds,
 every t1 read errs and another codeword agrees with the true one at every
 t2 index.  The strong layout tests all four on the block (s_membership,
-codebook.agreeing) and sends a row with a candidate through _observe_trial,
-as it sends a rejected row; every other row keeps its true row, m' -1.
+channel.strong_premise, codebook.agreeing) and sends a row with a candidate
+through _observe_trial, as it sends a rejected row; every other row keeps its
+true row, m' -1.
 """
 
 from __future__ import annotations
@@ -445,7 +446,7 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
         psi = _below(raws[:, layout.draws["psi"][2][0]], p.p)
         part = s_membership(f, layout.h_m, p.dm, layout.r_prime)
         errs = _below(raws[:, layout.draws["u"][2][: layout.h_m]], p.p)
-        rows = np.flatnonzero(part.in_s & psi & (errs | ~part.t1).all(axis=1))
+        rows = np.flatnonzero(channel.strong_premise(part, psi, errs))
         bad[rows] |= agreeing(cb, msg[rows, 0], f[rows, : layout.h_m], part.t1[rows]).any(axis=1)
         return bad, (np.full(len(psi), -1), psi)
     if adversary == "weak":

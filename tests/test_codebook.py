@@ -75,8 +75,21 @@ def test_construct_deterministic():
         (UNIFORM_SWEEP_CODE, 7),
         (DECODE_WIDE_CODE, 1000),
         (dict(m=7, k=20, v=3, dm=1, theta=0.5), 2),
+        # bit strings that end inside, at and past a 64-bit word boundary,
+        # at thresholds that reject candidates and clash within blocks
+        (dict(m=63, k=40, v=2, dm=1, theta=0.6), 3),
+        (dict(m=64, k=40, v=2, dm=1, theta=0.6), 4),
+        (dict(m=65, k=40, v=2, dm=1, theta=0.6), 5),
+        (dict(m=130, k=40, v=2, dm=1, theta=0.58), 6),
+        (dict(m=5, k=1, v=1, dm=0, theta=0.5), 7),
+        # a block of more survivors than k, walked a chunk of k at a time,
+        # whose first chunk keeps too few of them alive
+        (dict(m=9, k=6, v=3, dm=0, theta=0.4), 90),
     ],
-    ids=["uniform-sweep-1000", "uniform-sweep-1001", "uniform-sweep-7", "decode-wide", "odd-m"],
+    ids=[
+        "uniform-sweep-1000", "uniform-sweep-1001", "uniform-sweep-7", "decode-wide", "odd-m",
+        "binary-m63", "binary-m64", "binary-m65", "binary-m130", "unary", "chunked-walk",
+    ],
 )
 def test_construct_matches_sequential(code, seed):
     params = SimParams(p=0.0, seed=seed, **code)
@@ -117,8 +130,14 @@ def test_construct_matches_sequential_across_capped_block(monkeypatch):
 
 @pytest.mark.parametrize(
     "code",
-    [DECODE_WIDE_CODE, dict(m=64, k=24, v=300, dm=0, theta=0.015)],
-    ids=["decode-wide", "wide-alphabet"],
+    [
+        DECODE_WIDE_CODE,
+        dict(m=64, k=24, v=300, dm=0, theta=0.015),
+        # blocks run at the cap and nearly every candidate survives, so the
+        # survivors' clash matrix is the largest term of a block
+        dict(m=64, k=512, v=2, dm=3, theta=0.7),
+    ],
+    ids=["decode-wide", "wide-alphabet", "binary-clash-matrix"],
 )
 def test_construct_memory_stays_within_budget(code):
     params = SimParams(p=0.0, seed=1, **code)
