@@ -35,12 +35,11 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _hashmix(value: np.ndarray, const: list) -> np.ndarray:
-    """SeedSequence's hashmix; const holds the running hash constant, which
-    every call advances."""
-    value = value ^ np.uint32(const[0])
-    const[0] = const[0] * _MULT_A & _MASK32
-    value = value * np.uint32(const[0])
+def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
+    """SeedSequence's call-th hashmix (from 0): XOR in the hash constant
+    _INIT_A * _MULT_A**call, then multiply by the next one (mod 2**32)."""
+    value = value ^ np.uint32(_INIT_A * pow(_MULT_A, call, 1 << 32) & _MASK32)
+    value = value * np.uint32(_INIT_A * pow(_MULT_A, call + 1, 1 << 32) & _MASK32)
     return value ^ (value >> np.uint32(16))
 
 
@@ -50,25 +49,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _seed_pool(entropy: int) -> tuple[tuple, int]:
-    """The pool every trial_states row of this run entropy starts from, and
-    the running hash constant after it: the run entropy's words (two, padded
-    with zeros to the pool size of 4) mixed as in SeedSequence, then the
-    spawn key's first word, _TRIAL_DOMAIN.  Its words are one-element
-    columns."""
-    run = np.array([[entropy & _MASK32], [entropy >> 32], [0], [0]], dtype=np.uint32)
-    const = [_INIT_A]
-    pool = [_hashmix(word, const) for word in run]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
-    domain = np.array([_TRIAL_DOMAIN], dtype=np.uint32)
-    for dst in range(4):
-        pool[dst] = _mix(pool[dst], _hashmix(domain, const))
-    for word in pool:
-        word.setflags(write=False)
-    return tuple(pool), const[0]
+def _seed_pool(entropy: int) -> tuple:
+    """The pool every trial_states row of this run entropy starts from, as
+    read-only one-element columns: numpy's own SeedSequence pool for the run
+    entropy and the spawn key (_TRIAL_DOMAIN,), which took 20 hashmix calls."""
+    pool = np.random.SeedSequence(entropy, spawn_key=(_TRIAL_DOMAIN,)).pool.reshape(4, 1)
+    pool.setflags(write=False)
+    return tuple(pool)
 
 
 def trial_states(seed: int, trials: np.ndarray) -> np.ndarray:
@@ -78,17 +65,16 @@ def trial_states(seed: int, trials: np.ndarray) -> np.ndarray:
 
     The entropy is the run entropy (seed & _MASK64), then the spawn key
     (0, trial): the trial's low word, and last its high word if not zero.
-    The pool is mixed as in SeedSequence, from _seed_pool's words, with the
-    trial words as columns."""
-    pool, c = _seed_pool(seed & _MASK64)
-    pool, const = list(pool), [c]
+    The pool starts from _seed_pool's words and mixes in the trial words
+    as columns, as SeedSequence's calls 20-23 (low) and 24-27 (high) do."""
+    pool = list(_seed_pool(seed & _MASK64))
     low = trials.astype(np.uint32)
     for dst in range(4):
-        pool[dst] = _mix(pool[dst], _hashmix(low, const))
+        pool[dst] = _mix(pool[dst], _hashmix(low, 20 + dst))
     high = (trials >> np.uint64(32)).astype(np.uint32)
     if high.any():
         for dst in range(4):
-            pool[dst] = np.where(high != 0, _mix(pool[dst], _hashmix(high, const)), pool[dst])
+            pool[dst] = np.where(high != 0, _mix(pool[dst], _hashmix(high, 24 + dst)), pool[dst])
     # 8 words from the cycled pool, paired little-endian into 4 uint64s
     out = np.zeros((len(trials), 4), dtype=np.uint64)
     const = _INIT_B

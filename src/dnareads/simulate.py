@@ -219,27 +219,24 @@ def run_batch(cb: Codebook, adversary: str, trials: int, start: int = 0) -> Batc
     return out
 
 
-def _passes(cb, adversary, out, start, budgets, r_prime_m=None, h_m=None) -> dict:
+def _passes(cb, adversary, out, start, budgets, r_prime_m=None, h_m=None) -> None:
     """Fill out's columns for trials start.. in the two passes (module
     docstring), a decode block of budgets[0] // _row_bytes rows at a time,
-    drawn in sub-blocks of budgets[1] // layout.row_bytes rows.  Returns the
-    active plans of the rows drawn through _observe_trial, by row."""
-    rows, plans = np.arange(len(out.message)), {}
+    drawn in sub-blocks of budgets[1] // layout.row_bytes rows; the plan
+    columns m_prime and psi too, where out has them."""
+    rows = np.arange(len(out.message))
     for width in sorted({_prefix_width(cb, adversary, h_m), cb.params.read_cap}):
         layout = _Layout(cb, adversary, width, r_prime_m, h_m)
         step = max(1, budgets[0] // _row_bytes(cb, width))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            out.message[block], obs, plan, active = _draw_rows(
-                cb, adversary, layout, start, block, budgets[1]
-            )
+            out.message[block], obs, plan = _draw_rows(cb, adversary, layout, start, block,
+                                                       budgets[1])
             if plan:
                 out.m_prime[block], out.psi[block] = plan
-            plans.update(active)
             out.kind[block], out.decoded[block], out.n_reads[block] = _decode_batch(cb, obs)
             del obs  # the next block is drawn without this one
         rows = rows[out.kind[rows] == VerdictKind.TRUNCATED.value]
-    return plans
 
 
 @dataclass
@@ -264,12 +261,12 @@ def run_converse(
     """The strong or weak adversary's trials 0..trials-1 as columns,
     draw-for-draw identical to run_trial, in run_batch's two passes (module
     docstring), plan columns included.  run_trial runs trial 0 first, which
-    checks the arguments.  After both passes, raises when a row whose
-    guaranteed-error premises hold does not decode to m_prime, the wrong
-    message, at its error-free stopping time by the horizon, and when trial
-    0's row differs from run_trial's, so that a numpy whose internals drift
-    fails loudly.  Only run_trial's row and a row drawn through
-    _observe_trial can hold an active strong plan."""
+    checks the arguments.  The guaranteed-error premises hold exactly where
+    a strong plan is active, since a candidate needs them.  After both
+    passes, each such row's plan is drawn again through _observe_trial, and
+    the run raises when the row does not decode to m_prime, the wrong
+    message, at its error-free stopping time by the horizon, or when trial
+    0's row differs from run_trial's: numpy's internals drifted."""
     if adversary not in ("strong", "weak"):
         raise ValueError(f"converse engine does not support adversary {adversary!r}")
     ref, _ = run_trial(cb, adversary, 0, h_m, r_prime_m)
@@ -280,10 +277,11 @@ def run_converse(
     dtypes = (*_BATCH_DTYPES, np.int64, bool, bool, bool)
     out = ConverseResult(*(np.empty(trials, dtype=d) for d in dtypes))
     block_bytes = _CONVERSE_BYTES // 5
-    plans = _passes(cb, adversary, out, 0, (block_bytes, _CONVERSE_BYTES - block_bytes),
-                    r_prime_m, h_m)
-    out.active[:], out.conditions[:] = out.psi & (out.m_prime >= 0), False
-    for t, plan in sorted(plans.items()):
+    _passes(cb, adversary, out, 0, (block_bytes, _CONVERSE_BYTES - block_bytes), r_prime_m, h_m)
+    out.active[:] = out.psi & (out.m_prime >= 0)
+    out.conditions[:] = out.active & (adversary == "strong")
+    for t in np.flatnonzero(out.conditions).tolist():
+        plan = _observe_trial(cb, adversary, t, h_m, r_prime_m).plan
         kind, decoded, n_reads = (int(c[t]) for c in (out.kind, out.decoded, out.n_reads))
         verdict = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
         out.conditions[t] = _conditions(t, int(out.message[t]), plan, verdict, h_m)
@@ -506,18 +504,16 @@ def _below(raws: np.ndarray, p: float) -> np.ndarray:
 
 
 def _draw_rows(cb, adversary, layout, start, rows, budget):
-    """Message, observation table (rows x layout.width), plan and active plans
-    of trials start + rows.  plan is the strong or weak adversary's pair of
-    columns, m_prime (-1 when none) and psi, None for the others.  The active
-    plans map each entry of rows that was drawn through _observe_trial and
-    whose plan is active to that plan.
+    """Message, observation table (rows x layout.width) and plan of trials
+    start + rows.  plan is the strong or weak adversary's pair of columns,
+    m_prime (-1 when none) and psi, None for the others.
 
     The rows are decoded from their raw blocks in sub-blocks whose
     temporaries fit in budget bytes.  Every row where numpy would have
     rejected a word goes through _observe_trial instead.  The first row is
     compared with _observe_trial, so that a numpy whose internals no longer
     match the decoding fails loudly."""
-    b, active = len(rows), {}
+    b = len(rows)
     states = core.trial_states(cb.params.seed, rows.astype(np.uint64) + np.uint64(start))
     message = np.empty(b, dtype=np.int64)
     obs = np.empty((b, layout.width), dtype=_id_dtype(cb))
@@ -536,8 +532,6 @@ def _draw_rows(cb, adversary, layout, start, rows, budget):
             obs[r] = trial.observed[: layout.width]
             if plan:
                 plan[0][r], plan[1][r] = _plan_columns(trial.plan)
-                if trial.plan.active:
-                    active[int(rows[r])] = trial.plan
     first = start + int(rows[0])
     ref = _observe_trial(cb, adversary, first, layout.h_m, layout.r_prime)
     if (
@@ -549,7 +543,7 @@ def _draw_rows(cb, adversary, layout, start, rows, budget):
             f"batch draws of trial {first} differ from the per-trial engine: "
             f"numpy {np.__version__} no longer matches the raw-word decoding"
         )
-    return message, obs, plan, active
+    return message, obs, plan
 
 
 def _plan_columns(plan) -> tuple[int, bool]:

@@ -25,6 +25,7 @@ from dnareads.analysis import (
     strong_converse_factor,
     weak_converse_factor,
 )
+from dnareads.channel import sample_error_flags
 
 
 def test_coverage_for_exponent_value():
@@ -92,6 +93,32 @@ _NAN = float("nan")
 )
 def test_nan_argument_is_out_of_range(call, args, named):
     # each guard is written so that NaN fails it, not passes it
+    with pytest.raises(ValueError, match=f"^{named} out of range$"):
+        call(*args)
+
+
+@pytest.mark.parametrize(
+    "call,args,named",
+    [
+        (rprime_window, (0.4, 0.1, 1.0), "r0"),
+        (expected_reads_upper_bound, (0, 0.0, 0), "m"),
+        (error_prob_upper_bound, (0, 0.1, 1, 0), "m"),
+        (error_prob_upper_bound, (10, 1.0, 1, 5), "p"),
+        (error_prob_upper_bound, (10, 0.1, -1, 5), "dm"),
+        (race_dp, (0, 0.1, 1, 1), "m"),
+        (race_dp, (10, 1.5, 1, 1), "p"),
+        (expected_z, (0, 5), "m or n"),
+        (expected_z1, (5, -1), "m or n"),
+        (strong_converse_factor, (0.1, -1), "dm"),
+        (weak_converse_factor, (0, 0.1, 1), "m"),
+        (sample_error_flags, (1.5, 10, np.random.default_rng(0)), "p"),
+    ],
+    ids=["rprime_window-r0", "expected_reads_upper_bound-m", "error_prob_upper_bound-m",
+         "error_prob_upper_bound-p", "error_prob_upper_bound-dm", "race_dp-m", "race_dp-p",
+         "expected_z-m", "expected_z1-n", "strong_converse_factor-dm",
+         "weak_converse_factor-m", "sample_error_flags-p"],
+)
+def test_guard_names_its_field(call, args, named):
     with pytest.raises(ValueError, match=f"^{named} out of range$"):
         call(*args)
 

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,25 @@ def test_smembership_rejects_empty_horizon(tmp_path, capsys):
     assert str(exc.value) == "dnareads: horizon floor(0.9*c*M) is 0 at M=1"
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("config", [None, {"trials": 50}], ids=["flags", "config"])
+def test_smembership_without_delta_is_one_line(tmp_path, config):
+    # no --delta, and no delta in the config file: one line, status 1
+    argv = ["smembership", "--m-list", "20", "--coverage", "0.430783"]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "dnareads.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "dnareads: smembership needs --delta\n"
 
 
 @pytest.mark.parametrize(

@@ -208,7 +208,7 @@ def test_columnar_rows_match_reference_draws(data):
     cb = Codebook(params, matrix)
     layout = simulate._Layout(cb, adversary, width)
     rows = np.arange(trials)
-    message, obs, plan, _ = simulate._draw_rows(cb, adversary, layout, start, rows, budget)
+    message, obs, plan = simulate._draw_rows(cb, adversary, layout, start, rows, budget)
     assert plan is None
     assert obs.shape == (trials, width)
     for r in range(trials):
@@ -420,7 +420,7 @@ def _spied_weak_rows(cb, r_prime_m, start, trials, patch, budget=None, width=Non
     patch.setattr(simulate, "_draw_columnar", drawing)
     patch.setattr(simulate, "_observe_trial", observing)
     layout = simulate._Layout(cb, "weak", width or cb.params.read_cap, r_prime_m)
-    message, obs, (m_prime, psi), _ = simulate._draw_rows(
+    message, obs, (m_prime, psi) = simulate._draw_rows(
         cb, "weak", layout, start, np.arange(trials), budget or simulate._BATCH_BYTES // 16
     )
     index_set = np.concatenate(index_sets) if index_sets else None
@@ -672,6 +672,32 @@ def test_converse_adversaries_need_plan_budgets(small_codebook):
         run_trial(small_codebook, "strong", 0)
     with pytest.raises(ValueError, match="h_m exceeds read_cap"):
         run_trial(small_codebook, "strong", 0, h_m=10_000, r_prime_m=3)
+
+
+@pytest.mark.parametrize("adversary", ["strong", "weak"])
+def test_converse_row_0_drift_fails_loudly(small_codebook, adversary, monkeypatch):
+    # a decode kernel that moves row 0's n_reads in the first block: the run
+    # must compare its row of trial 0 with run_trial's and name the drift
+    real, kinds = simulate._decode_batch, []
+
+    def drifting(cb, obs):
+        kind, decoded, n_reads = real(cb, obs)
+        if not kinds:
+            kinds.append(kind[0])
+            n_reads[0] += 1
+        return kind, decoded, n_reads
+
+    monkeypatch.setattr(simulate, "_decode_batch", drifting)
+    expected = "batch converse row of trial 0 differs from the per-trial engine: numpy"
+    with pytest.raises(RuntimeError, match=expected):
+        simulate.run_converse(small_codebook, adversary, 50, 20, 5)
+    # row 0 stopped in the first pass, so no later pass overwrote the drift
+    assert kinds and kinds[0] != VerdictKind.TRUNCATED.value
+
+
+def test_converse_rejects_blind_adversaries(small_codebook):
+    with pytest.raises(ValueError, match="converse engine does not support adversary 'uniform'"):
+        simulate.run_converse(small_codebook, "uniform", 10, 20, 5)
 
 
 def test_weak_trial_diagnostics(small_codebook):
