@@ -107,11 +107,12 @@ def _state_row() -> type:
 def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
     """(len(states), n_raw) uint64: row r is the first n_raw random_raw
     outputs of the PCG64 that derive_trial_rng seeds, which PCG64 seeds
-    itself from states[r]."""
+    itself from states[r], through one StateRow that each row reuses."""
     out = np.empty((len(states), n_raw), dtype=np.uint64)
-    state_row, pcg64 = _state_row(), np.random.PCG64
+    seq, pcg64 = _state_row()(None), np.random.PCG64
     for r, row in enumerate(states):
-        out[r] = pcg64(state_row(row)).random_raw(n_raw)
+        seq.row = row
+        out[r] = pcg64(seq).random_raw(n_raw)
     return out
 
 
@@ -126,25 +127,31 @@ def stream_words(raws: np.ndarray) -> np.ndarray:
 def bounded(words: np.ndarray, n) -> np.ndarray:
     """Lemire's bounded integers in [0, n) from uint32 words, as numpy's
     integers(0, n) makes them for 1 < n < 2**32: value (w * n) >> 32, for
-    the words rejected() passes.  n is one range, or an array of ranges
-    that broadcasts against words, one per word column say.  (A range of 1
-    reads no word: numpy draws nothing for it.)"""
+    the words rejected() passes.  words may be a view, a slice of the stream
+    words say.  n is one range, or an array of ranges that broadcasts
+    against words, one per word column say.  (A range of 1 reads no word:
+    numpy draws nothing for it.)"""
     value = words.astype(np.uint64)
     value *= np.uint64(n)
     value >>= np.uint64(32)
     return value.view(np.int64)
 
 
-def rejected(words: np.ndarray, n, columns: np.ndarray) -> np.ndarray:
+def rejected(words: np.ndarray, n, columns) -> np.ndarray:
     """Mask of the rows where numpy's integers(0, n) would have drawn again on
-    one of the given word columns: the low half of w * n, a wrapping uint32
-    product, is below (2**32 - n) % n.  A rejected word shifts every later
-    draw of its stream.  n is one range, or an array of ranges that
-    broadcasts against words[:, columns]: one per column, or one per row as
-    a column vector.  A power of two or 1 never rejects, and when no range
-    can, nothing is gathered."""
-    threshold = (2**32 - np.asarray(n, dtype=np.int64)) % n
-    if not threshold.any():
+    one of the given word columns, a slice or an index array: the low half
+    of w * n, a wrapping uint32 product, is below (2**32 - n) % n.  A
+    rejected word shifts every later draw of its stream.  n is one range, or
+    an array of ranges that broadcasts against words[:, columns]: one per
+    column, or one per row as a column vector.  A power of two or 1 never
+    rejects, and when no range can, no word is read."""
+    if isinstance(n, np.ndarray):
+        threshold = (2**32 - n.astype(np.int64)) % n
+        rejects = threshold.any()
+    else:
+        n = int(n)
+        threshold = rejects = (2**32 - n) % n
+    if not rejects:
         return np.zeros(len(words), dtype=bool)
     return (words[:, columns] * np.uint32(n) < np.uint32(threshold)).any(axis=1)
 

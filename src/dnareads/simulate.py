@@ -40,7 +40,12 @@ Rejections stay exact: where numpy would have rejected a word and drawn
 again, every later draw of the stream shifts.  Every bounded draw is tested
 for rejection over its whole length, except the layout's last draw, unless a
 whole raw follows it: its later words shift nothing decoded, so it is tested
-on its prefix alone.  A rejected row goes through _observe_trial instead.
+on its prefix alone.  A range that never rejects (a power of two, or 1) is
+not tested.  A rejected row goes through _observe_trial instead.  The layout
+cuts each draw's tested and decoded columns into runs of consecutive words
+once, and the draw reads each run as a slice of the block: f's words are one
+run, and a draw after u's raws can read a half left pending before them,
+then one run.
 
 The weak plan is numpy's choice(m, r', replace=False) in its Floyd
 regime: each Floyd value is taken unless already in the sample, and then j
@@ -354,10 +359,11 @@ def _walk(schedule) -> dict:
 
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
-    random_raw block, as _walk places them, and which words are tested for
-    rejection (module docstring).  The weak adversary's layout also holds its
-    plan's draws, whole at any width, for an index set of r_prime_m; the
-    strong one's, the h_m and r_prime_m of its screen's S test and witness."""
+    random_raw block, as _walk places them, in runs of consecutive columns,
+    and which words are tested for rejection (module docstring).  The weak
+    adversary's layout also holds its plan's draws, whole at any width, for
+    an index set of r_prime_m; the strong one's, the h_m and r_prime_m of
+    its screen's S test and witness."""
 
     def __init__(
         self, cb: Codebook, adversary: str, width: int,
@@ -379,19 +385,26 @@ class _Layout:
             self.psi_raws = (unpicked["psi"][0], columns["psi"][0])
         # the last draw that reads; a bounded one is tested on its prefix alone
         last = [name for name, _, _ in schedule if len(columns[name])][-1:]
-        # name -> (range, values, decoded columns, tested columns).  A prefix
-        # pass decodes the first width values of each per-read draw.
-        self.draws, needed = {}, []
+        # bounded draws: name -> (range, values, decoded runs, tested runs),
+        # each run a (slice, range) pair, and no tested run where the range
+        # never rejects; random()'s draws: name -> the slice of its raws.  A
+        # prefix pass decodes the first width values of each per-read draw.
+        self.draws, self.raws, needed, tested, decoded = {}, {}, [], 0, 0
         for name, n, size in schedule:
             cols = shown = columns[name]
             if name in _READ_DRAWS:
                 shown, size = cols[:width], min(size, width)
-            test = cols[:0] if n is None else shown if name in last else cols
-            self.draws[name] = (n, size, shown, test)
-            needed.append(shown if n is None else test // 2)
+            if n is None:
+                self.raws[name] = slice(int(shown[0]), int(shown[-1]) + 1)
+                needed.append(shown)
+                continue
+            test = shown if name in last else cols
+            # the pick's range is the row's candidate count (_weak_plan)
+            rejects = name == "pick" or np.any((2**32 - np.asarray(n, dtype=np.int64)) % n)
+            self.draws[name] = (n, size, _runs(shown, n), _runs(test, n) if rejects else [])
+            needed.append(test // 2)
+            tested, decoded = tested + len(test), decoded + len(shown)
         self.n_raw = n_raw = int(np.concatenate(needed).max(initial=-1)) + 1
-        tested = sum(len(test) for *_, test in self.draws.values())
-        decoded = sum(len(shown) for n, _, shown, _ in self.draws.values() if n is not None)
         extra, words = 0, -(-p.k // 64)  # words of a packed_mismatch row
         if adversary == "weak":
             # Floyd's seen mask, the index set's two int64 copies, agreeing's
@@ -403,14 +416,27 @@ class _Layout:
             # larger of s_membership's rows and agreeing's copies and packed
             # rows beside the witness; agreeing's bits and mask per message
             extra = max(56, 27 + 8 * words) * h_m + 2 * p.k + 16 * words + 64
-        # The raws; per tested word its gathered copy, product and flag; per
-        # decoded word its copy, uint64 copy and product; and the int64 or
-        # float64 rows of width: six in a noisy layout (true ids, u, its
-        # flags, the replacement and observed ids), which bound the weak
-        # plan's rows too, and only the true ids otherwise, and in the strong
-        # layout, whose draw builds no other.
+        # The raws; per tested word a gathered copy, product and flag, though
+        # a run's test gathers no copy (kept, since sub-block sizes move
+        # converse through glibc's thresholds); per decoded word its copy,
+        # uint64 copy and product; and the int64 or float64 rows of width:
+        # six in a noisy layout (true ids, u, its flags, the replacement and
+        # observed ids), which bound the weak plan's rows too, and only the
+        # true ids otherwise, and in the strong layout, whose draw builds no
+        # other.
         rows = 6 if self.noisy and adversary != "strong" else 1
         self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 8 * rows * width + extra
+
+
+def _runs(cols: np.ndarray, n) -> list:
+    """The runs of consecutive columns in cols, in order, as (slice, range)
+    pairs; an array of ranges, one per column, is cut with its columns."""
+    cuts = (np.flatnonzero(np.diff(cols) != 1) + 1).tolist()
+    return [
+        (slice(int(cols[a]), int(cols[b - 1]) + 1), n[a:b] if isinstance(n, np.ndarray) else n)
+        for a, b in zip([0, *cuts], [*cuts, len(cols)])
+        if b > a
+    ]
 
 
 def _draw_columnar(cb, adversary, layout, states, message, obs):
@@ -428,22 +454,24 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     bad = np.zeros(len(states), dtype=bool)
     drawn = {}
     for name, (n, size, decode, test) in layout.draws.items():
-        if n is None or name == "pick":
-            continue  # random()'s raws, and the pick, whose range is per row (_weak_plan)
-        bad |= core.rejected(words, n, test)
-        if len(decode):
-            drawn[name] = core.bounded(words[:, decode], n)
-        else:
+        if name == "pick":
+            continue  # its range is per row (_weak_plan)
+        for run, n_run in test:
+            bad |= core.rejected(words, n_run, run)
+        values = [core.bounded(words[:, run], n_run) for run, n_run in decode]
+        if not values:
             drawn[name] = np.zeros((len(states), size), dtype=np.int64)
+        else:
+            drawn[name] = values[0] if len(values) == 1 else np.concatenate(values, axis=1)
     msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
     # the true rows, which the adversary then changes where it errs
     obs[:] = true_ids = cb.word_ids[msg, f]
     if adversary == "strong":
         # the rows whose plan has a candidate (module docstring)
-        psi = _below(raws[:, layout.draws["psi"][2][0]], p.p)
+        psi = _below(raws[:, layout.raws["psi"].start], p.p)
         part = s_membership(f, layout.h_m, p.dm, layout.r_prime)
-        errs = _below(raws[:, layout.draws["u"][2][: layout.h_m]], p.p)
+        errs = _below(raws[:, layout.raws["u"]][:, : layout.h_m], p.p)
         rows = np.flatnonzero(channel.strong_premise(part, psi, errs))
         bad[rows] |= agreeing(cb, msg[rows, 0], f[rows, : layout.h_m], part.t1[rows]).any(axis=1)
         return bad, (np.full(len(psi), -1), psi)
@@ -452,12 +480,12 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
         _, m_prime, psi, picked_bad = _weak_plan(cb, layout, raws, words, drawn)
         active = np.flatnonzero(psi & (m_prime >= 0))
         if active.size:
-            flags = _below(raws[active[:, None], layout.draws["u"][2]], p.p)
+            flags = _below(raws[active, layout.raws["u"]], p.p)
             swap = cb.word_ids[m_prime[active, None], f[active]]
             obs[active] = np.where(flags, swap, obs[active])
         return bad | picked_bad, (m_prime, psi)
     if layout.noisy:
-        flags = _below(raws[:, layout.draws["u"][2]], p.p)
+        flags = _below(raws[:, layout.raws["u"]], p.p)
         rep_idx = drawn.get("rep_idx", f)
         obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
     return bad, None
@@ -488,9 +516,9 @@ def _weak_plan(cb, layout, raws, words, drawn):
     bad = np.zeros(b, dtype=bool)
     if many.any():
         # one word of range n_cands, read only where that is more than 1
-        n, column = np.maximum(n_cands, 1), layout.draws["pick"][3]
+        n, [(column, _)] = np.maximum(n_cands, 1), layout.draws["pick"][3]
         bad = core.rejected(words, n[:, None], column)
-        pick = core.bounded(words[:, column[0]], n)
+        pick = core.bounded(words[:, column.start], n)
     m_prime = np.where(n_cands > 0, (np.cumsum(agree, axis=1) <= pick[:, None]).sum(axis=1), -1)
     unread, read = layout.psi_raws
     psi = _below(raws[rows, np.where(many, read, unread)], p.p)

@@ -252,14 +252,21 @@ def test_bounded_flags_every_row_numpy_redrew(n, size):
 @pytest.mark.parametrize("n", [20, 2**31 + 1, 3 * 2**30 + 7])
 def test_rejected_tests_exactly_its_words(n):
     # the test of the given word columns equals the rule applied to those
-    # words alone, wherever in the raws they sit
+    # words alone, wherever in the raws they sit, and a consecutive set
+    # given as a slice gives the same mask as its index array
     words = stream_words(trial_raws(_states(4, range(300)), 5))
     threshold = (2**32 - n) % n
-    for columns in [range(10), range(1, 10), range(1, 9), [3, 4, 5, 6], [4], [9], [0, 3, 8], []]:
+    for columns, run in [
+        (range(10), slice(0, 10)), (range(1, 10), slice(1, 10)), (range(1, 9), slice(1, 9)),
+        ([3, 4, 5, 6], slice(3, 7)), ([4], slice(4, 5)), ([9], slice(9, 10)),
+        ([0, 3, 8], None), ([], slice(0, 0)),
+    ]:
         columns = np.array(columns, dtype=np.intp)
         wide = words[:, columns].astype(np.uint64)
         want = ((wide * np.uint64(n)) & np.uint64(2**32 - 1) < threshold).any(axis=1)
         assert np.array_equal(rejected(words, n, columns), want)
+        if run is not None:
+            assert np.array_equal(rejected(words, n, run), want)
     # a power of two never rejects, and gathers nothing: these columns are
     # past the words
     assert not rejected(np.zeros((2, 6), dtype=np.uint32), 8, np.arange(6, 12)).any()

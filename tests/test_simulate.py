@@ -14,6 +14,13 @@ from dnareads.decoder import stopping_time_no_errors
 from dnareads.harness import ConverseRow, ExperimentConfig, converse_experiment
 from dnareads.simulate import BATCH_ADVERSARIES, run_batch, run_trial
 
+
+def _columns(runs) -> np.ndarray:
+    """The columns of a _Layout draw's (slice, range) runs, in order."""
+    parts = [np.arange(run.start, run.stop) for run, _ in runs]
+    return np.concatenate([np.empty(0, dtype=np.intp), *parts])
+
+
 def _assert_matches_serial(cb, adversary, batch, collect_trace=False, start=0):
     """Compare a batch trial by trial with the int64 per-trial engine."""
     traces = []
@@ -242,10 +249,12 @@ def test_decode_kernel_matches_decoder_run(data):
             assert decoded[r] == verdict.decoded
 
 
-def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
+def test_rejected_rows_are_redrawn(slow_codebook, monkeypatch):
     # Flag chosen rows of every sub-block as if numpy had rejected one of
     # their words, and garble all their decoded values: run_batch must redraw
-    # exactly those rows through the per-trial engine.
+    # exactly those rows through the per-trial engine.  The code's message,
+    # f and replacement index ranges can reject, so every sub-block is
+    # tested (a power of two never is), in both passes.
     chosen = [0, 3, 17, 40]
     flagged = []
     real_bounded, real_rejected = core.bounded, core.rejected
@@ -265,9 +274,9 @@ def test_rejected_rows_are_redrawn(wide_codebook, monkeypatch):
 
     monkeypatch.setattr(core, "bounded", garbling)
     monkeypatch.setattr(core, "rejected", flagging)
-    batch = run_batch(wide_codebook, "uniform", 150)
+    batch = run_batch(slow_codebook, "uniform", 150)
     assert sum(flagged) > 0
-    _assert_matches_serial(wide_codebook, "uniform", batch)
+    _assert_matches_serial(slow_codebook, "uniform", batch)
 
 
 @pytest.fixture(scope="module")
@@ -536,7 +545,7 @@ def test_weak_rejected_plan_words_are_redrawn(picking_codebook, draw, column, mo
         t for t, ref in enumerate(refs) if _n_cands(cb, ref.plan, ref.message) == 3
     )
     layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
-    word = int(layout.draws[draw][3][column])
+    word = int(_columns(layout.draws[draw][3])[column])
     mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
     state = core.trial_states(cb.params.seed, np.array([target], dtype=np.uint64))[0]
     real_raws = core.trial_raws
@@ -624,6 +633,101 @@ def test_walk_leaves_the_stream_where_numpy_does(adversary, monkeypatch):
             picked += n_cands > 1
     assert checked > 150
     assert picked > 0 or not weak
+
+
+# _WALK_CODES, then the uniform-sweep benchmark's code, where f's 200 words
+# leave a high half pending past the uniforms, so rep_idx reads that pending
+# word and then one run, and the converse benchmark's
+_RUN_CODES = _WALK_CODES + [
+    (SimParams(m=20, k=64, v=8, p=0.1, dm=2, theta=0.25, read_cap=200, seed=1), 20, 3),
+    (SimParams(m=10, k=16, v=2, p=0.3, dm=1, theta=0.7, read_cap=400, seed=0), 20, 3),
+]
+
+
+@pytest.mark.parametrize("code", range(len(_RUN_CODES)))
+@pytest.mark.parametrize("adversary", ADVERSARIES)
+def test_layout_runs_are_the_walk_columns(adversary, code):
+    # At the prefix width and at read_cap, each draw's runs, concatenated,
+    # are _walk's decoded and tested columns (module docstring), with no
+    # column lost or gained at a run boundary; each run carries its columns'
+    # ranges, and a range that never rejects is tested nowhere.
+    params, h_m, r_prime_m = _RUN_CODES[code]
+    matrix = np.random.default_rng(params.seed).integers(0, params.v, (params.k, params.m))
+    cb = Codebook(params, matrix)
+    schedule = simulate._schedule(cb, adversary, r_prime_m)
+    if adversary in BATCH_ADVERSARIES and (adversary == "honest" or params.p == 0):
+        schedule = schedule[:2]
+    columns = simulate._walk(schedule)
+    last = [name for name, _, _ in schedule if len(columns[name])][-1]
+    for width in {simulate._prefix_width(cb, adversary, h_m), params.read_cap}:
+        layout = simulate._Layout(cb, adversary, width, r_prime_m, h_m)
+        assert layout.draws.keys() | layout.raws.keys() == {name for name, _, _ in schedule}
+        for name, n, size in schedule:
+            cols = columns[name]
+            decoded = cols[:width] if name in simulate._READ_DRAWS else cols
+            if n is None:
+                assert layout.raws[name] == slice(decoded[0], decoded[-1] + 1)
+                assert np.array_equal(np.arange(decoded[0], decoded[-1] + 1), decoded)
+                continue
+            tested = decoded if name == last else cols
+            if name != "pick" and not ((2**32 - np.asarray(n, dtype=np.int64)) % n).any():
+                tested = cols[:0]
+            _, _, decode_runs, test_runs = layout.draws[name]
+            for runs, want in ((decode_runs, decoded), (test_runs, tested)):
+                assert np.array_equal(_columns(runs), want), (name, width)
+                # runs are maximal: consecutive runs never touch
+                assert all(a.stop < b.start for (a, _), (b, _) in zip(runs, runs[1:]))
+                ranges = [np.broadcast_to(n_run, (r.stop - r.start,)) for r, n_run in runs]
+                assert np.array_equal(np.concatenate([[], *ranges]),
+                                      np.broadcast_to(n, (len(cols),))[: len(want)])
+
+
+@pytest.mark.parametrize("width", [8, 200])
+def test_rejected_words_at_run_ends_are_redrawn(width, monkeypatch):
+    # Plant word 0, which every range with a nonzero threshold rejects, in
+    # chosen rows of the uniform-sweep code's raw blocks: at f's first and
+    # last tested word, at rep_idx's pending word and at the first word of
+    # its second run.  Exactly those rows must come back flagged, and be
+    # redrawn equal to _observe_trial.
+    params = SimParams(m=20, k=64, v=8, p=0.1, dm=2, theta=0.25, read_cap=200, seed=1)
+    cb = construct_greedy(params)
+    columns = simulate._walk(simulate._schedule(cb, "uniform", None))
+    f, rep_idx = columns["f"], columns["rep_idx"]
+    # f is one run; rep_idx its pending word and one run
+    layout = simulate._Layout(cb, "uniform", width)
+    assert [run for run, _ in layout.draws["f"][3]] == [slice(1, 201)]
+    assert [run for run, _ in layout.draws["rep_idx"][3]] == [slice(201, 202), slice(602, 801)]
+    planted = {3: f[0], 7: f[-1], 11: rep_idx[0], 19: rep_idx[1]}
+    states = core.trial_states(params.seed, np.arange(40, dtype=np.uint64))
+    real_raws, real_draw = core.trial_raws, simulate._draw_columnar
+    real_observe, bad, observed = simulate._observe_trial, [], []
+
+    def planting(block, n_raw):
+        raws = real_raws(block, n_raw)
+        for row, word in planted.items():
+            hit = (block == states[row]).all(axis=1)
+            raws[hit, word // 2] &= np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
+        return raws
+
+    def drawing(*args):
+        out = real_draw(*args)
+        bad.append(out[0])
+        return out
+
+    def observing(cb, adversary, trial, *args):
+        observed.append(trial)
+        return real_observe(cb, adversary, trial, *args)
+
+    monkeypatch.setattr(core, "trial_raws", planting)
+    monkeypatch.setattr(simulate, "_draw_columnar", drawing)
+    monkeypatch.setattr(simulate, "_observe_trial", observing)
+    message, obs, _ = simulate._draw_rows(cb, "uniform", layout, 0, np.arange(40), 10**6)
+    assert np.flatnonzero(np.concatenate(bad)).tolist() == sorted(planted)
+    assert observed == [*sorted(planted), 0]
+    for t in range(40):
+        ref = real_observe(cb, "uniform", t)
+        assert message[t] == ref.message
+        assert np.array_equal(obs[t], ref.observed[:width])
 
 
 def test_batched_engine_rejects_planning_adversaries(easy_codebook):
