@@ -176,28 +176,44 @@ def expected_z1(m: int, n: int) -> float:
 def index_counts(draws, m: int) -> np.ndarray:
     """Per-row multiplicity table of a (rows, h) block of indices in [0, m):
     counts[r, i] is how often row r drew index i, from one bincount over
-    r*m + index."""
-    rows = len(draws)
-    flat = draws + (m * np.arange(rows))[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * m).reshape(rows, m)
+    r*m + index.  The table is in the narrowest unsigned dtype that holds h
+    (uint8 up to h = 255), which the passes over it read far faster than
+    int64."""
+    draws = np.asarray(draws)
+    rows, h = draws.shape
+    # the flat indices are freed before the narrow copy is made
+    counts = np.bincount((draws + (m * np.arange(rows))[:, None]).ravel(), minlength=rows * m)
+    return counts.astype(np.min_scalar_type(h)).reshape(rows, m)
 
 
-def greedy_removals(counts, dm: int):
+def _row_sum(mask: np.ndarray) -> np.ndarray:
+    """Per row, the True entries of a mask over a multiplicity table: summed
+    in the narrowest dtype that holds the row width, then widened to int64 so
+    that no later arithmetic runs in a narrow dtype."""
+    acc = np.min_scalar_type(mask.shape[-1])
+    return mask.sum(axis=-1, dtype=acc).astype(np.int64)
+
+
+def greedy_removals(counts, dm: int, z1=None):
     """Per row, the largest number of whole value-groups whose total
     multiplicity fits the dm-slot budget.  The last axis of counts lists the
     group multiplicities; zeros are no group, so a multiplicity table from
-    index_counts works as is.  The result drops the last axis.
+    index_counts works as is.  The result drops the last axis and is int64.
+    z1, the per-row count of multiplicity-1 groups, spares the scan its first
+    level when the caller has counted it already.
 
     Exact maximizer: a group costs its full multiplicity and saves exactly
     one distinct value, so an optimal selection takes the cheapest groups.
     Taking min(#groups of multiplicity j, budget // j) for j = 1, 2, ... is
     that ascending scan: once some multiplicity is not fully affordable, the
-    budget left is below it and no larger group fits.
+    budget left is below it and no larger group fits.  Each level j is one
+    compare-and-sum pass over the table.
     """
     counts = np.asarray(counts)
     budget, removed = dm, np.zeros(counts.shape[:-1], dtype=np.int64)
     for j in range(1, dm + 1):
-        take = np.minimum((counts == j).sum(axis=-1), budget // j)
+        level = z1 if j == 1 and z1 is not None else _row_sum(counts == j)
+        take = np.minimum(level, budget // j)
         removed = removed + take
         budget = budget - j * take
         if (budget <= j).all():
@@ -220,10 +236,12 @@ class PartitionStats(NamedTuple):
 
 def partition_stats(counts, dm: int, r_prime_m: int) -> PartitionStats:
     """The partition test on every row of a multiplicity table such as
-    index_counts returns; a 1-D table is a single row."""
-    z = (counts > 0).sum(axis=-1)
-    z1 = (counts == 1).sum(axis=-1)
-    removed = greedy_removals(counts, dm)
+    index_counts returns; a 1-D table is a single row.  z, z1 and removed
+    are int64 whatever the table's dtype, and the singletons are counted
+    once, for both z1 and the greedy's first level."""
+    z = _row_sum(counts > 0)
+    z1 = _row_sum(counts == 1)
+    removed = greedy_removals(counts, dm, z1)
     return PartitionStats(
         z, z1, removed, z - removed <= r_prime_m, z - np.minimum(z1, dm) <= r_prime_m
     )
@@ -260,8 +278,10 @@ def s_membership(f, h_m: int, dm: int, r_prime_m: int) -> SPartition:
     group = np.cumsum(np.diff(head[rows, order], axis=1, prepend=-1) != 0, axis=1) - 1
     counts = index_counts(group, h_m)
     stats = partition_stats(counts, dm, r_prime_m)
-    # each group's rank by multiplicity, then by index; empty groups go last
-    by_size = np.argsort(np.where(counts > 0, counts, h_m + 1), axis=1, kind="stable")
+    # each group's rank by multiplicity, then by index; empty groups go last:
+    # in the table's unsigned dtype, which holds h_m, counts - 1 wraps an empty
+    # group's 0 to the dtype's maximum, above every nonempty group's key
+    by_size = np.argsort(counts - 1, axis=1, kind="stable")
     removed = np.argsort(by_size, axis=1) < stats.removed[:, None]
     t1 = np.empty(head.shape, dtype=bool)
     t1[rows, order] = removed[rows, group]

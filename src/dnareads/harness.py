@@ -236,9 +236,11 @@ _MEMBERSHIP_BYTES = 2_000_000
 
 def _membership_row_bytes(m: int, h_m: int) -> int:
     """Bytes s_membership_experiment holds per row of a chunk: the int64 draw
-    and its flat index (h_m each), the int64 multiplicity table and one bool
-    mask over it (m each), and a few int64 per-row counters."""
-    return 16 * h_m + 9 * m + 128
+    and its flat index (h_m each), index_counts' int64 bincount and the
+    multiplicity table narrowed from it (m each; the table's itemsize is that
+    of the narrowest dtype holding h_m, and a row sum's bool mask later takes
+    the bincount's place), and a few int64 per-row counters."""
+    return 16 * h_m + (8 + np.min_scalar_type(h_m).itemsize) * m + 128
 
 
 def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[MembershipRow]:
@@ -262,6 +264,8 @@ def s_membership_experiment(m_list, c, delta, trials, seed: int = 0) -> list[Mem
         raise ValueError("empty window")
     mid = 0.5 * (window[0] + window[1])
     for m in m_list:
+        if m < 1:
+            raise ValueError(f"m_list value {m} out of range: M must be at least 1")
         if math.floor(cpp * m) < 1:
             raise ValueError(f"horizon floor(0.9*c*M) is 0 at M={m}")
     rows = []

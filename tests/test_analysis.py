@@ -361,6 +361,59 @@ def test_greedy_removals_is_optimal(block, dm):
     assert got.tolist() == [_best_removals(row, dm) for row in block]
 
 
+def _reference_partition(row, dm, r_prime_m):
+    """Pure-Python partition test of one head: its value-groups sorted by
+    (multiplicity, index), the greedy taking them in that order while they
+    fit the budget, and t1 marking every draw of a taken group."""
+    sizes = {}
+    for i in row:
+        sizes[i] = sizes.get(i, 0) + 1
+    budget, taken = dm, set()
+    for size, i in sorted((size, i) for i, size in sizes.items()):
+        if size > budget:
+            break
+        budget -= size
+        taken.add(i)
+    z, z1 = len(sizes), sum(size == 1 for size in sizes.values())
+    return {
+        "z": z,
+        "z1": z1,
+        "removed": len(taken),
+        "in_s": z - len(taken) <= r_prime_m,
+        "sufficient": z - min(z1, dm) <= r_prime_m,
+        "t1": [i in taken for i in row],
+    }
+
+
+@pytest.mark.parametrize("h_m", [254, 255, 256])
+def test_s_membership_at_the_table_dtype_boundary(h_m):
+    # At h_m <= 255 the tables are uint8, at 256 uint16, and the one-index
+    # row's count reaches h_m; empty groups must still rank last, and the row
+    # sums must not wrap at 255 or 256.
+    m = h_m + 44
+    rng = np.random.default_rng(h_m)
+    block = [
+        *rng.integers(0, 40, size=(12, h_m)),  # <= 40 groups: most group slots empty
+        rng.permutation(m)[:h_m],  # h_m groups of one draw each
+        np.full(h_m, 7),  # one group of h_m draws
+        np.r_[np.full(h_m - 1, 3), [5]],  # groups of h_m - 1 and 1
+        np.r_[np.full(h_m - 2, 1), [0, 2]],
+    ]
+    block = np.array(block)
+    assert index_counts(block, m).dtype == np.min_scalar_type(h_m)
+    for dm, r_prime_m in [(3, 30), (40, 20), (h_m - 1, 1), (h_m, 0), (h_m + 5, 2)]:
+        part = s_membership(block, h_m, dm, r_prime_m)
+        stats = partition_stats(index_counts(block, m), dm, r_prime_m)
+        for field in ("z", "z1", "removed"):
+            assert getattr(stats, field).dtype == np.int64
+        for r, row in enumerate(block):
+            want = _reference_partition(row.tolist(), dm, r_prime_m)
+            assert part.t1[r].tolist() == want["t1"]
+            assert bool(part.in_s[r]) == want["in_s"]
+            for field in ("z", "z1", "removed", "in_s", "sufficient"):
+                assert getattr(stats, field)[r] == want[field]
+
+
 def test_converse_factors():
     assert strong_converse_factor(0.1, 2) == pytest.approx(1e-3, rel=1e-12)
     assert weak_converse_factor(10, 0.1, 2) == pytest.approx(9.765625e-7, rel=1e-12)

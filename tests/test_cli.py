@@ -412,12 +412,17 @@ def test_smembership_without_delta_is_one_line(tmp_path, config):
         (["sweep-p", "--m", "0", "--k", "8", "--v", "4", "--p-list", "0.1"], "m out of range"),
         (
             ["smembership", "--m-list", "0", "--coverage", "0.430783", "--delta", "0.05"],
-            "horizon floor(0.9*c*M) is 0 at M=0",
+            "m_list value 0 out of range: M must be at least 1",
+        ),
+        # below M = 1 the horizon's floor is not the 0 that M = 1's message names
+        (
+            ["smembership", "--m-list", "-5", "--coverage", "0.430783", "--delta", "0.05"],
+            "m_list value -5 out of range: M must be at least 1",
         ),
     ],
     ids=[
         "codebook-budget", "simulate-p", "simulate-v", "converse-adversary", "curves-r0",
-        "curves-c-points", "sweep-p-m0", "smembership-m0",
+        "curves-c-points", "sweep-p-m0", "smembership-m0", "smembership-m-negative",
     ],
 )
 def test_library_errors_are_one_line(argv, message):

@@ -228,17 +228,20 @@ def test_s_membership_chunks_match_one_block(monkeypatch):
 
 def test_s_membership_memory_stays_within_budget(monkeypatch):
     # 20000 trials x 155 draws at M=400 is a 24.8 MB block drawn at once;
-    # chunked under a 1 MB budget, every per-row temporary counts
+    # chunked under a 1 MB budget, every per-row temporary counts.  At M=700
+    # h_m is 271, so the multiplicity table is uint16 rather than uint8.
     budget = 1_000_000
     monkeypatch.setattr(harness, "_MEMBERSHIP_BYTES", budget)
-    s_membership_experiment([400], 0.430783, 0.05, trials=10)  # warm imports
-    tracemalloc.start()
-    try:
-        s_membership_experiment([400], 0.430783, 0.05, trials=20_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * budget
+    for m, table in ((400, np.uint8), (700, np.uint16)):
+        (row,) = s_membership_experiment([m], 0.430783, 0.05, trials=10)  # warm imports
+        assert np.min_scalar_type(row.h_m) == table
+        tracemalloc.start()
+        try:
+            s_membership_experiment([m], 0.430783, 0.05, trials=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * budget, m
 
 
 def test_converse_experiment_weak(small_codebook):
