@@ -286,9 +286,9 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete record of one trial, sufficient for bit-exact replay: the
-    consumed reads in read order, as the sampled and observed molecule ids
-    (index*v + payload) and the error flags."""
+    """Complete record of one trial: the consumed reads in read order, as the
+    sampled and observed molecule ids (index*v + payload) and the error flags;
+    decoder.run(cb, observed, len(observed)) gives the same verdict."""
 
     true_message: int
     sampled: tuple[int, ...]

@@ -153,18 +153,21 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _errored(res) -> np.ndarray:
+    """Per trial, whether it errs: it does unless Decided on its own message."""
+    return (res.kind != VerdictKind.DECIDED.value) | (res.decoded != res.message)
+
+
 def _summarize(batch: simulate.BatchResult) -> RunSummary:
     trials = len(batch.message)
-    decided = batch.kind == VerdictKind.DECIDED.value
-    errors = int((decided & (batch.decoded != batch.message)).sum())
+    bad = int(_errored(batch).sum())
     failures = int((batch.kind == VerdictKind.FAILED.value).sum())
     truncated = int((batch.kind == VerdictKind.TRUNCATED.value).sum())
-    bad = errors + failures + truncated
     mean_reads = float(np.mean(batch.n_reads))
     stderr = float(np.std(batch.n_reads, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RunSummary(
-        trials, errors, failures, truncated, bad / trials, *wilson_interval(bad, trials),
-        mean_reads, stderr,
+        trials, bad - failures - truncated, failures, truncated, bad / trials,
+        *wilson_interval(bad, trials), mean_reads, stderr,
     )
 
 
@@ -305,7 +308,7 @@ def converse_experiment(cfg: ExperimentConfig) -> tuple[tuple[np.ndarray, ...], 
     res = simulate.run_converse(
         construct_greedy(cfg.params), cfg.adversary, cfg.trials, cfg.h_m, cfg.r_prime_m
     )
-    errored = (res.kind != VerdictKind.DECIDED.value) | (res.decoded != res.message)
+    errored = _errored(res)
     columns = (np.arange(cfg.trials), res.message, res.m_prime, res.psi, res.active,
                res.conditions, res.kind, res.decoded, res.n_reads, errored)
     n_active = int(res.active.sum())

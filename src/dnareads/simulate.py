@@ -49,7 +49,7 @@ then one run.
 
 The weak plan is numpy's choice(m, r', replace=False) in its Floyd
 regime: each Floyd value is taken unless already in the sample, and then j
-itself is.  _weak_plan replays it on a rows x m mask.  The shuffle only
+itself is.  _weak_plan reproduces it on a rows x m mask.  The shuffle only
 orders the sample, which weak_prepare sorts, but its words are consumed and
 tested like the others.  The m' pick reads a word only where the row has
 more than one candidate, so the layout walks the schedule with and without

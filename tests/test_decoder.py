@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +6,7 @@ from dnareads import SimParams, simulate
 from dnareads.codebook import Codebook, construct_greedy
 from dnareads.core import Trace, Verdict, VerdictKind
 from dnareads.decoder import (
-    load_trace,
     new_state,
-    replay,
     run,
     save_trace,
     step,
@@ -263,102 +259,35 @@ def test_incremental_outside_matches_scratch(data):
             break
 
 
-def test_trace_round_trip(tmp_path, easy_codebook):
-    from dnareads import simulate
-
-    outcome, trace = simulate.run_trial(easy_codebook, "uniform", 3, collect_trace=True)
+def saved_text(cb, trace, tmp_path) -> str:
+    """The text save_trace writes for trace."""
     path = tmp_path / "trace.txt"
-    save_trace(easy_codebook, trace, str(path))
-    back = load_trace(str(path), easy_codebook)
-    assert back == trace
-    assert replay(easy_codebook, back) == trace.verdict
+    save_trace(cb, trace, str(path))
+    return path.read_text()
+
+
+def test_trace_round_trip(tmp_path, literal_codebook):
+    # word 0 holds ids 0, 5, 7 and word 1 ids 1, 5, 6 (v = 3), so each id
+    # splits into (id // 3, id % 3).  An error turning molecule (2, 1) into
+    # (2, 0), which only word 1 holds, decides 1; molecule (0, 2) lies in
+    # neither word and fails.
+    cb = literal_codebook([[0, 2, 1], [1, 2, 0]], dm=0, v=3)
+    cases = [
+        (Trace(0, (5, 7), (False, True), (5, 6), Verdict.decided(1, 2)),
+         "message 0\n1 1 2 0 1 2\n2 2 1 1 2 0\nverdict decided 1 2\n"),
+        (Trace(1, (1,), (True,), (2,), Verdict.failed(1)),
+         "message 1\n1 0 1 1 0 2\nverdict failed 1\n"),
+    ]
+    for trace, text in cases:
+        assert saved_text(cb, trace, tmp_path) == text
+        assert run(cb, trace.observed, len(trace.observed)) == trace.verdict
 
 
 def test_trace_round_trip_truncated(tmp_path, literal_codebook):
     cb = literal_codebook([[0, 0, 1], [0, 1, 0]], dm=0, read_cap=3)
     trace = Trace(0, (0, 0, 0), (False, False, False), (0, 0, 0), Verdict.truncated(3))
-    path = tmp_path / "trace.txt"
-    save_trace(cb, trace, str(path))
-    back = load_trace(str(path), cb)
-    assert back == trace
-    assert replay(cb, back) == trace.verdict
+    assert saved_text(cb, trace, tmp_path) == (
+        "message 0\n1 0 0 0 0 0\n2 0 0 0 0 0\n3 0 0 0 0 0\nverdict truncated 3\n"
+    )
+    assert run(cb, trace.observed, len(trace.observed)) == trace.verdict
 
-
-def test_load_trace_maps_pairs_to_ids(tmp_path, literal_codebook):
-    # on v = 2, molecule (1, 0) is id 2 and molecule (2, 1) is id 5
-    cb = literal_codebook([[0, 0, 0], [0, 1, 1]], dm=0, v=2)
-    path = tmp_path / "trace.txt"
-    path.write_text("message 0\n1 1 0 0 2 1\nverdict truncated 1\n")
-    trace = load_trace(str(path), cb)
-    assert (trace.sampled, trace.errors, trace.observed) == ((2,), (False,), (5,))
-
-
-def test_load_trace_rejects_malformed(tmp_path, literal_codebook):
-    cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 0 0 0 0 0\n")
-    with pytest.raises(ValueError, match="malformed trace header"):
-        load_trace(str(bad), cb)
-    bad.write_text("message 0\n1 0 0 0 0 0\n")
-    with pytest.raises(ValueError, match="missing verdict trailer"):
-        load_trace(str(bad), cb)
-    bad.write_text("message 0\nverdict maybe 1\n")
-    with pytest.raises(ValueError, match="unknown verdict kind"):
-        load_trace(str(bad), cb)
-
-
-@pytest.mark.parametrize(
-    "text,error",
-    [
-        # read times must run 1..n
-        ("message 0\n5 0 0 0 0 0\n9 1 0 0 1 0\nverdict decided 0 2\n",
-         "trace line 2: read time 5, expected 1"),
-        ("message 0\n1 0 0 0 0 0\n1 1 0 0 1 0\nverdict decided 0 2\n",
-         "trace line 3: read time 1, expected 2"),
-        # the verdict's n_reads must be the record count
-        ("message 0\n1 0 0 0 0 0\n2 1 0 0 1 0\nverdict decided 0 7\n",
-         "trace line 4: verdict n_reads 7, but the trace holds 2 reads"),
-        ("message 0\n1 0 0 0 0 0\nverdict truncated 3\n",
-         "trace line 3: verdict n_reads 3, but the trace holds 1 reads"),
-        # a non-integer field names its line and field
-        ("message 0\n1 0 x 0 0 0\nverdict failed 1\n",
-         "trace line 2: payload 'x' is not an integer"),
-        ("message 0\n\n1 0 0 0 0 0\n2 0 0 1 1 y\nverdict failed 2\n",
-         "trace line 4: observed payload 'y' is not an integer"),
-        ("message zero\nverdict failed 0\n", "trace line 1: message 'zero' is not an integer"),
-        ("message 0\nverdict decided 1 n\n", "trace line 2: n_reads 'n' is not an integer"),
-        ("message 0\nverdict decided 0\n", "trace line 2: malformed verdict trailer"),
-        ("message 0\n1 0 0 0 0\nverdict failed 1\n", "trace line 2: malformed read line"),
-        # an error flag is 0 or 1, and message ids lie in [0, k)
-        ("message 0\n1 0 0 7 0 0\nverdict failed 1\n", "trace line 2: error '7' is not 0 or 1"),
-        ("message 0\n1 0 0 -1 0 0\nverdict failed 1\n",
-         "trace line 2: error '-1' is not 0 or 1"),
-        ("message -5\nverdict failed 0\n", "trace line 1: message -5 outside [0, 2)"),
-        ("message 0\n1 0 0 0 0 0\nverdict decided 99 1\n",
-         "trace line 3: decoded 99 outside [0, 2)"),
-    ],
-)
-def test_load_trace_rejects_inconsistent_trace(tmp_path, literal_codebook, text, error):
-    # a k = 2 book of two molecules per word over a binary alphabet
-    cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
-    path = tmp_path / "trace.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
-        load_trace(str(path), cb)
-
-
-def test_load_trace_rejects_molecule_outside_code_space(tmp_path, literal_codebook):
-    # payload 2 does not exist when v=2; read as an id it would be molecule
-    # (1, 0), so load_trace must refuse the line instead
-    cb = literal_codebook([[0, 0], [0, 1]], dm=0, v=2)
-    path = tmp_path / "trace.txt"
-    path.write_text("message 0\n1 0 0 0 0 2\nverdict truncated 1\n")
-    with pytest.raises(ValueError, match=r"^trace line 2: .* outside the 2 x 2 code space"):
-        load_trace(str(path), cb)
-    path.write_text("message 0\n1 0 0 1 1 0\n2 2 0 0 0 0\nverdict truncated 2\n")
-    with pytest.raises(ValueError, match=r"^trace line 3: .* outside the 2 x 2 code space"):
-        load_trace(str(path), cb)
-    # an in-memory trace never passes load_trace, and step checks its ids
-    trace = Trace(0, (0,), (False,), (4,), Verdict.truncated(1))
-    with pytest.raises(ValueError, match="out of range"):
-        replay(cb, trace)

@@ -3,15 +3,27 @@ force and against s_membership_experiment.
 
 A head of h uniform draws from M indices has occupancy profile n_j (the
 indices drawn exactly j times), with d = sum n_j distinct indices, with
-probability M^-h h! M! / ((M-d)! prod_j n_j! (j!)^n_j).  The greedy of
-greedy_removals reads the profile level by level, j = 1, 2, ...: at level j
-it takes min(n_j, budget // j) groups.  So the DP walks the levels in that
-order with state (draws used s, distinct d, removals, budget left); the
-factor h!/(h-s)! M^-s M!/(M-d)! rides in each state's weight, which makes
-every transition factor local.  Once the budget is below the next level the
-greedy takes nothing more, and the budget is dropped from the state.
+probability h! M! / (M^h (M-d)!) times prod_j 1 / (n_j! (j!)^n_j).  The DP
+walks the levels j = 1, 2, ... and sums that product times h^s M^(d-s) over
+the profiles that reach each (draws used s, distinct d): n groups at level j
+multiply it by (h^j / (M^(j-1) j!))^n / n! and move (s, d) by (jn, n).  The
+rest, h! M! / ((M-d)! h^h M^d), depends on d alone and is applied at s = h.
+The scaling keeps every weight below e^(h + h^2 / M), so nothing overflows.
+
+The greedy of greedy_removals takes min(n_j, budget // j) groups at level j.
+While every level has fitted the budget, it has removed every group, so
+removed = d and budget = dm - s: (s, d) is the whole state.  The first level
+whose n groups do not fit, because s + jn > dm, takes (dm - s) // j of them
+and leaves less budget than any later level needs, so from there the
+removals stay fixed: those weights are kept per removed count r, in rows
+s > dm.
+
+The (s, d) plane is stored flat, h + 1 cells a row.  Since d <= s, n groups
+of size j keep d + n inside its row, so they move a weight by n (j (h+1) + 1)
+cells and every weight of a level moves by one slice.
 """
 
+import functools
 import itertools
 import math
 
@@ -22,45 +34,45 @@ from dnareads.analysis import index_counts, partition_stats
 from dnareads.harness import s_membership_experiment
 
 
-def exact_membership(m: int, h: int, dm: int, r_prime_m: int, mass: bool = False) -> float:
-    """P(z - removed <= r_prime_m) for a head of h uniform draws from m
-    indices at slot budget dm; with mass=True, the total probability of all
-    profiles instead, which is 1 up to rounding."""
-    s_axis, d_axis = np.arange(h + 1), np.arange(min(m, h) + 1)
-    # (removed, budget) -> weights over (draws used, distinct)
-    states = {(0, dm): np.zeros((h + 1, len(d_axis)))}
-    states[(0, dm)][0, 0] = 1.0
+@functools.cache
+def removal_law(m: int, h: int, dm: int) -> np.ndarray:
+    """P(removed = r, z = d) over (r, d) in [0, dm] x [0, h], for a head of
+    h uniform draws from m indices at slot budget dm."""
+    w = h + 1
+    s_of, d_of = np.divmod(np.arange(w * w), w)
+    # fitted: every group so far removed; stopped[r]: removals stopped at r
+    fitted = np.zeros(w * w)
+    fitted[0] = 1.0
+    stopped = np.zeros((dm + 1, w * w))
+    low = (dm + 1) * w  # stopped weights lie in rows s > dm
     for j in range(1, h + 1):
-        # level j with n groups: h!/(h-s)! M^-s gains (h-s)!/(h-s-jn)! M^-jn,
-        # M!/(M-d)! gains (M-d)!/(M-d-n)!, and the profile's own n! (j!)^n
-        # divides; M^-n goes with the second factor, so neither overflows
-        factors = []
-        for n in range(h // j + 1):
-            a = np.array([
-                math.perm(h - s, j * n) / (m ** ((j - 1) * n) * math.factorial(n)
-                                           * math.factorial(j) ** n)
-                if s + j * n <= h else 0.0
-                for s in s_axis
-            ])
-            b = np.array([math.perm(m - d, n) / m**n for d in d_axis])
-            if not a.any() or not b.any():
-                break
-            factors.append((n, a[: h + 1 - j * n, None] * b[None, : len(d_axis) - n]))
-        nxt = {}
-        for (removed, budget), w in states.items():
-            for n, f in factors:
-                take = min(n, budget // j)
-                left = budget - j * take
-                key = (removed + take, left if left > j else 0)
-                moved = np.zeros_like(w)
-                moved[j * n:, n:] = w[: h + 1 - j * n, : len(d_axis) - n] * f
-                nxt[key] = nxt.get(key, 0.0) + moved
-        states = nxt
-    total = 0.0
-    for (removed, _), w in states.items():
-        keep = np.ones(len(d_axis), bool) if mass else d_axis - removed <= r_prime_m
-        total += float(w[h, keep].sum())
-    return total
+        fitted_next, stopped_next = fitted.copy(), stopped.copy()
+        g, c = h**j / (m ** (j - 1) * math.factorial(j)), 1.0
+        for n in range(1, h // j + 1):
+            c *= g / n
+            shift = n * (j * w + 1)
+            stopped_next[:, low + shift:] += c * stopped[:, low:-shift]
+            cells = np.flatnonzero(fitted[:-shift])
+            cap = (dm - s_of[cells]) // j
+            fits = cap >= n
+            fitted_next[cells[fits] + shift] += c * fitted[cells[fits]]
+            over = cells[~fits]
+            stopped_next[d_of[over] + cap[~fits], over + shift] += c * fitted[over]
+        fitted, stopped = fitted_next, stopped_next
+    law = stopped[:, h * w:].copy()
+    k = np.arange(min(h, dm) + 1)
+    law[k, k] += fitted[h * w + k]
+    law *= [math.factorial(h) * math.perm(m, d) / (h**h * m**d) for d in range(w)]
+    law.flags.writeable = False
+    return law
+
+
+def exact_membership(m: int, h: int, dm: int, r_prime_m: int) -> float:
+    """P(z - removed <= r_prime_m) for a head of h uniform draws from m
+    indices at slot budget dm."""
+    law = removal_law(m, h, dm)
+    r, d = np.indices(law.shape)
+    return float(law[d - r <= r_prime_m].sum())
 
 
 def _brute_force(m: int, h: int, dm: int, r_prime_m: int) -> float:
@@ -83,12 +95,10 @@ def test_exact_membership_matches_brute_force(m, h):
 def test_smembership_lies_near_the_exact_value():
     # criterion 6's constants: R0 = 0.3, delta = 0.05
     trials = 20_000
-    rows = s_membership_experiment([50, 100, 200], 0.430783, 0.05, trials, seed=0)
-    exact = {50: 0.645655, 100: 0.814919, 200: 0.894822}
+    rows = s_membership_experiment([50, 100, 200, 400], 0.430783, 0.05, trials, seed=0)
+    exact = {50: 0.645655, 100: 0.814919, 200: 0.894822, 400: 0.932752}
     for row in rows:
         p = exact_membership(row.m, row.h_m, row.d_m, row.r_prime_m)
-        assert exact_membership(row.m, row.h_m, row.d_m, row.r_prime_m, mass=True) == (
-            pytest.approx(1.0, abs=1e-11)
-        )
+        assert removal_law(row.m, row.h_m, row.d_m).sum() == pytest.approx(1.0, abs=1e-11)
         assert p == pytest.approx(exact[row.m], abs=5e-7)
         assert abs(row.member_frac - p) <= 5 * math.sqrt(p * (1 - p) / trials)
