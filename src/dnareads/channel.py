@@ -141,14 +141,17 @@ def weak_prepare(
 
     index_set is uniform over size-r_prime_m subsets of [0, m); m_prime is
     uniform over messages other than m whose codeword matches m's on every
-    index in the set, or None when no such message exists.
+    index in the set, or None when no such message exists.  The pick reads
+    one word whatever the candidate count n: a value of range max(n, 2), a
+    multiple of n, taken mod n, which keeps it exactly uniform.
     """
     mm = cb.params.m
     if not 0 <= r_prime_m <= mm:
         raise ValueError("r_prime_m out of range")
     chosen = np.sort(rng.choice(mm, size=r_prime_m, replace=False))
     cands = np.flatnonzero(agreeing(cb, np.array([m]), chosen[None])[0])
-    m_prime = int(cands[rng.integers(len(cands))]) if len(cands) else None
+    pick = int(rng.integers(max(len(cands), 2)))
+    m_prime = int(cands[pick % len(cands)]) if len(cands) else None
     psi = bool(rng.random() < cb.params.p)
     return WeakAdversaryPlan(index_set=chosen, m_prime=m_prime, psi=psi)
 

@@ -139,12 +139,13 @@ def bounded(words: np.ndarray, n) -> np.ndarray:
 
 def rejected(words: np.ndarray, n, columns) -> np.ndarray:
     """Mask of the rows where numpy's integers(0, n) would have drawn again on
-    one of the given word columns, a slice or an index array: the low half
-    of w * n, a wrapping uint32 product, is below (2**32 - n) % n.  A
-    rejected word shifts every later draw of its stream.  n is one range, or
-    an array of ranges that broadcasts against words[:, columns]: one per
-    column, or one per row as a column vector.  A power of two or 1 never
-    rejects, and when no range can, no word is read."""
+    one of the given word columns, a slice or an index array of words' last
+    axis (a row may hold several blocks of words): the low half of w * n, a
+    wrapping uint32 product, is below (2**32 - n) % n.  A rejected word
+    shifts every later draw of its stream.  n is one range, or an array of
+    ranges that broadcasts against words[..., columns]: one per column, or
+    one per row as a column vector.  A power of two or 1 never rejects, and
+    when no range can, no word is read."""
     if isinstance(n, np.ndarray):
         threshold = (2**32 - n.astype(np.int64)) % n
         rejects = threshold.any()
@@ -153,7 +154,8 @@ def rejected(words: np.ndarray, n, columns) -> np.ndarray:
         threshold = rejects = (2**32 - n) % n
     if not rejects:
         return np.zeros(len(words), dtype=bool)
-    return (words[:, columns] * np.uint32(n) < np.uint32(threshold)).any(axis=1)
+    flagged = words[..., columns] * np.uint32(n) < np.uint32(threshold)
+    return flagged.reshape(len(words), -1).any(axis=1)
 
 
 def derive_codebook_rng(seed: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ from .channel import ADVERSARIES
 from .codebook import Codebook, construct_greedy
 from .core import PARAM_RULES, SimParams, VerdictKind, check_rules, derive_trial_rng
 
-CSV_VERSION = "dnareads 0.1.0"
+CSV_VERSION = "dnareads 0.2.0"
 
 
 class RunSummary(NamedTuple):

@@ -1,14 +1,18 @@
 """Trial execution.
 
 Every trial consumes its private random stream in the order _schedule
-lists: the message, the index sequence f, the error uniforms u (flags
-u < p), then its adversary's draws.  Replacement tables are drawn
-for every read position and consulted only on erroneous reads, so sweeps
-over p reuse common random numbers.  The reference engine, run_trial, draws
-and observes a trial through _observe_trial, with numpy's Generator calls.
-The batch engine, run_batch, and the converse engine, run_converse, draw
-their rows from the raw words (below); a row goes through _observe_trial
-only where they cannot give it.
+lists.  First come its per-trial draws: the message, then its adversary's
+plan draws, psi for the strong adversary, and for the weak one the Floyd
+sample, its shuffle, the m' pick and psi.  Then come its per-read draws, in
+blocks of BLOCK = 8 read positions, the last block holding read_cap mod 8:
+each block draws its index sequence f, its error uniforms u (flags u < p),
+and for the uniform adversaries its replacement indices and payloads.
+Replacement tables are drawn for every read position and consulted only on
+erroneous reads, so sweeps over p reuse common random numbers.  The
+reference engine, run_trial, draws and observes a trial through
+_observe_trial, with numpy's Generator calls.  The batch engine, run_batch,
+and the converse engine, run_converse, draw their rows from the raw words
+(below); a row goes through _observe_trial only where they cannot give it.
 
 The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
 random_raw block per trial and pass, and decodes a block of trials at once.
@@ -20,9 +24,17 @@ range over 1 reads the pending high half if there is one, or else the low
 half of the next raw, whose high half is left pending; a value of range 1
 reads nothing; random() reads the next whole raw, and leaves a pending half
 pending.  A bounded value is Lemire's (w * n) >> 32, and random()'s is
-(raw >> 11) * 2**-53.  A row that observes its true row (the honest
-adversary, and the uniform ones at p = 0) needs only the message and f, so
-its layout stops there.
+(raw >> 11) * 2**-53.
+
+A full block's bounded draws read 8 words each, an even count, so a block
+leaves a pending half as it found it: every full block reads the same
+columns of its raws as the first one, one stride of raws later.  A layout
+reads each per-read draw of a pass as slices of a (rows, blocks, words per
+block) reshape of the raw block, one slice per run of consecutive words in
+a block (a draw after the error uniforms can read a half left pending
+before them, then one run); the shorter last block is read the same way, as
+a reshape of its own.  A row that observes its true row (the honest
+adversary, and the uniform ones at p = 0) decodes f alone.
 
 Prefix first: a decoder stops after a few reads, so both engines decode
 only the first W read positions of each trial in a first pass (_passes).  W
@@ -30,31 +42,32 @@ is the smallest power of two at or above
 analysis.expected_reads_upper_bound(m, p, ones_threshold) at the p the
 layout observes (0 when honest), and for the strong adversary at least
 its screen's h_m, capped at read_cap, and read_cap where that bound is
-undefined (p = 1, or a threshold over m).  The rows still undecided after W reads are drawn again
-and decoded over read_cap.  _draw_rows checks the first row of every block
-it returns against _observe_trial, and _passes draws one block per decode
-block, sized by _row_bytes, whose sub-blocks are sized by the layout's
-row_bytes, each under its share of the engine's budget.
+undefined (p = 1, or a threshold over m).  A pass of width W draws the
+first ceil(W / 8) blocks, decodes them whole and keeps W read positions.
+The rows still undecided after W reads are drawn again and decoded over
+read_cap.  _draw_rows checks the first row of every block it returns
+against _observe_trial, and _passes draws one block per decode block,
+sized by _row_bytes, whose sub-blocks are sized by the layout's row_bytes,
+each under its share of the engine's budget.
 
 Rejections stay exact: where numpy would have rejected a word and drawn
-again, every later draw of the stream shifts.  Every bounded draw is tested
-for rejection over its whole length, except the layout's last draw, unless a
-whole raw follows it: its later words shift nothing decoded, so it is tested
-on its prefix alone.  A range that never rejects (a power of two, or 1) is
-not tested.  A rejected row goes through _observe_trial instead.  The layout
-cuts each draw's tested and decoded columns into runs of consecutive words
-once, and the draw reads each run as a slice of the block: f's words are one
-run, and a draw after u's raws can read a half left pending before them,
-then one run.
+again, every later draw of the stream shifts.  A pass tests every bounded
+word its stream reads up to its last decoded word: all of the per-trial
+draws, and in its blocks every draw up to the last one it decodes; a draw
+after that one is tested on every block but the pass's last.  A rejection
+in a later block shifts nothing the pass decodes, so the pass draws and
+tests no word past its blocks; the read_cap pass tests every word.  A range
+that never rejects (a power of two, or 1) is not tested.  A rejected row
+goes through _observe_trial instead.
 
 The weak plan is numpy's choice(m, r', replace=False) in its Floyd
 regime: each Floyd value is taken unless already in the sample, and then j
 itself is.  _weak_plan reproduces it on a rows x m mask.  The shuffle only
 orders the sample, which weak_prepare sorts, but its words are consumed and
-tested like the others.  The m' pick reads a word only where the row has
-more than one candidate, so the layout walks the schedule with and without
-it for psi's raw.  Past m > 10000 and r' > m // 50 numpy shuffles a tail of
-arange(m) instead, and that layout sends every row through _observe_trial.
+tested like the others.  The m' pick reads one word on every row, of range
+max(n, 2) for n candidates, taken mod n, so psi's raw is the same on every
+row.  Past m > 10000 and r' > m // 50 numpy shuffles a tail of arange(m)
+instead, and that layout sends every row through _observe_trial.
 
 The strong plan has a candidate only where the trial is in S, psi holds,
 every t1 read errs and another codeword agrees with the true one at every
@@ -102,28 +115,38 @@ class _Observed(NamedTuple):
 
 
 def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m=None):
-    """Draw one trial in _schedule's order with numpy's Generator calls, and
-    apply its adversary: the one draw-and-observe path of both engines.  plan
-    is the strong or weak adversary's plan, None for the others."""
+    """Draw one trial in _schedule's order with numpy's Generator calls, a
+    block of reads at a time, and apply its adversary: the one
+    draw-and-observe path of both engines.  plan is the strong or weak
+    adversary's plan, None for the others."""
     params = cb.params
+    m, v, cap = params.m, params.v, params.read_cap
     rng = derive_trial_rng(params.seed, trial)
     message = int(rng.integers(params.k))
-    f = channel.sample_index_sequence(params.m, params.read_cap, rng)
-    flags = channel.sample_error_flags(params.p, params.read_cap, rng)
+    plan = psi = None
+    if adversary == "weak":
+        plan = channel.weak_prepare(cb, message, r_prime_m, rng)
+    elif adversary == "strong":
+        psi = bool(rng.random() < params.p)
+    uniform = adversary in ("uniform", "uniform-index")
+    f, flags, rep_idx, rep_pay = [], [], [], []
+    for lo in range(0, cap, BLOCK):
+        size = min(BLOCK, cap - lo)
+        f.append(channel.sample_index_sequence(m, size, rng))
+        flags.append(channel.sample_error_flags(params.p, size, rng))
+        if uniform:
+            rep_idx.append(rng.integers(0, m, size=size) if adversary == "uniform" else f[-1])
+            rep_pay.append(rng.integers(0, v, size=size))
+    f, flags = np.concatenate(f), np.concatenate(flags)
     true_ids = cb.word_ids[message][f]
-    plan = None
     if adversary == "honest":
         observed = channel.observe_honest(true_ids, f, flags)
-    elif adversary in ("uniform", "uniform-index"):
-        cap = params.read_cap
-        rep_idx = rng.integers(0, params.m, size=cap) if adversary == "uniform" else f
-        rep_pay = rng.integers(0, params.v, size=cap)
-        observed = channel.observe_uniform(true_ids, flags, rep_idx * params.v + rep_pay)
+    elif uniform:
+        replacement = np.concatenate(rep_idx) * v + np.concatenate(rep_pay)
+        observed = channel.observe_uniform(true_ids, flags, replacement)
     elif adversary == "weak":
-        plan = channel.weak_prepare(cb, message, r_prime_m, rng)
         observed = channel.observe_weak(plan, cb, true_ids, f, flags)
     else:
-        psi = bool(rng.random() < params.p)
         part = s_membership(f, h_m, params.dm, r_prime_m)
         plan = channel.strong_prepare(cb, message, f, flags, h_m, part, psi)
         observed = channel.observe_strong(plan, cb, true_ids, f, flags)
@@ -315,34 +338,47 @@ def _conditions(t: int, message: int, plan, verdict: Verdict, h_m: int | None) -
     return held
 
 
-# The draws made once per read position, which a prefix pass cuts to its width.
+# Reads per block of a trial's per-read draws (module docstring): a constant
+# of the draw contract, not a tunable.
+BLOCK = 8
+
+# The draws made once per read position, a block at a time.
 _READ_DRAWS = ("f", "u", "rep_idx", "rep_pay")
 
 
-def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None) -> list:
-    """A trial's draws in stream order, as (name, range, size): a range is
-    one number, one per value, or None for random()'s whole raws.  The weak
-    pick's range is the row's candidate count, at most k - 1."""
+def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None, reads: int) -> list:
+    """A trial's draws in stream order, as (name, range, size), up to its
+    first `reads` read positions: the per-trial draws, then the per-read
+    draws block by block, each block's of size BLOCK but the last.  A range
+    is one number, one per value, or None for random()'s whole raws.  The
+    weak pick's range is max(the row's candidate count, 2), at most
+    max(k - 1, 2)."""
     p = cb.params
-    cap = p.read_cap
-    draws = [("message", p.k, 1), ("f", p.m, cap), ("u", None, cap)]
-    if adversary in ("uniform", "uniform-index"):
-        draws += [("rep_idx", p.m, cap)] * (adversary == "uniform") + [("rep_pay", p.v, cap)]
-    elif adversary == "weak":
+    draws = [("message", p.k, 1)]
+    if adversary == "weak":
         r = r_prime_m
         floyd = np.arange(max(p.m - r, 1), p.m) + 1
         draws += [("floyd", floyd, len(floyd)), ("shuffle", np.arange(r, 1, -1), max(r - 1, 0)),
-                  ("pick", p.k - 1, 1), ("psi", None, 1)]
+                  ("pick", max(p.k - 1, 2), 1), ("psi", None, 1)]
     elif adversary == "strong":
         draws += [("psi", None, 1)]
+    block = [("f", p.m), ("u", None)]
+    if adversary in ("uniform", "uniform-index"):
+        block += [("rep_idx", p.m)] * (adversary == "uniform") + [("rep_pay", p.v)]
+    for lo in range(0, reads, BLOCK):
+        draws += [(name, n, min(BLOCK, reads - lo)) for name, n in block]
     return draws
 
 
-def _walk(schedule) -> dict:
-    """name -> the columns each draw of the schedule reads, by the walk rule
-    (module docstring): stream_words columns for a bounded draw, raw columns
-    for random()'s."""
-    columns, pending, raw = {}, np.empty(0, dtype=np.intp), 0
+def _walk(schedule, state=None) -> tuple[dict, tuple]:
+    """(columns, state): name -> the columns the schedule's draws of that
+    name read, in order, by the walk rule (module docstring): stream_words
+    columns for a bounded draw, raw columns for random()'s.  state is the
+    stream's after the schedule, (the pending high half's column, an array
+    of none or one, and the raws generated); the walk starts from the given
+    state, or from none pending and no raw."""
+    pending, raw = state or (np.empty(0, dtype=np.intp), 0)
+    columns = {}
     for name, n, size in schedule:
         if n is None:
             cols = np.arange(raw, raw + size)
@@ -353,17 +389,39 @@ def _walk(schedule) -> dict:
             pending = cols[-1:] + 1 if cols[-1] % 2 == 0 else cols[:0]
         else:
             cols = pending[:0]
-        columns[name] = cols
-    return columns
+        columns[name] = np.concatenate((columns[name], cols)) if name in columns else cols
+    return columns, (pending, raw)
+
+
+class _Segment(NamedTuple):
+    """`count` blocks of `size` reads each, in a pass's raws from raw0 on,
+    `stride` raws a block; their words are read from column word0, the first
+    block's first word (the pending half it reads, if any), `span` words a
+    block.  draws: name -> (range,
+    runs), runs of a block's words for a bounded draw and of its raws for
+    random()'s (range None), as (slice, range) pairs; tests: (slice, range,
+    blocks) runs of words, each tested on the segment's first `blocks`
+    blocks."""
+
+    raw0: int
+    word0: int
+    count: int
+    size: int
+    stride: int
+    span: int
+    draws: dict
+    tests: list
 
 
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
     random_raw block, as _walk places them, in runs of consecutive columns,
-    and which words are tested for rejection (module docstring).  The weak
-    adversary's layout also holds its plan's draws, whole at any width, for
-    an index set of r_prime_m; the strong one's, the h_m and r_prime_m of
-    its screen's S test and witness."""
+    and which words are tested for rejection (module docstring): the
+    per-trial draws, then the pass's blocks as one segment of full blocks
+    and, where the pass reaches it, one of the shorter last block.  The weak
+    adversary's layout also holds its plan's draws for an index set of
+    r_prime_m; the strong one's, the h_m and r_prime_m of its screen's S
+    test and witness."""
 
     def __init__(
         self, cb: Codebook, adversary: str, width: int,
@@ -375,36 +433,69 @@ class _Layout:
         self.r_prime, self.h_m = r_prime_m, h_m
         # numpy's tail-shuffle regime (module docstring)
         self.per_trial = adversary == "weak" and p.m > 10000 and r_prime_m > p.m // 50
-        schedule = _schedule(cb, adversary, r_prime_m)
-        if adversary in BATCH_ADVERSARIES and not self.noisy:
-            schedule = schedule[:2]  # its rows observe their true rows
-        columns = _walk(schedule)
-        if adversary == "weak":
-            # psi's raw where the row reads no pick word, and where it does
-            unpicked = _walk([draw for draw in schedule if draw[0] != "pick"])
-            self.psi_raws = (unpicked["psi"][0], columns["psi"][0])
-        # the last draw that reads; a bounded one is tested on its prefix alone
-        last = [name for name, _, _ in schedule if len(columns[name])][-1:]
-        # bounded draws: name -> (range, values, decoded runs, tested runs),
-        # each run a (slice, range) pair, and no tested run where the range
-        # never rejects; random()'s draws: name -> the slice of its raws.  A
-        # prefix pass decodes the first width values of each per-read draw.
-        self.draws, self.raws, needed, tested, decoded = {}, {}, [], 0, 0
-        for name, n, size in schedule:
-            cols = shown = columns[name]
-            if name in _READ_DRAWS:
-                shown, size = cols[:width], min(size, width)
+        head = _schedule(cb, adversary, r_prime_m, 0)
+        columns, (pending, head_raws) = _walk(head)
+        # per-trial draws, all tested: bounded ones name -> (range, values,
+        # runs, tested), each run a (slice, range) pair, and tested False
+        # where the range never rejects; random()'s name -> its raws' slice
+        self.draws, self.raws, tested, decoded = {}, {}, 0, 0
+        for name, n, size in head:
+            cols = columns[name]
             if n is None:
-                self.raws[name] = slice(int(shown[0]), int(shown[-1]) + 1)
-                needed.append(shown)
+                self.raws[name] = slice(int(cols[0]), int(cols[-1]) + 1)
                 continue
-            test = shown if name in last else cols
             # the pick's range is the row's candidate count (_weak_plan)
-            rejects = name == "pick" or np.any((2**32 - np.asarray(n, dtype=np.int64)) % n)
-            self.draws[name] = (n, size, _runs(shown, n), _runs(test, n) if rejects else [])
-            needed.append(test // 2)
-            tested, decoded = tested + len(test), decoded + len(shown)
-        self.n_raw = n_raw = int(np.concatenate(needed).max(initial=-1)) + 1
+            test = name == "pick" or _rejects(n)
+            self.draws[name] = (n, size, _runs(cols, n), test)
+            tested, decoded = tested + test * len(cols), decoded + len(cols)
+        # the pass's blocks, each decoded whole; a row that observes its true
+        # row decodes f alone
+        keep = 1 if adversary in BATCH_ADVERSARIES and not self.noisy else len(_READ_DRAWS)
+        block = _schedule(cb, adversary, r_prime_m, BLOCK)[len(head):]
+        _, (pending1, raw1) = _walk(block, (pending, head_raws))
+        stride = raw1 - head_raws
+
+        def state(j):  # the stream's before block j
+            if j == 0:
+                return pending, head_raws
+            return pending1 + 2 * stride * (j - 1), raw1 + stride * (j - 1)
+
+        def word0(j):  # block j's first word: the pending half, if any
+            pending_j, raw_j = state(j)
+            return int(pending_j[0]) if len(pending_j) else 2 * raw_j
+
+        # blocks 1.. repeat one stride apart; block 0 joins them unless
+        # random() raws part it from the pending half it reads (psi)
+        n_blocks, (full, rest) = -(-width // BLOCK), divmod(p.read_cap, BLOCK)
+        split = min(n_blocks, full) if word0(1) - word0(0) == 2 * stride else 1
+        plan = [(0, min(split, n_blocks, full), BLOCK), (split, min(n_blocks, full) - split, BLOCK),
+                (full, n_blocks - full, rest)]
+        plan = [segment for segment in plan if segment[1] > 0]
+        self.segments = []
+        for i, (first, count, size) in enumerate(plan):
+            start = state(first)
+            reads = _schedule(cb, adversary, r_prime_m, size)[len(head):]
+            cols, (_, end) = _walk(reads, start)
+            draws, tests = {}, []
+            for j, (name, n, _) in enumerate(reads):
+                runs = _runs(cols[name] - (start[1] if n is None else word0(first)), n)
+                if j < keep:
+                    draws[name] = (n, runs)
+                    decoded += count * len(cols[name]) * (n is not None)
+                # a draw past the last decoded one is tested on every block
+                # of the pass but its last
+                blocks = count - (i == len(plan) - 1 and j >= keep)
+                if n is not None and blocks and _rejects(n):
+                    tests += [(run, n_run, blocks) for run, n_run in runs]
+                    tested += blocks * len(cols[name])
+            # repeated blocks are one stride of words apart; a lone block
+            # reads words up to its last raw
+            span = 2 * (end - start[1]) if count > 1 else 2 * end - word0(first)
+            self.segments.append(
+                _Segment(start[1], word0(first), count, size, end - start[1], span, draws, tests)
+            )
+        self.n_raw = n_raw = start[1] + count * (end - start[1])
+        self.reads = min(n_blocks * BLOCK, p.read_cap)
         extra, words = 0, -(-p.k // 64)  # words of a packed_mismatch row
         if adversary == "weak":
             # Floyd's seen mask, the index set's two int64 copies, agreeing's
@@ -416,16 +507,21 @@ class _Layout:
             # larger of s_membership's rows and agreeing's copies and packed
             # rows beside the witness; agreeing's bits and mask per message
             extra = max(56, 27 + 8 * words) * h_m + 2 * p.k + 16 * words + 64
-        # The raws; per tested word a gathered copy, product and flag, though
-        # a run's test gathers no copy (kept, since sub-block sizes move
-        # converse through glibc's thresholds); per decoded word its copy,
-        # uint64 copy and product; and the int64 or float64 rows of width:
-        # six in a noisy layout (true ids, u, its flags, the replacement and
-        # observed ids), which bound the weak plan's rows too, and only the
-        # true ids otherwise, and in the strong layout, whose draw builds no
-        # other.
-        rows = 6 if self.noisy and adversary != "strong" else 1
-        self.row_bytes = 8 * n_raw + 9 * tested + 20 * decoded + 8 * rows * width + extra
+        # The raws; per tested word its product and flag; per decoded word
+        # its uint64 value and the copy that joins a draw's runs; and the
+        # int64 or float64 rows of the pass's reads: six in a noisy layout
+        # (true ids, u, its flags, the replacement and observed ids), which
+        # bound the weak plan's rows too, three in the strong layout (true
+        # ids, and u with the copy that joins its segments), and only the
+        # true ids otherwise.
+        rows = 3 if adversary == "strong" else 6 if self.noisy else 1
+        self.row_bytes = 8 * n_raw + 5 * tested + 16 * decoded + 8 * rows * self.reads + extra
+
+
+def _rejects(n) -> bool:
+    """Whether a range, or one of an array of ranges, can reject a word:
+    whether (2**32 - n) % n, the rejection threshold, is ever nonzero."""
+    return bool(np.any((2**32 - np.asarray(n, dtype=np.int64)) % n))
 
 
 def _runs(cols: np.ndarray, n) -> list:
@@ -439,6 +535,18 @@ def _runs(cols: np.ndarray, n) -> list:
     ]
 
 
+def _values(source: np.ndarray, runs, shape) -> np.ndarray:
+    """One draw's values from its (slice, range) runs of source's last axis,
+    joined in order: Lemire's bounded values of words, or the raws
+    themselves where the range is None; zeros of shape where a bounded draw
+    reads nothing (range 1)."""
+    values = [source[..., run] if n is None else core.bounded(source[..., run], n)
+              for run, n in runs]
+    if not values:
+        return np.zeros(shape, dtype=np.int64)
+    return values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
+
+
 def _draw_columnar(cb, adversary, layout, states, message, obs):
     """Fill message and obs for the trials with these stream states from one
     random_raw block each.  Returns (bad, plan): bad masks the rows to
@@ -447,22 +555,31 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     whose plan has a candidate (module docstring); plan is the strong or weak
     adversary's (m_prime, psi) columns, None for the others."""
     p = cb.params
+    b = len(states)
     if layout.per_trial:
-        return np.ones(len(states), dtype=bool), None
+        return np.ones(b, dtype=bool), None
     raws = core.trial_raws(states, layout.n_raw)
     words = core.stream_words(raws)
-    bad = np.zeros(len(states), dtype=bool)
+    bad = np.zeros(b, dtype=bool)
     drawn = {}
-    for name, (n, size, decode, test) in layout.draws.items():
+    for name, (n, size, runs, test) in layout.draws.items():
         if name == "pick":
             continue  # its range is per row (_weak_plan)
-        for run, n_run in test:
+        for run, n_run in runs if test else ():
             bad |= core.rejected(words, n_run, run)
-        values = [core.bounded(words[:, run], n_run) for run, n_run in decode]
-        if not values:
-            drawn[name] = np.zeros((len(states), size), dtype=np.int64)
-        else:
-            drawn[name] = values[0] if len(values) == 1 else np.concatenate(values, axis=1)
+        drawn[name] = _values(words, runs, (b, size))
+    # each per-read draw from its blocks, cut to the pass's width
+    reads = {}
+    for seg in layout.segments:
+        w = words[:, seg.word0 : seg.word0 + seg.count * seg.span].reshape(b, seg.count, -1)
+        r = raws[:, seg.raw0 : seg.raw0 + seg.count * seg.stride].reshape(b, seg.count, -1)
+        for run, n, blocks in seg.tests:
+            bad |= core.rejected(w[:, :blocks], n, run)
+        for name, (n, runs) in seg.draws.items():
+            values = _values(r if n is None else w, runs, (b, seg.count, seg.size))
+            reads.setdefault(name, []).append(values.reshape(b, -1))
+    for name, parts in reads.items():
+        drawn[name] = (parts[0] if len(parts) == 1 else np.concatenate(parts, 1))[:, : layout.width]
     msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
     # the true rows, which the adversary then changes where it errs
@@ -471,21 +588,21 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
         # the rows whose plan has a candidate (module docstring)
         psi = _below(raws[:, layout.raws["psi"].start], p.p)
         part = s_membership(f, layout.h_m, p.dm, layout.r_prime)
-        errs = _below(raws[:, layout.raws["u"]][:, : layout.h_m], p.p)
+        errs = _below(drawn["u"][:, : layout.h_m], p.p)
         rows = np.flatnonzero(channel.strong_premise(part, psi, errs))
         bad[rows] |= agreeing(cb, msg[rows, 0], f[rows, : layout.h_m], part.t1[rows]).any(axis=1)
-        return bad, (np.full(len(psi), -1), psi)
+        return bad, (np.full(b, -1), psi)
     if adversary == "weak":
         # channel.observe_weak on the rows whose plan is active
         _, m_prime, psi, picked_bad = _weak_plan(cb, layout, raws, words, drawn)
         active = np.flatnonzero(psi & (m_prime >= 0))
         if active.size:
-            flags = _below(raws[active, layout.raws["u"]], p.p)
+            flags = _below(drawn["u"][active], p.p)
             swap = cb.word_ids[m_prime[active, None], f[active]]
             obs[active] = np.where(flags, swap, obs[active])
         return bad | picked_bad, (m_prime, psi)
     if layout.noisy:
-        flags = _below(raws[:, layout.raws["u"]], p.p)
+        flags = _below(drawn["u"], p.p)
         rep_idx = drawn.get("rep_idx", f)
         obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
     return bad, None
@@ -511,17 +628,12 @@ def _weak_plan(cb, layout, raws, words, drawn):
     index_set = np.nonzero(seen)[1].reshape(b, r)
     agree = agreeing(cb, drawn["message"][:, 0], index_set)
     n_cands = agree.sum(axis=1)
-    many = n_cands > 1
-    pick = np.zeros(b, dtype=np.int64)
-    bad = np.zeros(b, dtype=bool)
-    if many.any():
-        # one word of range n_cands, read only where that is more than 1
-        n, [(column, _)] = np.maximum(n_cands, 1), layout.draws["pick"][3]
-        bad = core.rejected(words, n[:, None], column)
-        pick = core.bounded(words[:, column.start], n)
+    # one word of range max(n_cands, 2) on every row, taken mod n_cands
+    n, [(column, _)] = np.maximum(n_cands, 2), layout.draws["pick"][2]
+    bad = core.rejected(words, n[:, None], column)
+    pick = core.bounded(words[:, column.start], n) % np.maximum(n_cands, 1)
     m_prime = np.where(n_cands > 0, (np.cumsum(agree, axis=1) <= pick[:, None]).sum(axis=1), -1)
-    unread, read = layout.psi_raws
-    psi = _below(raws[rows, np.where(many, read, unread)], p.p)
+    psi = _below(raws[:, layout.raws["psi"].start], p.p)
     return index_set, m_prime, psi, bad
 
 

@@ -298,20 +298,32 @@ def test_trace_replays_and_matches_adversary_row(small_codebook, adversary):
         assert run(cb, trace.observed, len(trace.observed)) == outcome.verdict
         rng = derive_trial_rng(cb.params.seed, trial)
         message = int(rng.integers(cb.params.k))
-        f = sample_index_sequence(m, cap, rng)
-        flags = sample_error_flags(cb.params.p, cap, rng)
+        # the per-trial draws, then the per-read ones in blocks of 8 reads
+        if adversary == "weak":
+            plan = weak_prepare(cb, message, r_prime_m, rng)
+        elif adversary == "strong":
+            psi = bool(rng.random() < cb.params.p)
+        blocks = []
+        for lo in range(0, cap, 8):
+            size = min(8, cap - lo)
+            block = [sample_index_sequence(m, size, rng), sample_error_flags(cb.params.p, size, rng)]
+            if adversary == "uniform":
+                block.append(rng.integers(0, m, size=size))
+            if adversary in ("uniform", "uniform-index"):
+                block.append(rng.integers(0, v, size=size))
+            blocks.append(block)
+        f, flags = (np.concatenate(draw) for draw in list(zip(*blocks))[:2])
         true_ids = cb.word_ids[message][f]
         replacement = true_ids
         if adversary == "uniform":
-            replacement = rng.integers(0, m, size=cap) * v + rng.integers(0, v, size=cap)
+            rep_idx, rep_pay = (np.concatenate(draw) for draw in list(zip(*blocks))[2:])
+            replacement = rep_idx * v + rep_pay
         elif adversary == "uniform-index":
-            replacement = f * v + rng.integers(0, v, size=cap)
+            replacement = f * v + np.concatenate([block[2] for block in blocks])
         elif adversary == "weak":
-            plan = weak_prepare(cb, message, r_prime_m, rng)
             if plan.active:
                 replacement = cb.word_ids[plan.m_prime][f]
         elif adversary == "strong":
-            psi = bool(rng.random() < cb.params.p)
             part = s_membership(f, h_m, cb.params.dm, r_prime_m)
             plan = strong_prepare(cb, message, f, flags, h_m, part, psi)
             if plan.active:

@@ -2,9 +2,11 @@
 
 Each run below is a small `cli.main` call (or one saved trace).  The manifest,
 tests/golden_outputs.json, holds the sha256 of every run's output file,
-stdout and stderr, its exit status, and the numpy version that made them.
-Any byte that changes fails the test, and so does a numpy other than the
-manifest's, since numpy's internals fix every random draw.
+stdout and stderr, its exit status, and the numpy version and CSV_VERSION
+that made them.  Any byte that changes fails the test, and so does a numpy
+other than the manifest's, since numpy's internals fix every random draw,
+and a CSV_VERSION other than the manifest's: a change to the random-number
+contract bumps CSV_VERSION and regenerates the manifest together.
 
 After a change that is meant to alter outputs, regenerate the manifest and
 commit it with the change:
@@ -31,6 +33,7 @@ from dnareads.cli import main
 from dnareads.codebook import construct_greedy
 from dnareads.core import SimParams
 from dnareads.decoder import save_trace
+from dnareads.harness import CSV_VERSION
 from dnareads.simulate import run_trial
 
 MANIFEST = Path(__file__).with_name("golden_outputs.json")
@@ -77,34 +80,36 @@ RUNS = {
         "--p", "0.1", "--adversary", "uniform", "--read-cap", "10", "--trials", "2000",
         "--seed", "3",
     ],
-    # m = 70001: numpy rejects a word of f or of the replacement indices in
-    # 12 of these trials; the ones threshold (42001) is past the bound's
-    # domain, so W is read_cap and those rows are redrawn in the one pass
-    # at v = 200003 numpy rejects a replacement payload word of trial 1410
-    # inside the 8-read prefix, so the prefix pass redraws that row
+    # at v = 200003 numpy rejects a replacement payload word of trial 168
+    # inside the 8-read prefix's block, so the prefix pass redraws that row
     "simulate-prefix-rejected-words": [
         "simulate", "--m", "8", "--k", "16", "--v", "200003", "--delta", "0.125",
         "--theta", "0.5", "--p", "0.1", "--read-cap", "200", "--adversary", "uniform",
-        "--trials", "4000", "--seed", "3",
+        "--trials", "4000", "--seed", "8",
     ],
+    # m = 70001: numpy rejects a word of f or of the replacement indices in
+    # 7 of these trials; the ones threshold (42001) is past the bound's
+    # domain, so W is read_cap and those rows are redrawn in the one pass
     "simulate-rejected-words": [
         "simulate", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--adversary", "uniform", "--trials", "2000",
         "--seed", "3",
     ],
-    # the same code under the strong adversary: numpy rejects a word of f in
-    # 5 of these trials, which the strong screen leaves to the per-trial draw
+    # the same parameters under the strong adversary, at seed 8: numpy
+    # rejects a word of f in 5 of these trials, which the strong screen
+    # leaves to the per-trial draw
     "converse-strong-rejected-words": [
         "converse", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "19",
-        "--adversary", "strong", "--trials", "2000", "--seed", "3", "--out", "{out}",
+        "--adversary", "strong", "--trials", "2000", "--seed", "8", "--out", "{out}",
     ],
-    # and under the weak adversary: besides those f words, numpy rejects a
-    # word of trial 785's own plan, a Floyd draw of its index set
+    # and under the weak adversary: numpy rejects a word of f in 4 of these
+    # trials, and a word of trial 572's own plan, a Floyd draw of its index
+    # set
     "converse-weak-rejected-words": [
         "converse", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "19",
-        "--adversary", "weak", "--trials", "2000", "--seed", "3", "--out", "{out}",
+        "--adversary", "weak", "--trials", "2000", "--seed", "8", "--out", "{out}",
     ],
     # r' = 500 > m // 50: numpy draws the index set by shuffling a tail of
     # arange(m), not by Floyd's sample
@@ -114,7 +119,7 @@ RUNS = {
         "--adversary", "weak", "--trials", "300", "--seed", "3", "--out", "{out}",
     ],
     # the benchmark's converse runs at 2500 strong and 5000 weak trials, long
-    # enough to span several converse blocks; 57 strong and 115 weak rows
+    # enough to span several converse blocks; 45 strong and 111 weak rows
     # outlive the 32-read prefix, so the full-width pass decodes rows
     **{
         f"converse-{adv}-blocks": [
@@ -125,7 +130,7 @@ RUNS = {
     },
     # a code where psi holds on half the rows and every head is in S, so the
     # strong screen's other two premises, the t1 errors and a t2-agreeing
-    # codeword, decide: it sends the 218 rows with a candidate to the
+    # codeword, decide: it sends the 229 rows with a candidate to the
     # per-trial draw; 4000 trials span five converse blocks
     "converse-strong-screened": [
         "converse", "--m", "8", "--k", "16", "--v", "2", "--p", "0.5", "--delta", "0.25",
@@ -205,6 +210,11 @@ def test_manifest_lists_every_run():
     assert sorted(_manifest()["runs"]) == sorted([*RUNS, TRACE])
 
 
+def test_manifest_names_the_csv_version():
+    made = _manifest()["csv_version"]
+    assert made == CSV_VERSION, f"manifest made at {made!r}, running {CSV_VERSION!r}"
+
+
 @pytest.mark.parametrize("name", [*RUNS, TRACE])
 def test_outputs_match_manifest(name):
     manifest = _manifest()
@@ -219,7 +229,8 @@ if __name__ == "__main__":
         sys.exit(f"usage: {sys.argv[0]} --regenerate")
     before = _manifest()["runs"] if MANIFEST.exists() else {}
     runs = {name: _outputs(name) for name in [*RUNS, TRACE]}
-    MANIFEST.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=1) + "\n")
+    manifest = {"numpy": np.__version__, "csv_version": CSV_VERSION, "runs": runs}
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {len(runs)} runs to {MANIFEST}")
     for change, names in (
         ("added", runs.keys() - before.keys()),

@@ -299,15 +299,15 @@ def _per_trial_rows(cfg, cb, trials=None):
 # half the rows and every head is in S, and codes with one index and one
 # message
 _ORACLE_CODES = [
-    (SimParams(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400, seed=3), 20, 5, 0.007),
-    (SimParams(m=8, k=16, v=2, p=0.5, dm=2, theta=0.8, read_cap=100, seed=1), 12, 6, 0.537),
+    (SimParams(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400, seed=3), 20, 5, 0.003),
+    (SimParams(m=8, k=16, v=2, p=0.5, dm=2, theta=0.8, read_cap=100, seed=1), 12, 6, 0.443),
     (SimParams(m=1, k=2, v=4, p=0.4, dm=0, theta=1.0, read_cap=30, seed=2), 5, 1, 0.453),
-    (SimParams(m=6, k=1, v=3, p=0.4, dm=2, theta=0.5, read_cap=50, seed=2), 10, 4, 0.4),
+    (SimParams(m=6, k=1, v=3, p=0.4, dm=2, theta=0.5, read_cap=50, seed=2), 10, 4, 0.377),
 ]
 # Of their 300 oracle trials, the rows the screen sends down the adversary
 # path, those whose plan has a candidate: at m = 1 no other word agrees at
 # index 0, and with k = 1 there is no other word.
-_SENT = {_ORACLE_CODES[1][0]: 19}
+_SENT = {_ORACLE_CODES[1][0]: 14}
 
 
 def _screened(cb, h_m, r_prime_m, trials):
@@ -327,7 +327,7 @@ def _screened(cb, h_m, r_prime_m, trials):
 # Rows of the 300 oracle trials that outlive the prefix width, which the
 # full-width pass decodes: at the other codes every row stops within W, or W
 # is read_cap, where the bound is undefined.
-_PAST_PREFIX = {_ORACLE_CODES[0][0]: 5}
+_PAST_PREFIX = {(_ORACLE_CODES[0][0], "strong"): 6, (_ORACLE_CODES[0][0], "weak"): 3}
 
 
 def _engine_rows(cfg, cb):
@@ -372,7 +372,7 @@ def test_converse_blocks_match_per_trial_rows(
     assert [s for s in shapes if s[1] == width] == [(70, width)] * 4 + [(20, width)]
     # the full-width pass decodes exactly the rows that outlive the prefix
     live = [row for row in rows if row.n_reads > width]
-    assert len(live) == _PAST_PREFIX.get(params, 0)
+    assert len(live) == _PAST_PREFIX.get((params, adversary), 0)
     assert sum(n for n, w in shapes if w != width) == len(live)
     if adversary == "strong":
         sent, premised = _screened(cb, h_m, r_prime_m, cfg.trials)
@@ -412,8 +412,8 @@ def test_strong_screen_sends_exactly_the_rows_with_candidates(
 
 def test_strong_screen_calls_at_the_screened_code(monkeypatch):
     # 4000 trials: run_trial's trial 0, the first-row checks of the five
-    # drawn blocks and the 218 rows the screen sends.  A screen of S and psi
-    # alone sends the 2000 rows in S with psi, for 2006 calls.
+    # drawn blocks and the 229 rows the screen sends.  A screen of S and psi
+    # alone sends the 1970 rows in S with psi, for 1976 calls.
     params, h_m, r_prime_m = _SCREENED_CODE
     cb = construct_greedy(params)
     real, calls = simulate._observe_trial, []
@@ -424,19 +424,18 @@ def test_strong_screen_calls_at_the_screened_code(monkeypatch):
 
     monkeypatch.setattr(simulate, "_observe_trial", observing)
     res = simulate.run_converse(cb, "strong", 4000, h_m, r_prime_m)
-    assert len(calls) == 224
+    assert len(calls) == 235
     assert not res.active.any()
 
 
 def test_strong_rows_with_rejected_words_match_per_trial_rows():
-    # m = 70001: numpy rejects a word of f in trials 11, 539 and 909.  At
-    # k = 2 and read_cap 199 the message and f fill whole raws, so the extra
-    # word moves the uniforms and psi one raw on, and only the adversary path
-    # sees the psi those trials draw.
+    # m = 70001: numpy rejects a word of f in trials 3089, 3179 and 3583, at
+    # reads 111, 64 and 127.  The extra word moves every later word of f one
+    # word on, so only the adversary path sees the reads those trials draw.
     params = SimParams(m=70001, k=2, v=2, p=0.5, dm=0, theta=0.6, read_cap=199, seed=3)
     cb = construct_greedy(params)
-    cfg = ExperimentConfig(params=params, adversary="strong", trials=1000, h_m=20, r_prime_m=19)
-    rejected = [11, 539, 909]
+    cfg = ExperimentConfig(params=params, adversary="strong", trials=4000, h_m=20, r_prime_m=19)
+    rejected = [3089, 3179, 3583]
     sent, _ = _screened(cb, cfg.h_m, cfg.r_prime_m, cfg.trials)
     assert set(rejected) <= set(np.flatnonzero(sent).tolist())
     rows = _engine_rows(cfg, cb)

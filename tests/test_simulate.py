@@ -309,42 +309,60 @@ def test_only_the_strong_screen_widens_the_prefix(small_codebook):
     assert simulate._prefix_width(cb, "strong", 100) >= 100
 
 
+def _observed_by_pass(patch):
+    """Spy on run_batch's passes: a list that collects (width, trial) for
+    every row drawn through _observe_trial, width being its pass's."""
+    real_draw, real_observe, seen, width = simulate._draw_rows, simulate._observe_trial, [], []
+
+    def drawing(cb, adversary, layout, *args):
+        width[:] = [layout.width]
+        return real_draw(cb, adversary, layout, *args)
+
+    def observing(cb, adversary, trial, *args):
+        seen.append((width[0], trial))
+        return real_observe(cb, adversary, trial, *args)
+
+    patch.setattr(simulate, "_draw_rows", drawing)
+    patch.setattr(simulate, "_observe_trial", observing)
+    return seen
+
+
 @pytest.mark.parametrize(
     "adversary,region", [("uniform", "f"), ("uniform-index", "f"), ("uniform", "rep_idx")]
 )
 def test_rejection_past_the_prefix_is_redrawn(slow_codebook, adversary, region, monkeypatch):
     # Plant a word numpy rejects (0, for m = 12) as the last f or replacement
-    # index word of one trial's raw block, far past the prefix: the row's
-    # prefix values are untouched, yet every later draw shifts, so the row
-    # must still be redrawn through the per-trial engine.
+    # index word of one trial's stream, in a block past the prefix pass's
+    # blocks: that pass neither draws nor tests it, so the row is not redrawn
+    # there, yet every later draw shifts, so the full pass must redraw the
+    # row through the per-trial engine.  Planted in the prefix pass's last
+    # block instead, the word sends the row to the per-trial engine in that
+    # pass.  Either way the row's verdict is run_trial's.
     params = slow_codebook.params
-    cap, target = params.read_cap, 5
-    f_last = 1 + cap - 1  # after the message word
-    # past the head raws, the uniforms' read_cap raws sit in between
-    word = f_last if region == "f" else f_last + cap + 2 * cap
-    assert simulate._prefix_width(slow_codebook, adversary) < cap - 1
-    mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
-    state = core.trial_states(params.seed, np.array([target], dtype=np.uint64))[0]
-    real_raws, real_observe = core.trial_raws, simulate._observe_trial
-    planted, observed = [], []
-
-    def planting(states, n_raw):
-        raws = real_raws(states, n_raw)
-        hit = (states == state).all(axis=1)
-        if n_raw > word // 2 and hit.any():
-            raws[hit, word // 2] &= mask
-            planted.append(n_raw)
-        return raws
-
-    def observing(cb, adversary, trial, *args):
-        observed.append(trial)
-        return real_observe(cb, adversary, trial, *args)
-
-    monkeypatch.setattr(core, "trial_raws", planting)
-    monkeypatch.setattr(simulate, "_observe_trial", observing)
+    width = simulate._prefix_width(slow_codebook, adversary)
+    columns, _ = simulate._walk(simulate._schedule(slow_codebook, adversary, None, params.read_cap))
+    assert width % simulate.BLOCK == 0 and params.read_cap > width + simulate.BLOCK
+    # a trial that outlives the prefix, and is not the first row of a pass
     batch = run_batch(slow_codebook, adversary, 20)
-    assert planted and target in observed
-    _assert_matches_serial(slow_codebook, adversary, batch)
+    target = int(np.flatnonzero(batch.n_reads[1:] > width)[1]) + 1
+    state = core.trial_states(params.seed, np.array([target], dtype=np.uint64))[0]
+    real_raws = core.trial_raws
+    for word, inside in ((columns[region][-1], False), (columns[region][width - 1], True)):
+        mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
+
+        def planting(states, n_raw):
+            raws = real_raws(states, n_raw)
+            if n_raw > word // 2:
+                raws[(states == state).all(axis=1), word // 2] &= mask
+            return raws
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "trial_raws", planting)
+            observed = _observed_by_pass(patch)
+            batch = run_batch(slow_codebook, adversary, 20)
+        assert ((width, target) in observed) == inside
+        assert (params.read_cap, target) in observed
+        _assert_matches_serial(slow_codebook, adversary, batch)
 
 
 def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
@@ -385,8 +403,13 @@ def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
 def test_strong_psi_drift_fails_loudly(small_codebook, monkeypatch):
     # a numpy whose psi draw moved would alter the strong plan columns of the
     # rows the screen passes; the first-row check of the draw must catch it.
-    # Trial 0's psi does not hold, so the screen passes its row.
-    assert not run_trial(small_codebook, "strong", 0, 20, 5)[0].plan.psi
+    # The screen passes trial 0's row, whose psi holds.
+    cb = small_codebook
+    assert run_trial(cb, "strong", 0, 20, 5)[0].plan.psi
+    layout = simulate._Layout(cb, "strong", simulate._prefix_width(cb, "strong", 20), 5, 20)
+    states = core.trial_states(cb.params.seed, np.zeros(1, dtype=np.uint64))
+    obs = np.empty((1, layout.width), dtype=simulate._id_dtype(cb))
+    assert not simulate._draw_columnar(cb, "strong", layout, states, np.empty(1, int), obs)[0][0]
     real = simulate._draw_columnar
 
     def drifting(cb, adversary, layout, states, message, obs):
@@ -545,7 +568,7 @@ def test_weak_rejected_plan_words_are_redrawn(picking_codebook, draw, column, mo
         t for t, ref in enumerate(refs) if _n_cands(cb, ref.plan, ref.message) == 3
     )
     layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
-    word = int(_columns(layout.draws[draw][3])[column])
+    word = int(_columns(layout.draws[draw][2])[column])
     mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
     state = core.trial_states(cb.params.seed, np.array([target], dtype=np.uint64))[0]
     real_raws = core.trial_raws
@@ -594,7 +617,8 @@ _WALK_CODES = [
 def test_walk_leaves_the_stream_where_numpy_does(adversary, monkeypatch):
     # numpy itself is the reference: after _observe_trial's Generator calls,
     # the stream has read the walk's raws and holds the walk's pending high
-    # half, on every row where no word was rejected
+    # half, on every row where no word was rejected.  Weak rows with no
+    # candidate and with one read their pick word too.
     real, made = simulate.derive_trial_rng, []
 
     def capturing(seed, trial):
@@ -602,37 +626,34 @@ def test_walk_leaves_the_stream_where_numpy_does(adversary, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(simulate, "derive_trial_rng", capturing)
-    checked = picked = 0
+    checked, counts = 0, set()
     weak = adversary == "weak"
     for params, h_m, r_prime_m in _WALK_CODES:
         matrix = np.random.default_rng(params.seed).integers(0, params.v, (params.k, params.m))
         cb = Codebook(params, matrix)
-        schedule = simulate._schedule(cb, adversary, r_prime_m)
+        schedule = simulate._schedule(cb, adversary, r_prime_m, params.read_cap)
         for t in range(40):
             obs = simulate._observe_trial(cb, adversary, t, h_m, r_prime_m)
-            # the pick's range is the row's own candidate count
+            # the pick's range is the row's own candidate count, at least 2
             n_cands = _n_cands(cb, obs.plan, obs.message) if weak else 0
-            draws = [(name, n_cands if name == "pick" else n, size) for name, n, size in schedule]
-            columns = simulate._walk(draws)
-            bounded = [(n, columns[name]) for name, n, _ in draws if n is not None]
-            last_word = max((int(c[-1]) for _, c in bounded if len(c)), default=-1)
-            n_raw = max(last_word // 2 + 1, *(int(columns[name][-1]) + 1
-                                              for name, n, _ in draws if n is None))
+            draws = [(name, max(n_cands, 2) if name == "pick" else n, size)
+                     for name, n, size in schedule]
+            columns, (pending, n_raw) = simulate._walk(draws)
             words = core.stream_words(real(params.seed, t).bit_generator.random_raw((1, n_raw)))
-            if any(core.rejected(words, n, c)[0] for n, c in bounded if len(c)):
+            ranges = {name: n for name, n, _ in draws if n is not None}
+            if any(core.rejected(words, n, columns[name])[0] for name, n in ranges.items()):
                 continue
             fresh = real(params.seed, t).bit_generator
             fresh.advance(n_raw)
             state = made[-1].bit_generator.state
             assert state["state"] == fresh.state["state"]
-            pending = last_word % 2 == 0
-            assert state["has_uint32"] == pending
-            if pending:
-                assert state["uinteger"] == words[0, last_word + 1]
+            assert state["has_uint32"] == len(pending)
+            if len(pending):
+                assert state["uinteger"] == words[0, pending[0]]
             checked += 1
-            picked += n_cands > 1
+            counts.add(min(n_cands, 2))
     assert checked > 150
-    assert picked > 0 or not weak
+    assert counts == ({0, 1, 2} if weak else {0})
 
 
 # _WALK_CODES, then the uniform-sweep benchmark's code, where f's 200 words
@@ -644,60 +665,139 @@ _RUN_CODES = _WALK_CODES + [
 ]
 
 
+def _rejects(n) -> bool:
+    return bool(((2**32 - np.asarray(n, dtype=np.int64)) % n).any())
+
+
+def _entries(cb, adversary, r_prime_m, reads):
+    """(entries, state): the draws of a trial's first `reads` read positions
+    in stream order, each as (name, range, columns), placed by _walk from
+    the state the draw before it leaves, and the state after the last."""
+    entries, state = [], None
+    for name, n, size in simulate._schedule(cb, adversary, r_prime_m, reads):
+        columns, state = simulate._walk([(name, n, size)], state)
+        entries.append((name, n, columns[name]))
+    return entries, state
+
+
+def _expanded(layout):
+    """(decoded, tested, runs): a _Layout's decoded columns by draw name and
+    its tested columns, expanded over the blocks of its segments, and every
+    list of runs it holds."""
+    decoded, tested, runs = {}, [], []
+    for name, (_, _, draw_runs, test) in layout.draws.items():
+        decoded[name] = _columns(draw_runs)
+        tested += [decoded[name]] * test
+        runs.append(draw_runs)
+    for name, raws in layout.raws.items():
+        decoded[name] = np.arange(raws.start, raws.stop)
+    for seg in layout.segments:
+        runs += [draw_runs for _, draw_runs in seg.draws.values()]
+        for b in range(seg.count):
+            for name, (n, draw_runs) in seg.draws.items():
+                origin = seg.raw0 + b * seg.stride if n is None else seg.word0 + b * seg.span
+                cols = origin + _columns(draw_runs)
+                decoded[name] = np.concatenate((decoded[name], cols)) if name in decoded else cols
+            tested += [seg.word0 + b * seg.span + np.arange(run.start, run.stop)
+                       for run, _, blocks in seg.tests if b < blocks]
+    return decoded, np.sort(np.concatenate([_columns([]), *tested])), runs
+
+
 @pytest.mark.parametrize("code", range(len(_RUN_CODES)))
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 def test_layout_runs_are_the_walk_columns(adversary, code):
-    # At the prefix width and at read_cap, each draw's runs, concatenated,
-    # are _walk's decoded and tested columns (module docstring), with no
-    # column lost or gained at a run boundary; each run carries its columns'
-    # ranges, and a range that never rejects is tested nowhere.
+    # At the prefix width and at read_cap, the layout's runs, expanded over
+    # its blocks, are the columns _walk gives the pass's whole blocks
+    # (module docstring): each decoded draw's, with no column lost or gained
+    # at a run or block boundary, and as tested words every word of a
+    # rejecting range up to the last decoded draw; its raws end with the
+    # pass's last block.  Each run carries its columns' ranges.
     params, h_m, r_prime_m = _RUN_CODES[code]
     matrix = np.random.default_rng(params.seed).integers(0, params.v, (params.k, params.m))
     cb = Codebook(params, matrix)
-    schedule = simulate._schedule(cb, adversary, r_prime_m)
-    if adversary in BATCH_ADVERSARIES and (adversary == "honest" or params.p == 0):
-        schedule = schedule[:2]
-    columns = simulate._walk(schedule)
-    last = [name for name, _, _ in schedule if len(columns[name])][-1]
+    true_rows = adversary in BATCH_ADVERSARIES and (adversary == "honest" or params.p == 0)
     for width in {simulate._prefix_width(cb, adversary, h_m), params.read_cap}:
         layout = simulate._Layout(cb, adversary, width, r_prime_m, h_m)
-        assert layout.draws.keys() | layout.raws.keys() == {name for name, _, _ in schedule}
-        for name, n, size in schedule:
-            cols = columns[name]
-            decoded = cols[:width] if name in simulate._READ_DRAWS else cols
-            if n is None:
-                assert layout.raws[name] == slice(decoded[0], decoded[-1] + 1)
-                assert np.array_equal(np.arange(decoded[0], decoded[-1] + 1), decoded)
-                continue
-            tested = decoded if name == last else cols
-            if name != "pick" and not ((2**32 - np.asarray(n, dtype=np.int64)) % n).any():
-                tested = cols[:0]
-            _, _, decode_runs, test_runs = layout.draws[name]
-            for runs, want in ((decode_runs, decoded), (test_runs, tested)):
-                assert np.array_equal(_columns(runs), want), (name, width)
-                # runs are maximal: consecutive runs never touch
-                assert all(a.stop < b.start for (a, _), (b, _) in zip(runs, runs[1:]))
-                ranges = [np.broadcast_to(n_run, (r.stop - r.start,)) for r, n_run in runs]
-                assert np.array_equal(np.concatenate([[], *ranges]),
-                                      np.broadcast_to(n, (len(cols),))[: len(want)])
+        assert layout.reads == min(-(-width // simulate.BLOCK) * simulate.BLOCK, params.read_cap)
+        entries, (_, n_raw) = _entries(cb, adversary, r_prime_m, layout.reads)
+        assert layout.n_raw == n_raw
+        kept = {name for name, _, _ in entries} - ({"u", "rep_idx", "rep_pay"} if true_rows else set())
+        last = max(i for i, (name, _, _) in enumerate(entries) if name in kept)
+        want, tested = {}, []
+        for i, (name, n, cols) in enumerate(entries):
+            if name in kept:
+                want[name] = np.concatenate((want[name], cols)) if name in want else cols
+            if i <= last and n is not None and (name == "pick" or _rejects(n)):
+                tested.append(cols)
+        decoded, got_tested, runs = _expanded(layout)
+        assert decoded.keys() == want.keys()
+        for name, cols in want.items():
+            assert np.array_equal(decoded[name], cols), (name, width)
+        assert np.array_equal(got_tested, np.sort(np.concatenate([_columns([]), *tested])))
+        # runs are maximal: consecutive runs never touch
+        for draw_runs in runs:
+            assert all(a.stop < b.start for (a, _), (b, _) in zip(draw_runs, draw_runs[1:]))
+        for name, n, _ in entries:
+            if name in layout.draws:
+                got = [np.broadcast_to(n_run, (r.stop - r.start,)) for r, n_run in layout.draws[name][2]]
+                assert np.array_equal(np.concatenate([[], *got]),
+                                      np.broadcast_to(n, (len(want[name]),)))
+            for seg in layout.segments:
+                if name in seg.draws:
+                    assert all(np.array_equal(n_run, n) for _, n_run in seg.draws[name][1])
+
+
+# (code, adversary, h_m, r_prime_m, width, raws a row then, raws a row
+# before blocks, tested words): the benchmark's prefix passes, the sweep's
+# at its widths 8 and 16, decode-wide's and converse's
+_BENCH_LAYOUTS = [
+    (dict(m=20, k=64, v=8, p=0.1, dm=1, theta=0.25, read_cap=200), "uniform", None, None, 8,
+     21, 405, 16),
+    (dict(m=20, k=64, v=8, p=0.2, dm=1, theta=0.25, read_cap=200), "uniform", None, None, 16,
+     41, 409, 32),
+    (dict(m=64, k=1024, v=2, p=0.05, dm=3, theta=0.7, read_cap=640), "uniform", None, None, 128,
+     321, 1345, 0),
+    (dict(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400), "strong", 20, 5, 32,
+     50, 602, 32),
+    (dict(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400), "weak", 20, 3, 32,
+     53, 605, 38),
+]
+
+
+@pytest.mark.parametrize("code,adversary,h_m,r_prime_m,width,n_raw,old,tested", _BENCH_LAYOUTS)
+def test_prefix_passes_draw_their_blocks_alone(code, adversary, h_m, r_prime_m, width, n_raw,
+                                               old, tested):
+    # A prefix pass of width W draws ceil(W / 8) blocks and the per-trial
+    # draws before them, and tests only their words: at the benchmark's
+    # codes 21 to 321 raws a row, where the layout of whole read-length
+    # draws before blocks needed `old`, 405 to 1345.
+    params = SimParams(seed=0, **code)
+    cb = Codebook(params, np.zeros((params.k, params.m), dtype=np.int64))
+    assert simulate._prefix_width(cb, adversary, h_m) == width
+    layout = simulate._Layout(cb, adversary, width, r_prime_m, h_m)
+    assert layout.n_raw == n_raw < old
+    assert len(_expanded(layout)[1]) == tested
 
 
 @pytest.mark.parametrize("width", [8, 200])
 def test_rejected_words_at_run_ends_are_redrawn(width, monkeypatch):
     # Plant word 0, which every range with a nonzero threshold rejects, in
-    # chosen rows of the uniform-sweep code's raw blocks: at f's first and
-    # last tested word, at rep_idx's pending word and at the first word of
-    # its second run.  Exactly those rows must come back flagged, and be
-    # redrawn equal to _observe_trial.
+    # chosen rows of the uniform-sweep code's raw blocks: at f's first word
+    # and at its last in the pass's last block, and at rep_idx's pending
+    # word and the first word of its second run in that block.  Exactly
+    # those rows must come back flagged, and be redrawn equal to
+    # _observe_trial.
     params = SimParams(m=20, k=64, v=8, p=0.1, dm=2, theta=0.25, read_cap=200, seed=1)
     cb = construct_greedy(params)
-    columns = simulate._walk(simulate._schedule(cb, "uniform", None))
+    columns, _ = simulate._walk(simulate._schedule(cb, "uniform", None, width))
     f, rep_idx = columns["f"], columns["rep_idx"]
-    # f is one run; rep_idx its pending word and one run
+    # every block's f is one run; its rep_idx a pending word and one run
     layout = simulate._Layout(cb, "uniform", width)
-    assert [run for run, _ in layout.draws["f"][3]] == [slice(1, 201)]
-    assert [run for run, _ in layout.draws["rep_idx"][3]] == [slice(201, 202), slice(602, 801)]
-    planted = {3: f[0], 7: f[-1], 11: rep_idx[0], 19: rep_idx[1]}
+    [seg] = layout.segments
+    assert [(run, blocks) for run, _, blocks in seg.tests] == [
+        (slice(0, 8), width // 8), (slice(8, 9), width // 8), (slice(25, 32), width // 8)
+    ]
+    planted = {3: f[0], 7: f[-1], 11: rep_idx[-8], 19: rep_idx[-7]}
     states = core.trial_states(params.seed, np.arange(40, dtype=np.uint64))
     real_raws, real_draw = core.trial_raws, simulate._draw_columnar
     real_observe, bad, observed = simulate._observe_trial, [], []
