@@ -304,6 +304,11 @@ _ORACLE_CODES = [
     (SimParams(m=1, k=2, v=4, p=0.4, dm=0, theta=1.0, read_cap=30, seed=2), 5, 1, 0.453),
     (SimParams(m=6, k=1, v=3, p=0.4, dm=2, theta=0.5, read_cap=50, seed=2), 10, 4, 0.377),
 ]
+# Test ids of the codes above.  The share is a figure of the trial stream,
+# so each id carries the share the code had under CSV 0.1.0 rather than the
+# one above: a case keeps its name when the stream changes.
+_ORACLE_IDS = ["params0-20-5-0.007", "params1-12-6-0.537", "params2-5-1-0.453",
+               "params3-10-4-0.4"]
 # Of their 300 oracle trials, the rows the screen sends down the adversary
 # path, those whose plan has a candidate: at m = 1 no other word agrees at
 # index 0, and with k = 1 there is no other word.
@@ -357,7 +362,7 @@ def _converse_blocks(monkeypatch, cb, adversary, h_m, rows):
 
 
 @pytest.mark.parametrize("adversary", ["strong", "weak"])
-@pytest.mark.parametrize("params,h_m,r_prime_m,share", _ORACLE_CODES)
+@pytest.mark.parametrize("params,h_m,r_prime_m,share", _ORACLE_CODES, ids=_ORACLE_IDS)
 def test_converse_blocks_match_per_trial_rows(
     monkeypatch, adversary, params, h_m, r_prime_m, share
 ):
