@@ -9,6 +9,7 @@ from enum import Enum
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = 0xFFFFFFFF
 
 # Spawn-key domains keep trial streams and the codebook stream disjoint even
 # when they share the same user seed.
@@ -32,7 +33,6 @@ def derive_trial_rng(seed: int, trial: int) -> np.random.Generator:
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 
 def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
@@ -104,16 +104,87 @@ def _state_row() -> type:
     return StateRow
 
 
-def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
-    """(len(states), n_raw) uint64: row r is the first n_raw random_raw
-    outputs of the PCG64 that derive_trial_rng seeds, which PCG64 seeds
-    itself from states[r], through one StateRow that each row reuses."""
+# PCG64's 128-bit LCG multiplier as uint64 words, and its low word's 32-bit
+# halves for _pcg_step's mulhi (O'Neill, "PCG", HMC-CS-2014-0905).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+
+# trial_raws steps the LCG by columns where rows >= _COLUMN_ROWS * n_raw and
+# n_raw <= _COLUMN_RAWS.  A column step costs about 20 us of numpy calls plus
+# 11 ns a row, against about 2 us a row to build one PCG64 and draw from it
+# (2 cores, numpy 2.4.6): columns win from between 256 and 512 rows at 21
+# raws, 512 and 1024 at 41, about 1024 at 64 and 2048 at 96 (BENCH_40.json).
+_COLUMN_ROWS, _COLUMN_RAWS = 16, 64
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One step of PCG64's LCG, state * MULT + inc mod 2**128, on columns of
+    (high, low) uint64 words.  The high word of lo * MULT's low word comes
+    from 32-bit halves; every product wraps on uint64 arrays."""
+    # with L0, L1 the halves of L = _MULT_LO, mulhi(lo, L) = lo1 * L1 + (t >> 32)
+    # + (w >> 32), t = lo1 * L0 + (lo0 * L0 >> 32), w = (t & _MASK32) + lo0 * L1;
+    # no sum overflows
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    t = lo0 * _MULT_LO0
+    t >>= 32
+    t += lo1 * _MULT_LO0
+    w = t & _MASK32
+    w += lo0 * _MULT_LO1
+    t >>= 32
+    w >>= 32
+    hi = hi * _MULT_LO
+    hi += lo * _MULT_HI
+    hi += inc_hi
+    hi += lo1 * _MULT_LO1
+    hi += t
+    hi += w
+    lo = lo * _MULT_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+    return hi, lo
+
+
+def _columns(states: np.ndarray, n_raw: int) -> np.ndarray:
+    """trial_raws for every row at once.  PCG64 seeds from a row s as
+    inc = (s2:s3 << 1) | 1, state 0, one step, state += s0:s1, one step;
+    each raw is then one step and XSL-RR: rotr64(hi ^ lo, hi >> 58)."""
+    s0, s1, s2, s3 = states.T
+    inc_hi = s2 << 1 | s3 >> 63
+    inc_lo = s3 << 1 | 1
+    lo = inc_lo + s1
+    hi, lo = _pcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    out = np.empty((n_raw, len(states)), dtype=np.uint64)
+    for j in range(n_raw):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[j] = x >> rot | x << (64 - rot & 63)
+    return np.ascontiguousarray(out.T)
+
+
+def _per_row(states: np.ndarray, n_raw: int) -> np.ndarray:
+    """trial_raws one row at a time: numpy's PCG64 seeds itself from each
+    row, through one StateRow that every row reuses."""
     out = np.empty((len(states), n_raw), dtype=np.uint64)
     seq, pcg64 = _state_row()(None), np.random.PCG64
     for r, row in enumerate(states):
         seq.row = row
         out[r] = pcg64(seq).random_raw(n_raw)
     return out
+
+
+def _by_columns(rows: int, n_raw: int) -> bool:
+    """Whether trial_raws steps this shape by columns, where it is cheaper."""
+    return n_raw <= _COLUMN_RAWS and rows >= _COLUMN_ROWS * n_raw
+
+
+def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
+    """(len(states), n_raw) uint64: row r is the first n_raw random_raw
+    outputs of the PCG64 that derive_trial_rng seeds, which seeds itself
+    from states[r].  A block of many short rows (_by_columns) steps
+    PCG64's LCG for every row at once; the others build numpy's PCG64 row
+    by row."""
+    return (_columns if _by_columns(len(states), n_raw) else _per_row)(states, n_raw)
 
 
 def stream_words(raws: np.ndarray) -> np.ndarray:

@@ -14,12 +14,17 @@ _observe_trial, with numpy's Generator calls.  The batch engine, run_batch,
 and the converse engine, run_converse, draw their rows from the raw words
 (below); a row goes through _observe_trial only where they cannot give it.
 
-The batch engine reads the same streams as raw 64-bit PCG64 outputs, one
-random_raw block per trial and pass, and decodes a block of trials at once.
-Each trial's PCG64 seeds itself from its row of core.trial_states.
-It reads the block as core.stream_words, its 32-bit words in stream order:
-the low half of a raw before its high half.  _walk gives every draw of the
-schedule its columns by one rule, numpy's: a bounded value (integers) of
+The batch engine reads the same streams as raw 64-bit PCG64 outputs, the
+first random_raw outputs of each trial's PCG64, one block per trial and
+pass, and decodes a block of trials at once.  core.trial_raws makes them
+from the trials' rows of core.trial_states: where its rule
+(core._by_columns) finds many short rows in the block, it seeds and steps
+PCG64's 128-bit LCG for every row at once, in numpy columns; otherwise each
+row's numpy PCG64 seeds itself from its row.  numpy's PCG64 stays the
+reference, through derive_trial_rng and _draw_rows's first-row check.  The
+engine reads the block as core.stream_words, its 32-bit words in stream
+order: the low half of a raw before its high half.  _walk gives every draw
+of the schedule its columns by one rule, numpy's: a bounded value (integers) of
 range over 1 reads the pending high half if there is one, or else the low
 half of the next raw, whose high half is left pending; a value of range 1
 reads nothing; random() reads the next whole raw, and leaves a pending half

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dnareads import core
 from dnareads.codebook import Codebook
 from dnareads.core import (
     SimParams,
@@ -210,6 +211,24 @@ def test_trial_raws_match_trial_stream(seed):
     for row, trial in zip(raws, _TRIALS):
         assert np.array_equal(row, derive_trial_rng(seed, trial).bit_generator.random_raw(9))
     assert trial_raws(states, 0).shape == (len(_TRIALS), 0)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_columns_match_trial_stream(seed):
+    # the columnar LCG itself, at shapes trial_raws would send row by row
+    states = _states(seed, _TRIALS)
+    for n_raw in (0, 1, 2, 64):
+        raws = core._columns(states, n_raw)
+        assert raws.shape == (len(_TRIALS), n_raw) and raws.flags.c_contiguous
+        for row, trial in zip(raws, _TRIALS):
+            assert np.array_equal(row, derive_trial_rng(seed, trial).bit_generator.random_raw(n_raw))
+
+
+@pytest.mark.parametrize("rows, n_raw, by_columns", [(7, 9, False), (2048, 21, True)])
+def test_trial_raws_match_per_row_on_either_side_of_the_rule(rows, n_raw, by_columns):
+    assert core._by_columns(rows, n_raw) is by_columns
+    states = _states(2**40 + 3, range(2**32 - rows // 2, 2**32 + rows - rows // 2))
+    assert np.array_equal(trial_raws(states, n_raw), core._per_row(states, n_raw))
 
 
 def test_trial_states_refuse_trials_past_64_bits():

@@ -378,6 +378,15 @@ def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
         run_batch(easy_codebook, "uniform", 3, start=5)
 
 
+def test_column_drift_fails_loudly(easy_codebook, monkeypatch):
+    # a wrong multiplier word in the columnar LCG alters every raw of a
+    # sweep-sized block: the first-row check must stop the run, not let it
+    # return other verdicts
+    monkeypatch.setattr(core, "_MULT_LO", core._MULT_LO ^ np.uint64(4))
+    with pytest.raises(RuntimeError, match=r"trial 0 .* numpy \d"):
+        run_batch(easy_codebook, "uniform", 2048)
+
+
 def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
     # a numpy change that shifted only draws past the prefix would alter
     # only the rows the full-width pass decodes; the first-row check of its
