@@ -22,14 +22,16 @@ from .codebook import Codebook, agreeing
 ADVERSARIES = ("honest", "uniform", "uniform-index", "strong", "weak")
 
 
-def sample_index_sequence(m: int, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform indices over [0, m); the index process is message-blind."""
+def sample_index_sequence(m: int, horizon: int, rng) -> np.ndarray:
+    """i.i.d. uniform indices over [0, m); the index process is message-blind.
+    rng is a core.TrialStream, or anything with numpy Generator's integers
+    and random."""
     if horizon < 1:
         raise ValueError("horizon out of range")
-    return rng.integers(0, m, size=horizon)
+    return rng.integers(m, size=horizon)
 
 
-def sample_error_flags(p: float, horizon: int, rng: np.random.Generator) -> np.ndarray:
+def sample_error_flags(p: float, horizon: int, rng) -> np.ndarray:
     """i.i.d. Bernoulli(p) error flags, one per prospective read.
 
     Drawn as uniforms compared against p so sweeps over p with a shared seed
@@ -134,26 +136,28 @@ class WeakAdversaryPlan:
         return self.psi and self.m_prime is not None
 
 
-def weak_prepare(
-    cb: Codebook, m: int, r_prime_m: int, rng: np.random.Generator
-) -> WeakAdversaryPlan:
+def weak_prepare(cb: Codebook, m: int, r_prime_m: int, rng) -> WeakAdversaryPlan:
     """Draw the plan from cb and m alone (no access to reads or flags).
 
-    index_set is uniform over size-r_prime_m subsets of [0, m); m_prime is
-    uniform over messages other than m whose codeword matches m's on every
-    index in the set, or None when no such message exists.  The pick reads
-    one word whatever the candidate count n: a value of range max(n, 2), a
-    multiple of n, taken mod n, which keeps it exactly uniform.
+    index_set is Floyd's uniform size-r_prime_m subset of [0, m), from one
+    draw of r_prime_m values: for j = m - r_prime_m .. m - 1, the value of
+    range j + 1, or j itself where that value is already in the set.
+    m_prime is uniform over the n messages other than m whose codeword
+    matches m's on every index in the set, one value of range n (read even
+    when n is 0), or None when n is 0.  Then psi, one random().
     """
     mm = cb.params.m
     if not 0 <= r_prime_m <= mm:
         raise ValueError("r_prime_m out of range")
-    chosen = np.sort(rng.choice(mm, size=r_prime_m, replace=False))
-    cands = np.flatnonzero(agreeing(cb, np.array([m]), chosen[None])[0])
-    pick = int(rng.integers(max(len(cands), 2)))
-    m_prime = int(cands[pick % len(cands)]) if len(cands) else None
+    lo, chosen = mm - r_prime_m, set()
+    for j, value in zip(range(lo, mm), rng.integers(np.arange(lo, mm) + 1).tolist()):
+        chosen.add(j if value in chosen else value)
+    index_set = np.array(sorted(chosen), dtype=np.int64)
+    cands = np.flatnonzero(agreeing(cb, np.array([m]), index_set[None])[0])
+    pick = int(rng.integers(len(cands)))
+    m_prime = int(cands[pick]) if len(cands) else None
     psi = bool(rng.random() < cb.params.p)
-    return WeakAdversaryPlan(index_set=chosen, m_prime=m_prime, psi=psi)
+    return WeakAdversaryPlan(index_set=index_set, m_prime=m_prime, psi=psi)
 
 
 def observe_weak(

@@ -196,37 +196,42 @@ def stream_words(raws: np.ndarray) -> np.ndarray:
 
 
 def bounded(words: np.ndarray, n) -> np.ndarray:
-    """Lemire's bounded integers in [0, n) from uint32 words, as numpy's
-    integers(0, n) makes them for 1 < n < 2**32: value (w * n) >> 32, for
-    the words rejected() passes.  words may be a view, a slice of the stream
-    words say.  n is one range, or an array of ranges that broadcasts
-    against words, one per word column say.  (A range of 1 reads no word:
-    numpy draws nothing for it.)"""
+    """Bounded integers in [0, n) from uint32 words, by the draw rule's
+    multiply-shift: value (w * n) >> 32, with no rejection (README
+    "Determinism").  words may be a view, a slice of the stream words say.
+    n is one range, or an array of ranges that broadcasts against words,
+    one per word column say; a range of 1 or 0 gives 0."""
     value = words.astype(np.uint64)
     value *= np.uint64(n)
     value >>= np.uint64(32)
     return value.view(np.int64)
 
 
-def rejected(words: np.ndarray, n, columns) -> np.ndarray:
-    """Mask of the rows where numpy's integers(0, n) would have drawn again on
-    one of the given word columns, a slice or an index array of words' last
-    axis (a row may hold several blocks of words): the low half of w * n, a
-    wrapping uint32 product, is below (2**32 - n) % n.  A rejected word
-    shifts every later draw of its stream.  n is one range, or an array of
-    ranges that broadcasts against words[..., columns]: one per column, or
-    one per row as a column vector.  A power of two or 1 never rejects, and
-    when no range can, no word is read."""
-    if isinstance(n, np.ndarray):
-        threshold = (2**32 - n.astype(np.int64)) % n
-        rejects = threshold.any()
-    else:
-        n = int(n)
-        threshold = rejects = (2**32 - n) % n
-    if not rejects:
-        return np.zeros(len(words), dtype=bool)
-    flagged = words[..., columns] * np.uint32(n) < np.uint32(threshold)
-    return flagged.reshape(len(words), -1).any(axis=1)
+class TrialStream:
+    """A trial's draws read in order from its PCG64 raws by the draw rule
+    (README "Determinism"): each draw starts at a fresh raw; a bounded draw
+    of s values reads the 32-bit words of the next ceil(s/2) raws, low half
+    first, as (w * n) >> 32; random() reads one whole raw a value.  It takes
+    numpy Generator's arguments, for a range from 0, and splits and scales
+    its words itself, apart from the batch engine's stream_words and
+    bounded."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+
+    def integers(self, n, size=None):
+        """size values in [0, n), one per range if n is an array; one value
+        when both are scalars."""
+        count = np.size(n) if size is None else size
+        raws = self._raw(-(-count // 2))
+        words = np.column_stack((raws & _MASK32, raws >> 32)).ravel()[:count]
+        values = (words * np.asarray(n, dtype=np.uint64) >> 32).astype(np.int64)
+        return values[0] if size is None and np.ndim(n) == 0 else values
+
+    def random(self, size=None):
+        """size uniforms in [0, 1), (raw >> 11) * 2**-53; one when size is None."""
+        values = (self._raw(1 if size is None else size) >> 11) * 2.0**-53
+        return values[0] if size is None else values
 
 
 def derive_codebook_rng(seed: int) -> np.random.Generator:

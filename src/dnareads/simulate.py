@@ -1,45 +1,26 @@
 """Trial execution.
 
-Every trial consumes its private random stream in the order _schedule
-lists.  First come its per-trial draws: the message, then its adversary's
-plan draws, psi for the strong adversary, and for the weak one the Floyd
-sample, its shuffle, the m' pick and psi.  Then come its per-read draws, in
-blocks of BLOCK = 8 read positions, the last block holding read_cap mod 8:
-each block draws its index sequence f, its error uniforms u (flags u < p),
-and for the uniform adversaries its replacement indices and payloads.
-Replacement tables are drawn for every read position and consulted only on
-erroneous reads, so sweeps over p reuse common random numbers.  The
-reference engine, run_trial, draws and observes a trial through
-_observe_trial, with numpy's Generator calls.  The batch engine, run_batch,
-and the converse engine, run_converse, draw their rows from the raw words
-(below); a row goes through _observe_trial only where they cannot give it.
+Every trial reads its private PCG64 stream by one draw rule (README
+"Determinism"), in the order _schedule lists.  First come its per-trial
+draws: the message, then psi for the strong adversary, and for the weak
+one the Floyd values of its index set, the m' pick and psi.  Then come its
+per-read draws, in blocks of BLOCK = 8 read positions, the last block
+holding read_cap mod 8: each block draws its index sequence f, its error
+uniforms u (flags u < p), and for the uniform adversaries its replacement
+indices and payloads.  Replacement tables are drawn for every read position
+and consulted only on erroneous reads, so sweeps over p reuse common random
+numbers.  Each draw starts at a fresh raw: a bounded draw of s values reads
+the 32-bit words of the next ceil(s/2) raws, low half first, each value
+(w * n) >> 32 with no rejection; random() reads one whole raw a value,
+(raw >> 11) * 2**-53.  So every draw sits at fixed raws of its stream.
 
-The batch engine reads the same streams as raw 64-bit PCG64 outputs, the
-first random_raw outputs of each trial's PCG64, one block per trial and
-pass, and decodes a block of trials at once.  core.trial_raws makes them
-from the trials' rows of core.trial_states: where its rule
-(core._by_columns) finds many short rows in the block, it seeds and steps
-PCG64's 128-bit LCG for every row at once, in numpy columns; otherwise each
-row's numpy PCG64 seeds itself from its row.  numpy's PCG64 stays the
-reference, through derive_trial_rng and _draw_rows's first-row check.  The
-engine reads the block as core.stream_words, its 32-bit words in stream
-order: the low half of a raw before its high half.  _walk gives every draw
-of the schedule its columns by one rule, numpy's: a bounded value (integers) of
-range over 1 reads the pending high half if there is one, or else the low
-half of the next raw, whose high half is left pending; a value of range 1
-reads nothing; random() reads the next whole raw, and leaves a pending half
-pending.  A bounded value is Lemire's (w * n) >> 32, and random()'s is
-(raw >> 11) * 2**-53.
-
-A full block's bounded draws read 8 words each, an even count, so a block
-leaves a pending half as it found it: every full block reads the same
-columns of its raws as the first one, one stride of raws later.  A layout
-reads each per-read draw of a pass as slices of a (rows, blocks, words per
-block) reshape of the raw block, one slice per run of consecutive words in
-a block (a draw after the error uniforms can read a half left pending
-before them, then one run); the shorter last block is read the same way, as
-a reshape of its own.  A row that observes its true row (the honest
-adversary, and the uniform ones at p = 0) decodes f alone.
+The reference engine, run_trial, draws a trial through _observe_trial,
+which reads the rule one draw at a time (core.TrialStream).  The batch
+engine, run_batch, and the converse engine, run_converse, make a block of
+trials' raws at once (core.trial_raws), read each draw of a pass as a slice
+of them (_Layout), and decode the block at once.  A row that observes its
+true row (the honest adversary, and the uniform ones at p = 0) decodes f
+alone.
 
 Prefix first: a decoder stops after a few reads, so both engines decode
 only the first W read positions of each trial in a first pass (_passes).  W
@@ -48,38 +29,20 @@ analysis.expected_reads_upper_bound(m, p, ones_threshold) at the p the
 layout observes (0 when honest), and for the strong adversary at least
 its screen's h_m, capped at read_cap, and read_cap where that bound is
 undefined (p = 1, or a threshold over m).  A pass of width W draws the
-first ceil(W / 8) blocks, decodes them whole and keeps W read positions.
-The rows still undecided after W reads are drawn again and decoded over
-read_cap.  _draw_rows checks the first row of every block it returns
-against _observe_trial, and _passes draws one block per decode block,
-sized by _row_bytes, whose sub-blocks are sized by the layout's row_bytes,
-each under its share of the engine's budget.
+per-trial draws and the first ceil(W / 8) blocks, decodes them whole and
+keeps W read positions.  The rows still undecided after W reads are drawn
+again and decoded over read_cap.  _draw_rows checks the first row of every
+block it returns against _observe_trial, and _passes draws one block per
+decode block, sized by _row_bytes, whose sub-blocks are sized by the
+layout's row_bytes, each under its share of the engine's budget.
 
-Rejections stay exact: where numpy would have rejected a word and drawn
-again, every later draw of the stream shifts.  A pass tests every bounded
-word its stream reads up to its last decoded word: all of the per-trial
-draws, and in its blocks every draw up to the last one it decodes; a draw
-after that one is tested on every block but the pass's last.  A rejection
-in a later block shifts nothing the pass decodes, so the pass draws and
-tests no word past its blocks; the read_cap pass tests every word.  A range
-that never rejects (a power of two, or 1) is not tested.  A rejected row
-goes through _observe_trial instead.
-
-The weak plan is numpy's choice(m, r', replace=False) in its Floyd
-regime: each Floyd value is taken unless already in the sample, and then j
-itself is.  _weak_plan reproduces it on a rows x m mask.  The shuffle only
-orders the sample, which weak_prepare sorts, but its words are consumed and
-tested like the others.  The m' pick reads one word on every row, of range
-max(n, 2) for n candidates, taken mod n, so psi's raw is the same on every
-row.  Past m > 10000 and r' > m // 50 numpy shuffles a tail of arange(m)
-instead, and that layout sends every row through _observe_trial.
-
-The strong plan has a candidate only where the trial is in S, psi holds,
-every t1 read errs and another codeword agrees with the true one at every
-t2 index.  The strong layout tests all four on the block (s_membership,
-channel.strong_premise, codebook.agreeing) and sends a row with a candidate
-through _observe_trial, as it sends a rejected row; every other row keeps its
-true row, m' -1.
+The weak plan's Floyd sample runs on a rows x m mask (_weak_plan).  The
+strong plan has a candidate only where the trial is in S, psi holds, every
+t1 read errs and another codeword agrees with the true one at every t2
+index.  The strong layout tests all four on the block (s_membership,
+channel.strong_premise, codebook.agreeing) and sends a row with a
+candidate through _observe_trial; every other row keeps its true row, m'
+-1.
 """
 
 from __future__ import annotations
@@ -120,13 +83,13 @@ class _Observed(NamedTuple):
 
 
 def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m=None):
-    """Draw one trial in _schedule's order with numpy's Generator calls, a
-    block of reads at a time, and apply its adversary: the one
-    draw-and-observe path of both engines.  plan is the strong or weak
-    adversary's plan, None for the others."""
+    """Draw one trial in the draw rule's order (module docstring), one draw
+    at a time from its stream's raws, a block of reads at a time, and apply
+    its adversary: the one draw-and-observe path of both engines.  plan is
+    the strong or weak adversary's plan, None for the others."""
     params = cb.params
     m, v, cap = params.m, params.v, params.read_cap
-    rng = derive_trial_rng(params.seed, trial)
+    rng = core.TrialStream(derive_trial_rng(params.seed, trial))
     message = int(rng.integers(params.k))
     plan = psi = None
     if adversary == "weak":
@@ -140,8 +103,8 @@ def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m
         f.append(channel.sample_index_sequence(m, size, rng))
         flags.append(channel.sample_error_flags(params.p, size, rng))
         if uniform:
-            rep_idx.append(rng.integers(0, m, size=size) if adversary == "uniform" else f[-1])
-            rep_pay.append(rng.integers(0, v, size=size))
+            rep_idx.append(rng.integers(m, size=size) if adversary == "uniform" else f[-1])
+            rep_pay.append(rng.integers(v, size=size))
     f, flags = np.concatenate(f), np.concatenate(flags)
     true_ids = cb.word_ids[message][f]
     if adversary == "honest":
@@ -299,7 +262,7 @@ def run_converse(
     passes, each such row's plan is drawn again through _observe_trial, and
     the run raises when the row does not decode to m_prime, the wrong
     message, at its error-free stopping time by the horizon, or when trial
-    0's row differs from run_trial's: numpy's internals drifted."""
+    0's row differs from run_trial's."""
     if adversary not in ("strong", "weak"):
         raise ValueError(f"converse engine does not support adversary {adversary!r}")
     ref, _ = run_trial(cb, adversary, 0, h_m, r_prime_m)
@@ -347,24 +310,18 @@ def _conditions(t: int, message: int, plan, verdict: Verdict, h_m: int | None) -
 # of the draw contract, not a tunable.
 BLOCK = 8
 
-# The draws made once per read position, a block at a time.
-_READ_DRAWS = ("f", "u", "rep_idx", "rep_pay")
-
 
 def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None, reads: int) -> list:
     """A trial's draws in stream order, as (name, range, size), up to its
     first `reads` read positions: the per-trial draws, then the per-read
     draws block by block, each block's of size BLOCK but the last.  A range
     is one number, one per value, or None for random()'s whole raws.  The
-    weak pick's range is max(the row's candidate count, 2), at most
-    max(k - 1, 2)."""
+    weak pick's range is the row's candidate count, at most k - 1."""
     p = cb.params
     draws = [("message", p.k, 1)]
     if adversary == "weak":
-        r = r_prime_m
-        floyd = np.arange(max(p.m - r, 1), p.m) + 1
-        draws += [("floyd", floyd, len(floyd)), ("shuffle", np.arange(r, 1, -1), max(r - 1, 0)),
-                  ("pick", max(p.k - 1, 2), 1), ("psi", None, 1)]
+        floyd = np.arange(p.m - r_prime_m, p.m) + 1
+        draws += [("floyd", floyd, r_prime_m), ("pick", p.k - 1, 1), ("psi", None, 1)]
     elif adversary == "strong":
         draws += [("psi", None, 1)]
     block = [("f", p.m), ("u", None)]
@@ -375,58 +332,36 @@ def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None, reads: int) -
     return draws
 
 
-def _walk(schedule, state=None) -> tuple[dict, tuple]:
-    """(columns, state): name -> the columns the schedule's draws of that
-    name read, in order, by the walk rule (module docstring): stream_words
-    columns for a bounded draw, raw columns for random()'s.  state is the
-    stream's after the schedule, (the pending high half's column, an array
-    of none or one, and the raws generated); the walk starts from the given
-    state, or from none pending and no raw."""
-    pending, raw = state or (np.empty(0, dtype=np.intp), 0)
-    columns = {}
+def _place(schedule) -> tuple[list, int]:
+    """(placed, raws): the schedule's draws as (name, range, size, raw0),
+    each from a fresh raw raw0 on (module docstring), and the raws they
+    read."""
+    placed, raw = [], 0
     for name, n, size in schedule:
-        if n is None:
-            cols = np.arange(raw, raw + size)
-            raw += size
-        elif size and np.all(np.greater(n, 1)):
-            cols = np.concatenate((pending, 2 * raw + np.arange(size - len(pending))))
-            raw = max(raw, int(cols[-1]) // 2 + 1)
-            pending = cols[-1:] + 1 if cols[-1] % 2 == 0 else cols[:0]
-        else:
-            cols = pending[:0]
-        columns[name] = np.concatenate((columns[name], cols)) if name in columns else cols
-    return columns, (pending, raw)
+        placed.append((name, n, size, raw))
+        raw += size if n is None else -(-size // 2)
+    return placed, raw
 
 
 class _Segment(NamedTuple):
-    """`count` blocks of `size` reads each, in a pass's raws from raw0 on,
-    `stride` raws a block; their words are read from column word0, the first
-    block's first word (the pending half it reads, if any), `span` words a
-    block.  draws: name -> (range,
-    runs), runs of a block's words for a bounded draw and of its raws for
-    random()'s (range None), as (slice, range) pairs; tests: (slice, range,
-    blocks) runs of words, each tested on the segment's first `blocks`
-    blocks."""
+    """`count` blocks of the same size, in a pass's raws from raw0 on,
+    `stride` raws a block; draws are the block's decoded draws, placed from
+    the block's first raw."""
 
     raw0: int
-    word0: int
     count: int
-    size: int
     stride: int
-    span: int
-    draws: dict
-    tests: list
+    draws: list
 
 
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
-    random_raw block, as _walk places them, in runs of consecutive columns,
-    and which words are tested for rejection (module docstring): the
-    per-trial draws, then the pass's blocks as one segment of full blocks
-    and, where the pass reaches it, one of the shorter last block.  The weak
-    adversary's layout also holds its plan's draws for an index set of
-    r_prime_m; the strong one's, the h_m and r_prime_m of its screen's S
-    test and witness."""
+    random_raw block (module docstring): the per-trial draws, head, name ->
+    (range, size, raw0), then the pass's blocks as one segment of full
+    blocks and, where the pass reaches it, one of the shorter last block.
+    The weak adversary's layout also holds r_prime_m, its index-set size;
+    the strong one's, the h_m and r_prime_m of its screen's S test and
+    witness."""
 
     def __init__(
         self, cb: Codebook, adversary: str, width: int,
@@ -436,70 +371,22 @@ class _Layout:
         self.width = width
         self.noisy = adversary != "honest" and p.p > 0
         self.r_prime, self.h_m = r_prime_m, h_m
-        # numpy's tail-shuffle regime (module docstring)
-        self.per_trial = adversary == "weak" and p.m > 10000 and r_prime_m > p.m // 50
-        head = _schedule(cb, adversary, r_prime_m, 0)
-        columns, (pending, head_raws) = _walk(head)
-        # per-trial draws, all tested: bounded ones name -> (range, values,
-        # runs, tested), each run a (slice, range) pair, and tested False
-        # where the range never rejects; random()'s name -> its raws' slice
-        self.draws, self.raws, tested, decoded = {}, {}, 0, 0
-        for name, n, size in head:
-            cols = columns[name]
-            if n is None:
-                self.raws[name] = slice(int(cols[0]), int(cols[-1]) + 1)
-                continue
-            # the pick's range is the row's candidate count (_weak_plan)
-            test = name == "pick" or _rejects(n)
-            self.draws[name] = (n, size, _runs(cols, n), test)
-            tested, decoded = tested + test * len(cols), decoded + len(cols)
+        head, raw = _place(_schedule(cb, adversary, r_prime_m, 0))
+        self.head = {name: (n, size, raw0) for name, n, size, raw0 in head}
+        # words decoded a row: the per-trial draws' and each kept block draw's
+        decoded = sum(size for _, n, size, _ in head if n is not None)
         # the pass's blocks, each decoded whole; a row that observes its true
         # row decodes f alone
-        keep = 1 if adversary in BATCH_ADVERSARIES and not self.noisy else len(_READ_DRAWS)
-        block = _schedule(cb, adversary, r_prime_m, BLOCK)[len(head):]
-        _, (pending1, raw1) = _walk(block, (pending, head_raws))
-        stride = raw1 - head_raws
-
-        def state(j):  # the stream's before block j
-            if j == 0:
-                return pending, head_raws
-            return pending1 + 2 * stride * (j - 1), raw1 + stride * (j - 1)
-
-        def word0(j):  # block j's first word: the pending half, if any
-            pending_j, raw_j = state(j)
-            return int(pending_j[0]) if len(pending_j) else 2 * raw_j
-
-        # blocks 1.. repeat one stride apart; block 0 joins them unless
-        # random() raws part it from the pending half it reads (psi)
+        keep = 1 if adversary in BATCH_ADVERSARIES and not self.noisy else None
         n_blocks, (full, rest) = -(-width // BLOCK), divmod(p.read_cap, BLOCK)
-        split = min(n_blocks, full) if word0(1) - word0(0) == 2 * stride else 1
-        plan = [(0, min(split, n_blocks, full), BLOCK), (split, min(n_blocks, full) - split, BLOCK),
-                (full, n_blocks - full, rest)]
-        plan = [segment for segment in plan if segment[1] > 0]
         self.segments = []
-        for i, (first, count, size) in enumerate(plan):
-            start = state(first)
-            reads = _schedule(cb, adversary, r_prime_m, size)[len(head):]
-            cols, (_, end) = _walk(reads, start)
-            draws, tests = {}, []
-            for j, (name, n, _) in enumerate(reads):
-                runs = _runs(cols[name] - (start[1] if n is None else word0(first)), n)
-                if j < keep:
-                    draws[name] = (n, runs)
-                    decoded += count * len(cols[name]) * (n is not None)
-                # a draw past the last decoded one is tested on every block
-                # of the pass but its last
-                blocks = count - (i == len(plan) - 1 and j >= keep)
-                if n is not None and blocks and _rejects(n):
-                    tests += [(run, n_run, blocks) for run, n_run in runs]
-                    tested += blocks * len(cols[name])
-            # repeated blocks are one stride of words apart; a lone block
-            # reads words up to its last raw
-            span = 2 * (end - start[1]) if count > 1 else 2 * end - word0(first)
-            self.segments.append(
-                _Segment(start[1], word0(first), count, size, end - start[1], span, draws, tests)
-            )
-        self.n_raw = n_raw = start[1] + count * (end - start[1])
+        for count, size in ((min(n_blocks, full), BLOCK), (n_blocks - full, rest)):
+            if count > 0:
+                draws, stride = _place(_schedule(cb, adversary, r_prime_m, size)[len(head):])
+                self.segments.append(_Segment(raw, count, stride, draws[:keep]))
+                decoded += count * sum(size for _, n, size, _ in draws[:keep] if n is not None)
+                raw += count * stride
+        self.n_raw = raw
         self.reads = min(n_blocks * BLOCK, p.read_cap)
         extra, words = 0, -(-p.k // 64)  # words of a packed_mismatch row
         if adversary == "weak":
@@ -512,77 +399,48 @@ class _Layout:
             # larger of s_membership's rows and agreeing's copies and packed
             # rows beside the witness; agreeing's bits and mask per message
             extra = max(56, 27 + 8 * words) * h_m + 2 * p.k + 16 * words + 64
-        # The raws; per tested word its product and flag; per decoded word
-        # its uint64 value and the copy that joins a draw's runs; and the
-        # int64 or float64 rows of the pass's reads: six in a noisy layout
-        # (true ids, u, its flags, the replacement and observed ids), which
-        # bound the weak plan's rows too, three in the strong layout (true
-        # ids, and u with the copy that joins its segments), and only the
-        # true ids otherwise.
+        # The raws; per decoded word its uint64 value and the copy that joins
+        # a draw's segments; and the int64 or float64 rows of the pass's
+        # reads: six in a noisy layout (true ids, u, its flags, the
+        # replacement and observed ids), which bound the weak plan's rows
+        # too, three in the strong layout (true ids, and u with the copy that
+        # joins its segments), and only the true ids otherwise.
         rows = 3 if adversary == "strong" else 6 if self.noisy else 1
-        self.row_bytes = 8 * n_raw + 5 * tested + 16 * decoded + 8 * rows * self.reads + extra
+        self.row_bytes = 8 * raw + 16 * decoded + 8 * rows * self.reads + extra
 
 
-def _rejects(n) -> bool:
-    """Whether a range, or one of an array of ranges, can reject a word:
-    whether (2**32 - n) % n, the rejection threshold, is ever nonzero."""
-    return bool(np.any((2**32 - np.asarray(n, dtype=np.int64)) % n))
-
-
-def _runs(cols: np.ndarray, n) -> list:
-    """The runs of consecutive columns in cols, in order, as (slice, range)
-    pairs; an array of ranges, one per column, is cut with its columns."""
-    cuts = (np.flatnonzero(np.diff(cols) != 1) + 1).tolist()
-    return [
-        (slice(int(cols[a]), int(cols[b - 1]) + 1), n[a:b] if isinstance(n, np.ndarray) else n)
-        for a, b in zip([0, *cuts], [*cuts, len(cols)])
-        if b > a
-    ]
-
-
-def _values(source: np.ndarray, runs, shape) -> np.ndarray:
-    """One draw's values from its (slice, range) runs of source's last axis,
-    joined in order: Lemire's bounded values of words, or the raws
-    themselves where the range is None; zeros of shape where a bounded draw
-    reads nothing (range 1)."""
-    values = [source[..., run] if n is None else core.bounded(source[..., run], n)
-              for run, n in runs]
-    if not values:
-        return np.zeros(shape, dtype=np.int64)
-    return values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
+def _values(raws: np.ndarray, words: np.ndarray, n, size: int, raw0: int) -> np.ndarray:
+    """One draw's values from raws and their stream words, along the last
+    axis: size whole raws from raw0 on where the range n is None, and
+    otherwise the bounded values of size words from raw0's low half on."""
+    if n is None:
+        return raws[..., raw0 : raw0 + size]
+    return core.bounded(words[..., 2 * raw0 : 2 * raw0 + size], n)
 
 
 def _draw_columnar(cb, adversary, layout, states, message, obs):
     """Fill message and obs for the trials with these stream states from one
-    random_raw block each.  Returns (bad, plan): bad masks the rows to
-    redraw, those where numpy would have rejected a bounded draw, which
-    shifts the rest, every row of a per-trial layout, and the strong rows
-    whose plan has a candidate (module docstring); plan is the strong or weak
-    adversary's (m_prime, psi) columns, None for the others."""
+    random_raw block each.  Returns (sent, plan): sent masks the strong rows
+    whose plan has a candidate, which _draw_rows sends through
+    _observe_trial (module docstring), and is all False for the other
+    adversaries; plan is the strong or weak adversary's (m_prime, psi)
+    columns, None for the others."""
     p = cb.params
     b = len(states)
-    if layout.per_trial:
-        return np.ones(b, dtype=bool), None
     raws = core.trial_raws(states, layout.n_raw)
     words = core.stream_words(raws)
-    bad = np.zeros(b, dtype=bool)
-    drawn = {}
-    for name, (n, size, runs, test) in layout.draws.items():
-        if name == "pick":
-            continue  # its range is per row (_weak_plan)
-        for run, n_run in runs if test else ():
-            bad |= core.rejected(words, n_run, run)
-        drawn[name] = _values(words, runs, (b, size))
+    sent = np.zeros(b, dtype=bool)
+    # the pick's range is per row (_weak_plan)
+    drawn = {name: _values(raws, words, *place)
+             for name, place in layout.head.items() if name != "pick"}
     # each per-read draw from its blocks, cut to the pass's width
     reads = {}
     for seg in layout.segments:
-        w = words[:, seg.word0 : seg.word0 + seg.count * seg.span].reshape(b, seg.count, -1)
-        r = raws[:, seg.raw0 : seg.raw0 + seg.count * seg.stride].reshape(b, seg.count, -1)
-        for run, n, blocks in seg.tests:
-            bad |= core.rejected(w[:, :blocks], n, run)
-        for name, (n, runs) in seg.draws.items():
-            values = _values(r if n is None else w, runs, (b, seg.count, seg.size))
-            reads.setdefault(name, []).append(values.reshape(b, -1))
+        end = seg.raw0 + seg.count * seg.stride
+        r = raws[:, seg.raw0 : end].reshape(b, seg.count, -1)
+        w = words[:, 2 * seg.raw0 : 2 * end].reshape(b, seg.count, -1)
+        for name, n, size, raw0 in seg.draws:
+            reads.setdefault(name, []).append(_values(r, w, n, size, raw0).reshape(b, -1))
     for name, parts in reads.items():
         drawn[name] = (parts[0] if len(parts) == 1 else np.concatenate(parts, 1))[:, : layout.width]
     msg, f = drawn["message"], drawn["f"]
@@ -591,55 +449,49 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     obs[:] = true_ids = cb.word_ids[msg, f]
     if adversary == "strong":
         # the rows whose plan has a candidate (module docstring)
-        psi = _below(raws[:, layout.raws["psi"].start], p.p)
+        psi = _below(drawn["psi"][:, 0], p.p)
         part = s_membership(f, layout.h_m, p.dm, layout.r_prime)
         errs = _below(drawn["u"][:, : layout.h_m], p.p)
         rows = np.flatnonzero(channel.strong_premise(part, psi, errs))
-        bad[rows] |= agreeing(cb, msg[rows, 0], f[rows, : layout.h_m], part.t1[rows]).any(axis=1)
-        return bad, (np.full(b, -1), psi)
+        sent[rows] = agreeing(cb, msg[rows, 0], f[rows, : layout.h_m], part.t1[rows]).any(axis=1)
+        return sent, (np.full(b, -1), psi)
     if adversary == "weak":
         # channel.observe_weak on the rows whose plan is active
-        _, m_prime, psi, picked_bad = _weak_plan(cb, layout, raws, words, drawn)
+        _, m_prime, psi = _weak_plan(cb, layout, words, drawn)
         active = np.flatnonzero(psi & (m_prime >= 0))
         if active.size:
             flags = _below(drawn["u"][active], p.p)
             swap = cb.word_ids[m_prime[active, None], f[active]]
             obs[active] = np.where(flags, swap, obs[active])
-        return bad | picked_bad, (m_prime, psi)
+        return sent, (m_prime, psi)
     if layout.noisy:
         flags = _below(drawn["u"], p.p)
         rep_idx = drawn.get("rep_idx", f)
         obs[:] = channel.observe_uniform(true_ids, flags, rep_idx * p.v + drawn["rep_pay"])
-    return bad, None
+    return sent, None
 
 
-def _weak_plan(cb, layout, raws, words, drawn):
-    """(index_set, m_prime, psi, rejected) of the rows of one raw block, as
-    channel.weak_prepare draws them from its Generator (module docstring):
-    index_set a rows x r_prime_m sorted array, m_prime -1 where there is no
-    candidate, and rejected the rows whose pick word numpy would have drawn
-    again.  drawn holds the message and the Floyd values."""
+def _weak_plan(cb, layout, words, drawn):
+    """(index_set, m_prime, psi) of the rows of one raw block, as
+    channel.weak_prepare draws them: index_set a rows x r_prime_m sorted
+    array, m_prime -1 where there is no candidate.  words are the block's
+    stream words; drawn holds the message, the Floyd values and psi's
+    raw."""
     p = cb.params
-    b, r = len(raws), layout.r_prime
+    b, r = len(words), layout.r_prime
     rows = np.arange(b)
-    # Floyd's sample: j itself where the value of range j + 1 is already
-    # picked, and 0 for j = 0, which draws nothing
+    # Floyd's sample: j itself where the value of range j + 1 is already in it
     seen = np.zeros((b, p.m), dtype=bool)
-    seen[:, 0] = r == p.m
-    for j, value in zip(range(max(p.m - r, 1), p.m), drawn["floyd"].T):
+    for j, value in zip(range(p.m - r, p.m), drawn["floyd"].T):
         value = np.where(seen[rows, value], j, value)
         seen[rows, value] = True
-    # the shuffle only orders the sample, which weak_prepare sorts
     index_set = np.nonzero(seen)[1].reshape(b, r)
     agree = agreeing(cb, drawn["message"][:, 0], index_set)
     n_cands = agree.sum(axis=1)
-    # one word of range max(n_cands, 2) on every row, taken mod n_cands
-    n, [(column, _)] = np.maximum(n_cands, 2), layout.draws["pick"][2]
-    bad = core.rejected(words, n[:, None], column)
-    pick = core.bounded(words[:, column.start], n) % np.maximum(n_cands, 1)
+    # one word of range n_cands on every row: the pick-th candidate
+    pick = core.bounded(words[:, 2 * layout.head["pick"][2]], n_cands)
     m_prime = np.where(n_cands > 0, (np.cumsum(agree, axis=1) <= pick[:, None]).sum(axis=1), -1)
-    psi = _below(raws[:, layout.raws["psi"].start], p.p)
-    return index_set, m_prime, psi, bad
+    return index_set, m_prime, _below(drawn["psi"][:, 0], p.p)
 
 
 def _below(raws: np.ndarray, p: float) -> np.ndarray:
@@ -654,10 +506,10 @@ def _draw_rows(cb, adversary, layout, start, rows, budget):
     m_prime (-1 when none) and psi, None for the others.
 
     The rows are decoded from their raw blocks in sub-blocks whose
-    temporaries fit in budget bytes.  Every row where numpy would have
-    rejected a word goes through _observe_trial instead.  The first row is
-    compared with _observe_trial, so that a numpy whose internals no longer
-    match the decoding fails loudly."""
+    temporaries fit in budget bytes.  A strong row whose plan has a
+    candidate goes through _observe_trial instead.  The first row is
+    compared with _observe_trial, so that raws or a layout that no longer
+    match the per-trial reads fail loudly."""
     b = len(rows)
     states = core.trial_states(cb.params.seed, rows.astype(np.uint64) + np.uint64(start))
     message = np.empty(b, dtype=np.int64)
@@ -668,15 +520,14 @@ def _draw_rows(cb, adversary, layout, start, rows, budget):
     step = max(1, budget // layout.row_bytes)
     for lo in range(0, b, step):
         hi = lo + step
-        bad, sub = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
+        sent, sub = _draw_columnar(cb, adversary, layout, states[lo:hi], message[lo:hi], obs[lo:hi])
         if sub:
             plan[0][lo:hi], plan[1][lo:hi] = sub
-        for r in (np.flatnonzero(bad) + lo).tolist():
+        for r in (np.flatnonzero(sent) + lo).tolist():
             trial = _observe_trial(cb, adversary, start + int(rows[r]), layout.h_m, layout.r_prime)
             message[r] = trial.message
             obs[r] = trial.observed[: layout.width]
-            if plan:
-                plan[0][r], plan[1][r] = _plan_columns(trial.plan)
+            plan[0][r], plan[1][r] = _plan_columns(trial.plan)
     first = start + int(rows[0])
     ref = _observe_trial(cb, adversary, first, layout.h_m, layout.r_prime)
     if (

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from dnareads.channel import (
     strong_prepare,
     weak_prepare,
 )
-from dnareads.codebook import construct_greedy
-from dnareads.core import Verdict, derive_trial_rng
+from dnareads.codebook import Codebook, construct_greedy
+from dnareads.core import TrialStream, Verdict, derive_trial_rng
 from dnareads.decoder import run, stopping_time_no_errors
 from dnareads.simulate import _observe_trial, run_trial
 from dnareads.analysis import s_membership
@@ -185,6 +187,11 @@ def test_observe_strong_substitution(literal_codebook):
     assert observe_strong(inactive, cb, true_ids, f, np.ones(3, dtype=bool)).tolist() == [2, 2, 2]
 
 
+def _stream(seed, trial):
+    """Trial trial's draws by the draw rule, as the per-trial engine reads them."""
+    return TrialStream(derive_trial_rng(seed, trial))
+
+
 def test_weak_prepare_empty_restriction_uniform():
     # rpm=0: every other message qualifies and is picked uniformly
     params = SimParams(m=6, k=9, v=4, p=0.5, dm=1, theta=0.6, read_cap=50, seed=2)
@@ -192,7 +199,7 @@ def test_weak_prepare_empty_restriction_uniform():
     counts = np.zeros(9, dtype=np.int64)
     n = 9000
     for t in range(n):
-        plan = weak_prepare(cb, 3, 0, derive_trial_rng(0, t))
+        plan = weak_prepare(cb, 3, 0, _stream(0, t))
         counts[plan.m_prime] += 1
     assert counts[3] == 0
     expected = n / 8
@@ -200,11 +207,40 @@ def test_weak_prepare_empty_restriction_uniform():
     assert (np.abs(np.delete(counts, 3) - expected) < 4 * sigma).all()
 
 
+def test_weak_prepare_floyd_sets_and_picks_are_uniform():
+    # m 5, r' 2: each of the C(5, 2) = 10 index sets within 5 standard
+    # errors of 1/10, and within each set every candidate within 5 standard
+    # errors of 1/n for its n candidates
+    params = SimParams(m=5, k=12, v=2, p=0.5, dm=0, theta=1.0, read_cap=8, seed=0)
+    cb = Codebook(params, np.random.default_rng(5).integers(0, 2, (12, 5)))
+    n = 20000
+    sets, picks = {}, {}
+    for t in range(n):
+        plan = weak_prepare(cb, 0, 2, _stream(7, t))
+        key = tuple(plan.index_set.tolist())
+        sets[key] = sets.get(key, 0) + 1
+        picks[key, plan.m_prime] = picks.get((key, plan.m_prime), 0) + 1
+    assert sorted(sets) == sorted(itertools.combinations(range(5), 2))
+    sigma = np.sqrt(n * 0.1 * 0.9)
+    assert all(abs(count - n / 10) < 5 * sigma for count in sets.values())
+    several = 0
+    for key, count in sets.items():
+        cands = np.flatnonzero((cb.matrix[:, key] == cb.matrix[0, key]).all(axis=1))
+        cands = [int(c) for c in cands if c != 0]
+        got = {m_prime: picks[key2, m_prime] for key2, m_prime in picks if key2 == key}
+        assert set(got) == (set(cands) or {None})
+        for hits in got.values():
+            share = 1 / len(got)
+            assert abs(hits - count * share) <= 5 * np.sqrt(count * share * (1 - share))
+        several += len(cands) > 1
+    assert several >= 3
+
+
 def test_weak_prepare_full_restriction_none(small_codebook):
     # distinct codewords restricted to all indices leave no confusable message
     m = small_codebook.params.m
     for t in range(20):
-        plan = weak_prepare(small_codebook, 0, m, derive_trial_rng(1, t))
+        plan = weak_prepare(small_codebook, 0, m, _stream(1, t))
         assert plan.m_prime is None
         assert not plan.active
         assert len(plan.index_set) == m
@@ -212,7 +248,7 @@ def test_weak_prepare_full_restriction_none(small_codebook):
 
 def test_weak_prepare_validates_budget(small_codebook):
     with pytest.raises(ValueError, match="r_prime_m out of range"):
-        weak_prepare(small_codebook, 0, small_codebook.params.m + 1, derive_trial_rng(0, 0))
+        weak_prepare(small_codebook, 0, small_codebook.params.m + 1, _stream(0, 0))
 
 
 def test_weak_prepare_candidates_match_restriction(small_codebook):
@@ -220,7 +256,7 @@ def test_weak_prepare_candidates_match_restriction(small_codebook):
     w = small_codebook.matrix
     hits = 0
     for t in range(200):
-        plan = weak_prepare(small_codebook, 2, 3, derive_trial_rng(5, t))
+        plan = weak_prepare(small_codebook, 2, 3, _stream(5, t))
         if plan.m_prime is None:
             continue
         hits += 1
@@ -296,7 +332,7 @@ def test_trace_replays_and_matches_adversary_row(small_codebook, adversary):
     for trial in range(25):
         outcome, trace = run_trial(cb, adversary, trial, h_m, r_prime_m, collect_trace=True)
         assert run(cb, trace.observed, len(trace.observed)) == outcome.verdict
-        rng = derive_trial_rng(cb.params.seed, trial)
+        rng = _stream(cb.params.seed, trial)
         message = int(rng.integers(cb.params.k))
         # the per-trial draws, then the per-read ones in blocks of 8 reads
         if adversary == "weak":
@@ -308,9 +344,9 @@ def test_trace_replays_and_matches_adversary_row(small_codebook, adversary):
             size = min(8, cap - lo)
             block = [sample_index_sequence(m, size, rng), sample_error_flags(cb.params.p, size, rng)]
             if adversary == "uniform":
-                block.append(rng.integers(0, m, size=size))
+                block.append(rng.integers(m, size=size))
             if adversary in ("uniform", "uniform-index"):
-                block.append(rng.integers(0, v, size=size))
+                block.append(rng.integers(v, size=size))
             blocks.append(block)
         f, flags = (np.concatenate(draw) for draw in list(zip(*blocks))[:2])
         true_ids = cb.word_ids[message][f]

@@ -12,12 +12,12 @@ from dnareads import core
 from dnareads.codebook import Codebook
 from dnareads.core import (
     SimParams,
+    TrialStream,
     Verdict,
     VerdictKind,
     bounded,
     derive_codebook_rng,
     derive_trial_rng,
-    rejected,
     stream_words,
     trial_raws,
     trial_states,
@@ -249,84 +249,71 @@ def test_stream_words_take_low_half_first():
     assert np.array_equal(stream_words(raw[None])[0], words)
 
 
-@pytest.mark.parametrize("n,size", [(3, 5), (2**31 + 1, 1), (2**31 + 1, 3)])
-def test_bounded_flags_every_row_numpy_redrew(n, size):
-    # At n = 2**31 + 1 about half of all words fall below the rejection
-    # threshold; numpy then draws again and every later value of the row
-    # shifts.  Rows whose decoded values differ from numpy's must be flagged.
-    trials = 400
-    states = _states(11, range(trials))
-    words = stream_words(trial_raws(states, (size + 1) // 2))
-    values = bounded(words[:, :size], n)
-    flagged = rejected(words, n, np.arange(size))
-    for t in range(trials):
-        want = derive_trial_rng(11, t).integers(0, n, size=size)
-        assert flagged[t] or np.array_equal(values[t], want), t
-    if n == 3:
-        assert not flagged.any()
+@pytest.mark.parametrize("n", [3, 10, 20, 64, 70001, 2**31 + 11, 2**32 - 1])
+def test_bounded_changes_value_exactly_at_its_boundary_words(n):
+    # Value j's first word is ceil(j * 2**32 / n), in Python integers: the
+    # value changes there and nowhere else, so value j has floor(2**32 / n)
+    # or ceil(2**32 / n) words and its probability is off by at most 2**-32.
+    # Every j is checked up to n = 70001, and a spread of them past it.
+    if n <= 70001:
+        js = list(range(1, n))
     else:
-        assert flagged.any() and not flagged.all()
-
-
-@pytest.mark.parametrize("n", [20, 2**31 + 1, 3 * 2**30 + 7])
-def test_rejected_tests_exactly_its_words(n):
-    # the test of the given word columns equals the rule applied to those
-    # words alone, wherever in the raws they sit, and a consecutive set
-    # given as a slice gives the same mask as its index array
-    words = stream_words(trial_raws(_states(4, range(300)), 5))
-    threshold = (2**32 - n) % n
-    for columns, run in [
-        (range(10), slice(0, 10)), (range(1, 10), slice(1, 10)), (range(1, 9), slice(1, 9)),
-        ([3, 4, 5, 6], slice(3, 7)), ([4], slice(4, 5)), ([9], slice(9, 10)),
-        ([0, 3, 8], None), ([], slice(0, 0)),
-    ]:
-        columns = np.array(columns, dtype=np.intp)
-        wide = words[:, columns].astype(np.uint64)
-        want = ((wide * np.uint64(n)) & np.uint64(2**32 - 1) < threshold).any(axis=1)
-        assert np.array_equal(rejected(words, n, columns), want)
-        if run is not None:
-            assert np.array_equal(rejected(words, n, run), want)
-    # a power of two never rejects, and gathers nothing: these columns are
-    # past the words
-    assert not rejected(np.zeros((2, 6), dtype=np.uint32), 8, np.arange(6, 12)).any()
+        rng = np.random.default_rng(n)
+        js = sorted({*range(1, 2000), *range(n - 2000, n), *rng.integers(1, n, 5000).tolist()})
+    first = [-(-(j << 32) // n) for j in js]
+    words = np.array([[w - 1, w] for w in first], dtype=np.uint32)
+    assert bounded(words, n).tolist() == [[j - 1, j] for j in js]
+    edges = np.array([0, 2**32 - 1], dtype=np.uint32)
+    assert bounded(edges, n).tolist() == [0, n - 1]
+    # value j has first[j + 1] - first[j] words, wherever both are known
+    known = dict(zip(js, first)) | {0: 0, n: 2**32}
+    gaps = {known[j + 1] - known[j] for j in known if j + 1 in known}
+    assert gaps <= {2**32 // n, -(-(2**32) // n)}
 
 
 @pytest.mark.parametrize(
     "ranges",
     [
         [5, 1, 8, 3, 2**31 + 1, 1, 1, 6, 2**32 - 1, 7],  # odd and even word counts
-        [1, 1, 2, 16, 2**31, 1],  # powers of two: thresholds of 0
-        [1, 3 * 2**30 + 7, 2**31 + 1, 2**31 + 1, 1, 9],
+        [1, 1, 2, 16, 2**31, 1],  # powers of two
+        [1, 3 * 2**30 + 7, 2**31 + 1, 2**31 + 1, 0, 9],  # and a range of 0
     ],
 )
-def test_bounded_and_rejected_take_a_range_per_column(ranges):
-    # a sequence of integers(0, n) calls, one range per value: a range of 1
-    # reads no word, each other range the next word of the stream
+def test_bounded_takes_a_range_per_column(ranges):
+    # one draw of one value per range: every range reads the next word, a
+    # range of 1 or 0 too, and its value is (w * n) >> 32 in Python
+    # integers; the per-trial stream reads the same values from the same raws
     ranges = np.array(ranges)
-    reads = ranges > 1
-    columns = np.arange(reads.sum())
-    trials = 400
-    words = stream_words(trial_raws(_states(12, range(trials)), 8))
-    values = np.zeros((trials, len(ranges)), dtype=np.int64)
-    values[:, reads] = bounded(words[:, columns], ranges[reads])
-    flagged = rejected(words, ranges[reads], columns)
-    # a row's ranges as a column vector, with a row's range of 1 testing nothing
-    per_row = np.where(np.arange(trials) % 2, ranges[reads][0], 1)
-    assert np.array_equal(
-        rejected(words, per_row[:, None], columns[:1]),
-        rejected(words, ranges[reads][0], columns[:1]) & (per_row > 1),
-    )
+    trials = 200
+    words = stream_words(trial_raws(_states(12, range(trials)), 8))[:, : len(ranges)]
+    values = bounded(words, ranges)
     for t in range(trials):
-        rng = derive_trial_rng(12, t)
-        want = [rng.integers(0, n) for n in ranges.tolist()]
-        assert flagged[t] or values[t].tolist() == want, t
-    if (ranges > 2**31).any():
-        # numpy draws again on about half the words of range 2**31 + 1
-        assert flagged.any() and not flagged.all()
-    else:
-        # nothing rejects, and nothing is gathered: these columns are past the words
-        assert not flagged.any()
-        assert not rejected(words, ranges[reads], columns + 100).any()
+        want = [w * n >> 32 for w, n in zip(words[t].tolist(), ranges.tolist())]
+        assert values[t].tolist() == want
+        stream = TrialStream(derive_trial_rng(12, t))
+        assert stream.integers(ranges).tolist() == want
+    # a row's range as a column vector
+    per_row = np.where(np.arange(trials) % 2, ranges[0], 1)
+    assert np.array_equal(bounded(words[:, :1], per_row[:, None])[:, 0],
+                          np.where(per_row > 1, values[:, 0], 0))
+
+
+def test_trial_stream_starts_every_draw_at_a_fresh_raw():
+    # an odd-sized bounded draw leaves its last raw's high half unread, and
+    # random() reads one whole raw a value
+    raws = derive_trial_rng(3, 9).bit_generator.random_raw(7)
+    stream = TrialStream(derive_trial_rng(3, 9))
+    assert stream.integers(2**32 - 1, size=3).tolist() == [
+        w * (2**32 - 1) >> 32 for w in (int(raws[0]) & 2**32 - 1, int(raws[0]) >> 32,
+                                        int(raws[1]) & 2**32 - 1)
+    ]
+    assert stream.integers(10) == (int(raws[2]) & 2**32 - 1) * 10 >> 32
+    assert stream.random() == (int(raws[3]) >> 11) * 2.0**-53
+    assert stream.random(2).tolist() == [(int(r) >> 11) * 2.0**-53 for r in raws[4:6]]
+    assert stream.integers(np.array([1, 0])).tolist() == [0, 0]
+    # that draw read raw 6: the next raw is the eighth
+    eighth = int(derive_trial_rng(3, 9).bit_generator.random_raw(8)[7])
+    assert stream.random() == (eighth >> 11) * 2.0**-53
 
 
 def test_import_leaves_numpy_random_unloaded():

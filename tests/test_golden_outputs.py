@@ -4,9 +4,10 @@ Each run below is a small `cli.main` call (or one saved trace).  The manifest,
 tests/golden_outputs.json, holds the sha256 of every run's output file,
 stdout and stderr, its exit status, and the numpy version and CSV_VERSION
 that made them.  Any byte that changes fails the test, and so does a numpy
-other than the manifest's, since numpy's internals fix every random draw,
-and a CSV_VERSION other than the manifest's: a change to the random-number
-contract bumps CSV_VERSION and regenerates the manifest together.
+other than the manifest's, since numpy's SeedSequence and PCG64 fix every
+random draw, and a CSV_VERSION other than the manifest's: a change to the
+random-number contract bumps CSV_VERSION and regenerates the manifest
+together.
 
 After a change that is meant to alter outputs, regenerate the manifest and
 commit it with the change:
@@ -63,8 +64,7 @@ RUNS = {
         ]
         for seed in _SEEDS
     },
-    # odd ranges; at m = 7, k = 11, v = 5 a word is rejected with probability
-    # about 1e-9, so no row of these trials is rejected
+    # odd ranges: m = 7, k = 11 and v = 5 read by multiply-shift
     "simulate-m7-uniform-p0.15": [
         "simulate", "--m", "7", "--k", "11", "--v", "5", "--delta", "0.15", "--theta", "0.6",
         "--p", "0.15", "--adversary", "uniform", "--trials", "2000", "--seed", "7",
@@ -80,46 +80,44 @@ RUNS = {
         "--p", "0.1", "--adversary", "uniform", "--read-cap", "10", "--trials", "2000",
         "--seed", "3",
     ],
-    # at v = 200003 numpy rejects a replacement payload word of trial 168
-    # inside the 8-read prefix's block, so the prefix pass redraws that row
+    # a large odd range, v = 200003, for the replacement payloads the
+    # 8-read prefix's block reads
     "simulate-prefix-rejected-words": [
         "simulate", "--m", "8", "--k", "16", "--v", "200003", "--delta", "0.125",
         "--theta", "0.5", "--p", "0.1", "--read-cap", "200", "--adversary", "uniform",
         "--trials", "4000", "--seed", "8",
     ],
-    # m = 70001: numpy rejects a word of f or of the replacement indices in
-    # 7 of these trials; the ones threshold (42001) is past the bound's
-    # domain, so W is read_cap and those rows are redrawn in the one pass
+    # a large odd range, m = 70001, for f and the replacement indices; the
+    # ones threshold (42001) is past the bound's domain, so W is read_cap and
+    # every row is decoded in the one pass
     "simulate-rejected-words": [
         "simulate", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--adversary", "uniform", "--trials", "2000",
         "--seed", "3",
     ],
-    # the same parameters under the strong adversary, at seed 8: numpy
-    # rejects a word of f in 5 of these trials, which the strong screen
-    # leaves to the per-trial draw
+    # the same parameters under the strong adversary, at seed 8: the strong
+    # screen's S test on heads of f drawn from 70001 indices
     "converse-strong-rejected-words": [
         "converse", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "19",
         "--adversary", "strong", "--trials", "2000", "--seed", "8", "--out", "{out}",
     ],
-    # and under the weak adversary: numpy rejects a word of f in 4 of these
-    # trials, and a word of trial 572's own plan, a Floyd draw of its index
-    # set
+    # and under the weak adversary: Floyd's draw of 19 values of ranges
+    # near 70001, on a rows x m mask
     "converse-weak-rejected-words": [
         "converse", "--m", "70001", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "19",
         "--adversary", "weak", "--trials", "2000", "--seed", "8", "--out", "{out}",
     ],
-    # r' = 500 > m // 50: numpy draws the index set by shuffling a tail of
-    # arange(m), not by Floyd's sample
+    # Floyd's sample in columns at m = 20000 and r' = 500, past the
+    # r' > m // 50 where numpy's choice would shuffle a tail of arange(m)
     "converse-weak-tail-shuffle": [
         "converse", "--m", "20000", "--k", "2", "--v", "2", "--delta", "0", "--theta", "0.6",
         "--p", "0.1", "--read-cap", "200", "--hm", "20", "--rprimem", "500",
         "--adversary", "weak", "--trials", "300", "--seed", "3", "--out", "{out}",
     ],
     # the benchmark's converse runs at 2500 strong and 5000 weak trials, long
-    # enough to span several converse blocks; 45 strong and 111 weak rows
+    # enough to span several converse blocks; 56 strong and 101 weak rows
     # outlive the 32-read prefix, so the full-width pass decodes rows
     **{
         f"converse-{adv}-blocks": [

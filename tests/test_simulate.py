@@ -15,12 +15,6 @@ from dnareads.harness import ConverseRow, ExperimentConfig, converse_experiment
 from dnareads.simulate import BATCH_ADVERSARIES, run_batch, run_trial
 
 
-def _columns(runs) -> np.ndarray:
-    """The columns of a _Layout draw's (slice, range) runs, in order."""
-    parts = [np.arange(run.start, run.stop) for run, _ in runs]
-    return np.concatenate([np.empty(0, dtype=np.intp), *parts])
-
-
 def _assert_matches_serial(cb, adversary, batch, collect_trace=False, start=0):
     """Compare a batch trial by trial with the int64 per-trial engine."""
     traces = []
@@ -249,36 +243,6 @@ def test_decode_kernel_matches_decoder_run(data):
             assert decoded[r] == verdict.decoded
 
 
-def test_rejected_rows_are_redrawn(slow_codebook, monkeypatch):
-    # Flag chosen rows of every sub-block as if numpy had rejected one of
-    # their words, and garble all their decoded values: run_batch must redraw
-    # exactly those rows through the per-trial engine.  The code's message,
-    # f and replacement index ranges can reject, so every sub-block is
-    # tested (a power of two never is), in both passes.
-    chosen = [0, 3, 17, 40]
-    flagged = []
-    real_bounded, real_rejected = core.bounded, core.rejected
-
-    def garbling(words, n):
-        values = real_bounded(words, n)
-        rows = [r for r in chosen if r < len(words)]
-        values[rows] = (values[rows] + 1) % n
-        return values
-
-    def flagging(words, n, columns):
-        bad = real_rejected(words, n, columns)
-        rows = [r for r in chosen if r < len(words)]
-        bad[rows] = True
-        flagged.append(len(rows))
-        return bad
-
-    monkeypatch.setattr(core, "bounded", garbling)
-    monkeypatch.setattr(core, "rejected", flagging)
-    batch = run_batch(slow_codebook, "uniform", 150)
-    assert sum(flagged) > 0
-    _assert_matches_serial(slow_codebook, "uniform", batch)
-
-
 @pytest.fixture(scope="module")
 def slow_codebook():
     # close random binary words decoded with slack: most rows outlive the
@@ -309,64 +273,9 @@ def test_only_the_strong_screen_widens_the_prefix(small_codebook):
     assert simulate._prefix_width(cb, "strong", 100) >= 100
 
 
-def _observed_by_pass(patch):
-    """Spy on run_batch's passes: a list that collects (width, trial) for
-    every row drawn through _observe_trial, width being its pass's."""
-    real_draw, real_observe, seen, width = simulate._draw_rows, simulate._observe_trial, [], []
-
-    def drawing(cb, adversary, layout, *args):
-        width[:] = [layout.width]
-        return real_draw(cb, adversary, layout, *args)
-
-    def observing(cb, adversary, trial, *args):
-        seen.append((width[0], trial))
-        return real_observe(cb, adversary, trial, *args)
-
-    patch.setattr(simulate, "_draw_rows", drawing)
-    patch.setattr(simulate, "_observe_trial", observing)
-    return seen
-
-
-@pytest.mark.parametrize(
-    "adversary,region", [("uniform", "f"), ("uniform-index", "f"), ("uniform", "rep_idx")]
-)
-def test_rejection_past_the_prefix_is_redrawn(slow_codebook, adversary, region, monkeypatch):
-    # Plant a word numpy rejects (0, for m = 12) as the last f or replacement
-    # index word of one trial's stream, in a block past the prefix pass's
-    # blocks: that pass neither draws nor tests it, so the row is not redrawn
-    # there, yet every later draw shifts, so the full pass must redraw the
-    # row through the per-trial engine.  Planted in the prefix pass's last
-    # block instead, the word sends the row to the per-trial engine in that
-    # pass.  Either way the row's verdict is run_trial's.
-    params = slow_codebook.params
-    width = simulate._prefix_width(slow_codebook, adversary)
-    columns, _ = simulate._walk(simulate._schedule(slow_codebook, adversary, None, params.read_cap))
-    assert width % simulate.BLOCK == 0 and params.read_cap > width + simulate.BLOCK
-    # a trial that outlives the prefix, and is not the first row of a pass
-    batch = run_batch(slow_codebook, adversary, 20)
-    target = int(np.flatnonzero(batch.n_reads[1:] > width)[1]) + 1
-    state = core.trial_states(params.seed, np.array([target], dtype=np.uint64))[0]
-    real_raws = core.trial_raws
-    for word, inside in ((columns[region][-1], False), (columns[region][width - 1], True)):
-        mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
-
-        def planting(states, n_raw):
-            raws = real_raws(states, n_raw)
-            if n_raw > word // 2:
-                raws[(states == state).all(axis=1), word // 2] &= mask
-            return raws
-
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "trial_raws", planting)
-            observed = _observed_by_pass(patch)
-            batch = run_batch(slow_codebook, adversary, 20)
-        assert ((width, target) in observed) == inside
-        assert (params.read_cap, target) in observed
-        _assert_matches_serial(slow_codebook, adversary, batch)
-
-
 def test_batch_self_check_names_numpy(easy_codebook, monkeypatch):
-    # a numpy that read the high half of a raw first would shift every draw
+    # a batch engine that read the high half of a raw first would shift
+    # every draw
     real = core.stream_words
 
     def high_first(raws):
@@ -388,7 +297,7 @@ def test_column_drift_fails_loudly(easy_codebook, monkeypatch):
 
 
 def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
-    # a numpy change that shifted only draws past the prefix would alter
+    # a change that shifted only draws past the prefix would alter
     # only the rows the full-width pass decodes; the first-row check of its
     # draws must catch it
     params = slow_codebook.params
@@ -410,7 +319,7 @@ def test_full_width_drift_fails_loudly(slow_codebook, monkeypatch):
 
 
 def test_strong_psi_drift_fails_loudly(small_codebook, monkeypatch):
-    # a numpy whose psi draw moved would alter the strong plan columns of the
+    # a psi read from the wrong raw would alter the strong plan columns of the
     # rows the screen passes; the first-row check of the draw must catch it.
     # The screen passes trial 0's row, whose psi holds.
     cb = small_codebook
@@ -434,23 +343,15 @@ def test_strong_psi_drift_fails_loudly(small_codebook, monkeypatch):
 def _spied_weak_rows(cb, r_prime_m, start, trials, patch, budget=None, width=None):
     """The weak rows _draw_rows gives for trials start..start+trials-1, at
     width (read_cap by default) and in sub-blocks of budget bytes (run_batch's
-    by default):
-    (message, obs, m_prime, psi, index_set, bad, observed), where index_set
-    and bad are what _weak_plan and _draw_columnar computed for every row
-    (None for a per-trial layout) and observed lists the trials drawn by
-    _observe_trial."""
-    real_plan, real_draw = simulate._weak_plan, simulate._draw_columnar
-    real_observe = simulate._observe_trial
-    index_sets, bad, observed = [], [], []
+    by default): (message, obs, m_prime, psi, index_set, observed), where
+    index_set is what _weak_plan computed for every row and observed lists
+    the trials drawn by _observe_trial."""
+    real_plan, real_observe = simulate._weak_plan, simulate._observe_trial
+    index_sets, observed = [], []
 
     def planning(*args):
         out = real_plan(*args)
         index_sets.append(out[0])
-        return out
-
-    def drawing(*args):
-        out = real_draw(*args)
-        bad.append(out[0])
         return out
 
     def observing(cb, adversary, trial, *args):
@@ -458,27 +359,24 @@ def _spied_weak_rows(cb, r_prime_m, start, trials, patch, budget=None, width=Non
         return real_observe(cb, adversary, trial, *args)
 
     patch.setattr(simulate, "_weak_plan", planning)
-    patch.setattr(simulate, "_draw_columnar", drawing)
     patch.setattr(simulate, "_observe_trial", observing)
     layout = simulate._Layout(cb, "weak", width or cb.params.read_cap, r_prime_m)
     message, obs, (m_prime, psi) = simulate._draw_rows(
         cb, "weak", layout, start, np.arange(trials), budget or simulate._BATCH_BYTES // 16
     )
-    index_set = np.concatenate(index_sets) if index_sets else None
-    return message, obs, m_prime, psi, index_set, np.concatenate(bad), observed
+    return message, obs, m_prime, psi, np.concatenate(index_sets), observed
 
 
 def _check_weak_rows(cb, r_prime_m, start, trials, budget=None, width=None) -> set:
     """Assert that the weak rows of trials start.. at width (read_cap by
-    default) equal _observe_trial's, index sets included; returns the
-    (candidate count, head word count parity) pairs seen, the count capped
-    at 2."""
+    default) equal _observe_trial's, index sets included, and that only the
+    first-row check draws a row per trial; returns the (candidate count,
+    Floyd draw size parity) pairs seen, the count capped at 2."""
     with pytest.MonkeyPatch.context() as patch:
-        message, obs, m_prime, psi, index_set, bad, _ = _spied_weak_rows(
+        message, obs, m_prime, psi, index_set, observed = _spied_weak_rows(
             cb, r_prime_m, start, trials, patch, budget, width
         )
-    p = cb.params
-    head_words = int(p.k > 1) + p.read_cap * (p.m > 1)
+    assert observed == [start]
     seen = set()
     for r in range(trials):
         ref = simulate._observe_trial(cb, "weak", start + r, None, r_prime_m)
@@ -487,9 +385,8 @@ def _check_weak_rows(cb, r_prime_m, start, trials, budget=None, width=None) -> s
         assert np.array_equal(obs[r], ref.observed[: obs.shape[1]])
         assert m_prime[r] == (-1 if plan.m_prime is None else plan.m_prime)
         assert psi[r] == plan.psi
-        if not bad[r]:
-            assert np.array_equal(index_set[r], plan.index_set)
-        seen.add((min(_n_cands(cb, ref.plan, ref.message), 2), head_words % 2))
+        assert np.array_equal(index_set[r], plan.index_set)
+        seen.add((min(_n_cands(cb, ref.plan, ref.message), 2), r_prime_m % 2))
     return seen
 
 
@@ -498,8 +395,8 @@ def _n_cands(cb, plan, message) -> int:
     return int(agreeing(cb, np.array([message]), plan.index_set[None]).sum())
 
 
-# (m, k, v, r', read_cap, p): one index, r' = 0 and r' = m, head word counts
-# of both parities, and codes with no, one and many candidates
+# (m, k, v, r', read_cap, p): one index, r' = 0 and r' = m, Floyd draws of
+# both parities, and codes with no, one and many candidates
 _WEAK_CODES = [
     (1, 5, 2, 1, 7, 0.5),
     (1, 5, 2, 0, 7, 0.5),
@@ -542,67 +439,40 @@ def test_weak_columns_match_reference_plans(data):
     _check_weak_rows(Codebook(params, matrix), r_prime_m, start, trials, budget, width)
 
 
-@pytest.mark.parametrize("r_prime_m,per_trial", [(201, False), (202, True)])
-def test_weak_tail_shuffle_rows_are_drawn_per_trial(r_prime_m, per_trial, monkeypatch):
-    # m > 10000: numpy's choice takes Floyd's sample up to r' = m // 50 and
-    # shuffles a tail of arange(m) past it, which only the per-trial engine
-    # replays
+@pytest.mark.parametrize("r_prime_m", [201, 202])
+def test_weak_rows_at_large_m_are_drawn_in_columns(r_prime_m):
+    # m > 10000, with r' on both sides of m // 50, where numpy's choice would
+    # switch from Floyd's sample to shuffling a tail of arange(m): the plan
+    # is Floyd's on every row, drawn in columns, and run_converse's rows are
+    # run_trial's
     params = SimParams(m=10050, k=3, v=2, p=0.5, dm=0, theta=1.0, read_cap=12, seed=4)
     cb = Codebook(params, np.random.default_rng(4).integers(0, 2, (3, 10050)))
-    *_, index_set, bad, observed = _spied_weak_rows(cb, r_prime_m, 7, 5, monkeypatch)
-    assert bad.all() == per_trial
-    assert (index_set is None) == per_trial
-    assert observed == [7, 8, 9, 10, 11, 7] if per_trial else observed == [7]
-    monkeypatch.undo()
     _check_weak_rows(cb, r_prime_m, 7, 5)
+    res = simulate.run_converse(cb, "weak", 6, None, r_prime_m)
+    for t in range(6):
+        outcome, _ = run_trial(cb, "weak", t, None, r_prime_m)
+        v = outcome.verdict
+        assert (res.message[t], res.kind[t], res.n_reads[t]) == (
+            outcome.message, v.kind.value, v.n_reads)
+        assert (res.m_prime[t], res.psi[t]) == simulate._plan_columns(outcome.plan)
 
 
 @pytest.fixture(scope="module")
 def picking_codebook():
-    # m = 6, k = 12, v = 2 and r' = 3: the Floyd ranges are 4, 5, 6 and the
-    # shuffle's 3, 2, and a third of the rows have several candidates
+    # m = 6, k = 12, v = 2 and r' = 3: the Floyd ranges are 4, 5, 6, and a
+    # third of the rows have several candidates
     params = SimParams(m=6, k=12, v=2, p=0.5, dm=0, theta=1.0, read_cap=9, seed=2)
     return Codebook(params, np.random.default_rng(6).integers(0, 2, (12, 6)))
 
 
-@pytest.mark.parametrize("draw,column", [("floyd", 1), ("shuffle", 0), ("pick", 0)])
-def test_weak_rejected_plan_words_are_redrawn(picking_codebook, draw, column, monkeypatch):
-    # Plant a word numpy rejects (0, for a range that is no power of two) in
-    # one trial's plan: the Floyd draw of range 5, the shuffle draw of range
-    # 3, or the pick among 3 candidates.  The row must be redrawn through the
-    # per-trial engine.
-    cb, r_prime_m = picking_codebook, 3
-    refs = [simulate._observe_trial(cb, "weak", t, None, r_prime_m) for t in range(100)]
-    target = next(
-        t for t, ref in enumerate(refs) if _n_cands(cb, ref.plan, ref.message) == 3
-    )
-    layout = simulate._Layout(cb, "weak", cb.params.read_cap, r_prime_m)
-    word = int(_columns(layout.draws[draw][2])[column])
-    mask = np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
-    state = core.trial_states(cb.params.seed, np.array([target], dtype=np.uint64))[0]
-    real_raws = core.trial_raws
-
-    def planting(states, n_raw):
-        raws = real_raws(states, n_raw)
-        raws[(states == state).all(axis=1), word // 2] &= mask
-        return raws
-
-    monkeypatch.setattr(core, "trial_raws", planting)
-    *_, bad, observed = _spied_weak_rows(cb, r_prime_m, 0, 40, monkeypatch)
-    assert np.flatnonzero(bad).tolist() == [target]
-    assert observed == [target, 0]
-    # the planted word is still there: the redrawn row is the stream's own
-    _check_weak_rows(cb, r_prime_m, 0, 40)
-
-
 def test_weak_plan_drift_fails_loudly(picking_codebook, monkeypatch):
-    # a numpy whose psi draw moved would alter the plans; the first-row
+    # a psi read from the wrong raw would alter the plans; the first-row
     # check of the draw must catch it
     real = simulate._weak_plan
 
     def drifting(*args):
-        index_set, m_prime, psi, bad = real(*args)
-        return index_set, m_prime, ~psi, bad
+        index_set, m_prime, psi = real(*args)
+        return index_set, m_prime, ~psi
 
     monkeypatch.setattr(simulate, "_weak_plan", drifting)
     params = picking_codebook.params
@@ -612,8 +482,8 @@ def test_weak_plan_drift_fails_loudly(picking_codebook, monkeypatch):
 
 
 # (params, h_m, r_prime_m): the picking code, whose weak rows can read a pick
-# word; an odd count of head words, which leaves a high half pending past the
-# uniforms; and codes with one index and with one message
+# word; Floyd draws of odd size, which leave a high half unread; and codes
+# with one index and with one message, whose pick has range 0
 _WALK_CODES = [
     (SimParams(m=6, k=12, v=2, p=0.5, dm=0, theta=1.0, read_cap=9, seed=2), 4, 3),
     (SimParams(m=7, k=11, v=5, p=0.3, dm=1, theta=1.0, read_cap=10, seed=5), 6, 2),
@@ -624,10 +494,10 @@ _WALK_CODES = [
 
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 def test_walk_leaves_the_stream_where_numpy_does(adversary, monkeypatch):
-    # numpy itself is the reference: after _observe_trial's Generator calls,
-    # the stream has read the walk's raws and holds the walk's pending high
-    # half, on every row where no word was rejected.  Weak rows with no
-    # candidate and with one read their pick word too.
+    # numpy itself counts the raws: after _observe_trial's draws, the
+    # trial's PCG64 has made exactly the raws the read_cap layout places,
+    # whatever values it drew, and holds no pending half of its own.  Weak
+    # rows with no candidate and with one read their pick word too.
     real, made = simulate.derive_trial_rng, []
 
     def capturing(seed, trial):
@@ -635,92 +505,66 @@ def test_walk_leaves_the_stream_where_numpy_does(adversary, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(simulate, "derive_trial_rng", capturing)
-    checked, counts = 0, set()
+    counts = set()
     weak = adversary == "weak"
     for params, h_m, r_prime_m in _WALK_CODES:
         matrix = np.random.default_rng(params.seed).integers(0, params.v, (params.k, params.m))
         cb = Codebook(params, matrix)
-        schedule = simulate._schedule(cb, adversary, r_prime_m, params.read_cap)
+        n_raw = simulate._Layout(cb, adversary, params.read_cap, r_prime_m, h_m).n_raw
         for t in range(40):
             obs = simulate._observe_trial(cb, adversary, t, h_m, r_prime_m)
-            # the pick's range is the row's own candidate count, at least 2
-            n_cands = _n_cands(cb, obs.plan, obs.message) if weak else 0
-            draws = [(name, max(n_cands, 2) if name == "pick" else n, size)
-                     for name, n, size in schedule]
-            columns, (pending, n_raw) = simulate._walk(draws)
-            words = core.stream_words(real(params.seed, t).bit_generator.random_raw((1, n_raw)))
-            ranges = {name: n for name, n, _ in draws if n is not None}
-            if any(core.rejected(words, n, columns[name])[0] for name, n in ranges.items()):
-                continue
             fresh = real(params.seed, t).bit_generator
             fresh.advance(n_raw)
             state = made[-1].bit_generator.state
             assert state["state"] == fresh.state["state"]
-            assert state["has_uint32"] == len(pending)
-            if len(pending):
-                assert state["uinteger"] == words[0, pending[0]]
-            checked += 1
-            counts.add(min(n_cands, 2))
-    assert checked > 150
+            assert state["has_uint32"] == 0
+            counts.add(min(_n_cands(cb, obs.plan, obs.message), 2) if weak else 0)
     assert counts == ({0, 1, 2} if weak else {0})
 
 
-# _WALK_CODES, then the uniform-sweep benchmark's code, where f's 200 words
-# leave a high half pending past the uniforms, so rep_idx reads that pending
-# word and then one run, and the converse benchmark's
+# _WALK_CODES, then the uniform-sweep benchmark's code and the converse
+# benchmark's
 _RUN_CODES = _WALK_CODES + [
     (SimParams(m=20, k=64, v=8, p=0.1, dm=2, theta=0.25, read_cap=200, seed=1), 20, 3),
     (SimParams(m=10, k=16, v=2, p=0.3, dm=1, theta=0.7, read_cap=400, seed=0), 20, 3),
 ]
 
 
-def _rejects(n) -> bool:
-    return bool(((2**32 - np.asarray(n, dtype=np.int64)) % n).any())
-
-
-def _entries(cb, adversary, r_prime_m, reads):
-    """(entries, state): the draws of a trial's first `reads` read positions
-    in stream order, each as (name, range, columns), placed by _walk from
-    the state the draw before it leaves, and the state after the last."""
-    entries, state = [], None
+def _walked(cb, adversary, r_prime_m, reads) -> tuple[dict, int]:
+    """(columns, raws): name -> the columns the draws of that name read in a
+    trial's first `reads` read positions, by a plain walk of the schedule
+    with each draw from a fresh raw: stream-word columns for a bounded
+    draw, raw columns for random()'s; and the raws walked."""
+    columns, raw = {}, 0
     for name, n, size in simulate._schedule(cb, adversary, r_prime_m, reads):
-        columns, state = simulate._walk([(name, n, size)], state)
-        entries.append((name, n, columns[name]))
-    return entries, state
+        cols = np.arange(raw, raw + size) if n is None else np.arange(2 * raw, 2 * raw + size)
+        raw += size if n is None else -(-size // 2)
+        columns[name] = np.concatenate((columns[name], cols)) if name in columns else cols
+    return columns, raw
 
 
-def _expanded(layout):
-    """(decoded, tested, runs): a _Layout's decoded columns by draw name and
-    its tested columns, expanded over the blocks of its segments, and every
-    list of runs it holds."""
-    decoded, tested, runs = {}, [], []
-    for name, (_, _, draw_runs, test) in layout.draws.items():
-        decoded[name] = _columns(draw_runs)
-        tested += [decoded[name]] * test
-        runs.append(draw_runs)
-    for name, raws in layout.raws.items():
-        decoded[name] = np.arange(raws.start, raws.stop)
+def _expanded(layout) -> dict:
+    """A _Layout's decoded columns by draw name, in _walked's units,
+    expanded over the blocks of its segments."""
+    columns = {}
+    places = [(name, n, size, raw0) for name, (n, size, raw0) in layout.head.items()]
     for seg in layout.segments:
-        runs += [draw_runs for _, draw_runs in seg.draws.values()]
-        for b in range(seg.count):
-            for name, (n, draw_runs) in seg.draws.items():
-                origin = seg.raw0 + b * seg.stride if n is None else seg.word0 + b * seg.span
-                cols = origin + _columns(draw_runs)
-                decoded[name] = np.concatenate((decoded[name], cols)) if name in decoded else cols
-            tested += [seg.word0 + b * seg.span + np.arange(run.start, run.stop)
-                       for run, _, blocks in seg.tests if b < blocks]
-    return decoded, np.sort(np.concatenate([_columns([]), *tested])), runs
+        places += [(name, n, size, seg.raw0 + b * seg.stride + raw0)
+                   for b in range(seg.count) for name, n, size, raw0 in seg.draws]
+    for name, n, size, raw0 in places:
+        cols = np.arange(size) + (raw0 if n is None else 2 * raw0)
+        columns[name] = np.concatenate((columns[name], cols)) if name in columns else cols
+    return columns
 
 
 @pytest.mark.parametrize("code", range(len(_RUN_CODES)))
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 def test_layout_runs_are_the_walk_columns(adversary, code):
-    # At the prefix width and at read_cap, the layout's runs, expanded over
-    # its blocks, are the columns _walk gives the pass's whole blocks
-    # (module docstring): each decoded draw's, with no column lost or gained
-    # at a run or block boundary, and as tested words every word of a
-    # rejecting range up to the last decoded draw; its raws end with the
-    # pass's last block.  Each run carries its columns' ranges.
+    # At the prefix width and at read_cap, the layout's draws, expanded over
+    # its blocks, read the columns a plain walk of the schedule gives the
+    # pass's whole blocks (module docstring): each decoded draw's, with no
+    # column lost or gained at a block boundary; its raws end with the
+    # pass's last block.
     params, h_m, r_prime_m = _RUN_CODES[code]
     matrix = np.random.default_rng(params.seed).integers(0, params.v, (params.k, params.m))
     cb = Codebook(params, matrix)
@@ -728,115 +572,56 @@ def test_layout_runs_are_the_walk_columns(adversary, code):
     for width in {simulate._prefix_width(cb, adversary, h_m), params.read_cap}:
         layout = simulate._Layout(cb, adversary, width, r_prime_m, h_m)
         assert layout.reads == min(-(-width // simulate.BLOCK) * simulate.BLOCK, params.read_cap)
-        entries, (_, n_raw) = _entries(cb, adversary, r_prime_m, layout.reads)
+        want, n_raw = _walked(cb, adversary, r_prime_m, layout.reads)
         assert layout.n_raw == n_raw
-        kept = {name for name, _, _ in entries} - ({"u", "rep_idx", "rep_pay"} if true_rows else set())
-        last = max(i for i, (name, _, _) in enumerate(entries) if name in kept)
-        want, tested = {}, []
-        for i, (name, n, cols) in enumerate(entries):
-            if name in kept:
-                want[name] = np.concatenate((want[name], cols)) if name in want else cols
-            if i <= last and n is not None and (name == "pick" or _rejects(n)):
-                tested.append(cols)
-        decoded, got_tested, runs = _expanded(layout)
-        assert decoded.keys() == want.keys()
+        for name in ("u", "rep_idx", "rep_pay") if true_rows else ():
+            want.pop(name, None)
+        got = _expanded(layout)
+        assert got.keys() == want.keys()
         for name, cols in want.items():
-            assert np.array_equal(decoded[name], cols), (name, width)
-        assert np.array_equal(got_tested, np.sort(np.concatenate([_columns([]), *tested])))
-        # runs are maximal: consecutive runs never touch
-        for draw_runs in runs:
-            assert all(a.stop < b.start for (a, _), (b, _) in zip(draw_runs, draw_runs[1:]))
-        for name, n, _ in entries:
-            if name in layout.draws:
-                got = [np.broadcast_to(n_run, (r.stop - r.start,)) for r, n_run in layout.draws[name][2]]
-                assert np.array_equal(np.concatenate([[], *got]),
-                                      np.broadcast_to(n, (len(want[name]),)))
-            for seg in layout.segments:
-                if name in seg.draws:
-                    assert all(np.array_equal(n_run, n) for _, n_run in seg.draws[name][1])
+            assert np.array_equal(got[name], cols), (name, width)
 
 
-# (code, adversary, h_m, r_prime_m, width, raws a row then, raws a row
-# before blocks, tested words): the benchmark's prefix passes, the sweep's
-# at its widths 8 and 16, decode-wide's and converse's
+# (code, adversary, h_m, r_prime_m, width, raws a row then, raws a row over
+# read_cap, raws a row before blocks): the benchmark's prefix passes, the
+# sweep's at its widths 8 and 16, decode-wide's and converse's
 _BENCH_LAYOUTS = [
     (dict(m=20, k=64, v=8, p=0.1, dm=1, theta=0.25, read_cap=200), "uniform", None, None, 8,
-     21, 405, 16),
+     21, 501, 405),
     (dict(m=20, k=64, v=8, p=0.2, dm=1, theta=0.25, read_cap=200), "uniform", None, None, 16,
-     41, 409, 32),
+     41, 501, 409),
     (dict(m=64, k=1024, v=2, p=0.05, dm=3, theta=0.7, read_cap=640), "uniform", None, None, 128,
-     321, 1345, 0),
+     321, 1601, 1345),
     (dict(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400), "strong", 20, 5, 32,
-     50, 602, 32),
+     50, 602, 602),
     (dict(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400), "weak", 20, 3, 32,
-     53, 605, 38),
+     53, 605, 605),
 ]
 
 
-@pytest.mark.parametrize("code,adversary,h_m,r_prime_m,width,n_raw,old,tested", _BENCH_LAYOUTS)
+# Test ids of the layouts above.  Each id ends with the figures the layout
+# had under CSV 0.2.0, its raws a row then before blocks and the words it
+# tested for rejection, rather than the ones above: a case keeps its name
+# when the contract changes.
+_BENCH_IDS = ["code0-uniform-None-None-8-21-405-16", "code1-uniform-None-None-16-41-409-32",
+              "code2-uniform-None-None-128-321-1345-0", "code3-strong-20-5-32-50-602-32",
+              "code4-weak-20-3-32-53-605-38"]
+
+
+@pytest.mark.parametrize("code,adversary,h_m,r_prime_m,width,n_raw,full,old", _BENCH_LAYOUTS,
+                         ids=_BENCH_IDS)
 def test_prefix_passes_draw_their_blocks_alone(code, adversary, h_m, r_prime_m, width, n_raw,
-                                               old, tested):
+                                               full, old):
     # A prefix pass of width W draws ceil(W / 8) blocks and the per-trial
-    # draws before them, and tests only their words: at the benchmark's
-    # codes 21 to 321 raws a row, where the layout of whole read-length
-    # draws before blocks needed `old`, 405 to 1345.
+    # draws before them: at the benchmark's codes 21 to 321 raws a row, where
+    # the layout of whole read-length draws before blocks needed `old`, 405
+    # to 1345.  Both passes draw as many raws as under CSV 0.2.0, so
+    # core._by_columns makes the same choice on every benchmark block.
     params = SimParams(seed=0, **code)
     cb = Codebook(params, np.zeros((params.k, params.m), dtype=np.int64))
     assert simulate._prefix_width(cb, adversary, h_m) == width
-    layout = simulate._Layout(cb, adversary, width, r_prime_m, h_m)
-    assert layout.n_raw == n_raw < old
-    assert len(_expanded(layout)[1]) == tested
-
-
-@pytest.mark.parametrize("width", [8, 200])
-def test_rejected_words_at_run_ends_are_redrawn(width, monkeypatch):
-    # Plant word 0, which every range with a nonzero threshold rejects, in
-    # chosen rows of the uniform-sweep code's raw blocks: at f's first word
-    # and at its last in the pass's last block, and at rep_idx's pending
-    # word and the first word of its second run in that block.  Exactly
-    # those rows must come back flagged, and be redrawn equal to
-    # _observe_trial.
-    params = SimParams(m=20, k=64, v=8, p=0.1, dm=2, theta=0.25, read_cap=200, seed=1)
-    cb = construct_greedy(params)
-    columns, _ = simulate._walk(simulate._schedule(cb, "uniform", None, width))
-    f, rep_idx = columns["f"], columns["rep_idx"]
-    # every block's f is one run; its rep_idx a pending word and one run
-    layout = simulate._Layout(cb, "uniform", width)
-    [seg] = layout.segments
-    assert [(run, blocks) for run, _, blocks in seg.tests] == [
-        (slice(0, 8), width // 8), (slice(8, 9), width // 8), (slice(25, 32), width // 8)
-    ]
-    planted = {3: f[0], 7: f[-1], 11: rep_idx[-8], 19: rep_idx[-7]}
-    states = core.trial_states(params.seed, np.arange(40, dtype=np.uint64))
-    real_raws, real_draw = core.trial_raws, simulate._draw_columnar
-    real_observe, bad, observed = simulate._observe_trial, [], []
-
-    def planting(block, n_raw):
-        raws = real_raws(block, n_raw)
-        for row, word in planted.items():
-            hit = (block == states[row]).all(axis=1)
-            raws[hit, word // 2] &= np.uint64(0xFFFFFFFF << (32 * (1 - word % 2)))
-        return raws
-
-    def drawing(*args):
-        out = real_draw(*args)
-        bad.append(out[0])
-        return out
-
-    def observing(cb, adversary, trial, *args):
-        observed.append(trial)
-        return real_observe(cb, adversary, trial, *args)
-
-    monkeypatch.setattr(core, "trial_raws", planting)
-    monkeypatch.setattr(simulate, "_draw_columnar", drawing)
-    monkeypatch.setattr(simulate, "_observe_trial", observing)
-    message, obs, _ = simulate._draw_rows(cb, "uniform", layout, 0, np.arange(40), 10**6)
-    assert np.flatnonzero(np.concatenate(bad)).tolist() == sorted(planted)
-    assert observed == [*sorted(planted), 0]
-    for t in range(40):
-        ref = real_observe(cb, "uniform", t)
-        assert message[t] == ref.message
-        assert np.array_equal(obs[t], ref.observed[:width])
+    assert simulate._Layout(cb, adversary, width, r_prime_m, h_m).n_raw == n_raw < old
+    assert simulate._Layout(cb, adversary, params.read_cap, r_prime_m, h_m).n_raw == full
 
 
 def test_batched_engine_rejects_planning_adversaries(easy_codebook):
