@@ -24,22 +24,24 @@ ADVERSARIES = ("honest", "uniform", "uniform-index", "strong", "weak")
 
 def sample_index_sequence(m: int, horizon: int, rng) -> np.ndarray:
     """i.i.d. uniform indices over [0, m); the index process is message-blind.
-    rng is a core.TrialStream, or anything with numpy Generator's integers
-    and random."""
+    rng is a core.TrialStream, or anything with numpy Generator's
+    integers."""
     if horizon < 1:
         raise ValueError("horizon out of range")
     return rng.integers(m, size=horizon)
 
 
 def sample_error_flags(p: float, horizon: int, rng) -> np.ndarray:
-    """i.i.d. Bernoulli(p) error flags, one per prospective read.
+    """Bernoulli error flags, one per prospective read, by the draw rule's
+    flag rule: one 32-bit word w per flag, set where w < p * 2**32, so with
+    probability ceil(p * 2**32) / 2**32, within 2**-32 of p.
 
-    Drawn as uniforms compared against p so sweeps over p with a shared seed
+    Drawn as words compared against p so sweeps over p with a shared seed
     use common random numbers.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p out of range")
-    return rng.random(horizon) < p
+    return rng.integers(2**32, size=horizon) < p * 2**32
 
 
 def observe_honest(true_ids: np.ndarray, f, flags) -> np.ndarray:
@@ -144,7 +146,8 @@ def weak_prepare(cb: Codebook, m: int, r_prime_m: int, rng) -> WeakAdversaryPlan
     range j + 1, or j itself where that value is already in the set.
     m_prime is uniform over the n messages other than m whose codeword
     matches m's on every index in the set, one value of range n (read even
-    when n is 0), or None when n is 0.  Then psi, one random().
+    when n is 0), or None when n is 0.  Then psi, one flag of
+    sample_error_flags.
     """
     mm = cb.params.m
     if not 0 <= r_prime_m <= mm:
@@ -156,7 +159,7 @@ def weak_prepare(cb: Codebook, m: int, r_prime_m: int, rng) -> WeakAdversaryPlan
     cands = np.flatnonzero(agreeing(cb, np.array([m]), index_set[None])[0])
     pick = int(rng.integers(len(cands)))
     m_prime = int(cands[pick]) if len(cands) else None
-    psi = bool(rng.random() < cb.params.p)
+    psi = bool(sample_error_flags(cb.params.p, 1, rng)[0])
     return WeakAdversaryPlan(index_set=index_set, m_prime=m_prime, psi=psi)
 
 

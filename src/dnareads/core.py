@@ -188,7 +188,7 @@ def trial_raws(states: np.ndarray, n_raw: int) -> np.ndarray:
 
 
 def stream_words(raws: np.ndarray) -> np.ndarray:
-    """The 32-bit words bounded integer draws read from raws, in stream
+    """The 32-bit words every trial draw reads from raws, in stream
     order: the low half of each raw, then its high half.  The view is of
     explicitly little-endian raws, so the low half comes first on any host,
     and on a little-endian host it copies nothing."""
@@ -209,12 +209,12 @@ def bounded(words: np.ndarray, n) -> np.ndarray:
 
 class TrialStream:
     """A trial's draws read in order from its PCG64 raws by the draw rule
-    (README "Determinism"): each draw starts at a fresh raw; a bounded draw
-    of s values reads the 32-bit words of the next ceil(s/2) raws, low half
-    first, as (w * n) >> 32; random() reads one whole raw a value.  It takes
-    numpy Generator's arguments, for a range from 0, and splits and scales
-    its words itself, apart from the batch engine's stream_words and
-    bounded."""
+    (README "Determinism"): each draw of s values starts at a fresh raw and
+    reads the 32-bit words of the next ceil(s/2) raws, low half first, as
+    (w * n) >> 32; a range of 2**32 gives the words themselves, which a
+    flag draw compares with p.  It takes numpy Generator's arguments, for a
+    range from 0, and splits and scales its words itself, apart from the
+    batch engine's stream_words and bounded."""
 
     def __init__(self, rng: np.random.Generator):
         self._raw = rng.bit_generator.random_raw
@@ -227,11 +227,6 @@ class TrialStream:
         words = np.column_stack((raws & _MASK32, raws >> 32)).ravel()[:count]
         values = (words * np.asarray(n, dtype=np.uint64) >> 32).astype(np.int64)
         return values[0] if size is None and np.ndim(n) == 0 else values
-
-    def random(self, size=None):
-        """size uniforms in [0, 1), (raw >> 11) * 2**-53; one when size is None."""
-        values = (self._raw(1 if size is None else size) >> 11) * 2.0**-53
-        return values[0] if size is None else values
 
 
 def derive_codebook_rng(seed: int) -> np.random.Generator:

@@ -4,15 +4,16 @@ Every trial reads its private PCG64 stream by one draw rule (README
 "Determinism"), in the order _schedule lists.  First come its per-trial
 draws: the message, then psi for the strong adversary, and for the weak
 one the Floyd values of its index set, the m' pick and psi.  Then come its
-per-read draws, in blocks of BLOCK = 8 read positions, the last block
-holding read_cap mod 8: each block draws its index sequence f, its error
-uniforms u (flags u < p), and for the uniform adversaries its replacement
-indices and payloads.  Replacement tables are drawn for every read position
-and consulted only on erroneous reads, so sweeps over p reuse common random
-numbers.  Each draw starts at a fresh raw: a bounded draw of s values reads
-the 32-bit words of the next ceil(s/2) raws, low half first, each value
-(w * n) >> 32 with no rejection; random() reads one whole raw a value,
-(raw >> 11) * 2**-53.  So every draw sits at fixed raws of its stream.
+per-read draws, in ceil(read_cap / 8) whole blocks of BLOCK = 8 read
+positions, the reads past read_cap drawn and never observed: each block
+draws its index sequence f, its error flags u, and for the uniform
+adversaries its replacement indices and payloads.  Replacement tables are
+drawn for every read position and consulted only on erroneous reads, so
+sweeps over p reuse common random numbers.  Each draw starts at a fresh
+raw and reads the 32-bit words of the next ceil(s/2) raws for its s
+values, low half first: a bounded value is (w * n) >> 32 with no
+rejection, and a flag (u, psi) is set where w < p * 2**32.  So every draw
+sits at fixed raws of its stream.
 
 The reference engine, run_trial, draws a trial through _observe_trial,
 which reads the rule one draw at a time (core.TrialStream).  The batch
@@ -32,9 +33,10 @@ undefined (p = 1, or a threshold over m).  A pass of width W draws the
 per-trial draws and the first ceil(W / 8) blocks, decodes them whole and
 keeps W read positions.  The rows still undecided after W reads are drawn
 again and decoded over read_cap.  _draw_rows checks the first row of every
-block it returns against _observe_trial, and _passes draws one block per
-decode block, sized by _row_bytes, whose sub-blocks are sized by the
-layout's row_bytes, each under its share of the engine's budget.
+block it returns against _observe_trial, drawn over the pass's blocks
+alone, and _passes draws one block per decode block, sized by _row_bytes,
+whose sub-blocks are sized by the layout's row_bytes, each under its share
+of the engine's budget.
 
 The weak plan's Floyd sample runs on a rows x m mask (_weak_plan).  The
 strong plan has a candidate only where the trial is in S, psi holds, every
@@ -82,35 +84,39 @@ class _Observed(NamedTuple):
     plan: object
 
 
-def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m=None):
+def _observe_trial(cb: Codebook, adversary: str, trial: int, h_m=None, r_prime_m=None,
+                   reads=None):
     """Draw one trial in the draw rule's order (module docstring), one draw
     at a time from its stream's raws, a block of reads at a time, and apply
-    its adversary: the one draw-and-observe path of both engines.  plan is
-    the strong or weak adversary's plan, None for the others."""
+    its adversary: the one draw-and-observe path of both engines.  It draws
+    the ceil(reads / 8) blocks that hold the first `reads` read positions
+    (read_cap by default) and observes those; a strong trial needs reads >=
+    h_m.  plan is the strong or weak adversary's plan, None for the
+    others."""
     params = cb.params
-    m, v, cap = params.m, params.v, params.read_cap
+    m, v = params.m, params.v
+    reads = params.read_cap if reads is None else reads
     rng = core.TrialStream(derive_trial_rng(params.seed, trial))
     message = int(rng.integers(params.k))
     plan = psi = None
     if adversary == "weak":
         plan = channel.weak_prepare(cb, message, r_prime_m, rng)
     elif adversary == "strong":
-        psi = bool(rng.random() < params.p)
+        psi = bool(channel.sample_error_flags(params.p, 1, rng)[0])
     uniform = adversary in ("uniform", "uniform-index")
     f, flags, rep_idx, rep_pay = [], [], [], []
-    for lo in range(0, cap, BLOCK):
-        size = min(BLOCK, cap - lo)
-        f.append(channel.sample_index_sequence(m, size, rng))
-        flags.append(channel.sample_error_flags(params.p, size, rng))
+    for _ in range(-(-reads // BLOCK)):
+        f.append(channel.sample_index_sequence(m, BLOCK, rng))
+        flags.append(channel.sample_error_flags(params.p, BLOCK, rng))
         if uniform:
-            rep_idx.append(rng.integers(m, size=size) if adversary == "uniform" else f[-1])
-            rep_pay.append(rng.integers(v, size=size))
-    f, flags = np.concatenate(f), np.concatenate(flags)
+            rep_idx.append(rng.integers(m, size=BLOCK) if adversary == "uniform" else f[-1])
+            rep_pay.append(rng.integers(v, size=BLOCK))
+    f, flags = np.concatenate(f)[:reads], np.concatenate(flags)[:reads]
     true_ids = cb.word_ids[message][f]
     if adversary == "honest":
         observed = channel.observe_honest(true_ids, f, flags)
     elif uniform:
-        replacement = np.concatenate(rep_idx) * v + np.concatenate(rep_pay)
+        replacement = (np.concatenate(rep_idx) * v + np.concatenate(rep_pay))[:reads]
         observed = channel.observe_uniform(true_ids, flags, replacement)
     elif adversary == "weak":
         observed = channel.observe_weak(plan, cb, true_ids, f, flags)
@@ -259,10 +265,10 @@ def run_converse(
     docstring), plan columns included.  run_trial runs trial 0 first, which
     checks the arguments.  The guaranteed-error premises hold exactly where
     a strong plan is active, since a candidate needs them.  After both
-    passes, each such row's plan is drawn again through _observe_trial, and
-    the run raises when the row does not decode to m_prime, the wrong
-    message, at its error-free stopping time by the horizon, or when trial
-    0's row differs from run_trial's."""
+    passes, each such row's plan is drawn again through _observe_trial over
+    its h_m head, and the run raises when the row does not decode to
+    m_prime, the wrong message, at its error-free stopping time by the
+    horizon, or when trial 0's row differs from run_trial's."""
     if adversary not in ("strong", "weak"):
         raise ValueError(f"converse engine does not support adversary {adversary!r}")
     ref, _ = run_trial(cb, adversary, 0, h_m, r_prime_m)
@@ -277,7 +283,7 @@ def run_converse(
     out.active[:] = out.psi & (out.m_prime >= 0)
     out.conditions[:] = out.active & (adversary == "strong")
     for t in np.flatnonzero(out.conditions).tolist():
-        plan = _observe_trial(cb, adversary, t, h_m, r_prime_m).plan
+        plan = _observe_trial(cb, adversary, t, h_m, r_prime_m, h_m).plan
         kind, decoded, n_reads = (int(c[t]) for c in (out.kind, out.decoded, out.n_reads))
         verdict = Verdict(VerdictKind(kind), n_reads, None if decoded < 0 else decoded)
         out.conditions[t] = _conditions(t, int(out.message[t]), plan, verdict, h_m)
@@ -312,11 +318,12 @@ BLOCK = 8
 
 
 def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None, reads: int) -> list:
-    """A trial's draws in stream order, as (name, range, size), up to its
-    first `reads` read positions: the per-trial draws, then the per-read
-    draws block by block, each block's of size BLOCK but the last.  A range
-    is one number, one per value, or None for random()'s whole raws.  The
-    weak pick's range is the row's candidate count, at most k - 1."""
+    """A trial's draws in stream order, as (name, range, size), up to the
+    whole blocks that hold its first `reads` read positions: the per-trial
+    draws, then the per-read draws block by block.  A range is one number,
+    one per value, or None for a flag draw (u and psi), whose values are its
+    words themselves.  The weak pick's range is the row's candidate count,
+    at most k - 1."""
     p = cb.params
     draws = [("message", p.k, 1)]
     if adversary == "weak":
@@ -324,12 +331,10 @@ def _schedule(cb: Codebook, adversary: str, r_prime_m: int | None, reads: int) -
         draws += [("floyd", floyd, r_prime_m), ("pick", p.k - 1, 1), ("psi", None, 1)]
     elif adversary == "strong":
         draws += [("psi", None, 1)]
-    block = [("f", p.m), ("u", None)]
+    block = [("f", p.m, BLOCK), ("u", None, BLOCK)]
     if adversary in ("uniform", "uniform-index"):
-        block += [("rep_idx", p.m)] * (adversary == "uniform") + [("rep_pay", p.v)]
-    for lo in range(0, reads, BLOCK):
-        draws += [(name, n, min(BLOCK, reads - lo)) for name, n in block]
-    return draws
+        block += [("rep_idx", p.m, BLOCK)] * (adversary == "uniform") + [("rep_pay", p.v, BLOCK)]
+    return draws + block * -(-reads // BLOCK)
 
 
 def _place(schedule) -> tuple[list, int]:
@@ -339,29 +344,18 @@ def _place(schedule) -> tuple[list, int]:
     placed, raw = [], 0
     for name, n, size in schedule:
         placed.append((name, n, size, raw))
-        raw += size if n is None else -(-size // 2)
+        raw += -(-size // 2)
     return placed, raw
-
-
-class _Segment(NamedTuple):
-    """`count` blocks of the same size, in a pass's raws from raw0 on,
-    `stride` raws a block; draws are the block's decoded draws, placed from
-    the block's first raw."""
-
-    raw0: int
-    count: int
-    stride: int
-    draws: list
 
 
 class _Layout:
     """Where the draws of a trial's first `width` read positions sit in its
     random_raw block (module docstring): the per-trial draws, head, name ->
-    (range, size, raw0), then the pass's blocks as one segment of full
-    blocks and, where the pass reaches it, one of the shorter last block.
-    The weak adversary's layout also holds r_prime_m, its index-set size;
-    the strong one's, the h_m and r_prime_m of its screen's S test and
-    witness."""
+    (range, size, raw0), then the pass's n_blocks whole blocks from raw
+    raw0 on, stride raws a block, whose draws, block, are placed from the
+    block's first raw.  The weak adversary's layout also holds r_prime_m,
+    its index-set size; the strong one's, the h_m and r_prime_m of its
+    screen's S test and witness."""
 
     def __init__(
         self, cb: Codebook, adversary: str, width: int,
@@ -371,23 +365,17 @@ class _Layout:
         self.width = width
         self.noisy = adversary != "honest" and p.p > 0
         self.r_prime, self.h_m = r_prime_m, h_m
-        head, raw = _place(_schedule(cb, adversary, r_prime_m, 0))
+        head, self.raw0 = _place(_schedule(cb, adversary, r_prime_m, 0))
         self.head = {name: (n, size, raw0) for name, n, size, raw0 in head}
-        # words decoded a row: the per-trial draws' and each kept block draw's
+        block, self.stride = _place(_schedule(cb, adversary, r_prime_m, 1)[len(head):])
+        # a row that observes its true row decodes f alone
+        self.block = block[: 1 if adversary in BATCH_ADVERSARIES and not self.noisy else None]
+        self.n_blocks = -(-width // BLOCK)
+        self.n_raw = self.raw0 + self.n_blocks * self.stride
+        # bounded values decoded a row: the per-trial draws' and each kept
+        # block draw's
         decoded = sum(size for _, n, size, _ in head if n is not None)
-        # the pass's blocks, each decoded whole; a row that observes its true
-        # row decodes f alone
-        keep = 1 if adversary in BATCH_ADVERSARIES and not self.noisy else None
-        n_blocks, (full, rest) = -(-width // BLOCK), divmod(p.read_cap, BLOCK)
-        self.segments = []
-        for count, size in ((min(n_blocks, full), BLOCK), (n_blocks - full, rest)):
-            if count > 0:
-                draws, stride = _place(_schedule(cb, adversary, r_prime_m, size)[len(head):])
-                self.segments.append(_Segment(raw, count, stride, draws[:keep]))
-                decoded += count * sum(size for _, n, size, _ in draws[:keep] if n is not None)
-                raw += count * stride
-        self.n_raw = raw
-        self.reads = min(n_blocks * BLOCK, p.read_cap)
+        decoded += self.n_blocks * sum(size for _, n, size, _ in self.block if n is not None)
         extra, words = 0, -(-p.k // 64)  # words of a packed_mismatch row
         if adversary == "weak":
             # Floyd's seen mask, the index set's two int64 copies, agreeing's
@@ -399,23 +387,22 @@ class _Layout:
             # larger of s_membership's rows and agreeing's copies and packed
             # rows beside the witness; agreeing's bits and mask per message
             extra = max(56, 27 + 8 * words) * h_m + 2 * p.k + 16 * words + 64
-        # The raws; per decoded word its uint64 value and the copy that joins
-        # a draw's segments; and the int64 or float64 rows of the pass's
-        # reads: six in a noisy layout (true ids, u, its flags, the
+        # The raws; per bounded value its uint64 value and one temporary as
+        # large; and the 8-byte rows of the blocks' read positions: five in a
+        # noisy layout (true ids, the copy of u's words with its flags, the
         # replacement and observed ids), which bound the weak plan's rows
-        # too, three in the strong layout (true ids, and u with the copy that
-        # joins its segments), and only the true ids otherwise.
-        rows = 3 if adversary == "strong" else 6 if self.noisy else 1
-        self.row_bytes = 8 * raw + 16 * decoded + 8 * rows * self.reads + extra
+        # too, two in the strong layout (true ids, and the copy of u's
+        # words), and only the true ids otherwise.
+        rows = 2 if adversary == "strong" else 5 if self.noisy else 1
+        self.row_bytes = 8 * self.n_raw + 16 * decoded + 8 * rows * self.n_blocks * BLOCK + extra
 
 
-def _values(raws: np.ndarray, words: np.ndarray, n, size: int, raw0: int) -> np.ndarray:
-    """One draw's values from raws and their stream words, along the last
-    axis: size whole raws from raw0 on where the range n is None, and
-    otherwise the bounded values of size words from raw0's low half on."""
-    if n is None:
-        return raws[..., raw0 : raw0 + size]
-    return core.bounded(words[..., 2 * raw0 : 2 * raw0 + size], n)
+def _values(words: np.ndarray, n, size: int, raw0: int) -> np.ndarray:
+    """One draw's values from stream words, along the last axis: the size
+    words from raw0's low half on, themselves where the range n is None (a
+    flag draw) and otherwise their bounded values."""
+    words = words[..., 2 * raw0 : 2 * raw0 + size]
+    return words if n is None else core.bounded(words, n)
 
 
 def _draw_columnar(cb, adversary, layout, states, message, obs):
@@ -427,22 +414,15 @@ def _draw_columnar(cb, adversary, layout, states, message, obs):
     columns, None for the others."""
     p = cb.params
     b = len(states)
-    raws = core.trial_raws(states, layout.n_raw)
-    words = core.stream_words(raws)
+    words = core.stream_words(core.trial_raws(states, layout.n_raw))
     sent = np.zeros(b, dtype=bool)
     # the pick's range is per row (_weak_plan)
-    drawn = {name: _values(raws, words, *place)
-             for name, place in layout.head.items() if name != "pick"}
-    # each per-read draw from its blocks, cut to the pass's width
-    reads = {}
-    for seg in layout.segments:
-        end = seg.raw0 + seg.count * seg.stride
-        r = raws[:, seg.raw0 : end].reshape(b, seg.count, -1)
-        w = words[:, 2 * seg.raw0 : 2 * end].reshape(b, seg.count, -1)
-        for name, n, size, raw0 in seg.draws:
-            reads.setdefault(name, []).append(_values(r, w, n, size, raw0).reshape(b, -1))
-    for name, parts in reads.items():
-        drawn[name] = (parts[0] if len(parts) == 1 else np.concatenate(parts, 1))[:, : layout.width]
+    drawn = {name: _values(words, *place) for name, place in layout.head.items() if name != "pick"}
+    # each per-read draw from a (rows, blocks, words a block) view, cut to
+    # the pass's width
+    blocks = words[:, 2 * layout.raw0 :].reshape(b, layout.n_blocks, -1)
+    for name, n, size, raw0 in layout.block:
+        drawn[name] = _values(blocks, n, size, raw0).reshape(b, -1)[:, : layout.width]
     msg, f = drawn["message"], drawn["f"]
     message[:] = msg[:, 0]
     # the true rows, which the adversary then changes where it errs
@@ -476,7 +456,7 @@ def _weak_plan(cb, layout, words, drawn):
     channel.weak_prepare draws them: index_set a rows x r_prime_m sorted
     array, m_prime -1 where there is no candidate.  words are the block's
     stream words; drawn holds the message, the Floyd values and psi's
-    raw."""
+    word."""
     p = cb.params
     b, r = len(words), layout.r_prime
     rows = np.arange(b)
@@ -494,10 +474,9 @@ def _weak_plan(cb, layout, words, drawn):
     return index_set, m_prime, _below(drawn["psi"][:, 0], p.p)
 
 
-def _below(raws: np.ndarray, p: float) -> np.ndarray:
-    """random() < p for the whole raws random() reads: its value is
-    (raw >> 11) * 2**-53."""
-    return (raws >> 11) * 2.0**-53 < p
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """The flags of a flag draw's words: w < p * 2**32 (module docstring)."""
+    return words < p * 2.0**32
 
 
 def _draw_rows(cb, adversary, layout, start, rows, budget):
@@ -507,9 +486,9 @@ def _draw_rows(cb, adversary, layout, start, rows, budget):
 
     The rows are decoded from their raw blocks in sub-blocks whose
     temporaries fit in budget bytes.  A strong row whose plan has a
-    candidate goes through _observe_trial instead.  The first row is
-    compared with _observe_trial, so that raws or a layout that no longer
-    match the per-trial reads fail loudly."""
+    candidate goes through _observe_trial instead, drawn over the layout's
+    blocks alone, and so is the first row, to be compared, so that raws or
+    a layout that no longer match the per-trial reads fail loudly."""
     b = len(rows)
     states = core.trial_states(cb.params.seed, rows.astype(np.uint64) + np.uint64(start))
     message = np.empty(b, dtype=np.int64)
@@ -524,15 +503,16 @@ def _draw_rows(cb, adversary, layout, start, rows, budget):
         if sub:
             plan[0][lo:hi], plan[1][lo:hi] = sub
         for r in (np.flatnonzero(sent) + lo).tolist():
-            trial = _observe_trial(cb, adversary, start + int(rows[r]), layout.h_m, layout.r_prime)
+            trial = _observe_trial(cb, adversary, start + int(rows[r]), layout.h_m,
+                                   layout.r_prime, layout.width)
             message[r] = trial.message
-            obs[r] = trial.observed[: layout.width]
+            obs[r] = trial.observed
             plan[0][r], plan[1][r] = _plan_columns(trial.plan)
     first = start + int(rows[0])
-    ref = _observe_trial(cb, adversary, first, layout.h_m, layout.r_prime)
+    ref = _observe_trial(cb, adversary, first, layout.h_m, layout.r_prime, layout.width)
     if (
         message[0] != ref.message
-        or not np.array_equal(obs[0], ref.observed[: layout.width])
+        or not np.array_equal(obs[0], ref.observed)
         or (plan and (plan[0][0], plan[1][0]) != _plan_columns(ref.plan))
     ):
         raise RuntimeError(

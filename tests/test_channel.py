@@ -1,4 +1,7 @@
 import itertools
+import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from dnareads.channel import (
 from dnareads.codebook import Codebook, construct_greedy
 from dnareads.core import TrialStream, Verdict, derive_trial_rng
 from dnareads.decoder import run, stopping_time_no_errors
-from dnareads.simulate import _observe_trial, run_trial
+from dnareads.simulate import _below, _observe_trial, run_trial
 from dnareads.analysis import s_membership
 
 
@@ -53,6 +56,27 @@ def test_error_flags_degenerate():
     rng = np.random.default_rng(0)
     assert not sample_error_flags(0.0, 100, rng).any()
     assert sample_error_flags(1.0, 100, np.random.default_rng(0)).all()
+
+
+def _crafted_stream(words):
+    """A TrialStream whose raws hold these 32-bit words, low half first."""
+    padded = list(words) + [0] * (len(words) % 2)
+    raws = np.array([lo | hi << 32 for lo, hi in zip(padded[::2], padded[1::2])], np.uint64)
+    rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda n: raws[:n]))
+    return TrialStream(rng)
+
+
+@pytest.mark.parametrize("p", [0.0, 2**-32, 0.15, 0.5, 1 - 2**-33, 1.0])
+def test_flag_rule_sets_exactly_the_words_below_the_threshold(p):
+    # a flag is set on exactly the words below ceil(p * 2**32), in Python
+    # integers, so its probability is within 2**-32 of p: in the batch
+    # engine's _below and in sample_error_flags on the per-trial stream
+    threshold = math.ceil(Fraction(p) * 2**32)
+    words = sorted({w for t in (0, 1, threshold, 2**31, 2**32 - 1) for w in (t - 1, t, t + 1)
+                    if 0 <= w < 2**32})
+    want = [w < threshold for w in words]
+    assert _below(np.array(words, dtype=np.uint32), p).tolist() == want
+    assert sample_error_flags(p, len(words), _crafted_stream(words)).tolist() == want
 
 
 def test_error_flags_rate():
@@ -338,24 +362,25 @@ def test_trace_replays_and_matches_adversary_row(small_codebook, adversary):
         if adversary == "weak":
             plan = weak_prepare(cb, message, r_prime_m, rng)
         elif adversary == "strong":
-            psi = bool(rng.random() < cb.params.p)
+            psi = bool(rng.integers(2**32) < cb.params.p * 2**32)
         blocks = []
-        for lo in range(0, cap, 8):
-            size = min(8, cap - lo)
-            block = [sample_index_sequence(m, size, rng), sample_error_flags(cb.params.p, size, rng)]
+        for _ in range(-(-cap // 8)):
+            block = [sample_index_sequence(m, 8, rng), sample_error_flags(cb.params.p, 8, rng)]
             if adversary == "uniform":
-                block.append(rng.integers(m, size=size))
+                block.append(rng.integers(m, size=8))
             if adversary in ("uniform", "uniform-index"):
-                block.append(rng.integers(v, size=size))
+                block.append(rng.integers(v, size=8))
             blocks.append(block)
-        f, flags = (np.concatenate(draw) for draw in list(zip(*blocks))[:2])
+        # whole blocks, cut at read_cap
+        blocks = [np.concatenate(draw)[:cap] for draw in zip(*blocks)]
+        f, flags = blocks[:2]
         true_ids = cb.word_ids[message][f]
         replacement = true_ids
         if adversary == "uniform":
-            rep_idx, rep_pay = (np.concatenate(draw) for draw in list(zip(*blocks))[2:])
+            rep_idx, rep_pay = blocks[2:]
             replacement = rep_idx * v + rep_pay
         elif adversary == "uniform-index":
-            replacement = f * v + np.concatenate([block[2] for block in blocks])
+            replacement = f * v + blocks[2]
         elif adversary == "weak":
             if plan.active:
                 replacement = cb.word_ids[plan.m_prime][f]

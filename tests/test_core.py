@@ -299,21 +299,21 @@ def test_bounded_takes_a_range_per_column(ranges):
 
 
 def test_trial_stream_starts_every_draw_at_a_fresh_raw():
-    # an odd-sized bounded draw leaves its last raw's high half unread, and
-    # random() reads one whole raw a value
-    raws = derive_trial_rng(3, 9).bit_generator.random_raw(7)
+    # an odd-sized draw leaves its last raw's high half unread, and a range
+    # of 2**32, a flag draw's, reads the words themselves
+    raws = [int(r) for r in derive_trial_rng(3, 9).bit_generator.random_raw(7)]
+    low, high = [r & 2**32 - 1 for r in raws], [r >> 32 for r in raws]
     stream = TrialStream(derive_trial_rng(3, 9))
     assert stream.integers(2**32 - 1, size=3).tolist() == [
-        w * (2**32 - 1) >> 32 for w in (int(raws[0]) & 2**32 - 1, int(raws[0]) >> 32,
-                                        int(raws[1]) & 2**32 - 1)
+        w * (2**32 - 1) >> 32 for w in (low[0], high[0], low[1])
     ]
-    assert stream.integers(10) == (int(raws[2]) & 2**32 - 1) * 10 >> 32
-    assert stream.random() == (int(raws[3]) >> 11) * 2.0**-53
-    assert stream.random(2).tolist() == [(int(r) >> 11) * 2.0**-53 for r in raws[4:6]]
+    assert stream.integers(10) == low[2] * 10 >> 32
+    assert stream.integers(2**32) == low[3]
+    assert stream.integers(2**32, size=3).tolist() == [low[4], high[4], low[5]]
     assert stream.integers(np.array([1, 0])).tolist() == [0, 0]
     # that draw read raw 6: the next raw is the eighth
     eighth = int(derive_trial_rng(3, 9).bit_generator.random_raw(8)[7])
-    assert stream.random() == (eighth >> 11) * 2.0**-53
+    assert stream.integers(2**32) == eighth & 2**32 - 1
 
 
 def test_import_leaves_numpy_random_unloaded():

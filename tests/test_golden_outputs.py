@@ -117,7 +117,7 @@ RUNS = {
         "--adversary", "weak", "--trials", "300", "--seed", "3", "--out", "{out}",
     ],
     # the benchmark's converse runs at 2500 strong and 5000 weak trials, long
-    # enough to span several converse blocks; 56 strong and 101 weak rows
+    # enough to span several converse blocks; 62 strong and 113 weak rows
     # outlive the 32-read prefix, so the full-width pass decodes rows
     **{
         f"converse-{adv}-blocks": [
@@ -128,7 +128,7 @@ RUNS = {
     },
     # a code where psi holds on half the rows and every head is in S, so the
     # strong screen's other two premises, the t1 errors and a t2-agreeing
-    # codeword, decide: it sends the 229 rows with a candidate to the
+    # codeword, decide: it sends the 213 rows with a candidate to the
     # per-trial draw; 4000 trials span five converse blocks
     "converse-strong-screened": [
         "converse", "--m", "8", "--k", "16", "--v", "2", "--p", "0.5", "--delta", "0.25",

@@ -97,3 +97,15 @@ def test_readme_names_resolve():
     cited = [(owner, name) for owner, name in cited if owner in owners]
     assert cited, "README cites no dnareads name"
     assert [f"{o}.{n}" for o, n in cited if not hasattr(owners[o], n)] == []
+
+
+def test_versions_agree():
+    # pyproject.toml's version, CSV_VERSION's number and every `dnareads X.Y.Z`
+    # or `CSV X.Y.Z` the README states are one version, bumped together
+    from dnareads.harness import CSV_VERSION
+
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    project = re.search(r'^version = "(\d+\.\d+\.\d+)"$', pyproject, flags=re.M)
+    stated = re.findall(r"\b(?:dnareads|CSV) (\d+\.\d+\.\d+)", README.read_text())
+    assert project and stated
+    assert {project[1], *stated} == {CSV_VERSION.removeprefix("dnareads ")}

@@ -531,52 +531,52 @@ _RUN_CODES = _WALK_CODES + [
 
 
 def _walked(cb, adversary, r_prime_m, reads) -> tuple[dict, int]:
-    """(columns, raws): name -> the columns the draws of that name read in a
-    trial's first `reads` read positions, by a plain walk of the schedule
-    with each draw from a fresh raw: stream-word columns for a bounded
-    draw, raw columns for random()'s; and the raws walked."""
+    """(columns, raws): name -> the stream-word columns the draws of that
+    name read up to the blocks that hold a trial's first `reads` read
+    positions, by a plain walk of the schedule with each draw from a fresh
+    raw; and the raws walked."""
     columns, raw = {}, 0
     for name, n, size in simulate._schedule(cb, adversary, r_prime_m, reads):
-        cols = np.arange(raw, raw + size) if n is None else np.arange(2 * raw, 2 * raw + size)
-        raw += size if n is None else -(-size // 2)
+        cols = np.arange(2 * raw, 2 * raw + size)
+        raw += -(-size // 2)
         columns[name] = np.concatenate((columns[name], cols)) if name in columns else cols
     return columns, raw
 
 
-def _expanded(layout) -> dict:
-    """A _Layout's decoded columns by draw name, in _walked's units,
-    expanded over the blocks of its segments."""
-    columns = {}
-    places = [(name, n, size, raw0) for name, (n, size, raw0) in layout.head.items()]
-    for seg in layout.segments:
-        places += [(name, n, size, seg.raw0 + b * seg.stride + raw0)
-                   for b in range(seg.count) for name, n, size, raw0 in seg.draws]
-    for name, n, size, raw0 in places:
-        cols = np.arange(size) + (raw0 if n is None else 2 * raw0)
-        columns[name] = np.concatenate((columns[name], cols)) if name in columns else cols
-    return columns
+def _viewed(layout) -> dict:
+    """A _Layout's decoded columns by draw name, in _walked's units: the
+    head's, then each block draw's as _draw_columnar reads it, through
+    _values on the (rows, blocks, words a block) view, here of one row of
+    stream-word column numbers."""
+    columns = np.arange(2 * layout.n_raw)[None]
+    got = {name: simulate._values(columns, None, size, raw0)[0]
+           for name, (n, size, raw0) in layout.head.items()}
+    blocks = columns[:, 2 * layout.raw0 :].reshape(1, layout.n_blocks, -1)
+    for name, n, size, raw0 in layout.block:
+        got[name] = simulate._values(blocks, None, size, raw0).reshape(-1)
+    return got
 
 
 @pytest.mark.parametrize("code", range(len(_RUN_CODES)))
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 def test_layout_runs_are_the_walk_columns(adversary, code):
-    # At the prefix width and at read_cap, the layout's draws, expanded over
-    # its blocks, read the columns a plain walk of the schedule gives the
-    # pass's whole blocks (module docstring): each decoded draw's, with no
-    # column lost or gained at a block boundary; its raws end with the
-    # pass's last block.
+    # At the prefix width and at read_cap, the layout's block view reads the
+    # columns a plain walk of the schedule gives the pass's whole blocks
+    # (module docstring): each decoded draw's, with no column lost or
+    # gained at a block boundary; its raws end with the pass's last block,
+    # past read_cap where read_cap is not a multiple of 8.
     params, h_m, r_prime_m = _RUN_CODES[code]
     matrix = np.random.default_rng(params.seed).integers(0, params.v, (params.k, params.m))
     cb = Codebook(params, matrix)
     true_rows = adversary in BATCH_ADVERSARIES and (adversary == "honest" or params.p == 0)
     for width in {simulate._prefix_width(cb, adversary, h_m), params.read_cap}:
         layout = simulate._Layout(cb, adversary, width, r_prime_m, h_m)
-        assert layout.reads == min(-(-width // simulate.BLOCK) * simulate.BLOCK, params.read_cap)
-        want, n_raw = _walked(cb, adversary, r_prime_m, layout.reads)
+        assert layout.n_blocks == -(-width // simulate.BLOCK)
+        want, n_raw = _walked(cb, adversary, r_prime_m, width)
         assert layout.n_raw == n_raw
         for name in ("u", "rep_idx", "rep_pay") if true_rows else ():
             want.pop(name, None)
-        got = _expanded(layout)
+        got = _viewed(layout)
         assert got.keys() == want.keys()
         for name, cols in want.items():
             assert np.array_equal(got[name], cols), (name, width)
@@ -587,15 +587,15 @@ def test_layout_runs_are_the_walk_columns(adversary, code):
 # sweep's at its widths 8 and 16, decode-wide's and converse's
 _BENCH_LAYOUTS = [
     (dict(m=20, k=64, v=8, p=0.1, dm=1, theta=0.25, read_cap=200), "uniform", None, None, 8,
-     21, 501, 405),
+     17, 401, 405),
     (dict(m=20, k=64, v=8, p=0.2, dm=1, theta=0.25, read_cap=200), "uniform", None, None, 16,
-     41, 501, 409),
+     33, 401, 409),
     (dict(m=64, k=1024, v=2, p=0.05, dm=3, theta=0.7, read_cap=640), "uniform", None, None, 128,
-     321, 1601, 1345),
+     257, 1281, 1345),
     (dict(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400), "strong", 20, 5, 32,
-     50, 602, 602),
+     34, 402, 602),
     (dict(m=10, k=16, v=2, p=0.3, dm=2, theta=0.7, read_cap=400), "weak", 20, 3, 32,
-     53, 605, 605),
+     37, 405, 605),
 ]
 
 
@@ -613,10 +613,11 @@ _BENCH_IDS = ["code0-uniform-None-None-8-21-405-16", "code1-uniform-None-None-16
 def test_prefix_passes_draw_their_blocks_alone(code, adversary, h_m, r_prime_m, width, n_raw,
                                                full, old):
     # A prefix pass of width W draws ceil(W / 8) blocks and the per-trial
-    # draws before them: at the benchmark's codes 21 to 321 raws a row, where
+    # draws before them: at the benchmark's codes 17 to 257 raws a row, where
     # the layout of whole read-length draws before blocks needed `old`, 405
-    # to 1345.  Both passes draw as many raws as under CSV 0.2.0, so
-    # core._by_columns makes the same choice on every benchmark block.
+    # to 1345.  core._by_columns still steps the sweep's prefix blocks by
+    # columns and builds one PCG64 a row for the others, as it did when
+    # flags read whole raws.
     params = SimParams(seed=0, **code)
     cb = Codebook(params, np.zeros((params.k, params.m), dtype=np.int64))
     assert simulate._prefix_width(cb, adversary, h_m) == width
